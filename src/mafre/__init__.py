@@ -12,9 +12,6 @@ from .algebra import (
     Frame,
     GranularLattice,
     GranularValue,
-    apply_conj,
-    apply_left_residuum,
-    apply_right_residuum,
     builtin_frame,
     builtin_triple,
     make_granular,

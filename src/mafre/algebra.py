@@ -156,20 +156,22 @@ class AdjointTriple:
             self.right_residuum_table[self._in(z)][self._in(x)], self.granularity
         )
 
+    def opposite(self) -> "AdjointTriple":
+        """The triple of y & x: conj table transposed, the two residua swapped.
+
+        A dual equation X (.) S = T is the primal one S^T (.) X^T = T^T over
+        the opposite triples.
+        """
+        return AdjointTriple(
+            self.name[:-3] if self.name.endswith("^op") else self.name + "^op",
+            self.granularity,
+            tuple(zip(*self.conj_table)),
+            self.right_residuum_table,
+            self.left_residuum_table,
+        )
+
     def __repr__(self):
         return f"AdjointTriple({self.name!r}, n={self.granularity})"
-
-
-def apply_conj(t: AdjointTriple, a: GranularValue, b: GranularValue) -> GranularValue:
-    return t.conj(a, b)
-
-
-def apply_left_residuum(t, z: GranularValue, y: GranularValue) -> GranularValue:
-    return t.left_residuum(z, y)
-
-
-def apply_right_residuum(t, z: GranularValue, x: GranularValue) -> GranularValue:
-    return t.right_residuum(z, x)
 
 
 def _ceil_div(p: int, q: int) -> int:

@@ -9,9 +9,8 @@ row-by-row deviations into an incoherence report.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .context import FuzzySet, necessity, possibility, restrict
 from .errors import InfeasibleReductError, NotAReductError
@@ -47,16 +46,6 @@ def find_feasible_reducts(fre: FreInstance):
         for Y in enumerate_reducts(associated_context(fre))
         if is_solvable(reduce_fre(fre, Y, enforce_consistency=False))
     ]
-
-
-def is_feasible_consistent_set(fre: FreInstance, Y) -> bool:
-    """Experimental: feasibility for an arbitrary consistent set.
-
-    No minimality is required; the reduced instance is simply checked for
-    solvability after verifying consistency.
-    """
-    reduced = reduce_fre(fre, tuple(Y), enforce_consistency=True)
-    return is_solvable(reduced)
 
 
 @dataclass(frozen=True)

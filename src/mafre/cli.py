@@ -82,8 +82,16 @@ def cmd_check(args) -> int:
     return ExitStatus.OK
 
 
-def _solve_primal(args, instance) -> int:
-    gap = fre_mod.solvability_gap(instance)
+def _solve(args, instance, gap_of, solutions_of, closure, part, counted) -> int:
+    """Solve through the orientation's ``gap_of`` and ``solutions_of``.
+
+    ``closure``, ``part`` and ``counted`` are its words for the fixpoint the
+    rhs is compared with, for one solved part of the unknown and for the
+    solutions of a part.
+    """
+    if args.max_count is not None and args.max_count < 0:
+        raise ProblemFileError("--max-count must be >= 0")
+    gap = gap_of(instance)
     if gap:
         payload = {
             "solvable": False,
@@ -92,17 +100,17 @@ def _solve_primal(args, instance) -> int:
                 for u, w, old, new in gap
             ],
         }
-        text = "unsolvable; rhs vs interior:\n" + "\n".join(
+        text = f"unsolvable; rhs vs {closure}:\n" + "\n".join(
             f"  {u}[{w}]: {_dec(old)} -> {_dec(new)}" for u, w, old, new in gap
         )
         _emit(args, payload, text)
         return ExitStatus.UNSOLVABLE
-    solutions = fre_mod.enumerate_solutions(instance, materialize=args.enumerate)
+    solutions = solutions_of(instance, materialize=args.enumerate)
     payload = {"solvable": True, "solutions": solutions.to_json()}
     lines = ["solvable"]
     for col in solutions.columns:
-        lines.append(f"column {col.column}: maximum {_vec(col.max_solution.values)}")
-        lines.append(f"  {col.count} solution(s)")
+        lines.append(f"{part} {col.column}: maximum {_vec(col.max_solution.values)}")
+        lines.append(f"  {col.count} {counted}")
         if col.enumerated is not None:
             limit = args.max_count if args.max_count is not None else len(col.enumerated)
             for x in col.enumerated[:limit]:
@@ -113,65 +121,35 @@ def _solve_primal(args, instance) -> int:
     return ExitStatus.OK
 
 
-def _solve_dual(args, instance) -> int:
-    gap = dual_mod.dual_solvability_gap(instance)
-    if gap:
-        payload = {
-            "solvable": False,
-            "gap": [
-                {"row": u, "column": w, "stated": old.numerator, "closed": new.numerator}
-                for u, w, old, new in gap
-            ],
-        }
-        text = "unsolvable; rhs vs closure:\n" + "\n".join(
-            f"  {u}[{w}]: {_dec(old)} -> {_dec(new)}" for u, w, old, new in gap
-        )
-        _emit(args, payload, text)
-        return ExitStatus.UNSOLVABLE
-    solutions = dual_mod.dual_solutions(instance, materialize=args.enumerate)
-    payload = {"solvable": True, "solutions": solutions.to_json()}
-    lines = ["solvable"]
-    for row in solutions.columns:
-        lines.append(f"row {row.column}: maximum {_vec(row.max_solution.values)}")
-        lines.append(f"  {row.count} solution row(s)")
-        if row.enumerated is not None:
-            limit = args.max_count if args.max_count is not None else len(row.enumerated)
-            for x in row.enumerated[:limit]:
-                lines.append(f"  {_vec(x.values)}")
-            if limit < len(row.enumerated):
-                lines.append(f"  ... ({len(row.enumerated) - limit} more)")
-    _emit(args, payload, "\n".join(lines))
-    return ExitStatus.OK
-
-
 def cmd_solve(args) -> int:
     problem = load_problem(args.file)
     instance = problem.to_instance()
     if problem.orientation == "primal":
-        return _solve_primal(args, instance)
-    return _solve_dual(args, instance)
+        gap_of, solutions_of = fre_mod.solvability_gap, fre_mod.enumerate_solutions
+        words = ("interior", "column", "solution(s)")
+    else:
+        gap_of, solutions_of = dual_mod.dual_solvability_gap, dual_mod.dual_solutions
+        words = ("closure", "row", "solution row(s)")
+    return _solve(args, instance, gap_of, solutions_of, *words)
+
+
+def _context(problem, instance):
+    """The associated context; a dual one is that of the transposed primal."""
+    if problem.orientation == "primal":
+        return fre_mod.associated_context(instance)
+    return dual_mod.dual_associated_context(instance)
 
 
 def cmd_reducts(args) -> int:
     problem = load_problem(args.file)
-    instance = problem.to_instance()
-    if problem.orientation == "primal":
-        ctx = fre_mod.associated_context(instance)
-        reducts = [list(Y) for Y in enumerate_reducts(ctx)]
-        checked = None
-        if args.set:
-            checked = is_consistent(ctx, _split_set(args.set))
-    else:
-        ctx = dual_mod.dual_associated_context(instance)
-        reducts = [list(Y) for Y in dual_mod.dual_enumerate_reducts(ctx)]
-        checked = None
-        if args.set:
-            checked = dual_mod.dual_is_consistent(ctx, _split_set(args.set))
+    ctx = _context(problem, problem.to_instance())
+    reducts = [list(Y) for Y in enumerate_reducts(ctx)]
     payload = {"reducts": reducts}
     lines = [f"{len(reducts)} reduct(s):"] + [
         "  {" + ", ".join(Y) + "}" for Y in reducts
     ]
     if args.set:
+        checked = is_consistent(ctx, _split_set(args.set))
         payload["set"] = _split_set(args.set)
         payload["consistent"] = checked
         lines.append(
@@ -255,34 +233,22 @@ def cmd_approximate(args) -> int:
 
 def cmd_lattice(args) -> int:
     problem = load_problem(args.file)
-    instance = problem.to_instance()
-    if problem.orientation == "primal":
-        lat = build_concept_lattice(fre_mod.associated_context(instance))
-        if args.dot:
-            print(lattice_to_dot(lat, include_intents=args.intents))
-        else:
-            payload = {
-                "concepts": [
-                    {
-                        "extent": list(c.extent.numerators),
-                        "intent": list(c.intent.numerators),
-                    }
-                    for c in lat.concepts
-                ]
-            }
-            _emit(args, payload, f"{len(lat)} concepts")
-        return ExitStatus.OK
-    lat = dual_mod.build_dual_lattice(dual_mod.dual_associated_context(instance))
+    lat = build_concept_lattice(_context(problem, problem.to_instance()))
     if args.dot:
-        lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=box];"]
-        for i, m in enumerate(lat.members):
-            lines.append(f'  c{i} [label="{m.numerators}"];')
-        for i, j in lat.covers():
-            lines.append(f"  c{i} -> c{j};")
-        lines.append("}")
-        print("\n".join(lines))
+        print(lattice_to_dot(lat, include_intents=args.intents))
+    elif problem.orientation == "primal":
+        payload = {
+            "concepts": [
+                {
+                    "extent": list(c.extent.numerators),
+                    "intent": list(c.intent.numerators),
+                }
+                for c in lat.concepts
+            ]
+        }
+        _emit(args, payload, f"{len(lat)} concepts")
     else:
-        payload = {"members": [list(m.numerators) for m in lat.members]}
+        payload = {"members": [list(c.extent.numerators) for c in lat.concepts]}
         _emit(args, payload, f"{len(lat)} variable-side fixpoints")
     return ExitStatus.OK
 

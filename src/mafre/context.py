@@ -7,9 +7,10 @@ batched numpy evaluation stays exact.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -59,10 +60,19 @@ class FuzzySet:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
-def _as_value_matrix(rows, n_rows, n_cols, what):
+def _check_matrix(rows, n_rows, n_cols, n, what):
+    """``rows`` as an n_rows x n_cols tuple of tuples; unless ``n`` is None,
+    every entry must be a value on [0,1]_n."""
     rows = tuple(tuple(row) for row in rows)
     if len(rows) != n_rows or any(len(r) != n_cols for r in rows):
         raise DimensionError(f"{what} must be {n_rows}x{n_cols}")
+    if n is not None:
+        for row in rows:
+            for v in row:
+                if v.granularity != n:
+                    raise GranularityMismatchError(
+                        f"{what} value {v} on a [0,1]_{n} frame"
+                    )
     return rows
 
 
@@ -81,20 +91,13 @@ class Context:
         if not self.attributes or not self.objects:
             raise DimensionError("attributes and objects must be non-empty")
         na, nb = len(self.attributes), len(self.objects)
-        self.relation = _as_value_matrix(relation, na, nb, "relation")
-        n = frame.granularity
-        for row in self.relation:
-            for v in row:
-                if v.granularity != n:
-                    raise GranularityMismatchError(
-                        f"relation value {v} on a [0,1]_{n} frame"
-                    )
+        self.relation = _check_matrix(relation, na, nb, frame.granularity, "relation")
         sigma = tuple(sigma)
         if sigma and not isinstance(sigma[0], (tuple, list)):
             if len(sigma) != nb:
                 raise DimensionError("per-object sigma must have one entry per object")
             sigma = tuple(sigma for _ in range(na))
-        self.sigma = _as_value_matrix(sigma, na, nb, "sigma")
+        self.sigma = _check_matrix(sigma, na, nb, None, "sigma")
         for row in self.sigma:
             for i in row:
                 if not 0 <= i < len(frame.triples):
@@ -182,38 +185,30 @@ class Concept:
     intent: FuzzySet
 
 
+def _grid_images(batch, n: int, k: int) -> np.ndarray:
+    """The distinct rows of ``batch(G)`` over every G in the grid {0..n}^k.
+
+    The (n+1)^k grid is swept in lexicographic chunks of at most 200,000
+    rows, so memory stays bounded however large the grid is.
+    """
+    chunk = 200_000
+    total = (n + 1) ** k
+    place = (n + 1) ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    seen = []
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        seen.append(np.unique(batch(idx[:, None] // place % (n + 1)), axis=0))
+    return np.unique(np.concatenate(seen, axis=0), axis=0)
+
+
 def exhaustive_intents(ctx: Context) -> np.ndarray:
     """All distinct intents, found by closing every fuzzy object set.
 
-    Cost is (n+1)^|B| batched evaluations; fine at desk scale, replaceable by
-    a smarter generator through ``build_concept_lattice(strategy=...)``.
+    Cost is (n+1)^|B| batched evaluations.  This is the object-side sweep of
+    ``build_concept_lattice``; passed as its ``strategy`` it forces that sweep,
+    which makes it the oracle of the attribute-side one.
     """
-    n = ctx.frame.granularity
-    nb = len(ctx.objects)
-    total = (n + 1) ** nb
-    chunk = 200_000
-    seen = []
-    grids = [np.arange(n + 1, dtype=np.int64)] * nb
-    G = (
-        np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(total, nb)
-        if total <= chunk
-        else None
-    )
-    if G is not None:
-        seen.append(np.unique(ctx.possibility_batch(G), axis=0))
-    else:
-        start = 0
-        while start < total:
-            stop = min(start + chunk, total)
-            idx = np.arange(start, stop, dtype=np.int64)
-            block = np.empty((stop - start, nb), dtype=np.int64)
-            rem = idx
-            for b in range(nb - 1, -1, -1):
-                block[:, b] = rem % (n + 1)
-                rem = rem // (n + 1)
-            seen.append(np.unique(ctx.possibility_batch(block), axis=0))
-            start = stop
-    return np.unique(np.concatenate(seen, axis=0), axis=0)
+    return _grid_images(ctx.possibility_batch, ctx.frame.granularity, len(ctx.objects))
 
 
 class ConceptLattice:
@@ -279,17 +274,25 @@ def build_concept_lattice(
 ) -> ConceptLattice:
     """Build the full concept lattice of a finite context.
 
+    By default the smaller side of the context is swept.  The extents are
+    exactly the images of the necessity operator, so with |A| < |B| they are
+    the distinct images of all (n+1)^|A| attribute sets; otherwise (ties
+    included) every one of the (n+1)^|B| object sets is closed by
+    ``exhaustive_intents``.  The result is cached on the context.
+
     ``strategy`` may supply the candidate intents as a (k, |A|) numerator
-    array (it must cover every intent); by default every fuzzy object set is
-    closed exhaustively.
+    array (it must cover every intent); such a lattice is not cached.
     """
-    if ctx._lattice is None or strategy is not None:
-        intents = exhaustive_intents(ctx) if strategy is None else strategy(ctx)
-        extents = ctx.necessity_batch(np.asarray(intents, dtype=np.int64))
-        lat = ConceptLattice(ctx, extents)
-        if strategy is not None:
-            return lat
-        ctx._lattice = lat
+    if strategy is not None:
+        intents = np.asarray(strategy(ctx), dtype=np.int64)
+        return ConceptLattice(ctx, ctx.necessity_batch(intents))
+    if ctx._lattice is None:
+        if len(ctx.attributes) < len(ctx.objects):
+            n = ctx.frame.granularity
+            extents = _grid_images(ctx.necessity_batch, n, len(ctx.attributes))
+        else:
+            extents = ctx.necessity_batch(exhaustive_intents(ctx))
+        ctx._lattice = ConceptLattice(ctx, extents)
     return ctx._lattice
 
 
@@ -299,7 +302,10 @@ def predecessors(lat: ConceptLattice, e: FuzzySet):
 
 
 def restrict(ctx: Context, attributes: Iterable) -> Context:
-    """The context limited to a subset of attributes, keeping input order."""
+    """The context limited to a subset of attributes, keeping input order.
+
+    The result is a copy of ``ctx`` (of the same class) without its caches.
+    """
     wanted = set(attributes)
     unknown = wanted - set(ctx.attributes)
     if unknown:
@@ -307,13 +313,12 @@ def restrict(ctx: Context, attributes: Iterable) -> Context:
     keep = [i for i, a in enumerate(ctx.attributes) if a in wanted]
     if not keep:
         raise DimensionError("cannot restrict to an empty attribute set")
-    return Context(
-        ctx.frame,
-        [ctx.attributes[i] for i in keep],
-        ctx.objects,
-        [ctx.relation[i] for i in keep],
-        [ctx.sigma[i] for i in keep],
-    )
+    sub = copy.copy(ctx)
+    sub.attributes = tuple(ctx.attributes[i] for i in keep)
+    sub.relation = tuple(ctx.relation[i] for i in keep)
+    sub.sigma = tuple(ctx.sigma[i] for i in keep)
+    sub._compiled = sub._lattice = None
+    return sub
 
 
 def _extent_set(ctx: Context) -> frozenset:

@@ -1,228 +1,150 @@
 """Dual equations X (.) S = T: the unknown sits on the left of the composition.
 
-Because the unknown is now the first conjunctor argument, the governing Galois
-connection pairs the composition with the *left* residuum:
+A dual system is the primal system S^T (.)op X^T = T^T, in which every
+adjoint triple is replaced by its opposite (conj table transposed, residua
+swapped).  The dual context (V, W, S, sigma) is therefore the primal context
+(W, V, S^T, sigma) over the opposite triples, and its connection reads
 
     t(w) = sup_v h(v) & S(v, w)        (variable side -> column side)
     h(v) = inf_w t(w) <-(left) S(v, w) (column side -> variable side)
 
-Rows of the unknown are independent, and each row plays the role a rhs column
-plays in the primal theory.  Reduction removes columns (elements of W) and
-consistency compares the variable-side fixpoint sets, the analogue of the
-intent sets of the object-oriented lattice.
+Rows of the unknown are the rhs columns of the transposed primal, reduction
+removes columns (elements of W, the attributes of the transposed context) and
+the variable-side fixpoints are its extents.  Everything below is a thin
+adapter over the primal solver; ``dual_compose``, ``dual_is_solution`` and
+``dual_brute_force`` stay independent of it, as the oracles that check the
+transposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterable, Optional
-
-import numpy as np
+from itertools import product
+from typing import Iterable
 
 from .algebra import Frame, GranularValue
-from .approx import ApproximationResult
-from .context import FuzzySet
+from .approx import ApproximationResult, approximate_by_reduct, find_feasible_reducts
+from .context import (
+    ConceptLattice,
+    Context,
+    FuzzySet,
+    _check_matrix,
+    build_concept_lattice,
+    enumerate_reducts,
+    is_consistent,
+    necessity,
+    possibility,
+    restrict,
+)
 from .errors import (
     BudgetExceededError,
     DimensionError,
-    ExtentDivergenceError,
-    GranularityMismatchError,
     InconsistentSetError,
-    InfeasibleReductError,
-    NotAnExtentError,
-    NotAReductError,
     RangeError,
     UnsolvableError,
 )
-from .fre import ColumnSolutions, SolutionSet, _box_and_filter, _check_matrix, _minimal_rows
+from .fre import (
+    FreInstance,
+    SolutionSet,
+    enumerate_solutions,
+    max_solution,
+    reduce_fre,
+    solvability_gap,
+)
 
 
-class DualContext:
-    """The context (V, W, S, sigma) of a dual equation, sigma per variable."""
+def _transpose(rows) -> tuple:
+    return tuple(zip(*rows))
+
+
+class DualContext(Context):
+    """The context (V, W, S, sigma) of a dual equation, sigma per variable.
+
+    It is the primal context with attributes W, objects V and relation S^T
+    over the opposite triples (``frame`` is the opposite frame); ``variables``
+    and ``columns`` name its objects and attributes.
+    """
 
     def __init__(self, frame: Frame, variables, columns, relation, sigma):
-        self.frame = frame
-        self.variables = tuple(variables)
-        self.columns = tuple(columns)
-        if not self.variables or not self.columns:
-            raise DimensionError("variable and column sets must be non-empty")
-        n = frame.granularity
-        self.relation = _check_matrix(
-            relation, len(self.variables), len(self.columns), n, "relation"
+        variables, columns, sigma = tuple(variables), tuple(columns), tuple(sigma)
+        # shape checks come first: transposing ragged rows would truncate them
+        relation = _check_matrix(
+            relation, len(variables), len(columns), None, "relation"
         )
-        self.sigma = tuple(sigma)
-        if len(self.sigma) != len(self.variables):
+        if len(sigma) != len(variables):
             raise DimensionError("sigma must assign one triple per variable")
-        for i in self.sigma:
-            if not 0 <= i < len(frame.triples):
-                raise RangeError(f"sigma index {i} outside triple list")
-        self._compiled = None
-        self._lattice = None
+        opposite = Frame(frame.lattice, [t.opposite() for t in frame.triples])
+        super().__init__(opposite, columns, variables, _transpose(relation), sigma)
 
-    def _arrays(self):
-        if self._compiled is None:
-            f = self.frame
-            self._compiled = {
-                "S": np.array(
-                    [[v.numerator for v in row] for row in self.relation],
-                    dtype=np.int64,
-                ),
-                "SIG": np.array(self.sigma, dtype=np.int64),
-                "CT": np.array([t.conj_table for t in f.triples], dtype=np.int64),
-                "LT": np.array(
-                    [t.left_residuum_table for t in f.triples], dtype=np.int64
-                ),
-            }
-        return self._compiled
+    @property
+    def variables(self) -> tuple:
+        return self.objects
 
-    def possibility_batch(self, H: np.ndarray) -> np.ndarray:
-        """(k, |V|) variable-side numerators -> (k, |W|) column-side images."""
-        arr = self._arrays()
-        S, SIG, CT = arr["S"], arr["SIG"], arr["CT"]
-        out = np.empty((H.shape[0], len(self.columns)), dtype=np.int64)
-        for w in range(len(self.columns)):
-            vals = CT[SIG[None, :], H, S[:, w][None, :]]
-            out[:, w] = vals.max(axis=1)
-        return out
+    @property
+    def columns(self) -> tuple:
+        return self.attributes
 
-    def necessity_batch(self, T: np.ndarray) -> np.ndarray:
-        """(k, |W|) column-side numerators -> (k, |V|) variable-side images."""
-        arr = self._arrays()
-        S, SIG, LT = arr["S"], arr["SIG"], arr["LT"]
-        out = np.empty((T.shape[0], len(self.variables)), dtype=np.int64)
-        for v in range(len(self.variables)):
-            vals = LT[SIG[v], T, S[v][None, :]]
-            out[:, v] = vals.min(axis=1)
-        return out
+
+def _known_columns(ctx: DualContext, Y: Iterable) -> tuple:
+    Y = tuple(Y)
+    unknown = set(Y) - set(ctx.columns)
+    if unknown:
+        raise DimensionError(f"unknown columns: {sorted(unknown)}")
+    return Y
 
 
 def dual_possibility(h: FuzzySet, ctx: DualContext) -> FuzzySet:
     """sup_v h(v) & S(v, w), componentwise over W."""
     if h.index_set != ctx.variables:
         raise DimensionError("argument must be indexed by the context variables")
-    row = np.array([h.numerators], dtype=np.int64)
-    return FuzzySet.from_numerators(
-        ctx.columns, ctx.possibility_batch(row)[0], ctx.frame.granularity
-    )
+    return possibility(h, ctx)
 
 
 def dual_necessity(t: FuzzySet, ctx: DualContext) -> FuzzySet:
     """inf_w t(w) <-(left) S(v, w), componentwise over V."""
     if t.index_set != ctx.columns:
         raise DimensionError("argument must be indexed by the context columns")
-    row = np.array([t.numerators], dtype=np.int64)
-    return FuzzySet.from_numerators(
-        ctx.variables, ctx.necessity_batch(row)[0], ctx.frame.granularity
-    )
+    return necessity(t, ctx)
 
 
 class DualLattice:
-    """Variable-side fixpoints of the dual connection, with covers."""
+    """Variable-side fixpoints of the dual connection, with covers.
 
-    def __init__(self, context: DualContext, rows: np.ndarray):
-        rows = np.unique(rows, axis=0)
-        self.context = context
-        self._rows = rows
-        n = context.frame.granularity
-        self.members = tuple(
-            FuzzySet.from_numerators(context.variables, r, n) for r in rows
-        )
-        self._index = {tuple(map(int, r)): i for i, r in enumerate(rows)}
-        less = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
-        np.fill_diagonal(less, False)
-        reach2 = (less.astype(np.int64) @ less.astype(np.int64)) > 0
-        self._covers = less & ~reach2
+    A view of the concept lattice of the dual context: its members are the
+    extents, in the same order, and member indices are concept indices.
+    """
+
+    def __init__(self, lattice: ConceptLattice):
+        self.lattice = lattice
+        self.members = tuple(lattice.extents())
+        self.member_set = lattice.extent_set
+        self.covers = lattice.covers
+        self.predecessors_of = lattice.predecessors_of
 
     def __len__(self):
         return len(self.members)
 
-    def member_set(self) -> frozenset:
-        return frozenset(self._index)
-
-    def covers(self):
-        """All cover pairs (lower, upper) as member indices."""
-        i, j = np.nonzero(self._covers)
-        return list(zip(i.tolist(), j.tolist()))
-
-    def predecessors_of(self, h: FuzzySet):
-        key = tuple(h.numerators)
-        if key not in self._index:
-            raise NotAnExtentError(f"{h} is not a fixpoint of this lattice")
-        below = np.nonzero(self._covers[:, self._index[key]])[0]
-        return [self.members[i] for i in below]
-
 
 def build_dual_lattice(ctx: DualContext) -> DualLattice:
-    """All variable-side fixpoints, by closing every column-side fuzzy set."""
-    if ctx._lattice is None:
-        n = ctx.frame.granularity
-        nw = len(ctx.columns)
-        axes = [np.arange(n + 1, dtype=np.int64)] * nw
-        T = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, nw)
-        H = np.unique(ctx.necessity_batch(T), axis=0)
-        ctx._lattice = DualLattice(ctx, H)
-    return ctx._lattice
+    """All variable-side fixpoints: the extents of the dual context."""
+    return DualLattice(build_concept_lattice(ctx))
 
 
 def dual_restrict(ctx: DualContext, columns: Iterable) -> DualContext:
     """The dual context limited to a subset of columns, keeping input order."""
-    wanted = set(columns)
-    unknown = wanted - set(ctx.columns)
-    if unknown:
-        raise DimensionError(f"unknown columns: {sorted(unknown)}")
-    keep = [j for j, w in enumerate(ctx.columns) if w in wanted]
-    if not keep:
+    columns = _known_columns(ctx, columns)
+    if not columns:
         raise DimensionError("cannot restrict to an empty column set")
-    return DualContext(
-        ctx.frame,
-        ctx.variables,
-        [ctx.columns[j] for j in keep],
-        [[row[j] for j in keep] for row in ctx.relation],
-        ctx.sigma,
-    )
+    return restrict(ctx, columns)
 
 
 def dual_is_consistent(ctx: DualContext, Y: Iterable, *, full_members=None) -> bool:
     """True when dropping the columns outside Y preserves the variable-side set."""
-    Y = tuple(Y)
-    if full_members is None:
-        full_members = build_dual_lattice(ctx).member_set()
-    if set(Y) == set(ctx.columns):
-        return True
-    if not Y:
-        top = tuple(ctx.frame.granularity for _ in ctx.variables)
-        return full_members == frozenset({top})
-    restricted = build_dual_lattice(dual_restrict(ctx, Y)).member_set()
-    consistent = full_members <= restricted
-    if consistent and restricted != full_members:
-        raise ExtentDivergenceError(
-            f"column restriction to {Y} keeps every original fixpoint but has "
-            f"{len(restricted - full_members)} extra ones"
-        )
-    return consistent
+    return is_consistent(ctx, _known_columns(ctx, Y), full_extents=full_members)
 
 
 def dual_enumerate_reducts(ctx: DualContext):
     """Minimal column subsets preserving the variable-side fixpoint set."""
-    full_members = build_dual_lattice(ctx).member_set()
-    cache = {}
-
-    def consistent(Y: tuple) -> bool:
-        if Y not in cache:
-            cache[Y] = dual_is_consistent(ctx, Y, full_members=full_members)
-        return cache[Y]
-
-    names = ctx.columns
-    reducts = []
-    for size in range(1, len(names) + 1):
-        for idxs in combinations(range(len(names)), size):
-            Y = tuple(names[i] for i in idxs)
-            if consistent(Y) and all(
-                not consistent(tuple(w for w in Y if w != drop)) for drop in Y
-            ):
-                reducts.append(Y)
-    return reducts
+    return enumerate_reducts(ctx)
 
 
 class DualFreInstance:
@@ -245,6 +167,7 @@ class DualFreInstance:
             if not 0 <= i < len(frame.triples):
                 raise RangeError(f"sigma index {i} outside triple list")
         self._context = None
+        self._primal = None
 
     @classmethod
     def from_numerators(cls, frame, row_names, var_names, col_names, coeff, sigma, rhs):
@@ -255,6 +178,26 @@ class DualFreInstance:
     def rhs_row(self, u) -> FuzzySet:
         i = self.row_names.index(u)
         return FuzzySet(self.col_names, tuple(self.rhs[i]))
+
+    def transposed(self) -> FreInstance:
+        """The primal system S^T (.)op X^T = T^T, built once.
+
+        It shares this instance's context, hence its lattice: its rows are
+        the columns W and its rhs columns are the rows U.
+        """
+        if self._primal is None:
+            ctx = dual_associated_context(self)
+            self._primal = FreInstance(
+                ctx.frame,
+                self.col_names,
+                self.var_names,
+                self.row_names,
+                ctx.relation,
+                self.sigma,
+                _transpose(self.rhs),
+            )
+            self._primal._context = ctx
+        return self._primal
 
 
 def dual_associated_context(dfre: DualFreInstance) -> DualContext:
@@ -294,16 +237,13 @@ def dual_is_solution(dfre: DualFreInstance, X) -> bool:
     return dual_compose(dfre.frame, X, dfre.coeff, dfre.sigma) == dfre.rhs
 
 
+def _dual_gap(gap) -> list:
+    """A gap of the transposed primal, as (row, column, stated, closed) entries."""
+    return [(u, w, old, new) for w, u, old, new in gap]
+
+
 def dual_solvability_gap(dfre: DualFreInstance):
-    ctx = dual_associated_context(dfre)
-    gap = []
-    for u in dfre.row_names:
-        t = dfre.rhs_row(u)
-        closed = dual_possibility(dual_necessity(t, ctx), ctx)
-        for w, old, new in zip(dfre.col_names, t.values, closed.values):
-            if old != new:
-                gap.append((u, w, old, new))
-    return gap
+    return _dual_gap(solvability_gap(dfre.transposed()))
 
 
 def dual_is_solvable(dfre: DualFreInstance) -> bool:
@@ -312,49 +252,23 @@ def dual_is_solvable(dfre: DualFreInstance) -> bool:
 
 def dual_max_solution(dfre: DualFreInstance):
     """Greatest solution; row u is the necessity image of rhs row u."""
-    gap = dual_solvability_gap(dfre)
-    if gap:
+    try:
+        return _transpose(max_solution(dfre.transposed()))
+    except UnsolvableError as exc:
         raise UnsolvableError(
-            "dual instance is unsolvable; rhs differs from its closure", gap=gap
-        )
-    ctx = dual_associated_context(dfre)
-    rows = [dual_necessity(dfre.rhs_row(u), ctx) for u in dfre.row_names]
-    return tuple(tuple(r.values) for r in rows)
+            "dual instance is unsolvable; rhs differs from its closure",
+            gap=_dual_gap(exc.gap),
+        ) from None
 
 
 def dual_solutions(dfre: DualFreInstance, materialize: bool = True) -> SolutionSet:
-    """Per-row solution sets; mirrors the primal enumeration row by row."""
-    gap = dual_solvability_gap(dfre)
-    if gap:
-        raise UnsolvableError("cannot enumerate an unsolvable dual instance", gap=gap)
-    ctx = dual_associated_context(dfre)
-    lat = build_dual_lattice(ctx)
-    n = dfre.frame.granularity
-    per_row = []
-    for u in dfre.row_names:
-        m = dual_necessity(dfre.rhs_row(u), ctx)
-        preds = lat.predecessors_of(m)
-        box = _box_and_filter(m.numerators, [p.numerators for p in preds])
-        enumerated = minimal = None
-        if materialize:
-            enumerated = tuple(
-                FuzzySet.from_numerators(dfre.var_names, r, n) for r in box
-            )
-            minimal = tuple(
-                FuzzySet.from_numerators(dfre.var_names, r, n)
-                for r in _minimal_rows(box)
-            )
-        per_row.append(
-            ColumnSolutions(
-                column=u,
-                max_solution=m,
-                excluded_predecessors=tuple(preds),
-                enumerated=enumerated,
-                count=int(box.shape[0]),
-                minimal=minimal,
-            )
-        )
-    return SolutionSet(n, dfre.var_names, tuple(per_row))
+    """Per-row solution sets: those of the rhs columns of the transposed primal."""
+    try:
+        return enumerate_solutions(dfre.transposed(), materialize=materialize)
+    except UnsolvableError as exc:
+        raise UnsolvableError(
+            "cannot enumerate an unsolvable dual instance", gap=_dual_gap(exc.gap)
+        ) from None
 
 
 def dual_brute_force(dfre: DualFreInstance, budget: int = 10_000_000):
@@ -382,37 +296,29 @@ def dual_reduce(
     dfre: DualFreInstance, Y: Iterable, enforce_consistency: bool = True
 ) -> DualFreInstance:
     """Columns of S and T limited to Y."""
-    wanted = set(Y)
-    unknown = wanted - set(dfre.col_names)
-    if unknown:
-        raise DimensionError(f"unknown columns: {sorted(unknown)}")
-    keep = [j for j, w in enumerate(dfre.col_names) if w in wanted]
-    if not keep:
+    ctx = dual_associated_context(dfre)
+    Y = _known_columns(ctx, Y)
+    if not Y:
         raise DimensionError("cannot reduce to an empty column set")
-    if enforce_consistency and not dual_is_consistent(
-        dual_associated_context(dfre), tuple(wanted)
-    ):
+    if enforce_consistency and not is_consistent(ctx, Y):
         raise InconsistentSetError(
-            f"{sorted(wanted)} is not a consistent column set (override with "
+            f"{sorted(set(Y))} is not a consistent column set (override with "
             "enforce_consistency=False)"
         )
+    reduced = reduce_fre(dfre.transposed(), Y, enforce_consistency=False)
     return DualFreInstance(
         dfre.frame,
         dfre.row_names,
         dfre.var_names,
-        [dfre.col_names[j] for j in keep],
-        [[row[j] for j in keep] for row in dfre.coeff],
+        reduced.row_names,
+        _transpose(reduced.coeff),
         dfre.sigma,
-        [[row[j] for j in keep] for row in dfre.rhs],
+        _transpose(reduced.rhs),
     )
 
 
 def dual_find_feasible_reducts(dfre: DualFreInstance):
-    return [
-        Y
-        for Y in dual_enumerate_reducts(dual_associated_context(dfre))
-        if dual_is_solvable(dual_reduce(dfre, Y, enforce_consistency=False))
-    ]
+    return find_feasible_reducts(dfre.transposed())
 
 
 def dual_approximate(dfre: DualFreInstance, Y) -> ApproximationResult:
@@ -422,40 +328,17 @@ def dual_approximate(dfre: DualFreInstance, Y) -> ApproximationResult:
     reduced rhs row pushed back through the full dual possibility operator;
     columns in Y keep their original values.
     """
-    Y = tuple(Y)
-    ctx = dual_associated_context(dfre)
-    reducts = {frozenset(r) for r in dual_enumerate_reducts(ctx)}
-    if frozenset(Y) not in reducts:
-        raise NotAReductError(f"{sorted(Y)} is not a column reduct")
-    reduced = dual_reduce(dfre, Y, enforce_consistency=False)
-    if not dual_is_solvable(reduced):
-        raise InfeasibleReductError(f"{sorted(Y)} is not feasible for this instance")
-    ctx_y = dual_restrict(ctx, Y)
-    rows = []
-    for u in dfre.row_names:
-        t_y = reduced.rhs_row(u)
-        h = dual_necessity(FuzzySet(ctx_y.columns, t_y.values), ctx_y)
-        rows.append(dual_possibility(h, ctx))
-    t_star = tuple(tuple(r.values) for r in rows)
-    modified = {}
-    for i, u in enumerate(dfre.row_names):
-        for j, w in enumerate(dfre.col_names):
-            if dfre.rhs[i][j] != t_star[i][j]:
-                modified[(u, w)] = (dfre.rhs[i][j], t_star[i][j])
-    repaired = DualFreInstance(
-        dfre.frame,
-        dfre.row_names,
-        dfre.var_names,
-        dfre.col_names,
-        dfre.coeff,
-        dfre.sigma,
-        t_star,
-    )
-    summary = dual_solutions(repaired, materialize=False)
+    result = approximate_by_reduct(dfre.transposed(), Y)
+    changed = result.modified_rows
     return ApproximationResult(
-        reduct=Y,
-        t_star=t_star,
-        preserved_rows=Y,
-        modified_rows=modified,
-        solution_summary=summary,
+        reduct=result.reduct,
+        t_star=_transpose(result.t_star),
+        preserved_rows=result.preserved_rows,
+        modified_rows={
+            (u, w): changed[w, u]
+            for u in dfre.row_names
+            for w in dfre.col_names
+            if (w, u) in changed
+        },
+        solution_summary=result.solution_summary,
     )

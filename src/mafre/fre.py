@@ -7,7 +7,7 @@ enumerator is kept alongside as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
 
@@ -17,6 +17,7 @@ from .algebra import Frame, GranularValue
 from .context import (
     Context,
     FuzzySet,
+    _check_matrix,
     build_concept_lattice,
     is_consistent,
     necessity,
@@ -25,22 +26,10 @@ from .context import (
 from .errors import (
     BudgetExceededError,
     DimensionError,
-    GranularityMismatchError,
     InconsistentSetError,
     RangeError,
     UnsolvableError,
 )
-
-
-def _check_matrix(rows, n_rows, n_cols, n, what):
-    rows = tuple(tuple(v) for v in rows)
-    if len(rows) != n_rows or any(len(r) != n_cols for r in rows):
-        raise DimensionError(f"{what} must be {n_rows}x{n_cols}")
-    for row in rows:
-        for v in row:
-            if v.granularity != n:
-                raise GranularityMismatchError(f"{what} value {v} on a [0,1]_{n} frame")
-    return rows
 
 
 class FreInstance:

@@ -89,6 +89,20 @@ def test_adjunction_exhaustive(name, n):
     assert report.passed, report.witness
 
 
+@pytest.mark.parametrize("n", list(range(1, 13)))
+def test_opposite_triples(n):
+    def tables(t):
+        return t.conj_table, t.left_residuum_table, t.right_residuum_table
+
+    left, right, godel = (builtin_triple(name, n) for name in ("sq-left", "sq-right", "godel"))
+    assert tables(left.opposite()) == tables(right)
+    assert tables(godel.opposite()) == tables(godel)
+    for t in (left, right, godel):
+        back = t.opposite().opposite()
+        assert (back.name, tables(back)) == (t.name, tables(t))
+        assert verify_adjoint_triple(t.opposite(), GranularLattice(n))
+
+
 def test_adjunction_failure_reports_witness():
     g = builtin_triple("godel", 4)
     bad = AdjointTriple(

@@ -20,7 +20,6 @@ from mafre import (
     solvability_gap,
     sup_compose,
 )
-from mafre.approx import is_feasible_consistent_set
 from mafre.errors import InfeasibleReductError, NotAReductError
 from conftest import random_solvable_instance
 
@@ -54,17 +53,6 @@ class TestFeasibility:
         )
         gap = {(u, w): new.numerator for u, w, _, new in solvability_gap(reduced)}
         assert gap == {("u4", "w"): 4}
-
-    def test_consistent_set_feasibility(self, squares_unsolvable):
-        assert is_feasible_consistent_set(
-            squares_unsolvable, ("u1", "u2", "u3", "u5")
-        ) == is_solvable(
-            reduce_fre(
-                squares_unsolvable,
-                ("u1", "u2", "u3", "u5"),
-                enforce_consistency=False,
-            )
-        )
 
 
 class TestRepair:

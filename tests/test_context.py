@@ -236,6 +236,41 @@ class TestLattice:
         assert "rankdir=BT" in dot
 
 
+class TestLatticeEngine:
+    """The default engine sweeps the smaller side of the context; the
+    object-side sweep ``exhaustive_intents`` is its oracle."""
+
+    @staticmethod
+    def _extents_and_covers(lat):
+        rows = [c.extent.numerators for c in lat.concepts]
+        return set(rows), {(rows[i], rows[j]) for i, j in lat.covers()}
+
+    @pytest.mark.parametrize("n_attrs, n_objs", [(2, 4), (3, 3), (4, 2)])
+    def test_matches_object_sweep(self, n_attrs, n_objs, monkeypatch):
+        from mafre import context as context_mod
+
+        oracle = context_mod.exhaustive_intents
+        sweeps = []
+        monkeypatch.setattr(
+            context_mod,
+            "exhaustive_intents",
+            lambda ctx: sweeps.append(ctx) or oracle(ctx),
+        )
+        rng = random.Random(100 * n_attrs + n_objs)
+        for n in range(1, 7):
+            frame = builtin_frame(["sq-left", "sq-right", "godel"], n)
+            for _ in range(3):
+                ctx = random_context(rng, frame, n_attrs, n_objs)
+                keep = rng.sample(ctx.attributes, rng.randint(1, n_attrs))
+                for c in (ctx, restrict(ctx, keep)):
+                    sweeps.clear()
+                    got = self._extents_and_covers(build_concept_lattice(c))
+                    # the object side is swept exactly when |A| >= |B|
+                    assert len(sweeps) == (len(c.attributes) >= len(c.objects))
+                    expected = build_concept_lattice(c, strategy=oracle)
+                    assert got == self._extents_and_covers(expected)
+
+
 class TestRestriction:
     def test_restrict_to_y1_matrix(self, squares_context):
         sub = restrict(squares_context, ["u1", "u2", "u3"])

@@ -166,6 +166,12 @@ class TestCliSolve:
         out = capsys.readouterr().out
         assert "... (872 more)" in out
 
+    def test_solve_negative_max_count_exit_2(self, capsys):
+        assert main(["solve", MAXMIN, "--enumerate", "--max-count", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-count" in captured.err
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["solve", "/nonexistent.json"]) == 2
 
@@ -299,6 +305,16 @@ class TestCliDual:
         capsys.readouterr()
         assert main(["lattice", dual_file, "--dot"]) == 0
         assert "digraph" in capsys.readouterr().out
+
+    def test_dual_lattice_dot_intents(self, dual_file, capsys):
+        assert main(["lattice", dual_file, "--dot"]) == 0
+        plain = [l for l in capsys.readouterr().out.splitlines() if "[label=" in l]
+        assert main(["lattice", dual_file, "--dot", "--intents"]) == 0
+        labelled = [l for l in capsys.readouterr().out.splitlines() if "[label=" in l]
+        assert len(labelled) == len(plain) > 1
+        # every node carries the extent, then the column-side intent
+        for before, after in zip(plain, labelled):
+            assert after.startswith(before[: -len('"];')] + "\\n(")
 
     def test_dual_unsolvable_exit_1(self, dual_file, tmp_path, capsys):
         problem = load_problem(dual_file)
