@@ -59,7 +59,9 @@ class ApproximationResult:
     solution_summary: Optional[SolutionSet]
 
     def approximated_instance(self, fre: FreInstance) -> FreInstance:
-        return FreInstance(
+        """``fre`` with rhs T*; only the rhs changed, so it shares the
+        associated context of ``fre`` (and its cached lattice and reducts)."""
+        repaired = FreInstance(
             fre.frame,
             fre.row_names,
             fre.var_names,
@@ -68,6 +70,8 @@ class ApproximationResult:
             fre.sigma,
             self.t_star,
         )
+        repaired._context = associated_context(fre)
+        return repaired
 
 
 def approximate_by_reduct(

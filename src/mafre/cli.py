@@ -239,16 +239,15 @@ def cmd_lattice(args) -> int:
     elif problem.orientation == "primal":
         payload = {
             "concepts": [
-                {
-                    "extent": list(c.extent.numerators),
-                    "intent": list(c.intent.numerators),
-                }
-                for c in lat.concepts
+                {"extent": extent, "intent": intent}
+                for extent, intent in zip(
+                    lat.extent_rows.tolist(), lat.intent_rows.tolist()
+                )
             ]
         }
         _emit(args, payload, f"{len(lat)} concepts")
     else:
-        payload = {"members": [list(c.extent.numerators) for c in lat.concepts]}
+        payload = {"members": lat.extent_rows.tolist()}
         _emit(args, payload, f"{len(lat)} variable-side fixpoints")
     return ExitStatus.OK
 

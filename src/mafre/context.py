@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
@@ -17,7 +18,6 @@ import numpy as np
 from .algebra import Frame, GranularValue
 from .errors import (
     DimensionError,
-    ExtentDivergenceError,
     GranularityMismatchError,
     IndexMismatchError,
     NotAnExtentError,
@@ -104,6 +104,7 @@ class Context:
                     raise RangeError(f"sigma index {i} outside triple list")
         self._compiled = None
         self._lattice = None
+        self._reducts = None
 
     # -- compiled numerator-space view -------------------------------------
 
@@ -185,70 +186,135 @@ class Concept:
     intent: FuzzySet
 
 
+_CHUNK = 200_000
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D integer array in lexicographic order.
+
+    Equal to ``np.unique(rows, axis=0)``, but sorted with ``np.lexsort`` on
+    the columns instead of as structured records.
+    """
+    if len(rows) < 2:
+        return rows
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.empty(len(rows), dtype=bool)
+    fresh[0] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+    return rows[fresh]
+
+
 def _grid_images(batch, n: int, k: int) -> np.ndarray:
     """The distinct rows of ``batch(G)`` over every G in the grid {0..n}^k.
 
     The (n+1)^k grid is swept in lexicographic chunks of at most 200,000
     rows, so memory stays bounded however large the grid is.
     """
-    chunk = 200_000
     total = (n + 1) ** k
     place = (n + 1) ** np.arange(k - 1, -1, -1, dtype=np.int64)
     seen = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        seen.append(np.unique(batch(idx[:, None] // place % (n + 1)), axis=0))
-    return np.unique(np.concatenate(seen, axis=0), axis=0)
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        seen.append(_unique_rows(batch(idx[:, None] // place % (n + 1))))
+    return _unique_rows(np.concatenate(seen, axis=0))
 
 
 def exhaustive_intents(ctx: Context) -> np.ndarray:
     """All distinct intents, found by closing every fuzzy object set.
 
-    Cost is (n+1)^|B| batched evaluations.  This is the object-side sweep of
-    ``build_concept_lattice``; passed as its ``strategy`` it forces that sweep,
-    which makes it the oracle of the attribute-side one.
+    Cost is (n+1)^|B| batched evaluations.  It is the oracle of the default
+    engine: passed to ``build_concept_lattice`` as its ``strategy``, it builds
+    the lattice from the definition.
     """
     return _grid_images(ctx.possibility_batch, ctx.frame.granularity, len(ctx.objects))
+
+
+def _generator_extents(ctx: Context) -> np.ndarray:
+    """The distinct extents (top except a:k)^down for every attribute a and
+    k in 0..n; k = n gives top, since top <- x = top."""
+    n, na = ctx.frame.granularity, len(ctx.attributes)
+    F = np.full((na, n + 1, na), n, dtype=np.int64)
+    F[np.arange(na), :, np.arange(na)] = np.arange(n + 1)
+    return _unique_rows(ctx.necessity_batch(F.reshape(-1, na)))
+
+
+def _meet_closure(gens: np.ndarray) -> np.ndarray:
+    """Every componentwise minimum of a non-empty subset of ``gens``.
+
+    Semi-naive: each round meets the rows first found in the previous round
+    with every generator, in chunks of at most 200,000 candidate rows, and
+    keeps the unseen results; it stops when a round finds nothing new.
+    Membership is keyed by the bytes of a row, which cannot overflow.
+    """
+    width = gens.shape[1] * gens.itemsize
+    seen = {gens[i].tobytes() for i in range(len(gens))}
+    found, new = [gens], gens
+    step = max(1, _CHUNK // len(gens))
+    while len(new):
+        fresh = []
+        for start in range(0, len(new), step):
+            meets = np.minimum(new[start : start + step, None, :], gens[None, :, :])
+            meets = _unique_rows(meets.reshape(-1, gens.shape[1]))
+            raw = meets.tobytes()
+            keys = [raw[i : i + width] for i in range(0, len(raw), width)]
+            unseen = np.fromiter((key not in seen for key in keys), bool, len(keys))
+            seen.update(keys)
+            fresh.append(meets[unseen])
+        new = np.concatenate(fresh, axis=0)
+        found.append(new)
+    return np.concatenate(found, axis=0)
 
 
 class ConceptLattice:
     """The complete lattice of concepts, with order and cover (Hasse) relation.
 
-    Concepts are sorted lexicographically by extent numerators, so the result
-    is deterministic regardless of how candidates were generated.
+    The lattice is held as numerator arrays: ``extent_rows`` (distinct, in
+    lexicographic order, so the result does not depend on how candidates were
+    generated) and ``intent_rows``, row i being concept i.  ``Concept`` and
+    ``FuzzySet`` objects are built only on request: ``concepts`` on first use,
+    and only the returned sets by ``extents`` and ``predecessors_of``.
     """
 
     def __init__(self, context: Context, extent_rows: np.ndarray):
-        extent_rows = np.unique(extent_rows, axis=0)
-        intents = context.possibility_batch(extent_rows)
         self.context = context
-        n = context.frame.granularity
-        self.concepts = tuple(
-            Concept(
-                FuzzySet.from_numerators(context.objects, e, n),
-                FuzzySet.from_numerators(context.attributes, f, n),
-            )
-            for e, f in zip(extent_rows, intents)
-        )
-        self._extent_rows = extent_rows
-        self._index = {tuple(map(int, e)): i for i, e in enumerate(extent_rows)}
-        less = (extent_rows[:, None, :] <= extent_rows[None, :, :]).all(axis=2)
+        self.extent_rows = _unique_rows(np.asarray(extent_rows, dtype=np.int64))
+        self.intent_rows = context.possibility_batch(self.extent_rows)
+        self._index = {tuple(e): i for i, e in enumerate(self.extent_rows.tolist())}
+        rows = self.extent_rows
+        less = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
         np.fill_diagonal(less, False)
-        reach2 = (less.astype(np.int64) @ less.astype(np.int64)) > 0
-        self.leq = less | np.eye(len(extent_rows), dtype=bool)
+        # exact: a path count is at most len(rows), far below 2^24
+        lf = less.astype(np.float32)
+        reach2 = (lf @ lf) > 0
+        self.leq = less | np.eye(len(rows), dtype=bool)
         self._covers = less & ~reach2  # covers[i, j]: i is covered by j
 
     def __len__(self):
-        return len(self.concepts)
+        return len(self.extent_rows)
 
     def __iter__(self):
         return iter(self.concepts)
+
+    @cached_property
+    def concepts(self) -> tuple:
+        objects, attributes = self.context.objects, self.context.attributes
+        n = self.context.frame.granularity
+        return tuple(
+            Concept(
+                FuzzySet.from_numerators(objects, e, n),
+                FuzzySet.from_numerators(attributes, f, n),
+            )
+            for e, f in zip(self.extent_rows.tolist(), self.intent_rows.tolist())
+        )
+
+    def _extent(self, i: int) -> FuzzySet:
+        return self.context._object_set(self.extent_rows[i])
 
     def extent_set(self) -> frozenset:
         return frozenset(self._index)
 
     def extents(self):
-        return [c.extent for c in self.concepts]
+        return [self._extent(i) for i in range(len(self))]
 
     def index_of(self, extent: FuzzySet) -> int:
         key = tuple(extent.numerators)
@@ -264,8 +330,7 @@ class ConceptLattice:
     def predecessors_of(self, extent: FuzzySet):
         """Extents directly covered by ``extent``."""
         j = self.index_of(extent)
-        below = np.nonzero(self._covers[:, j])[0]
-        return [self.concepts[i].extent for i in below]
+        return [self._extent(i) for i in np.nonzero(self._covers[:, j])[0]]
 
 
 def build_concept_lattice(
@@ -274,11 +339,12 @@ def build_concept_lattice(
 ) -> ConceptLattice:
     """Build the full concept lattice of a finite context.
 
-    By default the smaller side of the context is swept.  The extents are
-    exactly the images of the necessity operator, so with |A| < |B| they are
-    the distinct images of all (n+1)^|A| attribute sets; otherwise (ties
-    included) every one of the (n+1)^|B| object sets is closed by
-    ``exhaustive_intents``.  The result is cached on the context.
+    The necessity operator preserves infima, and every attribute set f is the
+    meet over a of (top except a:f(a)).  So the extents are exactly the
+    meet-closure of the |A|(n+1) generator extents (top except a:k)^down,
+    which include top; the closure is found semi-naively and costs time in
+    proportion to the number of extents times the generators, not to the
+    (n+1)^|B| object sets.  The result is cached on the context.
 
     ``strategy`` may supply the candidate intents as a (k, |A|) numerator
     array (it must cover every intent); such a lattice is not cached.
@@ -287,12 +353,7 @@ def build_concept_lattice(
         intents = np.asarray(strategy(ctx), dtype=np.int64)
         return ConceptLattice(ctx, ctx.necessity_batch(intents))
     if ctx._lattice is None:
-        if len(ctx.attributes) < len(ctx.objects):
-            n = ctx.frame.granularity
-            extents = _grid_images(ctx.necessity_batch, n, len(ctx.attributes))
-        else:
-            extents = ctx.necessity_batch(exhaustive_intents(ctx))
-        ctx._lattice = ConceptLattice(ctx, extents)
+        ctx._lattice = ConceptLattice(ctx, _meet_closure(_generator_extents(ctx)))
     return ctx._lattice
 
 
@@ -317,7 +378,7 @@ def restrict(ctx: Context, attributes: Iterable) -> Context:
     sub.attributes = tuple(ctx.attributes[i] for i in keep)
     sub.relation = tuple(ctx.relation[i] for i in keep)
     sub.sigma = tuple(ctx.sigma[i] for i in keep)
-    sub._compiled = sub._lattice = None
+    sub._compiled = sub._lattice = sub._reducts = None
     return sub
 
 
@@ -328,9 +389,9 @@ def _extent_set(ctx: Context) -> frozenset:
 def is_consistent(ctx: Context, Y: Iterable, *, full_extents=None) -> bool:
     """True when restricting to Y preserves the extent set of the lattice.
 
-    The primary test is containment of the full extent set in the restricted
-    one; the reverse containment is then asserted and a divergence raises
-    ``ExtentDivergenceError`` instead of being silently assumed.
+    The restricted extents are always extents of the full context (extend the
+    restricted attribute set by top outside Y; top <- x = top), so containment
+    of the full extent set in the restricted one already means equality.
     """
     Y = tuple(Y)
     if full_extents is None:
@@ -340,14 +401,7 @@ def is_consistent(ctx: Context, Y: Iterable, *, full_extents=None) -> bool:
     if not Y:
         top = tuple(ctx.frame.granularity for _ in ctx.objects)
         return full_extents == frozenset({top})
-    restricted = _extent_set(restrict(ctx, Y))
-    consistent = full_extents <= restricted
-    if consistent and restricted != full_extents:
-        raise ExtentDivergenceError(
-            f"restriction to {Y} contains every original extent but has "
-            f"{len(restricted - full_extents)} extra extents"
-        )
-    return consistent
+    return full_extents <= _extent_set(restrict(ctx, Y))
 
 
 def enumerate_reducts(ctx: Context):
@@ -355,25 +409,29 @@ def enumerate_reducts(ctx: Context):
 
     Definition-level search: consistency of every subset is decided from the
     restricted lattice, and minimality re-checks each one-element removal.
+    The search runs once per context and is cached on it; every call returns
+    a new list.
     """
-    full_extents = _extent_set(ctx)
-    cache = {}
+    if ctx._reducts is None:
+        full_extents = _extent_set(ctx)
+        cache = {}
 
-    def consistent(Y: tuple) -> bool:
-        if Y not in cache:
-            cache[Y] = is_consistent(ctx, Y, full_extents=full_extents)
-        return cache[Y]
+        def consistent(Y: tuple) -> bool:
+            if Y not in cache:
+                cache[Y] = is_consistent(ctx, Y, full_extents=full_extents)
+            return cache[Y]
 
-    names = ctx.attributes
-    reducts = []
-    for size in range(1, len(names) + 1):
-        for idxs in combinations(range(len(names)), size):
-            Y = tuple(names[i] for i in idxs)
-            if consistent(Y) and all(
-                not consistent(tuple(a for a in Y if a != drop)) for drop in Y
-            ):
-                reducts.append(Y)
-    return reducts
+        names = ctx.attributes
+        reducts = []
+        for size in range(1, len(names) + 1):
+            for idxs in combinations(range(len(names)), size):
+                Y = tuple(names[i] for i in idxs)
+                if consistent(Y) and all(
+                    not consistent(tuple(a for a in Y if a != drop)) for drop in Y
+                ):
+                    reducts.append(Y)
+        ctx._reducts = tuple(reducts)
+    return list(ctx._reducts)
 
 
 def lattice_to_dot(
@@ -384,10 +442,11 @@ def lattice_to_dot(
     Nodes are labeled with extent numerator tuples (plus intents on request).
     """
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
-    for i, c in enumerate(lat.concepts):
-        label = str(c.extent.numerators)
+    rows = zip(lat.extent_rows.tolist(), lat.intent_rows.tolist())
+    for i, (extent, intent) in enumerate(rows):
+        label = str(tuple(extent))
         if include_intents:
-            label += f"\\n{c.intent.numerators}"
+            label += f"\\n{tuple(intent)}"
         lines.append(f'  c{i} [label="{label}"];')
     for i, j in lat.covers():
         lines.append(f"  c{i} -> c{j};")

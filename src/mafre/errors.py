@@ -44,11 +44,6 @@ class InconsistentSetError(MafreError):
     """A restriction was requested over a non-consistent attribute set."""
 
 
-class ExtentDivergenceError(MafreError):
-    """Internal diagnostic: one-directional extent containment held but the
-    reverse containment failed, contradicting the expected equivalence."""
-
-
 class UnsolvableError(MafreError):
     """The equation admits no solution.
 

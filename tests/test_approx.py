@@ -162,6 +162,36 @@ class TestDiagnose:
         severities = {row: sev for row, _, _, _, _, sev in entry["modified"]}
         assert severities == {"u4": "slight", "u5": "slight"}
 
+    def test_repair_after_diagnose_reuses_the_analysis(
+        self, squares_unsolvable, monkeypatch
+    ):
+        # the repaired instance shares the context (lattice, reducts) of fre
+        from mafre import context as context_mod
+
+        s = squares_unsolvable
+        fre = FreInstance(
+            s.frame, s.row_names, s.var_names, s.col_names, s.coeff, s.sigma, s.rhs
+        )
+        report = diagnose(fre)
+        built, checked = [], []
+        lattice, consistent = context_mod.ConceptLattice, context_mod.is_consistent
+        monkeypatch.setattr(
+            context_mod, "ConceptLattice", lambda *a: built.append(a) or lattice(*a)
+        )
+        monkeypatch.setattr(
+            context_mod,
+            "is_consistent",
+            lambda *a, **k: checked.append(a) or consistent(*a, **k),
+        )
+        for entry in report.feasible:
+            result = approximate_by_reduct(fre, entry["reduct"])
+            assert is_feasible_reduct(fre, entry["reduct"])
+            repaired = result.approximated_instance(fre)
+            assert associated_context(repaired) is associated_context(fre)
+        assert report.feasible and built == [] and checked == []
+        with pytest.raises(NotAReductError):
+            is_feasible_reduct(fre, ("u1", "u2"))
+
     def test_render_and_json(self, squares_unsolvable):
         import json
 

@@ -237,24 +237,22 @@ class TestLattice:
 
 
 class TestLatticeEngine:
-    """The default engine sweeps the smaller side of the context; the
+    """The default engine closes the generator extents under meets; the
     object-side sweep ``exhaustive_intents`` is its oracle."""
 
-    @staticmethod
-    def _extents_and_covers(lat):
-        rows = [c.extent.numerators for c in lat.concepts]
-        return set(rows), {(rows[i], rows[j]) for i, j in lat.covers()}
-
-    @pytest.mark.parametrize("n_attrs, n_objs", [(2, 4), (3, 3), (4, 2)])
+    @pytest.mark.parametrize(
+        "n_attrs, n_objs", [(1, 1), (1, 3), (3, 1), (2, 4), (3, 3), (4, 2)]
+    )
     def test_matches_object_sweep(self, n_attrs, n_objs, monkeypatch):
         from mafre import context as context_mod
 
         oracle = context_mod.exhaustive_intents
+        grid = context_mod._grid_images
         sweeps = []
         monkeypatch.setattr(
             context_mod,
-            "exhaustive_intents",
-            lambda ctx: sweeps.append(ctx) or oracle(ctx),
+            "_grid_images",
+            lambda *args: sweeps.append(args) or grid(*args),
         )
         rng = random.Random(100 * n_attrs + n_objs)
         for n in range(1, 7):
@@ -263,12 +261,68 @@ class TestLatticeEngine:
                 ctx = random_context(rng, frame, n_attrs, n_objs)
                 keep = rng.sample(ctx.attributes, rng.randint(1, n_attrs))
                 for c in (ctx, restrict(ctx, keep)):
-                    sweeps.clear()
-                    got = self._extents_and_covers(build_concept_lattice(c))
-                    # the object side is swept exactly when |A| >= |B|
-                    assert len(sweeps) == (len(c.attributes) >= len(c.objects))
+                    got = build_concept_lattice(c)
+                    assert sweeps == []  # the default build sweeps no grid
                     expected = build_concept_lattice(c, strategy=oracle)
-                    assert got == self._extents_and_covers(expected)
+                    sweeps.clear()
+                    assert np.array_equal(got.extent_rows, expected.extent_rows)
+                    assert got.covers() == expected.covers()
+
+    def test_unique_rows_equals_numpy_unique(self):
+        from mafre.context import _unique_rows
+
+        rng = np.random.default_rng(3)
+        # (n+1)^width far beyond 2^63 in the last case
+        shapes = ((0, 2, 2), (1, 3, 2), (300, 1, 2), (300, 3, 4), (300, 10, 101))
+        for count, width, high in shapes:
+            rows = rng.integers(0, high, size=(count, width))
+            assert np.array_equal(_unique_rows(rows), np.unique(rows, axis=0))
+
+    def test_all_zero_coefficients_give_top_alone(self):
+        from mafre.context import exhaustive_intents
+
+        for names in (["godel"], ["sq-left", "sq-right"]):
+            frame = builtin_frame(names, 5)
+            zeros = [[frame.value(0)] * 3 for _ in range(2)]
+            sigma = [0, 0, len(names) - 1]
+            ctx = Context(frame, ["a0", "a1"], ["b0", "b1", "b2"], zeros, sigma)
+            for lat in (
+                build_concept_lattice(ctx),
+                build_concept_lattice(ctx, strategy=exhaustive_intents),
+            ):
+                assert lat.extent_rows.tolist() == [[5, 5, 5]]
+                assert lat.covers() == []
+
+    def test_large_context_covers_match_int64_product(self):
+        from mafre.context import exhaustive_intents
+
+        ctx = random_context(
+            random.Random(61), builtin_frame(["sq-left", "sq-right", "godel"], 9), 6, 4
+        )
+        lat = build_concept_lattice(ctx)
+        assert len(lat) > 250
+        oracle = build_concept_lattice(ctx, strategy=exhaustive_intents)
+        assert np.array_equal(lat.extent_rows, oracle.extent_rows)
+        rows = lat.extent_rows
+        less = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
+        np.fill_diagonal(less, False)
+        paths = less.astype(np.int64) @ less.astype(np.int64)
+        i, j = np.nonzero(less & (paths == 0))
+        assert lat.covers() == list(zip(i.tolist(), j.tolist()))
+
+    def test_rows_sorted_and_concepts_built_on_demand(self):
+        rng = random.Random(8)
+        frame = builtin_frame(["sq-left", "godel"], 4)
+        for _ in range(10):
+            lat = build_concept_lattice(random_context(rng, frame, 3, 3))
+            rows = [tuple(e) for e in lat.extent_rows.tolist()]
+            assert len(lat) == len(rows)
+            assert "concepts" not in vars(lat)
+            assert all(a < b for a, b in zip(rows, rows[1:]))
+            assert [c.extent.numerators for c in lat] == rows
+            assert [c.intent.numerators for c in lat] == [
+                tuple(f) for f in lat.intent_rows.tolist()
+            ]
 
 
 class TestRestriction:
@@ -330,6 +384,38 @@ class TestConsistencyAndReducts:
                 assert not is_consistent(
                     squares_context, tuple(x for x in Y if x != a)
                 )
+
+    def test_restricted_extents_are_full_extents(self):
+        # extend a restricted attribute set by top outside Y: top <- x = top
+        rng = random.Random(37)
+        frame = builtin_frame(["sq-left", "sq-right", "godel"], 4)
+        for _ in range(40):
+            ctx = random_context(rng, frame, rng.randint(2, 5), rng.randint(1, 3))
+            Y = rng.sample(ctx.attributes, rng.randint(1, len(ctx.attributes)))
+            full = build_concept_lattice(ctx).extent_set()
+            assert build_concept_lattice(restrict(ctx, Y)).extent_set() <= full
+
+    def test_reducts_searched_once_per_context(self, monkeypatch):
+        from mafre import context as context_mod
+
+        ctx = random_context(random.Random(41), builtin_frame(["godel"], 3), 3, 2)
+        checked = []
+        consistent = context_mod.is_consistent
+        monkeypatch.setattr(
+            context_mod,
+            "is_consistent",
+            lambda *a, **k: checked.append(a) or consistent(*a, **k),
+        )
+        first = enumerate_reducts(ctx)
+        searched = len(checked)
+        second = enumerate_reducts(ctx)
+        assert searched and len(checked) == searched
+        assert second == first and second is not first
+        second.append(("extra",))
+        assert enumerate_reducts(ctx) == first
+        # a restricted context is a copy without the cache
+        assert enumerate_reducts(restrict(ctx, ctx.attributes)) == first
+        assert len(checked) > searched
 
     def test_duplicate_rows_never_share_a_reduct(self):
         rng = random.Random(29)
