@@ -9,12 +9,12 @@ checkable exhaustively and keeps downstream evaluation to table lookups.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from itertools import product
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     GranularityMismatchError,
@@ -24,6 +24,9 @@ from .errors import (
 )
 
 BUILTIN_TRIPLE_NAMES = ("sq-left", "sq-right", "godel")
+# size of one chunk of a numpy sweep (grid rows, or cells of the adjunction
+# cube), so that memory stays bounded however large the sweep is
+_CHUNK = 200_000
 
 
 @total_ordering
@@ -116,25 +119,27 @@ class AdjointTriple:
     """A conjunctor with its two residuated implications on [0,1]_n.
 
     Operator tables are indexed by numerators: ``conj_table[x][y]``,
-    ``left_residuum_table[z][y]`` and ``right_residuum_table[z][x]``.
+    ``left_residuum_table[z][y]`` and ``right_residuum_table[z][x]``.  The
+    same three tables are kept stacked as one (3, n+1, n+1) integer array for
+    numpy evaluation.
     """
 
     def __init__(self, name, granularity, conj_table, lres_table, rres_table):
         n = granularity
-        for label, table in (
-            ("conj", conj_table),
-            ("left_residuum", lres_table),
-            ("right_residuum", rres_table),
-        ):
-            if len(table) != n + 1 or any(len(row) != n + 1 for row in table):
-                raise RangeError(f"{label} table must be ({n+1})x({n+1})")
-            if any(not 0 <= v <= n for row in table for v in row):
-                raise RangeError(f"{label} table entry outside [0, {n}]")
+        arrays = [
+            _table_array(label, table, n)
+            for label, table in (
+                ("conj", conj_table),
+                ("left_residuum", lres_table),
+                ("right_residuum", rres_table),
+            )
+        ]
         self.name = name
         self.granularity = n
-        self.conj_table = tuple(tuple(row) for row in conj_table)
-        self.left_residuum_table = tuple(tuple(row) for row in lres_table)
-        self.right_residuum_table = tuple(tuple(row) for row in rres_table)
+        self._tables = np.stack(arrays)
+        self.conj_table, self.left_residuum_table, self.right_residuum_table = (
+            tuple(map(tuple, table)) for table in self._tables.tolist()
+        )
 
     def _in(self, v: GranularValue) -> int:
         if v.granularity != self.granularity:
@@ -162,25 +167,42 @@ class AdjointTriple:
         A dual equation X (.) S = T is the primal one S^T (.) X^T = T^T over
         the opposite triples.
         """
+        conj, lres, rres = self._tables
         return AdjointTriple(
             self.name[:-3] if self.name.endswith("^op") else self.name + "^op",
             self.granularity,
-            tuple(zip(*self.conj_table)),
-            self.right_residuum_table,
-            self.left_residuum_table,
+            conj.T,
+            rres,
+            lres,
         )
 
     def __repr__(self):
         return f"AdjointTriple({self.name!r}, n={self.granularity})"
 
 
-def _ceil_div(p: int, q: int) -> int:
-    return -(-p // q)
+def _table_array(label: str, table, n: int) -> np.ndarray:
+    """``table`` as an (n+1) x (n+1) int64 array with entries in [0, n]."""
+    try:
+        arr = np.asarray(table)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is None or arr.shape != (n + 1, n + 1):
+        raise RangeError(f"{label} table must be ({n+1})x({n+1})")
+    if (arr < 0).any() or (arr > n).any():
+        raise RangeError(f"{label} table entry outside [0, {n}]")
+    return arr.astype(np.int64)
 
 
-def _floor_sqrt_ratio(p: int, q: int) -> int:
-    # floor(sqrt(p / q)) for non-negative integers, q > 0
-    return math.isqrt(p * q) // q
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """``math.isqrt`` of every entry of a non-negative int64 array.
+
+    The float64 root is off by at most one, so one correction each way makes
+    it exact; (r+1)^2 stays within int64 for every v below 2^62.
+    """
+    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
+    return r
 
 
 def builtin_triple(name: str, n: int) -> AdjointTriple:
@@ -188,32 +210,30 @@ def builtin_triple(name: str, n: int) -> AdjointTriple:
 
     ``sq-left``:  x & y = ceil(n x^2 y)/n, ``sq-right``: x & y = ceil(n x y^2)/n,
     ``godel``:    x & y = min(x, y).  Residua clip at 1 and return 1 when the
-    divisor argument is 0.
+    divisor argument is 0.  Tables are built with exact integer arithmetic:
+    entry [a][b] of each comes from the numerators a (rows) and b (columns).
     """
     if n < 1:
         raise RangeError(f"granularity must be >= 1, got {n}")
+    if n**4 >= 2**62:  # n^2 a b reaches n^4, and int64 arithmetic must not wrap
+        raise RangeError(f"granularity {n} too large for exact built-in tables")
+    k = np.arange(n + 1, dtype=np.int64)
+    a, b = k[:, None], k[None, :]
+    safe_b = np.maximum(b, 1)  # column b = 0 is overwritten with n below
+
+    def sqrt_div():  # min(floor(sqrt(n^2 a b)) // b, n)
+        return np.where(b == 0, n, np.minimum(_isqrt(n * n * a * b) // safe_b, n))
+
+    def div_sq():  # min(a n^2 // b^2, n)
+        return np.where(b == 0, n, np.minimum(a * n * n // (safe_b * safe_b), n))
+
     if name == "sq-left":
-        conj = _table_from_fn(n, lambda a, b: _ceil_div(a * a * b, n * n))
-        lres = _table_from_fn(
-            n,
-            lambda c, b: n if b == 0 else min(math.isqrt(n * n * c * b) // b, n),
-        )
-        rres = _table_from_fn(
-            n, lambda c, a: n if a == 0 else min(c * n * n // (a * a), n)
-        )
+        conj, lres, rres = -(-(a * a * b) // (n * n)), sqrt_div(), div_sq()
     elif name == "sq-right":
-        conj = _table_from_fn(n, lambda a, b: _ceil_div(a * b * b, n * n))
-        lres = _table_from_fn(
-            n, lambda c, b: n if b == 0 else min(c * n * n // (b * b), n)
-        )
-        rres = _table_from_fn(
-            n,
-            lambda c, a: n if a == 0 else min(math.isqrt(n * n * c * a) // a, n),
-        )
+        conj, lres, rres = -(-(a * b * b) // (n * n)), div_sq(), sqrt_div()
     elif name == "godel":
-        conj = _table_from_fn(n, min)
-        lres = _table_from_fn(n, lambda c, b: n if b <= c else c)
-        rres = _table_from_fn(n, lambda c, a: n if a <= c else c)
+        conj = np.minimum(a, b)
+        lres = rres = np.where(b <= a, n, a)
     else:
         raise UnknownTripleError(name)
     return AdjointTriple(name, n, conj, lres, rres)
@@ -233,20 +253,28 @@ class AdjunctionReport:
 def verify_adjoint_triple(t: AdjointTriple, lattice: GranularLattice) -> AdjunctionReport:
     """Check x <= z<-y  iff  x&y <= z  iff  y <= z<-x over the whole chain.
 
-    Returns the first counterexample found, if any.
+    All (x, y, z) are tested at once with numpy, in slices of x holding at
+    most ``_CHUNK`` cells.  On failure the witness is the first counterexample
+    in lexicographic (x, y, z) order.
     """
     if t.granularity != lattice.granularity:
         raise GranularityMismatchError(
             f"triple on [0,1]_{t.granularity}, lattice on [0,1]_{lattice.granularity}"
         )
     n = lattice.granularity
-    conj, lres, rres = t.conj_table, t.left_residuum_table, t.right_residuum_table
-    for x, y, z in product(range(n + 1), repeat=3):
-        first = x <= lres[z][y]
-        second = conj[x][y] <= z
-        third = y <= rres[z][x]
-        if not (first == second == third):
-            witness = tuple(GranularValue(k, n) for k in (x, y, z))
+    conj, lres, rres = t._tables
+    k = np.arange(n + 1)
+    step = max(1, _CHUNK // (n + 1) ** 2)
+    for start in range(0, n + 1, step):
+        x = slice(start, start + step)
+        # cell [x, y, z] of each test
+        first = k[x, None, None] <= lres.T[None, :, :]
+        second = conj[x, :, None] <= k[None, None, :]
+        third = k[None, :, None] <= rres.T[x, None, :]
+        bad = (first != second) | (second != third)
+        if bad.any():
+            i, y, z = np.unravel_index(np.argmax(bad), bad.shape)
+            witness = tuple(GranularValue(int(v), n) for v in (start + i, y, z))
             return AdjunctionReport(False, witness)
     return AdjunctionReport(True, None)
 

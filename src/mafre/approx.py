@@ -12,17 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .context import FuzzySet, necessity, possibility, restrict
+from .context import enumerate_reducts, restrict
 from .errors import InfeasibleReductError, NotAReductError
 from .fre import (
     FreInstance,
     SolutionSet,
+    _closures,
+    _values,
     associated_context,
     enumerate_solutions,
     is_solvable,
     reduce_fre,
 )
-from .context import enumerate_reducts
 
 
 def _require_reduct(fre: FreInstance, Y) -> tuple:
@@ -88,16 +89,9 @@ def approximate_by_reduct(
     if not is_solvable(reduced):
         raise InfeasibleReductError(f"{sorted(Y)} is not feasible for this instance")
     ctx = associated_context(fre)
-    ctx_y = restrict(ctx, Y)
-    columns = []
-    for w in fre.col_names:
-        t_y = reduced.rhs_column(w)
-        g = necessity(FuzzySet(ctx_y.attributes, t_y.values), ctx_y)
-        columns.append(possibility(g, ctx))
-    t_star = tuple(
-        tuple(columns[j].values[i] for j in range(len(fre.col_names)))
-        for i in range(len(fre.row_names))
-    )
+    # the rows of the reduced rhs are the attributes of ctx_y, in order
+    g = restrict(ctx, Y).necessity_batch(reduced._rhs_array.T)
+    t_star = _values(ctx.possibility_batch(g).T, fre.frame.granularity)
     modified = {}
     for i, u in enumerate(fre.row_names):
         for j, w in enumerate(fre.col_names):
@@ -117,14 +111,7 @@ def approximate_by_reduct(
 
 def pessimistic_approximation(fre: FreInstance):
     """Columnwise interior of T: always solvable, never above T."""
-    ctx = associated_context(fre)
-    columns = [
-        possibility(necessity(fre.rhs_column(w), ctx), ctx) for w in fre.col_names
-    ]
-    return tuple(
-        tuple(columns[j].values[i] for j in range(len(fre.col_names)))
-        for i in range(len(fre.row_names))
-    )
+    return _values(_closures(fre)[1].T, fre.frame.granularity)
 
 
 @dataclass(frozen=True)

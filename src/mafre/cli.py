@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import approx, dual as dual_mod, fre as fre_mod
-from .algebra import verify_adjoint_triple
 from .context import (
     build_concept_lattice,
     enumerate_reducts,
@@ -36,16 +35,22 @@ class ExitStatus(enum.IntEnum):
     BUDGET_EXCEEDED = 3
 
 
-def _dec(v) -> str:
-    return f"{v.numerator / v.granularity:g}"
+def _dec(k: int, n: int) -> str:
+    return f"{k / n:g}"
 
 
-def _vec(values) -> str:
-    return "(" + ", ".join(_dec(v) for v in values) + ")"
+def _vec(numerators, n: int) -> str:
+    return "(" + ", ".join(_dec(k, n) for k in numerators) + ")"
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    print(json.dumps(payload, indent=2) if args.json else text)
+def _nums(matrix) -> list:
+    return [[v.numerator for v in row] for row in matrix]
+
+
+def _emit(args, payload, text) -> None:
+    """Print ``payload()`` as JSON with --json, else ``text()``; only the
+    printed one is built."""
+    print(json.dumps(payload(), indent=2) if args.json else text())
 
 
 def _split_set(raw: str):
@@ -57,24 +62,22 @@ def _split_set(raw: str):
 
 def cmd_check(args) -> int:
     problem = load_problem(args.file)
-    frame = problem.frame()  # verifies adjunction for every triple
-    problem.to_instance()  # verifies dimensions and sigma
-    reports = [
-        (t.name, verify_adjoint_triple(t, frame.lattice).passed) for t in frame.triples
-    ]
-    payload = {
+    # building the instance builds the frame, which verifies every triple,
+    # and checks dimensions and sigma
+    triples = problem.to_instance().frame.triples
+    payload = lambda: {
         "valid": True,
         "granularity": problem.granularity,
         "orientation": problem.orientation,
-        "triples": [{"name": name, "adjoint": ok} for name, ok in reports],
+        "triples": [{"name": t.name, "adjoint": True} for t in triples],
         "shape": {
             "rows": len(problem.rows),
             "variables": len(problem.variables),
             "columns": len(problem.columns),
         },
     }
-    text = (
-        f"valid: {len(reports)} triple(s) verified on [0,1]_{problem.granularity}; "
+    text = lambda: (
+        f"valid: {len(triples)} triple(s) verified on [0,1]_{problem.granularity}; "
         f"{len(problem.rows)} row(s) x {len(problem.variables)} unknown(s), "
         f"{len(problem.columns)} rhs column(s), orientation {problem.orientation}"
     )
@@ -91,33 +94,37 @@ def _solve(args, instance, gap_of, solutions_of, closure, part, counted) -> int:
     """
     if args.max_count is not None and args.max_count < 0:
         raise ProblemFileError("--max-count must be >= 0")
+    n = instance.frame.granularity
     gap = gap_of(instance)
     if gap:
-        payload = {
+        payload = lambda: {
             "solvable": False,
             "gap": [
                 {"row": u, "column": w, "stated": old.numerator, "closed": new.numerator}
                 for u, w, old, new in gap
             ],
         }
-        text = f"unsolvable; rhs vs {closure}:\n" + "\n".join(
-            f"  {u}[{w}]: {_dec(old)} -> {_dec(new)}" for u, w, old, new in gap
+        text = lambda: f"unsolvable; rhs vs {closure}:\n" + "\n".join(
+            f"  {u}[{w}]: {_dec(old.numerator, n)} -> {_dec(new.numerator, n)}"
+            for u, w, old, new in gap
         )
         _emit(args, payload, text)
         return ExitStatus.UNSOLVABLE
     solutions = solutions_of(instance, materialize=args.enumerate)
-    payload = {"solvable": True, "solutions": solutions.to_json()}
-    lines = ["solvable"]
-    for col in solutions.columns:
-        lines.append(f"{part} {col.column}: maximum {_vec(col.max_solution.values)}")
-        lines.append(f"  {col.count} {counted}")
-        if col.enumerated is not None:
-            limit = args.max_count if args.max_count is not None else len(col.enumerated)
-            for x in col.enumerated[:limit]:
-                lines.append(f"  {_vec(x.values)}")
-            if limit < len(col.enumerated):
-                lines.append(f"  ... ({len(col.enumerated) - limit} more)")
-    _emit(args, payload, "\n".join(lines))
+
+    def text():
+        lines = ["solvable"]
+        for col in solutions.columns:
+            lines.append(f"{part} {col.column}: maximum {_vec(col.max_row.tolist(), n)}")
+            lines.append(f"  {col.count} {counted}")
+            if col.solution_rows is not None:
+                listed = col.solution_rows[: args.max_count].tolist()
+                lines.extend(f"  {_vec(x, n)}" for x in listed)
+                if len(listed) < col.count:
+                    lines.append(f"  ... ({col.count - len(listed)} more)")
+        return "\n".join(lines)
+
+    _emit(args, lambda: {"solvable": True, "solutions": solutions.to_json()}, text)
     return ExitStatus.OK
 
 
@@ -144,18 +151,24 @@ def cmd_reducts(args) -> int:
     problem = load_problem(args.file)
     ctx = _context(problem, problem.to_instance())
     reducts = [list(Y) for Y in enumerate_reducts(ctx)]
-    payload = {"reducts": reducts}
-    lines = [f"{len(reducts)} reduct(s):"] + [
-        "  {" + ", ".join(Y) + "}" for Y in reducts
-    ]
-    if args.set:
-        checked = is_consistent(ctx, _split_set(args.set))
-        payload["set"] = _split_set(args.set)
-        payload["consistent"] = checked
-        lines.append(
-            f"set {{{args.set}}} is {'consistent' if checked else 'NOT consistent'}"
-        )
-    _emit(args, payload, "\n".join(lines))
+    checked = is_consistent(ctx, _split_set(args.set)) if args.set else None
+
+    def payload():
+        data = {"reducts": reducts}
+        if args.set:
+            data["set"] = _split_set(args.set)
+            data["consistent"] = checked
+        return data
+
+    def text():
+        lines = [f"{len(reducts)} reduct(s):"]
+        lines.extend("  {" + ", ".join(Y) + "}" for Y in reducts)
+        if args.set:
+            verdict = "consistent" if checked else "NOT consistent"
+            lines.append(f"set {{{args.set}}} is {verdict}")
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
     return ExitStatus.OK
 
 
@@ -179,16 +192,17 @@ def cmd_reduce(args) -> int:
 def cmd_approximate(args) -> int:
     problem = load_problem(args.file)
     instance = problem.to_instance()
+    n = instance.frame.granularity
     if problem.orientation == "dual":
         feasible = dual_mod.dual_find_feasible_reducts(instance)
         results = [dual_mod.dual_approximate(instance, Y) for Y in feasible]
-        payload = {
+        payload = lambda: {
             "solvable": dual_mod.dual_is_solvable(instance),
             "feasible_reducts": [list(Y) for Y in feasible],
             "approximations": [
                 {
                     "reduct": list(r.reduct),
-                    "t_star": [[v.numerator for v in row] for row in r.t_star],
+                    "t_star": _nums(r.t_star),
                     "modified": {
                         f"{u}[{w}]": [old.numerator, new.numerator]
                         for (u, w), (old, new) in sorted(r.modified_rows.items())
@@ -197,37 +211,44 @@ def cmd_approximate(args) -> int:
                 for r in results
             ],
         }
-        lines = [f"{len(feasible)} feasible column reduct(s)"]
-        for r in results:
-            lines.append("reduct {" + ", ".join(r.reduct) + "}:")
-            for row in r.t_star:
-                lines.append("  " + _vec(row))
-        _emit(args, payload, "\n".join(lines))
+
+        def text():
+            lines = [f"{len(feasible)} feasible column reduct(s)"]
+            for r in results:
+                lines.append("reduct {" + ", ".join(r.reduct) + "}:")
+                lines.extend("  " + _vec(row, n) for row in _nums(r.t_star))
+            return "\n".join(lines)
+
+        _emit(args, payload, text)
         return ExitStatus.OK
     if args.pessimistic:
-        t_star = approx.pessimistic_approximation(instance)
-        payload = {
-            "pessimistic_rhs": [[v.numerator for v in row] for row in t_star]
-        }
-        text = "pessimistic rhs:\n" + "\n".join("  " + _vec(row) for row in t_star)
+        t_star = _nums(approx.pessimistic_approximation(instance))
+        payload = lambda: {"pessimistic_rhs": t_star}
+        text = lambda: "pessimistic rhs:\n" + "\n".join(
+            "  " + _vec(row, n) for row in t_star
+        )
         _emit(args, payload, text)
         return ExitStatus.OK
     report = approx.diagnose(instance, notable_threshold=args.notable_threshold)
-    payload = {"diagnosis": report.to_json()}
-    if not report.solvable:
-        payload["approximations"] = []
-        for entry in report.feasible:
-            result = approx.approximate_by_reduct(instance, entry["reduct"])
-            payload["approximations"].append(
-                {
-                    "reduct": list(result.reduct),
-                    "t_star": [[v.numerator for v in row] for row in result.t_star],
-                    "solution_counts": {
-                        c.column: c.count for c in result.solution_summary.columns
-                    },
-                }
-            )
-    _emit(args, payload, report.render_text())
+
+    def payload():
+        data = {"diagnosis": report.to_json()}
+        if not report.solvable:
+            data["approximations"] = []
+            for entry in report.feasible:
+                result = approx.approximate_by_reduct(instance, entry["reduct"])
+                data["approximations"].append(
+                    {
+                        "reduct": list(result.reduct),
+                        "t_star": _nums(result.t_star),
+                        "solution_counts": {
+                            c.column: c.count for c in result.solution_summary.columns
+                        },
+                    }
+                )
+        return data
+
+    _emit(args, payload, report.render_text)
     return ExitStatus.OK
 
 
@@ -237,7 +258,7 @@ def cmd_lattice(args) -> int:
     if args.dot:
         print(lattice_to_dot(lat, include_intents=args.intents))
     elif problem.orientation == "primal":
-        payload = {
+        payload = lambda: {
             "concepts": [
                 {"extent": extent, "intent": intent}
                 for extent, intent in zip(
@@ -245,10 +266,10 @@ def cmd_lattice(args) -> int:
                 )
             ]
         }
-        _emit(args, payload, f"{len(lat)} concepts")
+        _emit(args, payload, lambda: f"{len(lat)} concepts")
     else:
-        payload = {"members": lat.extent_rows.tolist()}
-        _emit(args, payload, f"{len(lat)} variable-side fixpoints")
+        payload = lambda: {"members": lat.extent_rows.tolist()}
+        _emit(args, payload, lambda: f"{len(lat)} variable-side fixpoints")
     return ExitStatus.OK
 
 
@@ -258,9 +279,10 @@ def cmd_oracle(args) -> int:
     if problem.orientation == "primal":
         brute = fre_mod.brute_force_solutions(instance, budget=args.budget)
         analytic = fre_mod.enumerate_solutions(instance, materialize=True)
-        per_col = {}
-        for col in analytic.columns:
-            per_col[col.column] = frozenset(x.numerators for x in col.enumerated)
+        per_col = {
+            col.column: frozenset(map(tuple, col.solution_rows.tolist()))
+            for col in analytic.columns
+        }
         j = {w: i for i, w in enumerate(instance.col_names)}
         brute_cols = {
             w: frozenset(
@@ -275,7 +297,7 @@ def cmd_oracle(args) -> int:
         brute = dual_mod.dual_brute_force(instance, budget=args.budget)
         analytic = dual_mod.dual_solutions(instance, materialize=True)
         per_row = {
-            r.column: frozenset(x.numerators for x in r.enumerated)
+            r.column: frozenset(map(tuple, r.solution_rows.tolist()))
             for r in analytic.columns
         }
         i_of = {u: i for i, u in enumerate(instance.row_names)}
@@ -287,8 +309,11 @@ def cmd_oracle(args) -> int:
         }
         match = per_row == brute_rows
         count = len(brute)
-    payload = {"match": match, "count": count}
-    _emit(args, payload, f"{'MATCH' if match else 'MISMATCH'} ({count} solutions)")
+    _emit(
+        args,
+        lambda: {"match": match, "count": count},
+        lambda: f"{'MATCH' if match else 'MISMATCH'} ({count} solutions)",
+    )
     return ExitStatus.OK if match else ExitStatus.INPUT_ERROR
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .algebra import Frame, GranularValue
+from .algebra import _CHUNK, Frame, GranularValue
 from .errors import (
     DimensionError,
     GranularityMismatchError,
@@ -76,6 +76,16 @@ def _check_matrix(rows, n_rows, n_cols, n, what):
     return rows
 
 
+def _numerators(rows) -> np.ndarray:
+    """A matrix of GranularValues as a 2-D int64 array of their numerators."""
+    return np.array([[v.numerator for v in row] for row in rows], dtype=np.int64)
+
+
+def _conj_tables(frame: Frame) -> np.ndarray:
+    """The conjunctor tables of the frame's triples, stacked: [triple, x, y]."""
+    return np.stack([t._tables[0] for t in frame.triples])
+
+
 class Context:
     """A multi-adjoint context (A, B, R, sigma).
 
@@ -110,16 +120,11 @@ class Context:
 
     def _arrays(self):
         if self._compiled is None:
-            f = self.frame
             self._compiled = {
-                "R": np.array(
-                    [[v.numerator for v in row] for row in self.relation], dtype=np.int64
-                ),
+                "R": _numerators(self.relation),
                 "SIG": np.array(self.sigma, dtype=np.int64),
-                "CT": np.array([t.conj_table for t in f.triples], dtype=np.int64),
-                "RT": np.array(
-                    [t.right_residuum_table for t in f.triples], dtype=np.int64
-                ),
+                "CT": _conj_tables(self.frame),
+                "RT": np.stack([t._tables[2] for t in self.frame.triples]),
             }
         return self._compiled
 
@@ -186,9 +191,6 @@ class Concept:
     intent: FuzzySet
 
 
-_CHUNK = 200_000
-
-
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of a 2-D integer array in lexicographic order.
 
@@ -204,18 +206,20 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return rows[fresh]
 
 
-def _grid_images(batch, n: int, k: int) -> np.ndarray:
-    """The distinct rows of ``batch(G)`` over every G in the grid {0..n}^k.
-
-    The (n+1)^k grid is swept in lexicographic chunks of at most 200,000
-    rows, so memory stays bounded however large the grid is.
-    """
+def _grid(n: int, k: int):
+    """The grid {0..n}^k in lexicographic order (first column slowest), as
+    (rows, k) arrays of at most ``_CHUNK`` rows, so memory stays bounded
+    however large the grid is."""
     total = (n + 1) ** k
     place = (n + 1) ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    seen = []
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        seen.append(_unique_rows(batch(idx[:, None] // place % (n + 1))))
+        yield idx[:, None] // place % (n + 1)
+
+
+def _grid_images(batch, n: int, k: int) -> np.ndarray:
+    """The distinct rows of ``batch(G)`` over every G in the grid {0..n}^k."""
+    seen = [_unique_rows(batch(G)) for G in _grid(n, k)]
     return _unique_rows(np.concatenate(seen, axis=0))
 
 
@@ -266,7 +270,7 @@ def _meet_closure(gens: np.ndarray) -> np.ndarray:
 
 
 class ConceptLattice:
-    """The complete lattice of concepts, with order and cover (Hasse) relation.
+    """The complete lattice of concepts, with its cover (Hasse) relation.
 
     The lattice is held as numerator arrays: ``extent_rows`` (distinct, in
     lexicographic order, so the result does not depend on how candidates were
@@ -286,7 +290,6 @@ class ConceptLattice:
         # exact: a path count is at most len(rows), far below 2^24
         lf = less.astype(np.float32)
         reach2 = (lf @ lf) > 0
-        self.leq = less | np.eye(len(rows), dtype=bool)
         self._covers = less & ~reach2  # covers[i, j]: i is covered by j
 
     def __len__(self):
@@ -327,10 +330,14 @@ class ConceptLattice:
         i, j = np.nonzero(self._covers)
         return list(zip(i.tolist(), j.tolist()))
 
+    def _predecessor_rows(self, j: int) -> np.ndarray:
+        """Numerator rows of the extents directly covered by extent ``j``."""
+        return self.extent_rows[self._covers[:, j]]
+
     def predecessors_of(self, extent: FuzzySet):
         """Extents directly covered by ``extent``."""
-        j = self.index_of(extent)
-        return [self._extent(i) for i in np.nonzero(self._covers[:, j])[0]]
+        rows = self._predecessor_rows(self.index_of(extent))
+        return [self.context._object_set(row) for row in rows]
 
 
 def build_concept_lattice(

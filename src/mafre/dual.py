@@ -18,8 +18,11 @@ transposition.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 from typing import Iterable
+
+import numpy as np
 
 from .algebra import Frame, GranularValue
 from .approx import ApproximationResult, approximate_by_reduct, find_feasible_reducts
@@ -28,6 +31,9 @@ from .context import (
     Context,
     FuzzySet,
     _check_matrix,
+    _conj_tables,
+    _grid,
+    _numerators,
     build_concept_lattice,
     enumerate_reducts,
     is_consistent,
@@ -45,6 +51,7 @@ from .errors import (
 from .fre import (
     FreInstance,
     SolutionSet,
+    _values,
     enumerate_solutions,
     max_solution,
     reduce_fre,
@@ -110,18 +117,22 @@ class DualLattice:
     """Variable-side fixpoints of the dual connection, with covers.
 
     A view of the concept lattice of the dual context: its members are the
-    extents, in the same order, and member indices are concept indices.
+    extents, in the same order, and member indices are concept indices.  The
+    member FuzzySets are built on first use of ``members``.
     """
 
     def __init__(self, lattice: ConceptLattice):
         self.lattice = lattice
-        self.members = tuple(lattice.extents())
         self.member_set = lattice.extent_set
         self.covers = lattice.covers
         self.predecessors_of = lattice.predecessors_of
 
+    @cached_property
+    def members(self) -> tuple:
+        return tuple(self.lattice.extents())
+
     def __len__(self):
-        return len(self.members)
+        return len(self.lattice)
 
 
 def build_dual_lattice(ctx: DualContext) -> DualLattice:
@@ -166,6 +177,8 @@ class DualFreInstance:
         for i in self.sigma:
             if not 0 <= i < len(frame.triples):
                 raise RangeError(f"sigma index {i} outside triple list")
+        self._coeff_array = _numerators(self.coeff)
+        self._rhs_array = _numerators(self.rhs)
         self._context = None
         self._primal = None
 
@@ -272,23 +285,28 @@ def dual_solutions(dfre: DualFreInstance, materialize: bool = True) -> SolutionS
 
 
 def dual_brute_force(dfre: DualFreInstance, budget: int = 10_000_000):
-    """Independent oracle: every X with X (.) S = T, by exhaustive search."""
+    """Independent oracle: every X with X (.) S = T, by exhaustive search.
+
+    Every candidate row x over V is composed with S by conj-table lookups in
+    numpy, swept in chunks of the candidate grid; only the matches become
+    GranularValues.  It uses neither the transposed primal nor the lattice.
+    """
     n = dfre.frame.granularity
     nu, nv = len(dfre.row_names), len(dfre.var_names)
     if (n + 1) ** (nu * nv) > budget:
         raise BudgetExceededError(
             f"({n + 1})^{nu * nv} candidates exceed budget {budget}"
         )
-    values = [dfre.frame.value(k) for k in range(n + 1)]
-    per_row = []
-    for i in range(nu):
-        target = dfre.rhs[i]
-        sols = []
-        for cand in product(values, repeat=nv):
-            result = dual_compose(dfre.frame, (cand,), dfre.coeff, dfre.sigma)
-            if result[0] == target:
-                sols.append(cand)
-        per_row.append(sols)
+    conj = _conj_tables(dfre.frame)[list(dfre.sigma)]  # [v, x(v), S(v, w)]
+    S, T = dfre._coeff_array, dfre._rhs_array
+    matches = [[] for _ in range(nu)]
+    for X in _grid(n, nv):
+        image = np.zeros((len(X), len(dfre.col_names)), dtype=np.int64)
+        for v in range(nv):
+            np.maximum(image, conj[v][X[:, v, None], S[None, v, :]], out=image)
+        for i in range(nu):
+            matches[i].append(X[(image == T[i]).all(axis=1)])
+    per_row = [_values(np.concatenate(rows), n) for rows in matches]
     return [tuple(combo) for combo in product(*per_row)]
 
 

@@ -8,6 +8,7 @@ enumerator is kept alongside as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Optional
 
@@ -18,10 +19,11 @@ from .context import (
     Context,
     FuzzySet,
     _check_matrix,
+    _conj_tables,
+    _grid,
+    _numerators,
     build_concept_lattice,
     is_consistent,
-    necessity,
-    possibility,
 )
 from .errors import (
     BudgetExceededError,
@@ -36,7 +38,9 @@ class FreInstance:
     """R (.) X = T over U x V with per-unknown triple assignment.
 
     ``coeff[u][v]`` is R(u, v), ``rhs[u][w]`` is T(u, w) and ``sigma[v]`` is
-    the 0-based triple index used by unknown v.
+    the 0-based triple index used by unknown v.  The solvers read the
+    numerator arrays ``_coeff_array`` (|U| x |V|) and ``_rhs_array``
+    (|U| x |W|).
     """
 
     def __init__(self, frame: Frame, row_names, var_names, col_names, coeff, sigma, rhs):
@@ -55,6 +59,8 @@ class FreInstance:
         for i in self.sigma:
             if not 0 <= i < len(frame.triples):
                 raise RangeError(f"sigma index {i} outside triple list")
+        self._coeff_array = _numerators(self.coeff)
+        self._rhs_array = _numerators(self.rhs)
         self._context = None
 
     @classmethod
@@ -86,7 +92,11 @@ def associated_context(fre: FreInstance) -> Context:
 
 
 def sup_compose(frame: Frame, R, X, sigma):
-    """T(u, w) = sup_v R(u, v) & X(v, w)."""
+    """T(u, w) = sup_v R(u, v) & X(v, w), on GranularValues by definition.
+
+    The solvers work on numerator arrays instead; this and ``inf_compose``
+    remain as the readable definitions that the tests check them against.
+    """
     R = tuple(tuple(r) for r in R)
     X = tuple(tuple(r) for r in X)
     if not R or not X or any(len(r) != len(X) for r in R):
@@ -137,17 +147,33 @@ def is_solution(fre: FreInstance, X) -> bool:
     return sup_compose(fre.frame, fre.coeff, X, fre.sigma) == fre.rhs
 
 
+def _values(rows, n: int) -> tuple:
+    """A 2-D numerator array as a matrix (tuple of tuples) of GranularValues."""
+    return tuple(tuple(GranularValue(k, n) for k in row) for row in rows.tolist())
+
+
+def _closures(fre: FreInstance):
+    """(maxima, interiors) of every rhs column at once: row j holds column j's
+    maximum candidate T_j^down over V and its interior T_j^down^up over U."""
+    ctx = associated_context(fre)
+    maxima = ctx.necessity_batch(fre._rhs_array.T)
+    return maxima, ctx.possibility_batch(maxima)
+
+
+def _gap(fre: FreInstance, interiors: np.ndarray) -> list:
+    """Entries (u, w, stated, closed) where T differs from its interior,
+    column by column, rows in order within a column."""
+    n = fre.frame.granularity
+    cols, rows = np.nonzero(interiors != fre._rhs_array.T)
+    return [
+        (fre.row_names[u], fre.col_names[w], fre.rhs[u][w], GranularValue(new, n))
+        for w, u, new in zip(cols.tolist(), rows.tolist(), interiors[cols, rows].tolist())
+    ]
+
+
 def solvability_gap(fre: FreInstance):
     """Entries (u, w, stated, closed) where T differs from its interior."""
-    ctx = associated_context(fre)
-    gap = []
-    for w in fre.col_names:
-        t = fre.rhs_column(w)
-        closed = possibility(necessity(t, ctx), ctx)
-        for u, old, new in zip(fre.row_names, t.values, closed.values):
-            if old != new:
-                gap.append((u, w, old, new))
-    return gap
+    return _gap(fre, _closures(fre)[1])
 
 
 def is_solvable(fre: FreInstance) -> bool:
@@ -157,35 +183,72 @@ def is_solvable(fre: FreInstance) -> bool:
 
 def max_solution(fre: FreInstance):
     """The greatest solution, column w given by T_w^down."""
-    gap = solvability_gap(fre)
+    maxima, interiors = _closures(fre)
+    gap = _gap(fre, interiors)
     if gap:
         raise UnsolvableError(
             "instance is unsolvable; rhs differs from its interior", gap=gap
         )
-    return inf_compose(fre.frame, fre.rhs, fre.coeff, fre.sigma)
+    return _values(maxima.T, fre.frame.granularity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColumnSolutions:
-    """Complete solution description for one rhs column."""
+    """Complete solution description for one rhs column.
+
+    It is held as numerator arrays over the unknowns: the maximum solution,
+    the predecessors whose down-sets are excluded and, when the box was swept,
+    every solution.  The FuzzySet views (``max_solution``,
+    ``excluded_predecessors``, ``enumerated``, ``minimal``) are built on first
+    use; ``enumerated`` and ``minimal`` are None when the box was only counted.
+    """
 
     column: object
-    max_solution: FuzzySet
-    excluded_predecessors: tuple
-    enumerated: Optional[tuple] = None
-    count: Optional[int] = None
-    minimal: Optional[tuple] = None
+    var_names: tuple
+    granularity: int
+    max_row: np.ndarray  # (|V|,)
+    predecessor_rows: np.ndarray  # (predecessors, |V|)
+    count: int
+    solution_rows: Optional[np.ndarray] = None  # (count, |V|), lexicographic
+
+    def _sets(self, rows) -> tuple:
+        return tuple(
+            FuzzySet.from_numerators(self.var_names, row, self.granularity)
+            for row in rows.tolist()
+        )
+
+    @cached_property
+    def minimal_rows(self) -> Optional[np.ndarray]:
+        if self.solution_rows is None:
+            return None
+        return _minimal_rows(self.solution_rows, self.predecessor_rows)
+
+    @cached_property
+    def max_solution(self) -> FuzzySet:
+        return FuzzySet.from_numerators(self.var_names, self.max_row, self.granularity)
+
+    @cached_property
+    def excluded_predecessors(self) -> tuple:
+        return self._sets(self.predecessor_rows)
+
+    @cached_property
+    def enumerated(self) -> Optional[tuple]:
+        return None if self.solution_rows is None else self._sets(self.solution_rows)
+
+    @cached_property
+    def minimal(self) -> Optional[tuple]:
+        return None if self.solution_rows is None else self._sets(self.minimal_rows)
 
     def to_json(self):
         data = {
             "column": self.column,
-            "max_solution": list(self.max_solution.numerators),
-            "excluded_predecessors": [list(p.numerators) for p in self.excluded_predecessors],
+            "max_solution": self.max_row.tolist(),
+            "excluded_predecessors": self.predecessor_rows.tolist(),
             "count": self.count,
         }
-        if self.enumerated is not None:
-            data["solutions"] = [list(x.numerators) for x in self.enumerated]
-            data["minimal"] = [list(x.numerators) for x in self.minimal]
+        if self.solution_rows is not None:
+            data["solutions"] = self.solution_rows.tolist()
+            data["minimal"] = self.minimal_rows.tolist()
         return data
 
 
@@ -211,22 +274,25 @@ class SolutionSet:
         }
 
 
-def _box_and_filter(max_nums, pred_rows):
-    """All numerator vectors below ``max_nums`` not below any predecessor."""
-    axes = [np.arange(m + 1, dtype=np.int64) for m in max_nums]
-    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(max_nums))
-    if pred_rows:
-        P = np.array(pred_rows, dtype=np.int64)
-        dominated = (box[:, None, :] <= P[None, :, :]).all(axis=2).any(axis=1)
+def _box_and_filter(max_row: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
+    """All numerator vectors below ``max_row`` not below any predecessor."""
+    axes = [np.arange(m + 1, dtype=np.int64) for m in max_row.tolist()]
+    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    if len(pred_rows):
+        dominated = (box[:, None, :] <= pred_rows[None, :, :]).all(axis=2).any(axis=1)
         box = box[~dominated]
     return box
 
 
-def _minimal_rows(rows: np.ndarray) -> np.ndarray:
-    leq = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
-    np.fill_diagonal(leq, False)
-    # a row is minimal when no other row lies strictly below it
-    return rows[~leq.any(axis=0)]
+def _minimal_rows(rows: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
+    """The minimal elements of ``rows``, the box minus predecessor down-sets.
+
+    That set is an up-set of the box, so a row is minimal iff lowering any
+    positive entry by one step lands below some predecessor.
+    """
+    lowered = rows[:, None, :] - np.eye(rows.shape[1], dtype=np.int64)  # [row, v]
+    below = (lowered[:, :, None, :] <= pred_rows[None, None]).all(axis=3).any(axis=2)
+    return rows[(below | (rows == 0)).all(axis=1)]
 
 
 def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionSet:
@@ -236,64 +302,51 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
     solutions (with their minimal elements) are listed; otherwise only the
     count is produced.
     """
-    gap = solvability_gap(fre)
+    maxima, interiors = _closures(fre)
+    gap = _gap(fre, interiors)
     if gap:
         raise UnsolvableError("cannot enumerate an unsolvable instance", gap=gap)
-    ctx = associated_context(fre)
-    lat = build_concept_lattice(ctx)
+    lat = build_concept_lattice(associated_context(fre))
     n = fre.frame.granularity
     cols = []
-    for w in fre.col_names:
-        m = necessity(fre.rhs_column(w), ctx)
-        preds = lat.predecessors_of(m)
-        box = _box_and_filter(m.numerators, [p.numerators for p in preds])
-        enumerated = minimal = None
-        if materialize:
-            enumerated = tuple(
-                FuzzySet.from_numerators(fre.var_names, row, n) for row in box
-            )
-            minimal = tuple(
-                FuzzySet.from_numerators(fre.var_names, row, n)
-                for row in _minimal_rows(box)
-            )
+    for w, m in zip(fre.col_names, maxima):
+        preds = lat._predecessor_rows(lat._index[tuple(m.tolist())])
+        box = _box_and_filter(m, preds)
         cols.append(
             ColumnSolutions(
-                column=w,
-                max_solution=FuzzySet(fre.var_names, m.values),
-                excluded_predecessors=tuple(FuzzySet(fre.var_names, p.values) for p in preds),
-                enumerated=enumerated,
-                count=int(box.shape[0]),
-                minimal=minimal,
+                w, fre.var_names, n, m, preds, len(box), box if materialize else None
             )
         )
     return SolutionSet(n, fre.var_names, tuple(cols))
 
 
 def brute_force_solutions(fre: FreInstance, budget: int = 10_000_000):
-    """Independent oracle: every X with R (.) X = T, by exhaustive search."""
+    """Independent oracle: every X with R (.) X = T, by exhaustive search.
+
+    Every candidate column x over V is composed with R by conj-table lookups
+    in numpy, swept in chunks of the candidate grid; only the matches become
+    GranularValues.  It uses neither the closure operators nor the lattice.
+    """
     n = fre.frame.granularity
     nv, nw = len(fre.var_names), len(fre.col_names)
     if (n + 1) ** (nv * nw) > budget:
         raise BudgetExceededError(
             f"({n + 1})^{nv * nw} candidates exceed budget {budget}"
         )
-    per_column = []
-    values = [fre.frame.value(k) for k in range(n + 1)]
-    for j in range(nw):
-        target = tuple(row[j] for row in fre.rhs)
-        sols = []
-        for cand in product(values, repeat=nv):
-            col = tuple((x,) for x in cand)
-            result = sup_compose(fre.frame, fre.coeff, col, fre.sigma)
-            if tuple(r[0] for r in result) == target:
-                sols.append(cand)
-        per_column.append(sols)
-    matrices = []
-    for combo in product(*per_column):
-        matrices.append(
-            tuple(tuple(combo[j][v] for j in range(nw)) for v in range(nv))
-        )
-    return matrices
+    conj = _conj_tables(fre.frame)[list(fre.sigma)]  # [v, R(u, v), x(v)]
+    R, T = fre._coeff_array, fre._rhs_array
+    matches = [[] for _ in range(nw)]
+    for X in _grid(n, nv):
+        image = np.zeros((len(X), len(fre.row_names)), dtype=np.int64)
+        for v in range(nv):
+            np.maximum(image, conj[v][R[None, :, v], X[:, v, None]], out=image)
+        for j in range(nw):
+            matches[j].append(X[(image == T[:, j]).all(axis=1)])
+    per_column = [_values(np.concatenate(rows), n) for rows in matches]
+    return [
+        tuple(tuple(combo[j][v] for j in range(nw)) for v in range(nv))
+        for combo in product(*per_column)
+    ]
 
 
 def reduce_fre(fre: FreInstance, Y: Iterable, enforce_consistency: bool = True) -> FreInstance:

@@ -1,6 +1,9 @@
+import math
+import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +78,11 @@ def test_residua_return_top_at_zero_divisor():
         for k in range(9):
             assert t.right_residuum(make_granular(k, 8), make_granular(0, 8)).numerator == 8
             assert t.left_residuum(make_granular(k, 8), make_granular(0, 8)).numerator == 8
+
+
+def test_builtin_tables_refuse_granularities_that_overflow_int64():
+    with pytest.raises(RangeError):
+        builtin_triple("sq-left", 46341)
 
 
 def test_unknown_triple_name():
@@ -175,3 +183,74 @@ def test_adjunction_pointwise_random(n, data):
     second = t.conj_table[x][y] <= z
     third = y <= t.right_residuum_table[z][x]
     assert first == second == third
+
+
+def _closed_form_tables(name, n):
+    """The built-in tables from their closed forms, one Python call per cell."""
+    ceil = lambda p, q: -(-p // q)
+    sqrt_div = lambda c, d: n if d == 0 else min(math.isqrt(n * n * c * d) // d, n)
+    div_sq = lambda c, d: n if d == 0 else min(c * n * n // (d * d), n)
+    if name == "sq-left":
+        fns = (lambda a, b: ceil(a * a * b, n * n), sqrt_div, div_sq)
+    elif name == "sq-right":
+        fns = (lambda a, b: ceil(a * b * b, n * n), div_sq, sqrt_div)
+    else:
+        godel_res = lambda c, d: n if d <= c else c
+        fns = (min, godel_res, godel_res)
+    return tuple(_table_from_fn(n, fn) for fn in fns)
+
+
+@pytest.mark.parametrize("name", ["sq-left", "sq-right", "godel"])
+def test_builtin_tables_equal_closed_forms(name):
+    for n in range(1, 65):
+        t = builtin_triple(name, n)
+        tables = (t.conj_table, t.left_residuum_table, t.right_residuum_table)
+        assert tables == _closed_form_tables(name, n), n
+
+
+def _loop_witness(t, n):
+    """The first (x, y, z) breaking the adjunction, by the loop definition."""
+    for x, y, z in product(range(n + 1), repeat=3):
+        first = x <= t.left_residuum_table[z][y]
+        second = t.conj_table[x][y] <= z
+        third = y <= t.right_residuum_table[z][x]
+        if not (first == second == third):
+            return (x, y, z)
+    return None
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_adjunction_witness_matches_loop_on_corrupted_tables(chunk, monkeypatch):
+    import mafre.algebra as algebra
+
+    if chunk is not None:
+        monkeypatch.setattr(algebra, "_CHUNK", chunk)
+    rng = random.Random(4)
+    failures = 0
+    for n in range(1, 9):
+        for name in ("sq-left", "sq-right", "godel"):
+            for _ in range(12):
+                tables = [
+                    [list(row) for row in table]
+                    for table in _closed_form_tables(name, n)
+                ]
+                for _ in range(rng.randint(1, 3)):
+                    rng.choice(tables)[rng.randint(0, n)][rng.randint(0, n)] = rng.randint(0, n)
+                t = AdjointTriple("corrupted", n, *tables)
+                report = verify_adjoint_triple(t, GranularLattice(n))
+                expected = _loop_witness(t, n)
+                assert report.passed == (expected is None)
+                if expected is not None:
+                    failures += 1
+                    assert tuple(v.numerator for v in report.witness) == expected
+    assert failures > 100  # most corruptions do break the adjunction
+
+
+def test_isqrt_is_exact_near_squares():
+    from mafre.algebra import _isqrt
+
+    rng = random.Random(5)
+    roots = [rng.randint(1, 2**31 - 2) for _ in range(300)] + [2**31 - 2, 94906265]
+    values = [v for r in roots for v in (r * r - 1, r * r, r * r + 1)]
+    got = _isqrt(np.array(values, dtype=np.int64)).tolist()
+    assert got == [math.isqrt(v) for v in values]

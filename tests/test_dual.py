@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -167,6 +168,32 @@ class TestDualSolving:
                 for r_top, r in zip(top, m):
                     assert all(b <= a for a, b in zip(r_top, r))
 
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    def test_brute_force_equals_per_candidate_sweep(self, chunk, monkeypatch):
+        import mafre.context
+
+        if chunk is not None:
+            monkeypatch.setattr(mafre.context, "_CHUNK", chunk)
+        rng = random.Random(32)
+        frame = builtin_frame(["sq-left", "godel"], 3)
+        values = [frame.value(k) for k in range(4)]
+        solvable = 0
+        for i in range(20):
+            make = random_dual_solvable if i % 2 else random_dual_instance
+            dfre = make(rng, frame, 2, rng.randint(1, 3), 2)
+            per_row = [
+                [
+                    cand
+                    for cand in product(values, repeat=len(dfre.var_names))
+                    if dual_compose(frame, (cand,), dfre.coeff, dfre.sigma)[0] == target
+                ]
+                for target in dfre.rhs
+            ]
+            expected = [tuple(combo) for combo in product(*per_row)]
+            solvable += bool(expected)
+            assert dual_brute_force(dfre) == expected
+        assert 10 <= solvable < 20
+
     def test_gap_empty_iff_solvable(self):
         rng = random.Random(31)
         frame = builtin_frame(["sq-left"], 4)
@@ -206,6 +233,17 @@ class TestDualSolving:
 
 
 class TestDualLattice:
+    def test_members_built_on_first_use(self):
+        rng = random.Random(60)
+        frame = builtin_frame(["sq-left", "godel"], 4)
+        ctx = dual_associated_context(random_dual_solvable(rng, frame, 2, 3, 2))
+        lat = build_dual_lattice(ctx)
+        assert len(lat) == len(lat.lattice) > 1
+        assert "members" not in vars(lat)
+        assert [m.numerators for m in lat.members] == [
+            tuple(r) for r in lat.lattice.extent_rows.tolist()
+        ]
+
     def test_members_are_fixpoints(self):
         rng = random.Random(61)
         frame = builtin_frame(["sq-left", "godel"], 4)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,8 @@ from mafre import (
     is_solution,
     is_solvable,
     max_solution,
+    necessity,
+    possibility,
     reduce_fre,
     solvability_gap,
     sup_compose,
@@ -90,6 +93,37 @@ class TestSolvability:
         assert [row[0].numerator for row in top] == [8, 3, 3, 3, 3]
 
 
+class TestGap:
+    def test_entries_column_major_then_row(self):
+        # the per-column definition: T_w against its interior, row by row
+        rng = random.Random(8)
+        frame = builtin_frame(["sq-left", "godel"], 4)
+        seen = 0
+        for _ in range(30):
+            fre = FreInstance.from_numerators(
+                frame,
+                [f"u{i}" for i in range(4)],
+                ["v0", "v1"],
+                ["w0", "w1", "w2"],
+                [[rng.randint(0, 4) for _ in range(2)] for _ in range(4)],
+                [0, 1],
+                [[rng.randint(0, 4) for _ in range(3)] for _ in range(4)],
+            )
+            ctx = associated_context(fre)
+            expected = []
+            for w in fre.col_names:
+                t = fre.rhs_column(w)
+                closed = possibility(necessity(t, ctx), ctx)
+                expected += [
+                    (u, w, old, new)
+                    for u, old, new in zip(fre.row_names, t.values, closed.values)
+                    if old != new
+                ]
+            assert solvability_gap(fre) == expected
+            seen += len({w for _, w, _, _ in expected}) > 1
+        assert seen > 10  # most instances have gaps in several columns
+
+
 class TestEnumeration:
     def test_squares_two_solutions(self, squares_solvable):
         sols = enumerate_solutions(squares_solvable)
@@ -127,6 +161,30 @@ class TestEnumeration:
     def test_unsolvable_refuses(self, squares_unsolvable):
         with pytest.raises(UnsolvableError):
             enumerate_solutions(squares_unsolvable)
+
+    def test_minimal_rows_are_the_pairwise_minimal_solutions(self):
+        rng = random.Random(12)
+        frame = builtin_frame(["sq-left", "sq-right", "godel"], 5)
+        for _ in range(40):
+            fre = random_solvable_instance(rng, frame, rng.randint(1, 4), rng.randint(1, 4), 2)
+            for col in enumerate_solutions(fre).columns:
+                rows = col.solution_rows
+                minimal = {
+                    tuple(x)
+                    for x in rows.tolist()
+                    if not any(y != x and all(b <= a for a, b in zip(x, y))
+                               for y in rows.tolist())
+                }
+                assert {tuple(x) for x in col.minimal_rows.tolist()} == minimal
+
+    def test_solutions_held_as_arrays(self, maxmin_solvable):
+        col = enumerate_solutions(maxmin_solvable).column("w")
+        data = col.to_json()
+        assert len(data["solutions"]) == 875 and len(data["minimal"]) == 4
+        # no FuzzySet view was built for the JSON form
+        assert not {"enumerated", "minimal", "max_solution"} & set(vars(col))
+        assert col.enumerated[0].numerators == tuple(data["solutions"][0])
+        assert [x.numerators for x in col.minimal] == [tuple(r) for r in data["minimal"]]
 
     def test_json_round_trip_shape(self, squares_solvable):
         import json
@@ -187,6 +245,56 @@ class TestOracleEquivalence:
     def test_budget_guard(self, squares_solvable):
         with pytest.raises(BudgetExceededError):
             brute_force_solutions(squares_solvable, budget=100)
+
+    @staticmethod
+    def _sweep(fre):
+        """Every solution matrix by one sup_compose per candidate column."""
+        values = [fre.frame.value(k) for k in range(fre.frame.granularity + 1)]
+        per_column = []
+        for j in range(len(fre.col_names)):
+            target = tuple(row[j] for row in fre.rhs)
+            per_column.append(
+                [
+                    cand
+                    for cand in product(values, repeat=len(fre.var_names))
+                    if tuple(
+                        r[0]
+                        for r in sup_compose(
+                            fre.frame, fre.coeff, [(x,) for x in cand], fre.sigma
+                        )
+                    )
+                    == target
+                ]
+            )
+        return [
+            tuple(tuple(combo[j][v] for j in range(len(fre.col_names)))
+                  for v in range(len(fre.var_names)))
+            for combo in product(*per_column)
+        ]
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    def test_brute_force_equals_per_candidate_sweep(self, chunk, monkeypatch):
+        import mafre.context
+
+        if chunk is not None:
+            monkeypatch.setattr(mafre.context, "_CHUNK", chunk)
+        rng = random.Random(17)
+        frames = [builtin_frame(["sq-left", "godel"], 3), builtin_frame(["sq-right"], 4)]
+        solvable = 0
+        for i in range(24):
+            frame = frames[i % 2]
+            fre = random_solvable_instance(rng, frame, rng.randint(1, 3), rng.randint(1, 3), 2)
+            if i % 3 == 0:  # an arbitrary rhs, usually unsolvable
+                n = frame.granularity
+                fre = FreInstance.from_numerators(
+                    frame, fre.row_names, fre.var_names, fre.col_names,
+                    [[v.numerator for v in row] for row in fre.coeff], fre.sigma,
+                    [[rng.randint(0, n) for _ in fre.col_names] for _ in fre.row_names],
+                )
+            expected = self._sweep(fre)
+            solvable += bool(expected)
+            assert brute_force_solutions(fre) == expected
+        assert 8 <= solvable < 24
 
 
 class TestReduction:

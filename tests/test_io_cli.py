@@ -144,6 +144,40 @@ class TestCliSolve:
         assert payload["valid"] and payload["granularity"] == 8
         assert all(t["adjoint"] for t in payload["triples"])
 
+    def test_check_verifies_each_triple_once(self, capsys, monkeypatch):
+        import mafre.algebra
+
+        calls = []
+        verify = mafre.algebra.verify_adjoint_triple
+        monkeypatch.setattr(
+            mafre.algebra,
+            "verify_adjoint_triple",
+            lambda t, lattice: calls.append(t.name) or verify(t, lattice),
+        )
+        assert main(["check", SOLVABLE]) == 0
+        assert calls == ["sq-left", "sq-right"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", MAXMIN, "--enumerate"], ["approximate", UNSOLVABLE], ["reducts", MAXMIN]],
+    )
+    def test_only_the_printed_format_is_built(self, argv, capsys, monkeypatch):
+        import mafre.cli
+        from mafre.approx import DiagnosisReport
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a format that is not printed")
+
+        with monkeypatch.context() as patch:  # --json renders no text
+            patch.setattr(mafre.cli, "_vec", refuse)
+            patch.setattr(DiagnosisReport, "render_text", refuse)
+            assert main(argv + ["--json"]) == 0
+            json.loads(capsys.readouterr().out)
+        with monkeypatch.context() as patch:  # text encodes no JSON
+            patch.setattr(mafre.cli.json, "dumps", refuse)
+            assert main(argv) == 0
+            assert capsys.readouterr().out
+
     def test_solve_solvable(self, capsys):
         assert main(["solve", SOLVABLE]) == 0
         out = capsys.readouterr().out
@@ -165,6 +199,11 @@ class TestCliSolve:
         assert main(["solve", MAXMIN, "--enumerate", "--max-count", "3"]) == 0
         out = capsys.readouterr().out
         assert "... (872 more)" in out
+
+    def test_solve_max_count_zero_lists_none(self, capsys):
+        assert main(["solve", MAXMIN, "--enumerate", "--max-count", "0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == ["  875 solution(s)", "  ... (875 more)"]
 
     def test_solve_negative_max_count_exit_2(self, capsys):
         assert main(["solve", MAXMIN, "--enumerate", "--max-count", "-2"]) == 2
