@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import json
 import sys
 
@@ -367,8 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it was, so the calls of main in one
+    # process share it; building one costs more than a small request's work
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return int(args.fn(args))
     except BudgetExceededError as exc:

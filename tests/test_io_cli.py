@@ -157,6 +157,28 @@ class TestCliSolve:
         assert main(["check", SOLVABLE]) == 0
         assert calls == ["sq-left", "sq-right"]
 
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        import mafre.cli
+
+        builds = []
+        build = mafre.cli.build_parser
+        monkeypatch.setattr(mafre.cli, "build_parser", lambda: builds.append(1) or build())
+        mafre.cli._parser.cache_clear()
+        try:
+            assert main(["solve", SOLVABLE, "--json"]) == 0
+            first = capsys.readouterr().out
+            with pytest.raises(SystemExit) as exc:  # a rejected line leaves no state
+                main(["solve", SOLVABLE, "--max-count", "x"])
+            assert exc.value.code == 2
+            capsys.readouterr()
+            assert main(["check", MAXMIN]) == 0
+            assert "valid" in capsys.readouterr().out
+            assert main(["solve", SOLVABLE, "--json"]) == 0
+            assert capsys.readouterr().out == first
+            assert builds == [1]
+        finally:
+            mafre.cli._parser.cache_clear()
+
     @pytest.mark.parametrize(
         "argv",
         [["solve", MAXMIN, "--enumerate"], ["approximate", UNSOLVABLE], ["reducts", MAXMIN]],
