@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .context import enumerate_reducts, restrict
+import numpy as np
+
+from .context import enumerate_reducts
 from .errors import InfeasibleReductError, NotAReductError
 from .fre import (
     FreInstance,
@@ -22,7 +24,6 @@ from .fre import (
     associated_context,
     enumerate_solutions,
     is_solvable,
-    reduce_fre,
 )
 
 
@@ -34,19 +35,35 @@ def _require_reduct(fre: FreInstance, Y) -> tuple:
     return Y
 
 
+def _repair(fre: FreInstance, Y) -> tuple:
+    """The rhs repaired through Y as numerators (U x W), and whether the
+    Y-reduced instance is solvable.
+
+    The necessity operator of the context restricted to Y is the full one
+    applied with top outside Y (top <- x = top), and its possibility operator
+    is the full one on the rows of Y.  So every column of the reduced rhs
+    goes down and back up through the full context, and the reduced instance
+    is solvable iff the rows of Y come back unchanged.  With Y empty the
+    reduced instance has no equations: it is solvable, and every column is
+    repaired to top^up.
+    """
+    ctx = associated_context(fre)
+    keep = [fre.row_names.index(u) for u in Y]
+    T = fre._rhs_array
+    F = np.full((T.shape[1], T.shape[0]), fre.frame.granularity, dtype=np.int64)
+    F[:, keep] = T[keep].T
+    t_star = ctx.possibility_batch(ctx.necessity_batch(F)).T
+    return t_star, bool((t_star[keep] == T[keep]).all())
+
+
 def is_feasible_reduct(fre: FreInstance, Y) -> bool:
     """True when the Y-reduced instance is solvable (Y must be a reduct)."""
-    Y = _require_reduct(fre, Y)
-    return is_solvable(reduce_fre(fre, Y, enforce_consistency=False))
+    return _repair(fre, _require_reduct(fre, Y))[1]
 
 
 def find_feasible_reducts(fre: FreInstance):
     """All reducts whose reduced instance is solvable; may be empty."""
-    return [
-        Y
-        for Y in enumerate_reducts(associated_context(fre))
-        if is_solvable(reduce_fre(fre, Y, enforce_consistency=False))
-    ]
+    return [Y for Y in enumerate_reducts(associated_context(fre)) if _repair(fre, Y)[1]]
 
 
 @dataclass(frozen=True)
@@ -85,13 +102,10 @@ def approximate_by_reduct(
     Y keep their original values.
     """
     Y = _require_reduct(fre, Y)
-    reduced = reduce_fre(fre, Y, enforce_consistency=False)
-    if not is_solvable(reduced):
+    repaired, feasible = _repair(fre, Y)
+    if not feasible:
         raise InfeasibleReductError(f"{sorted(Y)} is not feasible for this instance")
-    ctx = associated_context(fre)
-    # the rows of the reduced rhs are the attributes of ctx_y, in order
-    g = restrict(ctx, Y).necessity_batch(reduced._rhs_array.T)
-    t_star = _values(ctx.possibility_batch(g).T, fre.frame.granularity)
+    t_star = _values(repaired, fre.frame.granularity)
     modified = {}
     for i, u in enumerate(fre.row_names):
         for j, w in enumerate(fre.col_names):
@@ -155,10 +169,9 @@ class DiagnosisReport:
         if not self.feasible:
             lines.append("no reduct-based repair exists for this instance")
         for entry in self.feasible:
-            lines.append(
-                "feasible reduct {%s}: equations %s kept as stated"
-                % (", ".join(entry["reduct"]), ", ".join(entry["preserved_rows"]))
-            )
+            kept = ", ".join(entry["preserved_rows"])
+            kept = f"equations {kept} kept as stated" if kept else "no equations kept"
+            lines.append("feasible reduct {%s}: %s" % (", ".join(entry["reduct"]), kept))
             if not entry["modified"]:
                 lines.append("  no right-hand side changes needed")
             for row, col, old, new, steps, severity in entry["modified"]:
@@ -182,7 +195,7 @@ def diagnose(fre: FreInstance, notable_threshold: int = 1) -> DiagnosisReport:
     feasible_entries = []
     infeasible = []
     for Y in enumerate_reducts(associated_context(fre)):
-        if not is_solvable(reduce_fre(fre, Y, enforce_consistency=False)):
+        if not _repair(fre, Y)[1]:
             infeasible.append(Y)
             continue
         result = approximate_by_reduct(fre, Y)

@@ -76,9 +76,11 @@ def _check_matrix(rows, n_rows, n_cols, n, what):
     return rows
 
 
-def _numerators(rows) -> np.ndarray:
-    """A matrix of GranularValues as a 2-D int64 array of their numerators."""
-    return np.array([[v.numerator for v in row] for row in rows], dtype=np.int64)
+def _numerators(rows, width: int) -> np.ndarray:
+    """A matrix of GranularValues with ``width`` columns (and possibly no
+    rows) as a 2-D int64 array of their numerators."""
+    nums = np.array([[v.numerator for v in row] for row in rows], dtype=np.int64)
+    return nums.reshape(len(rows), width)
 
 
 def _conj_tables(frame: Frame) -> np.ndarray:
@@ -91,15 +93,17 @@ class Context:
 
     ``relation[a][b]`` holds R(a, b); ``sigma`` assigns a 0-based triple index
     to every (a, b) cell and may be given either per cell (matrix) or per
-    object (flat sequence of length |B|, replicated across rows).
+    object (flat sequence of length |B|, replicated across rows).  The
+    attribute set may be empty (the Y-reduced context of the empty reduct);
+    its lattice is {top}.
     """
 
     def __init__(self, frame: Frame, attributes, objects, relation, sigma):
         self.frame = frame
         self.attributes = tuple(attributes)
         self.objects = tuple(objects)
-        if not self.attributes or not self.objects:
-            raise DimensionError("attributes and objects must be non-empty")
+        if not self.objects:
+            raise DimensionError("objects must be non-empty")
         na, nb = len(self.attributes), len(self.objects)
         self.relation = _check_matrix(relation, na, nb, frame.granularity, "relation")
         sigma = tuple(sigma)
@@ -114,6 +118,7 @@ class Context:
                     raise RangeError(f"sigma index {i} outside triple list")
         self._compiled = None
         self._lattice = None
+        self._families = None
         self._reducts = None
 
     # -- compiled numerator-space view -------------------------------------
@@ -121,8 +126,10 @@ class Context:
     def _arrays(self):
         if self._compiled is None:
             self._compiled = {
-                "R": _numerators(self.relation),
-                "SIG": np.array(self.sigma, dtype=np.int64),
+                "R": _numerators(self.relation, len(self.objects)),
+                "SIG": np.array(self.sigma, dtype=np.int64).reshape(
+                    len(self.attributes), len(self.objects)
+                ),
                 "CT": _conj_tables(self.frame),
                 "RT": np.stack([t._tables[2] for t in self.frame.triples]),
             }
@@ -142,10 +149,11 @@ class Context:
         """Map a (k, |A|) array of attribute-set numerators to (k, |B|) extents."""
         arr = self._arrays()
         R, SIG, RT = arr["R"], arr["SIG"], arr["RT"]
+        n = self.frame.granularity
         out = np.empty((F.shape[0], len(self.objects)), dtype=np.int64)
         for b in range(len(self.objects)):
             vals = RT[SIG[:, b][None, :], F, R[:, b][None, :]]
-            out[:, b] = vals.min(axis=1)
+            out[:, b] = vals.min(axis=1, initial=n)  # top with no attributes
         return out
 
     # -- fuzzy-set level wrappers ------------------------------------------
@@ -233,13 +241,17 @@ def exhaustive_intents(ctx: Context) -> np.ndarray:
     return _grid_images(ctx.possibility_batch, ctx.frame.granularity, len(ctx.objects))
 
 
-def _generator_extents(ctx: Context) -> np.ndarray:
-    """The distinct extents (top except a:k)^down for every attribute a and
-    k in 0..n; k = n gives top, since top <- x = top."""
-    n, na = ctx.frame.granularity, len(ctx.attributes)
+def _generators(ctx: Context) -> tuple:
+    """``(rows, gens)``: ``rows[a, k]`` is the extent (top except a:k)^down
+    for attribute a and k in 0..n, an (|A|, n+1, |B|) array (k = n gives
+    top, since top <- x = top); ``gens`` holds the distinct extents among
+    them and top (the empty meet, also with no attributes), sorted."""
+    n, na, nb = ctx.frame.granularity, len(ctx.attributes), len(ctx.objects)
     F = np.full((na, n + 1, na), n, dtype=np.int64)
     F[np.arange(na), :, np.arange(na)] = np.arange(n + 1)
-    return _unique_rows(ctx.necessity_batch(F.reshape(-1, na)))
+    rows = ctx.necessity_batch(F.reshape(na * (n + 1), na))
+    top = np.full((1, nb), n, dtype=np.int64)
+    return rows.reshape(na, n + 1, nb), _unique_rows(np.concatenate([rows, top]))
 
 
 def _meet_closure(gens: np.ndarray) -> np.ndarray:
@@ -360,7 +372,7 @@ def build_concept_lattice(
         intents = np.asarray(strategy(ctx), dtype=np.int64)
         return ConceptLattice(ctx, ctx.necessity_batch(intents))
     if ctx._lattice is None:
-        ctx._lattice = ConceptLattice(ctx, _meet_closure(_generator_extents(ctx)))
+        ctx._lattice = ConceptLattice(ctx, _meet_closure(_generators(ctx)[1]))
     return ctx._lattice
 
 
@@ -369,67 +381,90 @@ def predecessors(lat: ConceptLattice, e: FuzzySet):
     return lat.predecessors_of(e)
 
 
+def _indices(ctx: Context, attributes: Iterable) -> list:
+    """The positions of the named attributes, in context order."""
+    wanted = set(attributes)
+    unknown = wanted - set(ctx.attributes)
+    if unknown:
+        raise IndexMismatchError(f"unknown attributes: {sorted(unknown)}")
+    return [i for i, a in enumerate(ctx.attributes) if a in wanted]
+
+
 def restrict(ctx: Context, attributes: Iterable) -> Context:
     """The context limited to a subset of attributes, keeping input order.
 
     The result is a copy of ``ctx`` (of the same class) without its caches.
     """
-    wanted = set(attributes)
-    unknown = wanted - set(ctx.attributes)
-    if unknown:
-        raise IndexMismatchError(f"unknown attributes: {sorted(unknown)}")
-    keep = [i for i, a in enumerate(ctx.attributes) if a in wanted]
+    keep = _indices(ctx, attributes)
     if not keep:
         raise DimensionError("cannot restrict to an empty attribute set")
     sub = copy.copy(ctx)
     sub.attributes = tuple(ctx.attributes[i] for i in keep)
     sub.relation = tuple(ctx.relation[i] for i in keep)
     sub.sigma = tuple(ctx.sigma[i] for i in keep)
-    sub._compiled = sub._lattice = sub._reducts = None
+    sub._compiled = sub._lattice = sub._families = sub._reducts = None
     return sub
 
 
-def _extent_set(ctx: Context) -> frozenset:
-    return build_concept_lattice(ctx).extent_set()
+def _families(ctx: Context) -> tuple:
+    """One attribute bitmask per meet-irreducible extent: bit i is set when
+    attribute i has that extent among its generators.  Cached on the context.
+
+    Every extent is a meet of generators, so a meet-irreducible extent is a
+    generator.  The extents strictly above a generator g are meets of the
+    generators strictly above it, so g is meet-irreducible iff their
+    componentwise minimum is not g (top, with none above, never is).
+    """
+    if ctx._families is None:
+        rows, gens = _generators(ctx)
+        above = (gens[:, None, :] <= gens[None, :, :]).all(axis=2)
+        np.fill_diagonal(above, False)  # the rows are distinct
+        top = ctx.frame.granularity
+        meet_above = np.where(above[:, :, None], gens[None, :, :], top).min(axis=1)
+        irreducible = gens[(meet_above != gens).any(axis=1)]
+        owners = (irreducible[:, None, None, :] == rows[None]).all(axis=3).any(axis=2)
+        ctx._families = tuple(
+            sum(1 << int(a) for a in np.flatnonzero(row)) for row in owners
+        )
+    return ctx._families
 
 
-def is_consistent(ctx: Context, Y: Iterable, *, full_extents=None) -> bool:
+def is_consistent(ctx: Context, Y: Iterable) -> bool:
     """True when restricting to Y preserves the extent set of the lattice.
 
-    The restricted extents are always extents of the full context (extend the
-    restricted attribute set by top outside Y; top <- x = top), so containment
-    of the full extent set in the restricted one already means equality.
+    The extents of the restriction to Y are the meets of the generators of
+    the attributes in Y (extend a restricted attribute set by top outside Y;
+    top <- x = top), and every extent is the meet of the meet-irreducible
+    extents above it.  So Y is consistent iff every meet-irreducible extent
+    is a meet of Y-generators, that is (being meet-irreducible) iff it is a
+    generator of some attribute in Y: Y meets every family of ``_families``.
+    No lattice is built.  The empty Y is consistent iff there is no
+    meet-irreducible extent, i.e. the lattice is {top}.
     """
-    Y = tuple(Y)
-    if full_extents is None:
-        full_extents = _extent_set(ctx)
-    if set(Y) == set(ctx.attributes):
-        return True
-    if not Y:
-        top = tuple(ctx.frame.granularity for _ in ctx.objects)
-        return full_extents == frozenset({top})
-    return full_extents <= _extent_set(restrict(ctx, Y))
+    mask = sum(1 << i for i in _indices(ctx, Y))
+    return all(mask & family for family in _families(ctx))
 
 
 def enumerate_reducts(ctx: Context):
     """All minimal consistent attribute subsets, in lexicographic index order.
 
-    Definition-level search: consistency of every subset is decided from the
-    restricted lattice, and minimality re-checks each one-element removal.
-    The search runs once per context and is cached on it; every call returns
-    a new list.
+    Every subset is tested with ``is_consistent`` (the generator test, which
+    builds no lattice), and minimality re-checks each one-element removal.
+    When the lattice is {top} the empty set is consistent, so it is the only
+    reduct.  The search runs once per context and is cached on it; every
+    call returns a new list.
     """
     if ctx._reducts is None:
-        full_extents = _extent_set(ctx)
         cache = {}
 
         def consistent(Y: tuple) -> bool:
             if Y not in cache:
-                cache[Y] = is_consistent(ctx, Y, full_extents=full_extents)
+                cache[Y] = is_consistent(ctx, Y)
             return cache[Y]
 
         names = ctx.attributes
-        reducts = []
+        # the loop finds no reduct when the empty set is consistent
+        reducts = [] if _families(ctx) else [()]
         for size in range(1, len(names) + 1):
             for idxs in combinations(range(len(names)), size):
                 Y = tuple(names[i] for i in idxs)

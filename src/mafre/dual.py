@@ -54,7 +54,6 @@ from .fre import (
     _values,
     enumerate_solutions,
     max_solution,
-    reduce_fre,
     solvability_gap,
 )
 
@@ -148,9 +147,9 @@ def dual_restrict(ctx: DualContext, columns: Iterable) -> DualContext:
     return restrict(ctx, columns)
 
 
-def dual_is_consistent(ctx: DualContext, Y: Iterable, *, full_members=None) -> bool:
+def dual_is_consistent(ctx: DualContext, Y: Iterable) -> bool:
     """True when dropping the columns outside Y preserves the variable-side set."""
-    return is_consistent(ctx, _known_columns(ctx, Y), full_extents=full_members)
+    return is_consistent(ctx, _known_columns(ctx, Y))
 
 
 def dual_enumerate_reducts(ctx: DualContext):
@@ -166,8 +165,9 @@ class DualFreInstance:
         self.row_names = tuple(row_names)
         self.var_names = tuple(var_names)
         self.col_names = tuple(col_names)
-        if not self.row_names or not self.var_names or not self.col_names:
-            raise DimensionError("row, variable and column sets must be non-empty")
+        # no columns is the reduced instance of the empty reduct
+        if not self.row_names or not self.var_names:
+            raise DimensionError("row and variable sets must be non-empty")
         n = frame.granularity
         self.coeff = _check_matrix(coeff, len(self.var_names), len(self.col_names), n, "coeff")
         self.rhs = _check_matrix(rhs, len(self.row_names), len(self.col_names), n, "rhs")
@@ -177,8 +177,8 @@ class DualFreInstance:
         for i in self.sigma:
             if not 0 <= i < len(frame.triples):
                 raise RangeError(f"sigma index {i} outside triple list")
-        self._coeff_array = _numerators(self.coeff)
-        self._rhs_array = _numerators(self.rhs)
+        self._coeff_array = _numerators(self.coeff, len(self.col_names))
+        self._rhs_array = _numerators(self.rhs, len(self.col_names))
         self._context = None
         self._primal = None
 
@@ -313,25 +313,30 @@ def dual_brute_force(dfre: DualFreInstance, budget: int = 10_000_000):
 def dual_reduce(
     dfre: DualFreInstance, Y: Iterable, enforce_consistency: bool = True
 ) -> DualFreInstance:
-    """Columns of S and T limited to Y."""
+    """Columns of S and T limited to Y.
+
+    Y may be empty only when the empty set is consistent (the lattice is
+    {top}); the result then has no columns.
+    """
     ctx = dual_associated_context(dfre)
-    Y = _known_columns(ctx, Y)
-    if not Y:
+    Y = set(_known_columns(ctx, Y))
+    if not Y and not is_consistent(ctx, ()):
         raise DimensionError("cannot reduce to an empty column set")
     if enforce_consistency and not is_consistent(ctx, Y):
         raise InconsistentSetError(
-            f"{sorted(set(Y))} is not a consistent column set (override with "
+            f"{sorted(Y)} is not a consistent column set (override with "
             "enforce_consistency=False)"
         )
-    reduced = reduce_fre(dfre.transposed(), Y, enforce_consistency=False)
+    keep = [j for j, w in enumerate(dfre.col_names) if w in Y]
+    pick = lambda rows: [[row[j] for j in keep] for row in rows]
     return DualFreInstance(
         dfre.frame,
         dfre.row_names,
         dfre.var_names,
-        reduced.row_names,
-        _transpose(reduced.coeff),
+        [dfre.col_names[j] for j in keep],
+        pick(dfre.coeff),
         dfre.sigma,
-        _transpose(reduced.rhs),
+        pick(dfre.rhs),
     )
 
 

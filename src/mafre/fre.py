@@ -48,8 +48,9 @@ class FreInstance:
         self.row_names = tuple(row_names)
         self.var_names = tuple(var_names)
         self.col_names = tuple(col_names)
-        if not self.row_names or not self.var_names or not self.col_names:
-            raise DimensionError("row, variable and column sets must be non-empty")
+        # no rows is the reduced instance of the empty reduct
+        if not self.var_names or not self.col_names:
+            raise DimensionError("variable and column sets must be non-empty")
         n = frame.granularity
         self.coeff = _check_matrix(coeff, len(self.row_names), len(self.var_names), n, "coeff")
         self.rhs = _check_matrix(rhs, len(self.row_names), len(self.col_names), n, "rhs")
@@ -59,8 +60,8 @@ class FreInstance:
         for i in self.sigma:
             if not 0 <= i < len(frame.triples):
                 raise RangeError(f"sigma index {i} outside triple list")
-        self._coeff_array = _numerators(self.coeff)
-        self._rhs_array = _numerators(self.rhs)
+        self._coeff_array = _numerators(self.coeff, len(self.var_names))
+        self._rhs_array = _numerators(self.rhs, len(self.col_names))
         self._context = None
 
     @classmethod
@@ -354,14 +355,16 @@ def reduce_fre(fre: FreInstance, Y: Iterable, enforce_consistency: bool = True) 
 
     By default Y must be a consistent set of the associated context, which
     guarantees the solution set of a solvable instance is preserved; pass
-    ``enforce_consistency=False`` to reduce anyway.
+    ``enforce_consistency=False`` to reduce anyway.  Y may be empty only when
+    the empty set is consistent (the lattice is {top}); the result then has
+    no equations.
     """
     wanted = set(Y)
     unknown = wanted - set(fre.row_names)
     if unknown:
         raise DimensionError(f"unknown rows: {sorted(unknown)}")
     keep = [i for i, u in enumerate(fre.row_names) if u in wanted]
-    if not keep:
+    if not keep and not is_consistent(associated_context(fre), ()):
         raise DimensionError("cannot reduce to an empty row set")
     if enforce_consistency and not is_consistent(associated_context(fre), tuple(wanted)):
         raise InconsistentSetError(

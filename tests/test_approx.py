@@ -20,7 +20,7 @@ from mafre import (
     solvability_gap,
     sup_compose,
 )
-from mafre.errors import InfeasibleReductError, NotAReductError
+from mafre.errors import DimensionError, InfeasibleReductError, NotAReductError
 from conftest import random_solvable_instance
 
 
@@ -243,6 +243,55 @@ def corrupted_instances(count, seed=77):
             continue
         made += 1
         yield fre
+
+
+class TestEmptyReduct:
+    """All-zero coefficients: the lattice is {top}, so the empty set is the
+    only reduct and its reduced instance has no equations."""
+
+    def instance(self, rhs):
+        frame = builtin_frame(["godel", "sq-left"], 4)
+        return FreInstance.from_numerators(
+            frame, ("u1", "u2"), ("v1", "v2", "v3"), ("w1", "w2"),
+            [[0, 0, 0], [0, 0, 0]], (0, 1, 0), rhs,
+        )
+
+    def test_solvable(self):
+        fre = self.instance([[0, 0], [0, 0]])
+        assert enumerate_reducts(associated_context(fre)) == [()]
+        assert diagnose(fre).solvable
+        assert find_feasible_reducts(fre) == [()] and is_feasible_reduct(fre, ())
+        reduced = reduce_fre(fre, ())
+        assert reduced.row_names == () and is_solvable(reduced)
+        for full, kept in zip(
+            enumerate_solutions(fre).columns, enumerate_solutions(reduced).columns
+        ):
+            assert full.count == kept.count == 5**3
+            assert full.max_row.tolist() == kept.max_row.tolist() == [4, 4, 4]
+
+    def test_unsolvable_repaired_through_the_empty_reduct(self):
+        fre = self.instance([[0, 3], [2, 0]])
+        assert not is_solvable(fre)
+        assert find_feasible_reducts(fre) == [()] and is_feasible_reduct(fre, ())
+        result = approximate_by_reduct(fre, ())
+        # every column is top^up, which is 0 when every coefficient is 0
+        assert nums(result.t_star) == [[0, 0], [0, 0]]
+        assert result.preserved_rows == ()
+        assert sorted(result.modified_rows) == [("u1", "w2"), ("u2", "w1")]
+        assert [c.count for c in result.solution_summary.columns] == [125, 125]
+        report = diagnose(fre)
+        (entry,) = report.feasible
+        assert entry["reduct"] == () and report.infeasible_reducts == ()
+        lines = report.render_text().splitlines()
+        assert lines[0] == "feasible reduct {}: no equations kept"
+        assert report.to_json()["feasible_reducts"][0]["reduct"] == []
+
+    def test_empty_reduction_refused_on_a_proper_lattice(self, squares_unsolvable):
+        for enforce in (True, False):
+            with pytest.raises(DimensionError):
+                reduce_fre(squares_unsolvable, (), enforce_consistency=enforce)
+        with pytest.raises(NotAReductError):
+            approximate_by_reduct(squares_unsolvable, ())
 
 
 class TestRandomRepairs:

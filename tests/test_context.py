@@ -417,6 +417,74 @@ class TestConsistencyAndReducts:
         assert enumerate_reducts(restrict(ctx, ctx.attributes)) == first
         assert len(checked) > searched
 
+    def test_generator_test_matches_restricted_lattices(self):
+        # oracle: Y is consistent iff every full extent is an extent of the
+        # context restricted to Y (the empty Y: iff the lattice is {top})
+        from itertools import combinations
+
+        rng = random.Random(43)
+        for i in range(240):
+            n = 1 + i % 6
+            frame = builtin_frame(["godel", "sq-left", "sq-right"], n)
+            ctx = random_context(rng, frame, rng.randint(1, 5), rng.randint(1, 3))
+            if i % 8 == 0:  # all-zero coefficients: the lattice is {top}
+                zero = [[frame.value(0)] * len(ctx.objects)] * len(ctx.attributes)
+                ctx = Context(frame, ctx.attributes, ctx.objects, zero, ctx.sigma)
+            full = build_concept_lattice(ctx).extent_set()
+            oracle = {(): full == {(n,) * len(ctx.objects)}}
+            subsets = [
+                Y
+                for size in range(len(ctx.attributes) + 1)
+                for Y in combinations(ctx.attributes, size)
+            ]
+            for Y in subsets[1:]:
+                restricted = build_concept_lattice(restrict(ctx, Y)).extent_set()
+                oracle[Y] = full <= restricted
+            assert {Y: is_consistent(ctx, Y) for Y in subsets} == oracle
+            minimal = [
+                Y
+                for Y in subsets
+                if oracle[Y]
+                and not any(oracle[tuple(a for a in Y if a != d)] for d in Y)
+            ]
+            assert enumerate_reducts(ctx) == minimal
+
+    def test_trivial_lattice_has_the_empty_reduct(self):
+        frame = builtin_frame(["sq-left", "sq-right"], 5)
+        zeros = [[frame.value(0)] * 3 for _ in range(2)]
+        ctx = Context(frame, ["a0", "a1"], ["b0", "b1", "b2"], zeros, [0, 1, 0])
+        assert enumerate_reducts(ctx) == [()]
+        assert is_consistent(ctx, ()) and is_consistent(ctx, ["a1"])
+        # a context with no attributes is the restriction to the empty reduct
+        empty = Context(frame, [], ctx.objects, [], [0, 1, 0])
+        assert build_concept_lattice(empty).extent_rows.tolist() == [[5, 5, 5]]
+        assert enumerate_reducts(empty) == [()]
+
+    def test_empty_set_is_inconsistent_on_a_proper_lattice(self, squares_context):
+        assert not is_consistent(squares_context, ())
+        with pytest.raises(IndexMismatchError, match=r"unknown attributes: \['nope'\]"):
+            is_consistent(squares_context, ("u1", "nope"))
+
+    def test_consistency_builds_no_lattice(self, squares_unsolvable, monkeypatch):
+        from mafre import associated_context
+        from mafre import context as context_mod
+        from mafre.fre import FreInstance
+
+        s = squares_unsolvable
+        fre = FreInstance(
+            s.frame, s.row_names, s.var_names, s.col_names, s.coeff, s.sigma, s.rhs
+        )
+        built = []
+        lattice = context_mod.ConceptLattice
+        monkeypatch.setattr(
+            context_mod, "ConceptLattice", lambda *a: built.append(a) or lattice(*a)
+        )
+        ctx = associated_context(fre)
+        assert enumerate_reducts(ctx) == [("u1", "u2", "u3"), ("u2", "u3", "u4")]
+        assert is_consistent(ctx, ("u1", "u2", "u3"))
+        assert not is_consistent(ctx, ("u3", "u4"))
+        assert built == []
+
     def test_duplicate_rows_never_share_a_reduct(self):
         rng = random.Random(29)
         frame = builtin_frame(["godel", "sq-right"], 4)

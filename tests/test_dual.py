@@ -358,6 +358,34 @@ class TestDualReduction:
             dual_restrict(ctx, ("nope",))
 
 
+class TestDualEmptyReduct:
+    def test_all_zero_coefficients(self):
+        # the lattice is {top}: the empty column set is the only reduct
+        frame = builtin_frame(["godel", "sq-left"], 4)
+        for rhs, solvable in (([[0, 0], [0, 0]], True), ([[0, 3], [2, 0]], False)):
+            dfre = DualFreInstance.from_numerators(
+                frame, ("u1", "u2"), ("v1", "v2", "v3"), ("w1", "w2"),
+                [[0, 0]] * 3, (0, 1, 0), rhs,
+            )
+            ctx = dual_associated_context(dfre)
+            assert dual_enumerate_reducts(ctx) == [()]
+            assert dual_is_consistent(ctx, ()) and dual_is_consistent(ctx, ("w2",))
+            assert dual_is_solvable(dfre) == solvable
+            assert dual_find_feasible_reducts(dfre) == [()]
+            result = dual_approximate(dfre, ())
+            assert [[v.numerator for v in r] for r in result.t_star] == [[0, 0]] * 2
+            assert len(result.modified_rows) == (0 if solvable else 2)
+            reduced = dual_reduce(dfre, ())
+            assert reduced.col_names == () and dual_is_solvable(reduced)
+            assert [c.count for c in dual_solutions(reduced).columns] == [125, 125]
+
+    def test_empty_reduction_refused_on_a_proper_lattice(self):
+        dfre = random_dual_solvable(random.Random(83), builtin_frame(["godel"], 4), 1, 2, 2)
+        assert dual_enumerate_reducts(dual_associated_context(dfre)) != [()]
+        with pytest.raises(DimensionError):
+            dual_reduce(dfre, (), enforce_consistency=False)
+
+
 class TestDualRepair:
     def _unsolvable_with_duplicate(self, rng, frame):
         """Duplicate column w2 of w0, then corrupt T on w2 only."""

@@ -386,3 +386,75 @@ class TestCliDual:
         assert code in (0, 1)
         if code == 1:
             assert "unsolvable" in capsys.readouterr().out
+
+
+def _all_zero_file(tmp_path, orientation, rhs):
+    """All coefficients 0: the lattice is {top} and {} is the only reduct."""
+    n_coeff = (2, 3) if orientation == "primal" else (3, 2)
+    data = {
+        "granularity": 4,
+        "triples": ["godel", "sq-left"],
+        "orientation": orientation,
+        "rows": ["u1", "u2"],
+        "variables": ["v1", "v2", "v3"],
+        "columns": ["w1", "w2"],
+        "coefficients": [[0] * n_coeff[1]] * n_coeff[0],
+        "sigma": [1, 2, 1],
+        "rhs": rhs,
+    }
+    path = tmp_path / f"zero_{orientation}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestCliEmptyReduct:
+    SOLVABLE_RHS = [[0, 0], [0, 0]]
+    UNSOLVABLE_RHS = [[0, 3], [2, 0]]
+
+    @pytest.mark.parametrize("orientation, name", [("primal", "u1"), ("dual", "w1")])
+    def test_reducts(self, orientation, name, tmp_path, capsys):
+        path = _all_zero_file(tmp_path, orientation, self.UNSOLVABLE_RHS)
+        assert main(["reducts", path, "--set", name]) == 0
+        out = capsys.readouterr().out
+        assert out == f"1 reduct(s):\n  {{}}\nset {{{name}}} is consistent\n"
+        assert main(["reducts", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"reducts": [[]]}
+
+    def test_primal_approximate(self, tmp_path, capsys):
+        path = _all_zero_file(tmp_path, "primal", self.UNSOLVABLE_RHS)
+        assert main(["approximate", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "feasible reduct {}: no equations kept",
+            "  u1[w2]: 3/4 -> 0/4 (3 granular steps; notable)",
+            "  u2[w1]: 2/4 -> 0/4 (2 granular steps; notable)",
+        ]
+        assert main(["approximate", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        (entry,) = payload["approximations"]
+        assert entry == {
+            "reduct": [],
+            "t_star": [[0, 0], [0, 0]],
+            "solution_counts": {"w1": 125, "w2": 125},
+        }
+        solvable = _all_zero_file(tmp_path, "primal", self.SOLVABLE_RHS)
+        assert main(["approximate", solvable]) == 0
+        assert "solvable as stated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rhs", [SOLVABLE_RHS, UNSOLVABLE_RHS])
+    def test_dual_approximate(self, rhs, tmp_path, capsys):
+        path = _all_zero_file(tmp_path, "dual", rhs)
+        assert main(["approximate", path]) == 0
+        assert capsys.readouterr().out == (
+            "1 feasible column reduct(s)\nreduct {}:\n  (0, 0)\n  (0, 0)\n"
+        )
+        assert main(["approximate", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["feasible_reducts"] == [[]]
+        assert payload["approximations"][0]["t_star"] == [[0, 0], [0, 0]]
+
+    @pytest.mark.parametrize("orientation", ["primal", "dual"])
+    def test_reduce_to_empty_set_exit_2(self, orientation, tmp_path, capsys):
+        path = _all_zero_file(tmp_path, orientation, self.SOLVABLE_RHS)
+        for raw in ("", ","):
+            assert main(["reduce", path, "--set", raw]) == 2
+            assert "--set must name at least one element" in capsys.readouterr().err
