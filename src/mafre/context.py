@@ -254,6 +254,34 @@ def _generators(ctx: Context) -> tuple:
     return rows.reshape(na, n + 1, nb), _unique_rows(np.concatenate([rows, top]))
 
 
+def _leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``out[i, j]`` is True when row ``a[i]`` <= row ``b[j]`` componentwise.
+
+    Built one column at a time: the (len(a), len(b)) result is and-ed with
+    each column's comparison, which avoids a 3-D broadcast reduced over its
+    short trailing axis.
+    """
+    out = np.ones((len(a), len(b)), dtype=bool)
+    for k in range(a.shape[1]):
+        out &= a[:, k, None] <= b[None, :, k]
+    return out
+
+
+def _lower_covers(e: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """The extents directly below the extent ``e``, in lexicographic order.
+
+    ``gens`` is ``_generators(ctx)[1]``.  An extent x < e is the meet of the
+    generators above it, and not all of them are above e; so x <= e ^ g < e
+    for some generator g.  The lower covers of e are therefore the maximal
+    elements of {e ^ g : g in gens, e ^ g != e}, and no lattice is needed.
+    """
+    meets = _unique_rows(np.minimum(e[None, :], gens))
+    meets = meets[(meets != e).any(axis=1)]
+    below = _leq(meets, meets)
+    np.fill_diagonal(below, False)  # the rows are distinct
+    return meets[~below.any(axis=1)]
+
+
 def _meet_closure(gens: np.ndarray) -> np.ndarray:
     """Every componentwise minimum of a non-empty subset of ``gens``.
 
@@ -288,7 +316,8 @@ class ConceptLattice:
     lexicographic order, so the result does not depend on how candidates were
     generated) and ``intent_rows``, row i being concept i.  ``Concept`` and
     ``FuzzySet`` objects are built only on request: ``concepts`` on first use,
-    and only the returned sets by ``extents`` and ``predecessors_of``.
+    and only the returned sets by ``extents`` and ``predecessors_of``.  The
+    cover relation is computed on the first call of ``covers``.
     """
 
     def __init__(self, context: Context, extent_rows: np.ndarray):
@@ -296,13 +325,15 @@ class ConceptLattice:
         self.extent_rows = _unique_rows(np.asarray(extent_rows, dtype=np.int64))
         self.intent_rows = context.possibility_batch(self.extent_rows)
         self._index = {tuple(e): i for i, e in enumerate(self.extent_rows.tolist())}
-        rows = self.extent_rows
-        less = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
+
+    @cached_property
+    def _covers(self) -> np.ndarray:
+        """``_covers[i, j]``: concept i is covered by concept j."""
+        less = _leq(self.extent_rows, self.extent_rows)
         np.fill_diagonal(less, False)
-        # exact: a path count is at most len(rows), far below 2^24
+        # exact: a path count is at most len(less), far below 2^24
         lf = less.astype(np.float32)
-        reach2 = (lf @ lf) > 0
-        self._covers = less & ~reach2  # covers[i, j]: i is covered by j
+        return less & ~((lf @ lf) > 0)
 
     def __len__(self):
         return len(self.extent_rows)
@@ -342,13 +373,10 @@ class ConceptLattice:
         i, j = np.nonzero(self._covers)
         return list(zip(i.tolist(), j.tolist()))
 
-    def _predecessor_rows(self, j: int) -> np.ndarray:
-        """Numerator rows of the extents directly covered by extent ``j``."""
-        return self.extent_rows[self._covers[:, j]]
-
     def predecessors_of(self, extent: FuzzySet):
-        """Extents directly covered by ``extent``."""
-        rows = self._predecessor_rows(self.index_of(extent))
+        """Extents directly covered by ``extent``, from generator meets."""
+        e = self.extent_rows[self.index_of(extent)]
+        rows = _lower_covers(e, _generators(self.context)[1])
         return [self.context._object_set(row) for row in rows]
 
 
@@ -417,7 +445,7 @@ def _families(ctx: Context) -> tuple:
     """
     if ctx._families is None:
         rows, gens = _generators(ctx)
-        above = (gens[:, None, :] <= gens[None, :, :]).all(axis=2)
+        above = _leq(gens, gens)
         np.fill_diagonal(above, False)  # the rows are distinct
         top = ctx.frame.granularity
         meet_above = np.where(above[:, :, None], gens[None, :, :], top).min(axis=1)

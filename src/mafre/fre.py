@@ -1,7 +1,14 @@
 """Fuzzy relation equations R (.) X = T with sup-composition.
 
 Solvability, maximum solution and the complete solution set all come from the
-property-oriented concept lattice of the associated context; a brute-force
+closure operators of the associated context.  Column w is solvable iff T_w is
+a fixpoint of the interior T_w^down^up; its maximum solution is the extent
+T_w^down, and its solutions are the box below that maximum minus the
+down-sets of the extent's lower covers in the property-oriented concept
+lattice.  Those covers come from generator meets without building the
+lattice: an extent x < e is the meet of the generator extents above it, not
+all of which are above e, so x <= e ^ g < e for some generator g, and the
+lower covers of e are the maximal meets e ^ g != e.  A brute-force
 enumerator is kept alongside as an independent oracle.
 """
 
@@ -20,9 +27,11 @@ from .context import (
     FuzzySet,
     _check_matrix,
     _conj_tables,
+    _generators,
     _grid,
+    _leq,
+    _lower_covers,
     _numerators,
-    build_concept_lattice,
     is_consistent,
 )
 from .errors import (
@@ -280,8 +289,7 @@ def _box_and_filter(max_row: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
     axes = [np.arange(m + 1, dtype=np.int64) for m in max_row.tolist()]
     box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     if len(pred_rows):
-        dominated = (box[:, None, :] <= pred_rows[None, :, :]).all(axis=2).any(axis=1)
-        box = box[~dominated]
+        box = box[~_leq(box, pred_rows).any(axis=1)]
     return box
 
 
@@ -291,15 +299,19 @@ def _minimal_rows(rows: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
     That set is an up-set of the box, so a row is minimal iff lowering any
     positive entry by one step lands below some predecessor.
     """
-    lowered = rows[:, None, :] - np.eye(rows.shape[1], dtype=np.int64)  # [row, v]
-    below = (lowered[:, :, None, :] <= pred_rows[None, None]).all(axis=3).any(axis=2)
+    nv = rows.shape[1]
+    lowered = rows[:, None, :] - np.eye(nv, dtype=np.int64)  # [row, v]
+    below = _leq(lowered.reshape(-1, nv), pred_rows).any(axis=1).reshape(-1, nv)
     return rows[(below | (rows == 0)).all(axis=1)]
 
 
 def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionSet:
     """The whole solution set: maximum plus excluded predecessor down-sets.
 
-    With ``materialize`` the box below the maximum is swept explicitly and the
+    Each column's maximum solution is an extent of the associated context,
+    and its excluded predecessors are that extent's lower covers, taken from
+    generator meets (``_lower_covers``); no concept lattice is built.  With
+    ``materialize`` the box below the maximum is swept explicitly and the
     solutions (with their minimal elements) are listed; otherwise only the
     count is produced.
     """
@@ -307,12 +319,16 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
     gap = _gap(fre, interiors)
     if gap:
         raise UnsolvableError("cannot enumerate an unsolvable instance", gap=gap)
-    lat = build_concept_lattice(associated_context(fre))
+    gens = _generators(associated_context(fre))[1]
     n = fre.frame.granularity
+    swept = {}  # columns with equal maxima share their predecessors and box
     cols = []
     for w, m in zip(fre.col_names, maxima):
-        preds = lat._predecessor_rows(lat._index[tuple(m.tolist())])
-        box = _box_and_filter(m, preds)
+        key = m.tobytes()
+        if key not in swept:
+            preds = _lower_covers(m, gens)
+            swept[key] = preds, _box_and_filter(m, preds)
+        preds, box = swept[key]
         cols.append(
             ColumnSolutions(
                 w, fre.var_names, n, m, preds, len(box), box if materialize else None

@@ -96,12 +96,17 @@ def _expect(cond, message):
         raise ProblemFileError(message)
 
 
+def _is_int(v) -> bool:
+    """True for a JSON integer; JSON booleans decode to bool, a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_matrix(data, n_rows, n_cols, n, what):
     _expect(isinstance(data, list) and len(data) == n_rows, f"{what} must have {n_rows} rows")
     for row in data:
         _expect(isinstance(row, list) and len(row) == n_cols, f"{what} rows must have {n_cols} entries")
         for v in row:
-            _expect(isinstance(v, int) and not isinstance(v, bool), f"{what} entries must be integers")
+            _expect(_is_int(v), f"{what} entries must be integers")
             _expect(0 <= v <= n, f"{what} entry {v} outside [0, {n}]")
     return [list(row) for row in data]
 
@@ -110,7 +115,7 @@ def parse_problem(data: dict) -> ProblemFile:
     """Validate a decoded JSON object and build a ProblemFile."""
     _expect(isinstance(data, dict), "problem file must be a JSON object")
     n = data.get("granularity")
-    _expect(isinstance(n, int) and n >= 1, "granularity must be an integer >= 1")
+    _expect(_is_int(n) and n >= 1, "granularity must be an integer >= 1")
     triples = data.get("triples")
     _expect(isinstance(triples, list) and triples, "triples must be a non-empty list")
     for spec in triples:
@@ -141,7 +146,7 @@ def parse_problem(data: dict) -> ProblemFile:
         "sigma must list one triple index per variable",
     )
     for i in sigma:
-        _expect(isinstance(i, int) and 1 <= i <= len(triples), f"sigma index {i} outside 1..{len(triples)}")
+        _expect(_is_int(i) and 1 <= i <= len(triples), f"sigma index {i} outside 1..{len(triples)}")
     if orientation == "primal":
         coeff = _int_matrix(
             data.get("coefficients"), len(names["rows"]), len(names["variables"]), n, "coefficients"

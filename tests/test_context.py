@@ -17,7 +17,7 @@ from mafre import (
     predecessors,
     restrict,
 )
-from mafre.context import Context
+from mafre.context import ConceptLattice, Context
 from mafre.errors import (
     DimensionError,
     IndexMismatchError,
@@ -323,6 +323,73 @@ class TestLatticeEngine:
             assert [c.intent.numerators for c in lat] == [
                 tuple(f) for f in lat.intent_rows.tolist()
             ]
+
+    def test_covers_computed_on_first_request(self):
+        rng = random.Random(9)
+        frame = builtin_frame(["sq-left", "godel"], 4)
+        for render in (ConceptLattice.covers, lattice_to_dot):
+            lat = build_concept_lattice(random_context(rng, frame, 3, 3))
+            assert len(lat) > 1
+            assert "_covers" not in vars(lat)
+            render(lat)
+            assert "_covers" in vars(lat)
+
+
+class TestLowerCovers:
+    """``_lower_covers`` (generator meets) against the cover relation of the
+    whole lattice, ``less & ~reach2``, kept here as the oracle."""
+
+    @staticmethod
+    def _check(ctx):
+        from mafre.context import _generators, _lower_covers
+
+        rows = build_concept_lattice(ctx).extent_rows
+        less = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
+        np.fill_diagonal(less, False)
+        reach2 = (less.astype(np.int64) @ less.astype(np.int64)) > 0
+        covers = less & ~reach2
+        gens = _generators(ctx)[1]
+        for j, e in enumerate(rows):
+            assert np.array_equal(_lower_covers(e, gens), rows[covers[:, j]])
+        return rows, gens
+
+    def test_matches_cover_relation(self):
+        from mafre.context import _lower_covers
+
+        rng = random.Random(43)
+        sizes = 0
+        for n in range(1, 7):
+            frame = builtin_frame(["sq-left", "sq-right", "godel"], n)
+            for _ in range(8):
+                ctx = random_context(rng, frame, rng.randint(1, 4), rng.randint(1, 4))
+                rows, gens = self._check(ctx)
+                sizes += len(rows)
+                # rows[0] is the bottom: lexicographically least
+                assert _lower_covers(rows[0], gens).shape == (0, rows.shape[1])
+        assert sizes > 500
+
+    def test_trivial_lattices(self):
+        frame = builtin_frame(["godel", "sq-right"], 5)
+        zeros = [[frame.value(0)] * 3 for _ in range(2)]
+        objs = ["b0", "b1", "b2"]
+        all_zero = Context(frame, ["a0", "a1"], objs, zeros, [0, 1, 1])
+        no_attrs = Context(frame, [], objs, [], [0, 1, 0])
+        for ctx in (all_zero, no_attrs):
+            rows, _ = self._check(ctx)
+            assert rows.tolist() == [[5, 5, 5]]
+
+    def test_leq_matches_broadcast(self):
+        from mafre.context import _leq
+
+        rng = np.random.default_rng(11)
+        shapes = ((0, 3, 2), (3, 0, 2), (0, 0, 4), (1, 1, 1), (7, 5, 3), (40, 30, 6))
+        for na, nb, width in shapes:
+            a = rng.integers(0, 4, size=(na, width))
+            b = rng.integers(0, 4, size=(nb, width))
+            expected = (a[:, None, :] <= b[None, :, :]).all(axis=2)
+            got = _leq(a, b)
+            assert got.shape == (na, nb)
+            assert np.array_equal(got, expected)
 
 
 class TestRestriction:

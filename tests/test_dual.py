@@ -157,6 +157,22 @@ class TestDualSolving:
             assert got == expected, (dfre.coeff, dfre.sigma, dfre.rhs)
         assert solvable_seen >= self.N_TOYS // 3
 
+    def test_solutions_build_no_lattice(self, monkeypatch):
+        from mafre import context as context_mod
+
+        built = []
+        lattice = context_mod.ConceptLattice
+        monkeypatch.setattr(
+            context_mod, "ConceptLattice", lambda *a: built.append(a) or lattice(*a)
+        )
+        rng = random.Random(47)
+        frame = builtin_frame(["godel", "sq-left", "sq-right"], 4)
+        for materialize in (True, False):
+            dfre = random_dual_solvable(rng, frame, 2, 3, 3)
+            sols = dual_solutions(dfre, materialize=materialize)
+            assert all(col.count >= 1 for col in sols.columns)
+        assert built == []
+
     def test_max_solution_is_greatest(self):
         rng = random.Random(21)
         frame = builtin_frame(["sq-right", "godel"], 4)

@@ -177,6 +177,47 @@ class TestEnumeration:
                 }
                 assert {tuple(x) for x in col.minimal_rows.tolist()} == minimal
 
+    def test_solutions_build_no_lattice(self, monkeypatch):
+        from mafre import context as context_mod
+        from conftest import SQUARES_COEFF, SQUARES_ROWS, SQUARES_SIGMA
+
+        built = []
+        lattice = context_mod.ConceptLattice
+        monkeypatch.setattr(
+            context_mod, "ConceptLattice", lambda *a: built.append(a) or lattice(*a)
+        )
+        frame = builtin_frame(["sq-left", "sq-right"], 8)
+        for materialize in (True, False):
+            # a fresh instance each time: a cached lattice would hide a build
+            fre = FreInstance.from_numerators(
+                frame, SQUARES_ROWS, SQUARES_VARS, ("w",), SQUARES_COEFF,
+                SQUARES_SIGMA, [[2], [4], [0], [2], [0]],
+            )
+            col = enumerate_solutions(fre, materialize=materialize).column("w")
+            assert col.count == 2
+            assert col.predecessor_rows.tolist() == [[0, 0, 0, 5, 0]]
+        assert built == []
+
+    def test_equal_maxima_are_swept_once(self, squares_frame, monkeypatch):
+        from mafre import fre as fre_mod
+        from conftest import SQUARES_COEFF, SQUARES_ROWS, SQUARES_SIGMA
+
+        sweeps = []
+        sweep = fre_mod._box_and_filter
+        monkeypatch.setattr(
+            fre_mod, "_box_and_filter", lambda *a: sweeps.append(a) or sweep(*a)
+        )
+        rhs = [[2, 0, 2], [4, 0, 4], [0, 0, 0], [2, 0, 2], [0, 0, 0]]
+        fre = FreInstance.from_numerators(
+            squares_frame, SQUARES_ROWS, SQUARES_VARS, ("w1", "w2", "w3"),
+            SQUARES_COEFF, SQUARES_SIGMA, rhs,
+        )
+        cols = enumerate_solutions(fre).columns
+        assert len(sweeps) == 2
+        assert cols[0].to_json() | {"column": "w3"} == cols[2].to_json()
+        assert cols[0].count == 2 and cols[1].count == 1
+        assert cols[1].solution_rows.tolist() == [[0, 0, 0, 0, 0]]
+
     def test_solutions_held_as_arrays(self, maxmin_solvable):
         col = enumerate_solutions(maxmin_solvable).column("w")
         data = col.to_json()

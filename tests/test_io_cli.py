@@ -267,6 +267,37 @@ class TestCliSolve:
         assert main(["check", str(path)]) == 2
 
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("granularity", True, "granularity must be an integer >= 1"),
+            ("sigma", [True], "sigma index True outside 1..1"),
+        ],
+    )
+    def test_json_boolean_exit_2(self, field, value, message, tmp_path, capsys):
+        # JSON true decodes to a bool, which isinstance(..., int) accepts
+        data = {
+            "granularity": 1,
+            "triples": ["godel"],
+            "rows": ["u"],
+            "variables": ["v"],
+            "columns": ["w"],
+            "coefficients": [[1]],
+            "sigma": [1],
+            "rhs": [[1]],
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path), "--json"]) == 0
+        data[field] = value
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", str(path), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+
 class TestCliReductsAndReduce:
     def test_reducts_listing(self, capsys):
         assert main(["reducts", SOLVABLE]) == 0
