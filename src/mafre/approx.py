@@ -14,13 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .context import enumerate_reducts
+from .context import _values, enumerate_reducts
 from .errors import InfeasibleReductError, NotAReductError
 from .fre import (
     FreInstance,
     SolutionSet,
     _closures,
-    _values,
     associated_context,
     enumerate_solutions,
     is_solvable,
@@ -84,7 +83,7 @@ class ApproximationResult:
             fre.row_names,
             fre.var_names,
             fre.col_names,
-            fre.coeff,
+            fre._coeff_array,
             fre.sigma,
             self.t_star,
         )
@@ -106,11 +105,11 @@ def approximate_by_reduct(
     if not feasible:
         raise InfeasibleReductError(f"{sorted(Y)} is not feasible for this instance")
     t_star = _values(repaired, fre.frame.granularity)
-    modified = {}
-    for i, u in enumerate(fre.row_names):
-        for j, w in enumerate(fre.col_names):
-            if fre.rhs[i][j] != t_star[i][j]:
-                modified[(u, w)] = (fre.rhs[i][j], t_star[i][j])
+    rows, cols = np.nonzero(repaired != fre._rhs_array)
+    modified = {
+        (fre.row_names[i], fre.col_names[j]): (fre.rhs[i][j], t_star[i][j])
+        for i, j in zip(rows.tolist(), cols.tolist())
+    }
     result = ApproximationResult(
         reduct=Y,
         t_star=t_star,

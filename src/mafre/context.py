@@ -60,27 +60,51 @@ class FuzzySet:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
-def _check_matrix(rows, n_rows, n_cols, n, what):
-    """``rows`` as an n_rows x n_cols tuple of tuples; unless ``n`` is None,
-    every entry must be a value on [0,1]_n."""
-    rows = tuple(tuple(row) for row in rows)
-    if len(rows) != n_rows or any(len(r) != n_cols for r in rows):
+def _numerator(v, n: int, what: str):
+    if isinstance(v, GranularValue):
+        if v.granularity != n:
+            raise GranularityMismatchError(f"{what} value {v} on a [0,1]_{n} frame")
+        return v.numerator
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise RangeError(f"{what} entry {v!r} is not an integer")
+    if not 0 <= v <= n:
+        raise RangeError(f"{what} entry {v} outside [0, {n}]")
+    return v
+
+
+def _matrix(rows, n_rows: int, n_cols: int, what: str, n: int) -> np.ndarray:
+    """``rows`` as an (n_rows, n_cols) int64 array.  Every entry must be an
+    integer in 0..n or a GranularValue on [0,1]_n: a wrong shape raises
+    DimensionError, another granularity GranularityMismatchError and any
+    other entry RangeError."""
+    rows = [[_numerator(v, n, what) for v in row] for row in rows]
+    if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
         raise DimensionError(f"{what} must be {n_rows}x{n_cols}")
-    if n is not None:
-        for row in rows:
-            for v in row:
-                if v.granularity != n:
-                    raise GranularityMismatchError(
-                        f"{what} value {v} on a [0,1]_{n} frame"
-                    )
-    return rows
+    return np.array(rows, dtype=np.int64).reshape(n_rows, n_cols)
 
 
-def _numerators(rows, width: int) -> np.ndarray:
-    """A matrix of GranularValues with ``width`` columns (and possibly no
-    rows) as a 2-D int64 array of their numerators."""
-    nums = np.array([[v.numerator for v in row] for row in rows], dtype=np.int64)
-    return nums.reshape(len(rows), width)
+def _values(rows: np.ndarray, n: int) -> tuple:
+    """A 2-D numerator array as a matrix (tuple of tuples) of GranularValues."""
+    return tuple(tuple(GranularValue(k, n) for k in row) for row in rows.tolist())
+
+
+def _sigma(sigma, n_rows: int, n_cols: int, frame: Frame) -> np.ndarray:
+    """Triple indices as an (n_rows, n_cols) array; a flat ``sigma`` has one
+    per column, checked even when it is replicated over no rows."""
+    sigma, last = list(sigma), len(frame.triples) - 1
+    if sigma and not isinstance(sigma[0], (tuple, list, np.ndarray)):
+        if len(sigma) != n_cols:
+            raise DimensionError("per-object sigma must have one entry per object")
+        return np.repeat(_matrix([sigma], 1, n_cols, "sigma", last), n_rows, axis=0)
+    return _matrix(sigma, n_rows, n_cols, "sigma", last)
+
+
+def _names(names, what: str) -> tuple:
+    """``names`` as a tuple; duplicates would make name lookups ambiguous."""
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise DimensionError(f"{what} contain duplicates")
+    return names
 
 
 def _conj_tables(frame: Frame) -> np.ndarray:
@@ -93,52 +117,36 @@ class Context:
 
     ``relation[a][b]`` holds R(a, b); ``sigma`` assigns a 0-based triple index
     to every (a, b) cell and may be given either per cell (matrix) or per
-    object (flat sequence of length |B|, replicated across rows).  The
-    attribute set may be empty (the Y-reduced context of the empty reduct);
-    its lattice is {top}.
+    object (flat sequence of length |B|, replicated across rows).  Both are
+    stored as the int64 arrays ``_R`` and ``_SIG`` and read back as views.
+    The attribute set may be empty (the Y-reduced context of the empty
+    reduct); its lattice is {top}.
     """
 
     def __init__(self, frame: Frame, attributes, objects, relation, sigma):
         self.frame = frame
-        self.attributes = tuple(attributes)
-        self.objects = tuple(objects)
+        self.attributes = _names(attributes, "attributes")
+        self.objects = _names(objects, "objects")
         if not self.objects:
             raise DimensionError("objects must be non-empty")
         na, nb = len(self.attributes), len(self.objects)
-        self.relation = _check_matrix(relation, na, nb, frame.granularity, "relation")
-        sigma = tuple(sigma)
-        if sigma and not isinstance(sigma[0], (tuple, list)):
-            if len(sigma) != nb:
-                raise DimensionError("per-object sigma must have one entry per object")
-            sigma = tuple(sigma for _ in range(na))
-        self.sigma = _check_matrix(sigma, na, nb, None, "sigma")
-        for row in self.sigma:
-            for i in row:
-                if not 0 <= i < len(frame.triples):
-                    raise RangeError(f"sigma index {i} outside triple list")
-        self._compiled = None
-        self._lattice = None
-        self._families = None
-        self._reducts = None
+        self._R = _matrix(relation, na, nb, "relation", frame.granularity)
+        self._SIG = _sigma(sigma, na, nb, frame)
+        self._CT = _conj_tables(frame)
+        self._RT = np.stack([t._tables[2] for t in frame.triples])
+        self._gens = self._lattice = self._families = self._reducts = None
 
-    # -- compiled numerator-space view -------------------------------------
+    @property
+    def relation(self) -> tuple:
+        return _values(self._R, self.frame.granularity)
 
-    def _arrays(self):
-        if self._compiled is None:
-            self._compiled = {
-                "R": _numerators(self.relation, len(self.objects)),
-                "SIG": np.array(self.sigma, dtype=np.int64).reshape(
-                    len(self.attributes), len(self.objects)
-                ),
-                "CT": _conj_tables(self.frame),
-                "RT": np.stack([t._tables[2] for t in self.frame.triples]),
-            }
-        return self._compiled
+    @property
+    def sigma(self) -> tuple:
+        return tuple(map(tuple, self._SIG.tolist()))
 
     def possibility_batch(self, G: np.ndarray) -> np.ndarray:
         """Map a (k, |B|) array of object-set numerators to (k, |A|) intents."""
-        arr = self._arrays()
-        R, SIG, CT = arr["R"], arr["SIG"], arr["CT"]
+        R, SIG, CT = self._R, self._SIG, self._CT
         out = np.empty((G.shape[0], len(self.attributes)), dtype=np.int64)
         for a in range(len(self.attributes)):
             vals = CT[SIG[a][None, :], R[a][None, :], G]
@@ -147,8 +155,7 @@ class Context:
 
     def necessity_batch(self, F: np.ndarray) -> np.ndarray:
         """Map a (k, |A|) array of attribute-set numerators to (k, |B|) extents."""
-        arr = self._arrays()
-        R, SIG, RT = arr["R"], arr["SIG"], arr["RT"]
+        R, SIG, RT = self._R, self._SIG, self._RT
         n = self.frame.granularity
         out = np.empty((F.shape[0], len(self.objects)), dtype=np.int64)
         for b in range(len(self.objects)):
@@ -245,13 +252,17 @@ def _generators(ctx: Context) -> tuple:
     """``(rows, gens)``: ``rows[a, k]`` is the extent (top except a:k)^down
     for attribute a and k in 0..n, an (|A|, n+1, |B|) array (k = n gives
     top, since top <- x = top); ``gens`` holds the distinct extents among
-    them and top (the empty meet, also with no attributes), sorted."""
-    n, na, nb = ctx.frame.granularity, len(ctx.attributes), len(ctx.objects)
-    F = np.full((na, n + 1, na), n, dtype=np.int64)
-    F[np.arange(na), :, np.arange(na)] = np.arange(n + 1)
-    rows = ctx.necessity_batch(F.reshape(na * (n + 1), na))
-    top = np.full((1, nb), n, dtype=np.int64)
-    return rows.reshape(na, n + 1, nb), _unique_rows(np.concatenate([rows, top]))
+    them and top (the empty meet, also with no attributes), sorted.  Cached
+    on the context."""
+    if ctx._gens is None:
+        n, na, nb = ctx.frame.granularity, len(ctx.attributes), len(ctx.objects)
+        F = np.full((na, n + 1, na), n, dtype=np.int64)
+        F[np.arange(na), :, np.arange(na)] = np.arange(n + 1)
+        rows = ctx.necessity_batch(F.reshape(na * (n + 1), na))
+        top = np.full((1, nb), n, dtype=np.int64)
+        gens = _unique_rows(np.concatenate([rows, top]))
+        ctx._gens = rows.reshape(na, n + 1, nb), gens
+    return ctx._gens
 
 
 def _leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -428,9 +439,8 @@ def restrict(ctx: Context, attributes: Iterable) -> Context:
         raise DimensionError("cannot restrict to an empty attribute set")
     sub = copy.copy(ctx)
     sub.attributes = tuple(ctx.attributes[i] for i in keep)
-    sub.relation = tuple(ctx.relation[i] for i in keep)
-    sub.sigma = tuple(ctx.sigma[i] for i in keep)
-    sub._compiled = sub._lattice = sub._families = sub._reducts = None
+    sub._R, sub._SIG = ctx._R[keep], ctx._SIG[keep]
+    sub._gens = sub._lattice = sub._families = sub._reducts = None
     return sub
 
 

@@ -24,16 +24,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import Frame, GranularValue
+from .algebra import Frame
 from .approx import ApproximationResult, approximate_by_reduct, find_feasible_reducts
 from .context import (
     ConceptLattice,
     Context,
     FuzzySet,
-    _check_matrix,
     _conj_tables,
     _grid,
-    _numerators,
+    _matrix,
+    _names,
+    _values,
     build_concept_lattice,
     enumerate_reducts,
     is_consistent,
@@ -45,13 +46,11 @@ from .errors import (
     BudgetExceededError,
     DimensionError,
     InconsistentSetError,
-    RangeError,
     UnsolvableError,
 )
 from .fre import (
     FreInstance,
     SolutionSet,
-    _values,
     enumerate_solutions,
     max_solution,
     solvability_gap,
@@ -72,14 +71,11 @@ class DualContext(Context):
 
     def __init__(self, frame: Frame, variables, columns, relation, sigma):
         variables, columns, sigma = tuple(variables), tuple(columns), tuple(sigma)
-        # shape checks come first: transposing ragged rows would truncate them
-        relation = _check_matrix(
-            relation, len(variables), len(columns), None, "relation"
-        )
-        if len(sigma) != len(variables):
+        S = _matrix(relation, len(variables), len(columns), "relation", frame.granularity)
+        if len(sigma) != len(variables) or any(map(np.ndim, sigma)):
             raise DimensionError("sigma must assign one triple per variable")
         opposite = Frame(frame.lattice, [t.opposite() for t in frame.triples])
-        super().__init__(opposite, columns, variables, _transpose(relation), sigma)
+        super().__init__(opposite, columns, variables, S.T, sigma)
 
     @property
     def variables(self) -> tuple:
@@ -158,39 +154,49 @@ def dual_enumerate_reducts(ctx: DualContext):
 
 
 class DualFreInstance:
-    """X (.) S = T with S over V x W, T over U x W and X over U x V unknown."""
+    """X (.) S = T with S over V x W, T over U x W and X over U x V unknown.
+
+    S is held by the dual context, built here, and T as ``_rhs_array``.
+    """
 
     def __init__(self, frame: Frame, row_names, var_names, col_names, coeff, sigma, rhs):
         self.frame = frame
-        self.row_names = tuple(row_names)
+        self.row_names = _names(row_names, "rows")
         self.var_names = tuple(var_names)
         self.col_names = tuple(col_names)
         # no columns is the reduced instance of the empty reduct
         if not self.row_names or not self.var_names:
             raise DimensionError("row and variable sets must be non-empty")
-        n = frame.granularity
-        self.coeff = _check_matrix(coeff, len(self.var_names), len(self.col_names), n, "coeff")
-        self.rhs = _check_matrix(rhs, len(self.row_names), len(self.col_names), n, "rhs")
         self.sigma = tuple(sigma)
-        if len(self.sigma) != len(self.var_names):
-            raise DimensionError("sigma must assign one triple per variable")
-        for i in self.sigma:
-            if not 0 <= i < len(frame.triples):
-                raise RangeError(f"sigma index {i} outside triple list")
-        self._coeff_array = _numerators(self.coeff, len(self.col_names))
-        self._rhs_array = _numerators(self.rhs, len(self.col_names))
-        self._context = None
+        self._context = DualContext(frame, self.var_names, self.col_names, coeff, self.sigma)
+        self._rhs_array = _matrix(
+            rhs, len(self.row_names), len(self.col_names), "rhs", frame.granularity
+        )
         self._primal = None
 
     @classmethod
     def from_numerators(cls, frame, row_names, var_names, col_names, coeff, sigma, rhs):
-        n = frame.granularity
-        mk = lambda rows: [[GranularValue(int(k), n) for k in row] for row in rows]
-        return cls(frame, row_names, var_names, col_names, mk(coeff), sigma, mk(rhs))
+        return cls(frame, row_names, var_names, col_names, coeff, sigma, rhs)
+
+    @property
+    def _coeff_array(self) -> np.ndarray:
+        return self._context._R.T
+
+    @cached_property
+    def coeff(self) -> tuple:
+        return _values(self._coeff_array, self.frame.granularity)
+
+    @cached_property
+    def rhs(self) -> tuple:
+        return _values(self._rhs_array, self.frame.granularity)
 
     def rhs_row(self, u) -> FuzzySet:
+        if u not in self.row_names:
+            raise KeyError(u)
         i = self.row_names.index(u)
-        return FuzzySet(self.col_names, tuple(self.rhs[i]))
+        return FuzzySet.from_numerators(
+            self.col_names, self._rhs_array[i].tolist(), self.frame.granularity
+        )
 
     def transposed(self) -> FreInstance:
         """The primal system S^T (.)op X^T = T^T, built once.
@@ -199,25 +205,21 @@ class DualFreInstance:
         the columns W and its rhs columns are the rows U.
         """
         if self._primal is None:
-            ctx = dual_associated_context(self)
+            ctx = self._context
             self._primal = FreInstance(
                 ctx.frame,
                 self.col_names,
                 self.var_names,
                 self.row_names,
-                ctx.relation,
+                ctx._R,
                 self.sigma,
-                _transpose(self.rhs),
+                self._rhs_array.T,
             )
             self._primal._context = ctx
         return self._primal
 
 
 def dual_associated_context(dfre: DualFreInstance) -> DualContext:
-    if dfre._context is None:
-        dfre._context = DualContext(
-            dfre.frame, dfre.var_names, dfre.col_names, dfre.coeff, dfre.sigma
-        )
     return dfre._context
 
 
@@ -244,9 +246,8 @@ def dual_compose(frame: Frame, X, S, sigma):
 
 
 def dual_is_solution(dfre: DualFreInstance, X) -> bool:
-    X = _check_matrix(
-        X, len(dfre.row_names), len(dfre.var_names), dfre.frame.granularity, "X"
-    )
+    n = dfre.frame.granularity
+    X = _values(_matrix(X, len(dfre.row_names), len(dfre.var_names), "X", n), n)
     return dual_compose(dfre.frame, X, dfre.coeff, dfre.sigma) == dfre.rhs
 
 
@@ -328,15 +329,14 @@ def dual_reduce(
             "enforce_consistency=False)"
         )
     keep = [j for j, w in enumerate(dfre.col_names) if w in Y]
-    pick = lambda rows: [[row[j] for j in keep] for row in rows]
     return DualFreInstance(
         dfre.frame,
         dfre.row_names,
         dfre.var_names,
         [dfre.col_names[j] for j in keep],
-        pick(dfre.coeff),
+        dfre._coeff_array[:, keep],
         dfre.sigma,
-        pick(dfre.rhs),
+        dfre._rhs_array[:, keep],
     )
 
 

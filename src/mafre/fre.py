@@ -21,24 +21,24 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .algebra import Frame, GranularValue
+from .algebra import Frame
 from .context import (
     Context,
     FuzzySet,
-    _check_matrix,
     _conj_tables,
     _generators,
     _grid,
     _leq,
     _lower_covers,
-    _numerators,
+    _matrix,
+    _names,
+    _values,
     is_consistent,
 )
 from .errors import (
     BudgetExceededError,
     DimensionError,
     InconsistentSetError,
-    RangeError,
     UnsolvableError,
 )
 
@@ -47,43 +47,50 @@ class FreInstance:
     """R (.) X = T over U x V with per-unknown triple assignment.
 
     ``coeff[u][v]`` is R(u, v), ``rhs[u][w]`` is T(u, w) and ``sigma[v]`` is
-    the 0-based triple index used by unknown v.  The solvers read the
-    numerator arrays ``_coeff_array`` (|U| x |V|) and ``_rhs_array``
-    (|U| x |W|).
+    the 0-based triple index used by unknown v.  R is held by the associated
+    context, built here, and T as the numerator array ``_rhs_array``
+    (|U| x |W|); ``coeff`` and ``rhs`` are views.
     """
 
     def __init__(self, frame: Frame, row_names, var_names, col_names, coeff, sigma, rhs):
         self.frame = frame
         self.row_names = tuple(row_names)
         self.var_names = tuple(var_names)
-        self.col_names = tuple(col_names)
+        self.col_names = _names(col_names, "columns")
         # no rows is the reduced instance of the empty reduct
         if not self.var_names or not self.col_names:
             raise DimensionError("variable and column sets must be non-empty")
-        n = frame.granularity
-        self.coeff = _check_matrix(coeff, len(self.row_names), len(self.var_names), n, "coeff")
-        self.rhs = _check_matrix(rhs, len(self.row_names), len(self.col_names), n, "rhs")
         self.sigma = tuple(sigma)
-        if len(self.sigma) != len(self.var_names):
+        if len(self.sigma) != len(self.var_names) or any(map(np.ndim, self.sigma)):
             raise DimensionError("sigma must assign one triple per unknown")
-        for i in self.sigma:
-            if not 0 <= i < len(frame.triples):
-                raise RangeError(f"sigma index {i} outside triple list")
-        self._coeff_array = _numerators(self.coeff, len(self.var_names))
-        self._rhs_array = _numerators(self.rhs, len(self.col_names))
-        self._context = None
+        self._context = Context(frame, self.row_names, self.var_names, coeff, self.sigma)
+        self._rhs_array = _matrix(
+            rhs, len(self.row_names), len(self.col_names), "rhs", frame.granularity
+        )
 
     @classmethod
     def from_numerators(cls, frame, row_names, var_names, col_names, coeff, sigma, rhs):
-        n = frame.granularity
-        mk = lambda rows: [[GranularValue(int(k), n) for k in row] for row in rows]
-        return cls(frame, row_names, var_names, col_names, mk(coeff), sigma, mk(rhs))
+        return cls(frame, row_names, var_names, col_names, coeff, sigma, rhs)
+
+    @property
+    def _coeff_array(self) -> np.ndarray:
+        return self._context._R
+
+    @cached_property
+    def coeff(self) -> tuple:
+        return self._context.relation
+
+    @cached_property
+    def rhs(self) -> tuple:
+        return _values(self._rhs_array, self.frame.granularity)
 
     def rhs_column(self, w) -> FuzzySet:
         if w not in self.col_names:
             raise KeyError(w)
         j = self.col_names.index(w)
-        return FuzzySet(self.row_names, tuple(row[j] for row in self.rhs))
+        return FuzzySet.from_numerators(
+            self.row_names, self._rhs_array[:, j].tolist(), self.frame.granularity
+        )
 
     def __repr__(self):
         return (
@@ -94,10 +101,6 @@ class FreInstance:
 
 def associated_context(fre: FreInstance) -> Context:
     """The context (U, V, R, sigma) with the per-unknown sigma replicated."""
-    if fre._context is None:
-        fre._context = Context(
-            fre.frame, fre.row_names, fre.var_names, fre.coeff, fre.sigma
-        )
     return fre._context
 
 
@@ -151,15 +154,9 @@ def inf_compose(frame: Frame, T, R, sigma):
 
 def is_solution(fre: FreInstance, X) -> bool:
     """Membership test: the composition must reproduce T exactly."""
-    X = _check_matrix(
-        X, len(fre.var_names), len(fre.col_names), fre.frame.granularity, "X"
-    )
+    n = fre.frame.granularity
+    X = _values(_matrix(X, len(fre.var_names), len(fre.col_names), "X", n), n)
     return sup_compose(fre.frame, fre.coeff, X, fre.sigma) == fre.rhs
-
-
-def _values(rows, n: int) -> tuple:
-    """A 2-D numerator array as a matrix (tuple of tuples) of GranularValues."""
-    return tuple(tuple(GranularValue(k, n) for k in row) for row in rows.tolist())
 
 
 def _closures(fre: FreInstance):
@@ -173,11 +170,12 @@ def _closures(fre: FreInstance):
 def _gap(fre: FreInstance, interiors: np.ndarray) -> list:
     """Entries (u, w, stated, closed) where T differs from its interior,
     column by column, rows in order within a column."""
-    n = fre.frame.granularity
     cols, rows = np.nonzero(interiors != fre._rhs_array.T)
+    pairs = np.stack([fre._rhs_array[rows, cols], interiors[cols, rows]])
+    stated, closed = _values(pairs, fre.frame.granularity)
     return [
-        (fre.row_names[u], fre.col_names[w], fre.rhs[u][w], GranularValue(new, n))
-        for w, u, new in zip(cols.tolist(), rows.tolist(), interiors[cols, rows].tolist())
+        (fre.row_names[u], fre.col_names[w], old, new)
+        for w, u, old, new in zip(cols.tolist(), rows.tolist(), stated, closed)
     ]
 
 
@@ -392,7 +390,7 @@ def reduce_fre(fre: FreInstance, Y: Iterable, enforce_consistency: bool = True) 
         [fre.row_names[i] for i in keep],
         fre.var_names,
         fre.col_names,
-        [fre.coeff[i] for i in keep],
+        fre._coeff_array[keep],
         fre.sigma,
-        [fre.rhs[i] for i in keep],
+        fre._rhs_array[keep],
     )

@@ -206,7 +206,7 @@ def problem_from_instance(instance, triples=None) -> ProblemFile:
         rows=list(instance.row_names),
         variables=list(instance.var_names),
         columns=list(instance.col_names),
-        coefficients=[[v.numerator for v in row] for row in instance.coeff],
+        coefficients=instance._coeff_array.tolist(),
         sigma=[i + 1 for i in instance.sigma],
-        rhs=[[v.numerator for v in row] for row in instance.rhs],
+        rhs=instance._rhs_array.tolist(),
     )

@@ -1,0 +1,315 @@
+"""The numeric core: an instance is its context plus a rhs numerator array.
+
+The coefficients and sigma of an instance are held only by its (dual)
+associated context, as int64 arrays, and the rhs only as ``_rhs_array``;
+``coeff``, ``rhs``, ``relation`` and ``sigma`` are GranularValue views.
+These tests check that the GranularValue and numerator constructors agree,
+that rebuilt instances and contexts hold their parent's arrays sliced or
+transposed, that every entry is validated with the documented errors, and
+that loading a problem file builds no GranularValue at all.
+"""
+
+import json
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mafre import (
+    Context,
+    DualContext,
+    DualFreInstance,
+    FreInstance,
+    GranularValue,
+    associated_context,
+    build_concept_lattice,
+    builtin_frame,
+    dual_reduce,
+    enumerate_solutions,
+    load_problem,
+    problem_from_instance,
+    reduce_fre,
+    restrict,
+)
+from mafre.context import _generators
+from mafre.dual import dual_associated_context
+from mafre.errors import DimensionError, GranularityMismatchError, RangeError
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_data"
+TRIPLES = ("godel", "sq-left", "sq-right")
+
+
+def _gv(frame, rows):
+    return [[frame.value(k) for k in row] for row in rows]
+
+
+def _random_pairs(seed):
+    """(built from GranularValues, built from numerators, coeff, sigma, rhs)
+    for seeded random primal and dual instances, n = 1..6, all three triples."""
+    rng = random.Random(seed)
+    for n in range(1, 7):
+        frame = builtin_frame(TRIPLES, n)
+        for _ in range(4):
+            nu, nv, nw = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+            names = (
+                [f"u{i}" for i in range(nu)],
+                [f"v{i}" for i in range(nv)],
+                [f"w{i}" for i in range(nw)],
+            )
+            sigma = [rng.randrange(len(TRIPLES)) for _ in range(nv)]
+            rhs = [[rng.randint(0, n) for _ in range(nw)] for _ in range(nu)]
+            for cls, shape in ((FreInstance, (nu, nv)), (DualFreInstance, (nv, nw))):
+                coeff = [[rng.randint(0, n) for _ in range(shape[1])] for _ in range(shape[0])]
+                yield (
+                    cls(frame, *names, _gv(frame, coeff), sigma, _gv(frame, rhs)),
+                    cls.from_numerators(frame, *names, coeff, sigma, rhs),
+                    coeff,
+                    sigma,
+                    rhs,
+                )
+
+
+def _context(instance):
+    if isinstance(instance, FreInstance):
+        return associated_context(instance)
+    return dual_associated_context(instance)
+
+
+class TestRoundTrip:
+    def test_constructors_agree(self):
+        for from_values, from_nums, coeff, sigma, rhs in _random_pairs(701):
+            frame = from_nums.frame
+            for x in (from_values, from_nums):
+                assert x._coeff_array.tolist() == coeff
+                assert x._rhs_array.tolist() == rhs
+                assert x._coeff_array.dtype == x._rhs_array.dtype == np.int64
+                assert x.coeff == tuple(map(tuple, _gv(frame, coeff)))
+                assert x.rhs == tuple(map(tuple, _gv(frame, rhs)))
+                assert x.sigma == tuple(sigma)
+            ctx, other = _context(from_values), _context(from_nums)
+            assert ctx.relation == other.relation and ctx.sigma == other.sigma
+            if isinstance(from_nums, FreInstance):
+                assert ctx.relation == from_nums.coeff
+            else:
+                assert ctx.relation == tuple(zip(*from_nums.coeff))
+            assert ctx.sigma == (tuple(sigma),) * len(ctx.attributes)
+
+    def test_problem_file_round_trip(self):
+        for _, x, coeff, sigma, rhs in _random_pairs(702):
+            back = problem_from_instance(x).to_instance()
+            assert type(back) is type(x)
+            assert (back.row_names, back.var_names, back.col_names) == (
+                x.row_names,
+                x.var_names,
+                x.col_names,
+            )
+            assert back.sigma == x.sigma
+            assert np.array_equal(back._coeff_array, x._coeff_array)
+            assert np.array_equal(back._rhs_array, x._rhs_array)
+            assert back.coeff == x.coeff and back.rhs == x.rhs
+
+    def test_rebuilt_instances_slice_the_parent_arrays(self):
+        rng = random.Random(703)
+        for _, x, *_ in _random_pairs(703):
+            ctx = _context(x)
+            names = ctx.attributes
+            keep = sorted(rng.sample(range(len(names)), rng.randint(1, len(names))))
+            Y = [names[i] for i in keep]
+            sub = restrict(ctx, Y)
+            assert np.array_equal(sub._R, ctx._R[keep])
+            assert np.array_equal(sub._SIG, ctx._SIG[keep])
+            assert sub.relation == tuple(ctx.relation[i] for i in keep)
+            if isinstance(x, FreInstance):
+                reduced = reduce_fre(x, Y, enforce_consistency=False)
+                assert np.array_equal(reduced._coeff_array, x._coeff_array[keep])
+                assert np.array_equal(reduced._rhs_array, x._rhs_array[keep])
+            else:
+                reduced = dual_reduce(x, Y, enforce_consistency=False)
+                assert np.array_equal(reduced._coeff_array, x._coeff_array[:, keep])
+                assert np.array_equal(reduced._rhs_array, x._rhs_array[:, keep])
+                primal = x.transposed()
+                assert np.array_equal(primal._coeff_array, x._coeff_array.T)
+                assert np.array_equal(primal._rhs_array, x._rhs_array.T)
+                assert associated_context(primal) is ctx
+            assert reduced.sigma == x.sigma
+
+
+class TestValidation:
+    @pytest.fixture(params=[FreInstance, DualFreInstance])
+    def build(self, request):
+        """A 2x2x2 instance of the class with one argument replaced."""
+        frame = builtin_frame(["godel", "sq-left"], 4)
+        cls = request.param
+
+        def build(**changes):
+            args = {
+                "frame": frame,
+                "row_names": ("u1", "u2"),
+                "var_names": ("v1", "v2"),
+                "col_names": ("w1", "w2"),
+                "coeff": [[1, 2], [3, 4]],
+                "sigma": [0, 1],
+                "rhs": [[0, 1], [2, 3]],
+            }
+            args.update(changes)
+            return cls.from_numerators(**args)
+
+        return build
+
+    def test_valid_inputs(self, build):
+        assert build().rhs[1][1] == GranularValue(3, 4)
+        numpy_ints = build(coeff=np.array([[1, 2], [3, 4]]), rhs=[[np.int64(0)] * 2] * 2)
+        assert numpy_ints._coeff_array.tolist() == [[1, 2], [3, 4]]
+        mixed = build(coeff=[[GranularValue(1, 4), 2], [3, GranularValue(4, 4)]])
+        assert mixed._coeff_array.tolist() == [[1, 2], [3, 4]]
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"coeff": [[1, 2], [3]]},
+            {"coeff": [[1, 2]]},
+            {"rhs": [[0, 1], [2, 3, 4]]},
+            {"rhs": np.zeros((2, 3), dtype=np.int64)},
+            {"sigma": [0]},
+            {"sigma": [[0, 1], [0, 1]]},
+        ],
+    )
+    def test_wrong_shapes(self, build, changes):
+        with pytest.raises(DimensionError):
+            build(**changes)
+
+    @pytest.mark.parametrize("key", ["coeff", "rhs"])
+    def test_wrong_granularity(self, build, key):
+        with pytest.raises(GranularityMismatchError):
+            build(**{key: [[GranularValue(1, 5), 0], [0, 0]]})
+
+    @pytest.mark.parametrize("bad", [5, -1, 1.7, 2.9, 2.0, True, "1", None])
+    @pytest.mark.parametrize("key", ["coeff", "rhs"])
+    def test_out_of_range_or_not_an_integer(self, build, key, bad):
+        # a fractional numerator is an error, never truncated
+        with pytest.raises(RangeError):
+            build(**{key: [[0, bad], [0, 0]]})
+        with pytest.raises(RangeError):
+            build(**{key: np.array([[0.0, 1.5], [0.0, 0.0]])})
+
+    @pytest.mark.parametrize("sigma", [[0, 2], [-1, 0], [0, 0.5]])
+    def test_sigma_outside_triple_list(self, build, sigma):
+        with pytest.raises(RangeError):
+            build(sigma=sigma)
+
+    def test_sigma_checked_without_equations(self):
+        frame = builtin_frame(["godel"], 3)
+        with pytest.raises(RangeError):
+            FreInstance(frame, [], ["v"], ["w"], [], [1], [])
+        with pytest.raises(RangeError):
+            DualFreInstance(frame, ["u"], ["v"], [], [[]], [1], [[]])
+
+    @pytest.mark.parametrize("key", ["row_names", "var_names", "col_names"])
+    def test_duplicate_names(self, build, key):
+        with pytest.raises(DimensionError):
+            build(**{key: ("x", "x")})
+
+    def test_fractional_numerators_are_rejected(self):
+        frame = builtin_frame(["sq-left"], 4)
+        with pytest.raises(RangeError):
+            FreInstance.from_numerators(frame, ["u1"], ["v1"], ["w1"], [[1.7]], [0], [[1]])
+        with pytest.raises(RangeError):
+            DualFreInstance.from_numerators(frame, ["u1"], ["v1"], ["w1"], [[2.9]], [0], [[1]])
+
+    def test_unknown_rhs_names(self, build):
+        x = build()
+        accessor = x.rhs_column if isinstance(x, FreInstance) else x.rhs_row
+        with pytest.raises(KeyError):
+            accessor("nope")
+
+    def test_context_validation(self):
+        frame = builtin_frame(["godel", "sq-left"], 4)
+        rel = [[1, 2], [3, 4]]
+        assert Context(frame, ["a", "b"], ["c", "d"], rel, [0, 1]).relation[1][0] == (
+            GranularValue(3, 4)
+        )
+        with pytest.raises(DimensionError):
+            Context(frame, ["a", "a"], ["b", "c"], rel, [0, 1])
+        with pytest.raises(DimensionError):
+            Context(frame, ["a", "b"], ["c", "c"], rel, [0, 1])
+        with pytest.raises(DimensionError):
+            Context(frame, ["a", "b"], ["c", "d"], [[1, 2], [3]], [0, 1])
+        with pytest.raises(GranularityMismatchError):
+            Context(frame, ["a"], ["c"], [[GranularValue(1, 2)]], [0])
+        with pytest.raises(RangeError):
+            Context(frame, ["a"], ["c"], [[0.5]], [0])
+        with pytest.raises(RangeError):
+            Context(frame, ["a"], ["c"], [[1]], [[2]])
+        with pytest.raises(DimensionError):
+            DualContext(frame, ["v", "v"], ["w"], [[1], [2]], [0, 0])
+        with pytest.raises(DimensionError):
+            DualContext(frame, ["v"], ["w", "w"], [[1, 2]], [0])
+        with pytest.raises(DimensionError):
+            DualContext(frame, ["v", "x"], ["w", "y"], [[1, 2], [3]], [0, 0])
+
+
+class TestNoValuesOnLoad:
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """Counts GranularValue constructions."""
+        count = []
+        post_init = GranularValue.__post_init__
+        monkeypatch.setattr(
+            GranularValue, "__post_init__", lambda v: count.append(v) or post_init(v)
+        )
+        return count
+
+    def test_primal_file(self, built):
+        for name in ("squares_solvable", "squares_unsolvable", "maxmin_solvable"):
+            fre = load_problem(EXAMPLES / f"{name}.json").to_instance()
+            associated_context(fre)._R
+        assert built == []
+
+    def test_dual_file(self, built, tmp_path):
+        path = tmp_path / "dual.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "granularity": 4,
+                    "triples": ["godel", "sq-left"],
+                    "orientation": "dual",
+                    "rows": ["u1", "u2"],
+                    "variables": ["v1", "v2", "v3"],
+                    "columns": ["w1", "w2"],
+                    "coefficients": [[3, 1], [2, 4], [0, 2]],
+                    "sigma": [1, 2, 1],
+                    "rhs": [[2, 3], [1, 2]],
+                }
+            )
+        )
+        dfre = load_problem(path).to_instance()
+        dual_associated_context(dfre)._R
+        dfre.transposed()
+        assert built == []
+        rhs = dfre.rhs  # the view is built on first read, once
+        assert len(built) == 4 and dfre.rhs is rhs and len(built) == 4
+        assert [[v.numerator for v in row] for row in rhs] == [[2, 3], [1, 2]]
+
+
+class TestGeneratorsOnce:
+    def test_generators_are_cached_on_the_context(self, monkeypatch):
+        fre = load_problem(EXAMPLES / "squares_solvable.json").to_instance()
+        ctx = associated_context(fre)
+        n, na = fre.frame.granularity, len(ctx.attributes)
+        batches = []
+        necessity = Context.necessity_batch
+        monkeypatch.setattr(
+            Context, "necessity_batch", lambda c, F: batches.append(len(F)) or necessity(c, F)
+        )
+        first = enumerate_solutions(fre).columns[0]
+        enumerate_solutions(fre)
+        lattice = build_concept_lattice(ctx)
+        lattice.predecessors_of(first.max_solution)
+        assert batches.count(na * (n + 1)) == 1
+        # restrict drops every cache: its generators are its own
+        sub = restrict(ctx, ctx.attributes[:2])
+        assert sub._gens is None
+        rebuilt = Context(fre.frame, sub.attributes, sub.objects, sub.relation, sub.sigma)
+        for got, expected in zip(_generators(sub), _generators(rebuilt)):
+            assert np.array_equal(got, expected)
