@@ -296,6 +296,15 @@ class Frame:
         self.lattice = lattice
         self.triples = tuple(triples)
 
+    def opposite(self) -> "Frame":
+        """The frame of the opposite triples, which are not verified again:
+        the opposite triple's adjunction test at (x, y, z) is this one's at
+        (y, x, z), with its first and third conditions swapped."""
+        opposite = Frame.__new__(Frame)
+        opposite.lattice = self.lattice
+        opposite.triples = tuple(t.opposite() for t in self.triples)
+        return opposite
+
     @property
     def granularity(self) -> int:
         return self.lattice.granularity

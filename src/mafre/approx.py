@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .context import _values, enumerate_reducts
+from .context import _matrix, _values, enumerate_reducts
 from .errors import InfeasibleReductError, NotAReductError
 from .fre import (
     FreInstance,
@@ -76,19 +76,14 @@ class ApproximationResult:
     solution_summary: Optional[SolutionSet]
 
     def approximated_instance(self, fre: FreInstance) -> FreInstance:
-        """``fre`` with rhs T*; only the rhs changed, so it shares the
-        associated context of ``fre`` (and its cached lattice and reducts)."""
-        repaired = FreInstance(
-            fre.frame,
-            fre.row_names,
-            fre.var_names,
-            fre.col_names,
-            fre._coeff_array,
-            fre.sigma,
-            self.t_star,
-        )
-        repaired._context = associated_context(fre)
-        return repaired
+        """``fre`` with rhs T*; only the rhs changed, so it is built on the
+        associated context of ``fre`` (and shares its cached derived data)."""
+        n, shape = fre.frame.granularity, fre._rhs_array.shape
+        return _with_rhs(fre, _matrix(self.t_star, *shape, "t_star", n))
+
+
+def _with_rhs(fre: FreInstance, rhs: np.ndarray) -> FreInstance:
+    return FreInstance._on(associated_context(fre), fre.sigma, fre.col_names, rhs)
 
 
 def approximate_by_reduct(
@@ -110,15 +105,9 @@ def approximate_by_reduct(
         (fre.row_names[i], fre.col_names[j]): (fre.rhs[i][j], t_star[i][j])
         for i, j in zip(rows.tolist(), cols.tolist())
     }
-    result = ApproximationResult(
-        reduct=Y,
-        t_star=t_star,
-        preserved_rows=Y,
-        modified_rows=modified,
-        solution_summary=None,
+    summary = enumerate_solutions(
+        _with_rhs(fre, repaired), materialize=materialize_solutions
     )
-    approx_fre = result.approximated_instance(fre)
-    summary = enumerate_solutions(approx_fre, materialize=materialize_solutions)
     return ApproximationResult(Y, t_star, Y, modified, summary)
 
 

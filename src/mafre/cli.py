@@ -141,16 +141,16 @@ def cmd_solve(args) -> int:
     return _solve(args, instance, gap_of, solutions_of, *words)
 
 
-def _context(problem, instance):
+def _context(instance):
     """The associated context; a dual one is that of the transposed primal."""
-    if problem.orientation == "primal":
-        return fre_mod.associated_context(instance)
-    return dual_mod.dual_associated_context(instance)
+    if isinstance(instance, dual_mod.DualFreInstance):
+        instance = instance.transposed()
+    return fre_mod.associated_context(instance)
 
 
 def cmd_reducts(args) -> int:
     problem = load_problem(args.file)
-    ctx = _context(problem, problem.to_instance())
+    ctx = _context(problem.to_instance())
     reducts = [list(Y) for Y in enumerate_reducts(ctx)]
     checked = is_consistent(ctx, _split_set(args.set)) if args.set else None
 
@@ -183,8 +183,11 @@ def cmd_reduce(args) -> int:
         reduced = dual_mod.dual_reduce(instance, Y, enforce_consistency=not args.force)
     out = problem_from_instance(reduced, triples=problem.triples).dumps()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise ProblemFileError(f"cannot write {args.output}: {exc}") from exc
     else:
         print(out)
     return ExitStatus.OK
@@ -255,7 +258,7 @@ def cmd_approximate(args) -> int:
 
 def cmd_lattice(args) -> int:
     problem = load_problem(args.file)
-    lat = build_concept_lattice(_context(problem, problem.to_instance()))
+    lat = build_concept_lattice(_context(problem.to_instance()))
     if args.dot:
         print(lattice_to_dot(lat, include_intents=args.intents))
     elif problem.orientation == "primal":
@@ -277,39 +280,21 @@ def cmd_lattice(args) -> int:
 def cmd_oracle(args) -> int:
     problem = load_problem(args.file)
     instance = problem.to_instance()
+    # both orientations compare per-part solution rows over V: those of a
+    # dual X (U x V) are its rows, those of a primal X (V x W) its columns
     if problem.orientation == "primal":
         brute = fre_mod.brute_force_solutions(instance, budget=args.budget)
+        brute = [tuple(zip(*X)) for X in brute]
         analytic = fre_mod.enumerate_solutions(instance, materialize=True)
-        per_col = {
-            col.column: frozenset(map(tuple, col.solution_rows.tolist()))
-            for col in analytic.columns
-        }
-        j = {w: i for i, w in enumerate(instance.col_names)}
-        brute_cols = {
-            w: frozenset(
-                tuple(m[v][j[w]].numerator for v in range(len(instance.var_names)))
-                for m in brute
-            )
-            for w in instance.col_names
-        }
-        match = per_col == brute_cols
-        count = len(brute)
     else:
         brute = dual_mod.dual_brute_force(instance, budget=args.budget)
         analytic = dual_mod.dual_solutions(instance, materialize=True)
-        per_row = {
-            r.column: frozenset(map(tuple, r.solution_rows.tolist()))
-            for r in analytic.columns
-        }
-        i_of = {u: i for i, u in enumerate(instance.row_names)}
-        brute_rows = {
-            u: frozenset(
-                tuple(v.numerator for v in m[i_of[u]]) for m in brute
-            )
-            for u in instance.row_names
-        }
-        match = per_row == brute_rows
-        count = len(brute)
+    match = all(
+        frozenset(map(tuple, col.solution_rows.tolist()))
+        == frozenset(tuple(v.numerator for v in X[i]) for X in brute)
+        for i, col in enumerate(analytic.columns)
+    )
+    count = len(brute)
     _emit(
         args,
         lambda: {"match": match, "count": count},

@@ -40,9 +40,8 @@ class FuzzySet:
 
     @classmethod
     def from_numerators(cls, index_set, numerators, n) -> "FuzzySet":
-        return cls(
-            tuple(index_set), tuple(GranularValue(int(k), n) for k in numerators)
-        )
+        nums = (_numerator(k, n, "fuzzy set") for k in numerators)
+        return cls(tuple(index_set), tuple(GranularValue(int(k), n) for k in nums))
 
     @property
     def numerators(self) -> tuple:
@@ -437,6 +436,13 @@ def restrict(ctx: Context, attributes: Iterable) -> Context:
     keep = _indices(ctx, attributes)
     if not keep:
         raise DimensionError("cannot restrict to an empty attribute set")
+    return _restrict(ctx, keep)
+
+
+def _restrict(ctx: Context, keep: list) -> Context:
+    """``ctx`` limited to the attributes at the positions ``keep``, which may
+    be none (the context of the empty reduct): a copy of the same class that
+    slices the checked arrays and drops every cache."""
     sub = copy.copy(ctx)
     sub.attributes = tuple(ctx.attributes[i] for i in keep)
     sub._R, sub._SIG = ctx._R[keep], ctx._SIG[keep]

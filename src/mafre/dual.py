@@ -10,7 +10,11 @@ swapped).  The dual context (V, W, S, sigma) is therefore the primal context
 
 Rows of the unknown are the rhs columns of the transposed primal, reduction
 removes columns (elements of W, the attributes of the transposed context) and
-the variable-side fixpoints are its extents.  Everything below is a thin
+the variable-side fixpoints are its extents.  A dual instance is its frame
+plus that transposed primal, built once when the instance is constructed;
+a reduced one slices the primal's checked arrays and is not checked again.
+The opposite frame is not verified again: the opposite triple's adjunction
+test at (x, y, z) is the original's at (y, x, z).  Everything below is a thin
 adapter over the primal solver; ``dual_compose``, ``dual_is_solution`` and
 ``dual_brute_force`` stay independent of it, as the oracles that check the
 transposition.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -34,6 +39,7 @@ from .context import (
     _grid,
     _matrix,
     _names,
+    _restrict,
     _values,
     build_concept_lattice,
     enumerate_reducts,
@@ -51,6 +57,7 @@ from .errors import (
 from .fre import (
     FreInstance,
     SolutionSet,
+    associated_context,
     enumerate_solutions,
     max_solution,
     solvability_gap,
@@ -74,8 +81,7 @@ class DualContext(Context):
         S = _matrix(relation, len(variables), len(columns), "relation", frame.granularity)
         if len(sigma) != len(variables) or any(map(np.ndim, sigma)):
             raise DimensionError("sigma must assign one triple per variable")
-        opposite = Frame(frame.lattice, [t.opposite() for t in frame.triples])
-        super().__init__(opposite, columns, variables, S.T, sigma)
+        super().__init__(frame.opposite(), columns, variables, S.T, sigma)
 
     @property
     def variables(self) -> tuple:
@@ -156,31 +162,39 @@ def dual_enumerate_reducts(ctx: DualContext):
 class DualFreInstance:
     """X (.) S = T with S over V x W, T over U x W and X over U x V unknown.
 
-    S is held by the dual context, built here, and T as ``_rhs_array``.
+    A dual instance is its frame plus its transposed primal S^T (.)op X^T =
+    T^T, built once here over the dual context: names, ``sigma`` and arrays
+    are read from that primal, whose rows are W and rhs columns are U.
     """
 
     def __init__(self, frame: Frame, row_names, var_names, col_names, coeff, sigma, rhs):
-        self.frame = frame
-        self.row_names = _names(row_names, "rows")
-        self.var_names = tuple(var_names)
-        self.col_names = tuple(col_names)
+        row_names, var_names = _names(row_names, "rows"), tuple(var_names)
         # no columns is the reduced instance of the empty reduct
-        if not self.row_names or not self.var_names:
+        if not row_names or not var_names:
             raise DimensionError("row and variable sets must be non-empty")
-        self.sigma = tuple(sigma)
-        self._context = DualContext(frame, self.var_names, self.col_names, coeff, self.sigma)
-        self._rhs_array = _matrix(
-            rhs, len(self.row_names), len(self.col_names), "rhs", frame.granularity
-        )
-        self._primal = None
+        sigma = tuple(sigma)
+        ctx = DualContext(frame, var_names, col_names, coeff, sigma)
+        rhs = _matrix(rhs, len(row_names), len(ctx.columns), "rhs", frame.granularity)
+        self.frame = frame
+        self._primal = FreInstance._on(ctx, sigma, row_names, rhs.T)
+
+    @classmethod
+    def _on(cls, frame: Frame, primal: FreInstance) -> "DualFreInstance":
+        """The dual instance over ``frame`` whose transposed primal is ``primal``."""
+        dfre = cls.__new__(cls)
+        dfre.frame, dfre._primal = frame, primal
+        return dfre
 
     @classmethod
     def from_numerators(cls, frame, row_names, var_names, col_names, coeff, sigma, rhs):
         return cls(frame, row_names, var_names, col_names, coeff, sigma, rhs)
 
-    @property
-    def _coeff_array(self) -> np.ndarray:
-        return self._context._R.T
+    row_names = property(attrgetter("_primal.col_names"))
+    var_names = property(attrgetter("_primal.var_names"))
+    col_names = property(attrgetter("_primal.row_names"))
+    sigma = property(attrgetter("_primal.sigma"))
+    _coeff_array = property(attrgetter("_primal._coeff_array.T"))
+    _rhs_array = property(attrgetter("_primal._rhs_array.T"))
 
     @cached_property
     def coeff(self) -> tuple:
@@ -191,36 +205,16 @@ class DualFreInstance:
         return _values(self._rhs_array, self.frame.granularity)
 
     def rhs_row(self, u) -> FuzzySet:
-        if u not in self.row_names:
-            raise KeyError(u)
-        i = self.row_names.index(u)
-        return FuzzySet.from_numerators(
-            self.col_names, self._rhs_array[i].tolist(), self.frame.granularity
-        )
+        return self._primal.rhs_column(u)
 
     def transposed(self) -> FreInstance:
-        """The primal system S^T (.)op X^T = T^T, built once.
-
-        It shares this instance's context, hence its lattice: its rows are
-        the columns W and its rhs columns are the rows U.
-        """
-        if self._primal is None:
-            ctx = self._context
-            self._primal = FreInstance(
-                ctx.frame,
-                self.col_names,
-                self.var_names,
-                self.row_names,
-                ctx._R,
-                self.sigma,
-                self._rhs_array.T,
-            )
-            self._primal._context = ctx
+        """The primal system S^T (.)op X^T = T^T: its rows are the columns W
+        and its rhs columns are the rows U, and its context is the dual one."""
         return self._primal
 
 
 def dual_associated_context(dfre: DualFreInstance) -> DualContext:
-    return dfre._context
+    return associated_context(dfre.transposed())
 
 
 def dual_compose(frame: Frame, X, S, sigma):
@@ -329,15 +323,11 @@ def dual_reduce(
             "enforce_consistency=False)"
         )
     keep = [j for j, w in enumerate(dfre.col_names) if w in Y]
-    return DualFreInstance(
-        dfre.frame,
-        dfre.row_names,
-        dfre.var_names,
-        [dfre.col_names[j] for j in keep],
-        dfre._coeff_array[:, keep],
-        dfre.sigma,
-        dfre._rhs_array[:, keep],
+    primal = dfre.transposed()
+    reduced = FreInstance._on(
+        _restrict(ctx, keep), primal.sigma, primal.col_names, primal._rhs_array[keep]
     )
+    return DualFreInstance._on(dfre.frame, reduced)
 
 
 def dual_find_feasible_reducts(dfre: DualFreInstance):

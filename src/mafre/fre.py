@@ -10,6 +10,11 @@ lattice: an extent x < e is the meet of the generator extents above it, not
 all of which are above e, so x <= e ^ g < e for some generator g, and the
 lower covers of e are the maximal meets e ^ g != e.  A brute-force
 enumerator is kept alongside as an independent oracle.
+
+An instance is its checked associated context plus one rhs numerator array.
+Derived instances (reduced, repaired, the transposed primal of a dual one)
+are built by ``FreInstance._on`` from slices of those checked arrays and are
+not checked again.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -32,6 +38,7 @@ from .context import (
     _lower_covers,
     _matrix,
     _names,
+    _restrict,
     _values,
     is_consistent,
 )
@@ -47,34 +54,45 @@ class FreInstance:
     """R (.) X = T over U x V with per-unknown triple assignment.
 
     ``coeff[u][v]`` is R(u, v), ``rhs[u][w]`` is T(u, w) and ``sigma[v]`` is
-    the 0-based triple index used by unknown v.  R is held by the associated
-    context, built here, and T as the numerator array ``_rhs_array``
-    (|U| x |W|); ``coeff`` and ``rhs`` are views.
+    the 0-based triple index used by unknown v.  An instance is its checked
+    associated context (U, V, R, sigma), which holds ``frame``, ``row_names``
+    and ``var_names``, plus ``sigma``, ``col_names`` and the rhs numerator
+    array ``_rhs_array`` (|U| x |W|); ``coeff`` and ``rhs`` are views.
     """
 
     def __init__(self, frame: Frame, row_names, var_names, col_names, coeff, sigma, rhs):
-        self.frame = frame
-        self.row_names = tuple(row_names)
-        self.var_names = tuple(var_names)
-        self.col_names = _names(col_names, "columns")
+        var_names, col_names = tuple(var_names), _names(col_names, "columns")
         # no rows is the reduced instance of the empty reduct
-        if not self.var_names or not self.col_names:
+        if not var_names or not col_names:
             raise DimensionError("variable and column sets must be non-empty")
-        self.sigma = tuple(sigma)
-        if len(self.sigma) != len(self.var_names) or any(map(np.ndim, self.sigma)):
+        sigma = tuple(sigma)
+        if len(sigma) != len(var_names) or any(map(np.ndim, sigma)):
             raise DimensionError("sigma must assign one triple per unknown")
-        self._context = Context(frame, self.row_names, self.var_names, coeff, self.sigma)
-        self._rhs_array = _matrix(
-            rhs, len(self.row_names), len(self.col_names), "rhs", frame.granularity
+        ctx = Context(frame, row_names, var_names, coeff, sigma)
+        rhs = _matrix(rhs, len(ctx.attributes), len(col_names), "rhs", frame.granularity)
+        self._context, self.sigma, self.col_names, self._rhs_array = (
+            ctx, sigma, col_names, rhs
         )
+
+    @classmethod
+    def _on(cls, ctx: Context, sigma: tuple, col_names: tuple, rhs: np.ndarray):
+        """The instance over the checked context ``ctx`` with the checked rhs
+        array ``rhs``; every derived instance (reduced, repaired, transposed
+        dual) is built here, from slices of checked arrays, with no checks."""
+        fre = cls.__new__(cls)
+        fre._context, fre.sigma, fre.col_names, fre._rhs_array = (
+            ctx, sigma, col_names, rhs
+        )
+        return fre
 
     @classmethod
     def from_numerators(cls, frame, row_names, var_names, col_names, coeff, sigma, rhs):
         return cls(frame, row_names, var_names, col_names, coeff, sigma, rhs)
 
-    @property
-    def _coeff_array(self) -> np.ndarray:
-        return self._context._R
+    frame = property(attrgetter("_context.frame"))
+    row_names = property(attrgetter("_context.attributes"))
+    var_names = property(attrgetter("_context.objects"))
+    _coeff_array = property(attrgetter("_context._R"))
 
     @cached_property
     def coeff(self) -> tuple:
@@ -377,20 +395,15 @@ def reduce_fre(fre: FreInstance, Y: Iterable, enforce_consistency: bool = True) 
     unknown = wanted - set(fre.row_names)
     if unknown:
         raise DimensionError(f"unknown rows: {sorted(unknown)}")
+    ctx = associated_context(fre)
     keep = [i for i, u in enumerate(fre.row_names) if u in wanted]
-    if not keep and not is_consistent(associated_context(fre), ()):
+    if not keep and not is_consistent(ctx, ()):
         raise DimensionError("cannot reduce to an empty row set")
-    if enforce_consistency and not is_consistent(associated_context(fre), tuple(wanted)):
+    if enforce_consistency and not is_consistent(ctx, tuple(wanted)):
         raise InconsistentSetError(
             f"{sorted(wanted)} is not a consistent set; reduction would lose "
             "information (override with enforce_consistency=False)"
         )
-    return FreInstance(
-        fre.frame,
-        [fre.row_names[i] for i in keep],
-        fre.var_names,
-        fre.col_names,
-        fre._coeff_array[keep],
-        fre.sigma,
-        fre._rhs_array[keep],
+    return FreInstance._on(
+        _restrict(ctx, keep), fre.sigma, fre.col_names, fre._rhs_array[keep]
     )

@@ -12,6 +12,7 @@ from mafre import (
     AdjointTriple,
     GranularLattice,
     GranularValue,
+    builtin_frame,
     builtin_triple,
     make_granular,
     verify_adjoint_triple,
@@ -22,7 +23,7 @@ from mafre.errors import (
     RangeError,
     UnknownTripleError,
 )
-from mafre.algebra import Frame, _table_from_fn
+from mafre.algebra import BUILTIN_TRIPLE_NAMES, Frame, _table_from_fn
 
 
 def test_make_granular_basic():
@@ -244,6 +245,72 @@ def test_adjunction_witness_matches_loop_on_corrupted_tables(chunk, monkeypatch)
                     failures += 1
                     assert tuple(v.numerator for v in report.witness) == expected
     assert failures > 100  # most corruptions do break the adjunction
+
+
+def _failures(t, n) -> np.ndarray:
+    """``out[x, y, z]``: the three adjunction conditions disagree at (x, y, z)."""
+    conj, lres, rres = t._tables
+    k = np.arange(n + 1)
+    x, y, z = k[:, None, None], k[None, :, None], k[None, None, :]
+    first = x <= lres[z, y]
+    second = conj[x, y] <= z
+    third = y <= rres[z, x]
+    return (first != second) | (second != third)
+
+
+@pytest.mark.parametrize("n", list(range(1, 17)))
+def test_opposite_verifies_as_the_original_builtins(n):
+    lattice = GranularLattice(n)
+    for name in BUILTIN_TRIPLE_NAMES:
+        t = builtin_triple(name, n)
+        report = verify_adjoint_triple(t, lattice)
+        assert report.passed and verify_adjoint_triple(t.opposite(), lattice) == report
+
+
+def test_opposite_verifies_as_the_original_on_corrupted_tables():
+    """One corrupted entry: the opposite triple passes iff the original does,
+    and fails at (x, y, z) exactly where the original fails at (y, x, z)."""
+    rng = random.Random(5)
+    failures = 0
+    for n in range(1, 9):
+        lattice = GranularLattice(n)
+        for name in BUILTIN_TRIPLE_NAMES:
+            for _ in range(12):
+                tables = [
+                    [list(row) for row in table]
+                    for table in _closed_form_tables(name, n)
+                ]
+                rng.choice(tables)[rng.randint(0, n)][rng.randint(0, n)] = rng.randint(0, n)
+                t = AdjointTriple("corrupted", n, *tables)
+                report = verify_adjoint_triple(t, lattice)
+                opposite = verify_adjoint_triple(t.opposite(), lattice)
+                assert opposite.passed == report.passed
+                failing = _failures(t, n)
+                assert np.array_equal(_failures(t.opposite(), n), failing.transpose(1, 0, 2))
+                if not report.passed:
+                    failures += 1
+                    x, y, z = (v.numerator for v in opposite.witness)
+                    assert failing[y, x, z]
+    assert failures > 50  # most corruptions do break the adjunction
+
+
+def test_opposite_frame_is_not_verified_again(monkeypatch):
+    import mafre.algebra as algebra
+
+    frame = builtin_frame(BUILTIN_TRIPLE_NAMES, 6)
+    calls = []
+    verify = algebra.verify_adjoint_triple
+    monkeypatch.setattr(
+        algebra, "verify_adjoint_triple", lambda t, lat: calls.append(t) or verify(t, lat)
+    )
+    opposite = frame.opposite()
+    assert calls == []
+    assert opposite.lattice == frame.lattice
+    assert [t.name for t in opposite.triples] == [t.name + "^op" for t in frame.triples]
+    for t, o in zip(frame.triples, opposite.triples):
+        assert np.array_equal(o._tables, t.opposite()._tables)
+    for t, back in zip(frame.triples, opposite.opposite().triples):
+        assert (back.name, back.conj_table) == (t.name, t.conj_table)
 
 
 def test_isqrt_is_exact_near_squares():

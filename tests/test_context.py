@@ -5,6 +5,7 @@ import pytest
 
 from mafre import (
     FuzzySet,
+    GranularValue,
     attribute_interior,
     build_concept_lattice,
     builtin_frame,
@@ -20,14 +21,26 @@ from mafre import (
 from mafre.context import ConceptLattice, Context
 from mafre.errors import (
     DimensionError,
+    GranularityMismatchError,
     IndexMismatchError,
     NotAnExtentError,
+    RangeError,
 )
 from conftest import SQUARES_ROWS, SQUARES_VARS, random_context
 
 
 def fs(names, nums, n=8):
     return FuzzySet.from_numerators(names, nums, n)
+
+
+class TestFuzzySetFromNumerators:
+    def test_entries_are_checked(self):
+        assert fs(("x", "y"), (np.int64(3), GranularValue(4, 4)), 4).numerators == (3, 4)
+        for bad in (1.7, True, "2", 5, -1):
+            with pytest.raises(RangeError):
+                fs(("x",), (bad,), 4)
+        with pytest.raises(GranularityMismatchError):
+            fs(("x",), (GranularValue(1, 2),), 4)
 
 
 class TestOperators:

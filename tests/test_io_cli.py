@@ -331,6 +331,14 @@ class TestCliReductsAndReduce:
         )
         assert load_problem(out_path).rows == ["u3", "u4"]
 
+    def test_reduce_unwritable_output_is_an_input_error(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "out.json"
+        assert main(["reduce", SOLVABLE, "--set", "u1,u2,u3", "-o", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot write {out_path}: ")
+
     def test_reduce_stdout(self, capsys):
         assert main(["reduce", MAXMIN, "--set", "u1,u2,u3"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -22,15 +22,19 @@ from mafre import (
     DualFreInstance,
     FreInstance,
     GranularValue,
+    approximate_by_reduct,
     associated_context,
     build_concept_lattice,
     builtin_frame,
     dual_reduce,
     enumerate_solutions,
+    find_feasible_reducts,
+    is_consistent,
     load_problem,
     problem_from_instance,
     reduce_fre,
     restrict,
+    solvability_gap,
 )
 from mafre.context import _generators
 from mafre.dual import dual_associated_context
@@ -313,3 +317,132 @@ class TestGeneratorsOnce:
         rebuilt = Context(fre.frame, sub.attributes, sub.objects, sub.relation, sub.sigma)
         for got, expected in zip(_generators(sub), _generators(rebuilt)):
             assert np.array_equal(got, expected)
+
+
+def _solved(fre):
+    """The gap of a primal instance and, when it is solvable, every column's
+    maximum, predecessors, count and solutions as lists."""
+    gap = solvability_gap(fre)
+    if gap:
+        return gap, None
+    return gap, [
+        (c.column, c.max_row.tolist(), c.predecessor_rows.tolist(), c.count,
+         c.solution_rows.tolist())
+        for c in enumerate_solutions(fre).columns
+    ]
+
+
+def _summary(solutions):
+    return [
+        (c.column, c.max_row.tolist(), c.predecessor_rows.tolist(), c.count)
+        for c in solutions.columns
+    ]
+
+
+@pytest.fixture()
+def context_inits(monkeypatch):
+    """Counts ``Context.__init__`` runs, a DualContext's included."""
+    calls = []
+    init = Context.__init__
+    monkeypatch.setattr(
+        Context, "__init__", lambda ctx, *args: calls.append(ctx) or init(ctx, *args)
+    )
+    return calls
+
+
+class TestDerivedInstances:
+    """Reduced, transposed and repaired instances are built on the checked
+    arrays of their parent, without constructing a context, and solve exactly
+    like instances built from the same arrays through the public constructors."""
+
+    def test_reduced_and_transposed(self, context_inits):
+        rng = random.Random(704)
+        reduced_to_none = 0
+        for _, x, *_ in _random_pairs(704):
+            ctx = _context(x)
+            names = ctx.attributes
+            keep = sorted(rng.sample(range(len(names)), rng.randint(0, len(names))))
+            if not keep and not is_consistent(ctx, ()):
+                keep = [0]
+            reduced_to_none += not keep
+            Y = [names[i] for i in keep]
+            before = len(context_inits)
+            if isinstance(x, FreInstance):
+                reduced = reduce_fre(x, Y, enforce_consistency=False)
+                assert len(context_inits) == before
+                public = FreInstance(
+                    x.frame, Y, x.var_names, x.col_names,
+                    x._coeff_array[keep].tolist(), x.sigma, x._rhs_array[keep].tolist(),
+                )
+                assert _solved(reduced) == _solved(public)
+                continue
+            primal = x.transposed()
+            reduced = dual_reduce(x, Y, enforce_consistency=False)
+            reduced_primal = reduced.transposed()
+            assert len(context_inits) == before
+            assert primal is x.transposed()
+            assert associated_context(primal) is dual_associated_context(x)
+            public = FreInstance(
+                ctx.frame, x.col_names, x.var_names, x.row_names,
+                x._coeff_array.T.tolist(), x.sigma, x._rhs_array.T.tolist(),
+            )
+            assert _solved(primal) == _solved(public)
+            public = DualFreInstance(
+                x.frame, x.row_names, x.var_names, Y,
+                x._coeff_array[:, keep].tolist(), x.sigma, x._rhs_array[:, keep].tolist(),
+            )
+            assert (reduced.row_names, reduced.col_names) == (x.row_names, tuple(Y))
+            assert _solved(reduced_primal) == _solved(public.transposed())
+        assert reduced_to_none > 0
+
+    def test_repaired(self, context_inits):
+        repairs = 0
+        for _, x, *_ in _random_pairs(705):
+            fre = x if isinstance(x, FreInstance) else x.transposed()
+            for Y in find_feasible_reducts(fre):
+                before = len(context_inits)
+                result = approximate_by_reduct(fre, Y, materialize_solutions=True)
+                repaired = result.approximated_instance(fre)
+                assert len(context_inits) == before
+                assert associated_context(repaired) is associated_context(fre)
+                public = FreInstance(
+                    fre.frame, fre.row_names, fre.var_names, fre.col_names,
+                    fre._coeff_array.tolist(), fre.sigma, result.t_star,
+                )
+                solved = _solved(public)
+                assert not solved[0] and _solved(repaired) == solved
+                assert _summary(result.solution_summary) == _summary(
+                    enumerate_solutions(public)
+                )
+                repairs += 1
+        assert repairs > 20
+
+
+class TestVerifiedOnce:
+    def test_dual_load_verifies_each_triple_once(self, monkeypatch, tmp_path):
+        import mafre.algebra as algebra
+
+        calls = []
+        verify = algebra.verify_adjoint_triple
+        spy = lambda t, lattice: calls.append(t.name) or verify(t, lattice)
+        monkeypatch.setattr(algebra, "verify_adjoint_triple", spy)
+        path = tmp_path / "dual.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "granularity": 4,
+                    "triples": list(TRIPLES),
+                    "orientation": "dual",
+                    "rows": ["u1", "u2"],
+                    "variables": ["v1", "v2", "v3"],
+                    "columns": ["w1", "w2"],
+                    "coefficients": [[3, 1], [2, 4], [0, 2]],
+                    "sigma": [1, 2, 3],
+                    "rhs": [[2, 3], [1, 2]],
+                }
+            )
+        )
+        dfre = load_problem(path).to_instance()
+        assert calls == list(TRIPLES)
+        dual_reduce(dfre, ["w1"], enforce_consistency=False).transposed()
+        assert calls == list(TRIPLES)
