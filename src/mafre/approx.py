@@ -2,19 +2,22 @@
 
 A reduct of the associated context is feasible when the reduced equation is
 solvable; each feasible reduct yields a repaired right-hand side that leaves
-the reduct's rows untouched.  The pessimistic closure repair (replacing every
-column by its interior) is provided for comparison, and ``diagnose`` turns the
-row-by-row deviations into an incoherence report.
+the reduct's rows untouched.  A repair is computed once, as one numerator
+array, and its GranularValue matrix and solution summary are computed from it
+when first read.  ``diagnose`` turns the row-by-row deviations into an
+incoherence report and keeps the repair of every feasible reduct.  The
+pessimistic closure repair (every column replaced by its interior) is
+provided for comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
-from .context import _matrix, _values, enumerate_reducts
+from .context import _values, enumerate_reducts
 from .errors import InfeasibleReductError, NotAReductError
 from .fre import (
     FreInstance,
@@ -65,25 +68,43 @@ def find_feasible_reducts(fre: FreInstance):
     return [Y for Y in enumerate_reducts(associated_context(fre)) if _repair(fre, Y)[1]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApproximationResult:
     """Outcome of a reduct-based repair: the rhs T* and what changed."""
 
     reduct: tuple
-    t_star: tuple  # matrix over U x W
     preserved_rows: tuple
     modified_rows: dict  # (row, column) -> (old, new)
-    solution_summary: Optional[SolutionSet]
+    t_star_rows: np.ndarray  # (|U|, |W|)
+    _instance: FreInstance  # the repaired primal instance
+    _materialize: bool
+
+    @cached_property
+    def t_star(self) -> tuple:  # matrix over U x W
+        return _values(self.t_star_rows, self._instance.frame.granularity)
+
+    @cached_property
+    def solution_summary(self) -> SolutionSet:
+        return enumerate_solutions(self._instance, materialize=self._materialize)
 
     def approximated_instance(self, fre: FreInstance) -> FreInstance:
         """``fre`` with rhs T*; only the rhs changed, so it is built on the
         associated context of ``fre`` (and shares its cached derived data)."""
-        n, shape = fre.frame.granularity, fre._rhs_array.shape
-        return _with_rhs(fre, _matrix(self.t_star, *shape, "t_star", n))
+        return _with_rhs(fre, self.t_star_rows)
 
 
 def _with_rhs(fre: FreInstance, rhs: np.ndarray) -> FreInstance:
     return FreInstance._on(associated_context(fre), fre.sigma, fre.col_names, rhs)
+
+
+def _result(fre: FreInstance, Y: tuple, repaired: np.ndarray, materialize: bool):
+    """The result of the feasible repair ``repaired`` of ``fre`` through Y;
+    ``modified_rows`` lists the changed entries row by row."""
+    rows, cols = np.nonzero(repaired != fre._rhs_array)
+    pairs = np.stack([fre._rhs_array[rows, cols], repaired[rows, cols]])
+    changes = zip(rows.tolist(), cols.tolist(), zip(*_values(pairs, fre.frame.granularity)))
+    modified = {(fre.row_names[i], fre.col_names[j]): c for i, j, c in changes}
+    return ApproximationResult(Y, Y, modified, repaired, _with_rhs(fre, repaired), materialize)
 
 
 def approximate_by_reduct(
@@ -99,16 +120,7 @@ def approximate_by_reduct(
     repaired, feasible = _repair(fre, Y)
     if not feasible:
         raise InfeasibleReductError(f"{sorted(Y)} is not feasible for this instance")
-    t_star = _values(repaired, fre.frame.granularity)
-    rows, cols = np.nonzero(repaired != fre._rhs_array)
-    modified = {
-        (fre.row_names[i], fre.col_names[j]): (fre.rhs[i][j], t_star[i][j])
-        for i, j in zip(rows.tolist(), cols.tolist())
-    }
-    summary = enumerate_solutions(
-        _with_rhs(fre, repaired), materialize=materialize_solutions
-    )
-    return ApproximationResult(Y, t_star, Y, modified, summary)
+    return _result(fre, Y, repaired, materialize_solutions)
 
 
 def pessimistic_approximation(fre: FreInstance):
@@ -124,6 +136,7 @@ class DiagnosisReport:
     feasible: tuple  # entries per feasible reduct
     infeasible_reducts: tuple
     notable_threshold: int
+    results: tuple = ()  # ApproximationResult per feasible reduct
 
     def to_json(self) -> dict:
         return {
@@ -180,24 +193,21 @@ def diagnose(fre: FreInstance, notable_threshold: int = 1) -> DiagnosisReport:
     granular steps) are flagged as notable, the rest as slight."""
     if is_solvable(fre):
         return DiagnosisReport(True, (), (), notable_threshold)
-    feasible_entries = []
-    infeasible = []
+    feasible_entries, results, infeasible = [], [], []
     for Y in enumerate_reducts(associated_context(fre)):
-        if not _repair(fre, Y)[1]:
+        repaired, feasible = _repair(fre, Y)
+        if not feasible:
             infeasible.append(Y)
             continue
-        result = approximate_by_reduct(fre, Y)
+        result = _result(fre, Y, repaired, False)
         modified = []
-        for (row, col), (old, new) in sorted(
-            result.modified_rows.items(),
-            key=lambda kv: (fre.row_names.index(kv[0][0]), fre.col_names.index(kv[0][1])),
-        ):
+        for (row, col), (old, new) in result.modified_rows.items():
             steps = abs(old.numerator - new.numerator)
             severity = "notable" if steps > notable_threshold else "slight"
             modified.append((row, col, old, new, steps, severity))
-        feasible_entries.append(
-            {"reduct": Y, "preserved_rows": Y, "modified": modified}
-        )
+        feasible_entries.append({"reduct": Y, "preserved_rows": Y, "modified": modified})
+        results.append(result)
     return DiagnosisReport(
-        False, tuple(feasible_entries), tuple(infeasible), notable_threshold
+        False, tuple(feasible_entries), tuple(infeasible), notable_threshold,
+        tuple(results),
     )

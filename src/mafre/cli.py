@@ -44,10 +44,6 @@ def _vec(numerators, n: int) -> str:
     return "(" + ", ".join(_dec(k, n) for k in numerators) + ")"
 
 
-def _nums(matrix) -> list:
-    return [[v.numerator for v in row] for row in matrix]
-
-
 def _emit(args, payload, text) -> None:
     """Print ``payload()`` as JSON with --json, else ``text()``; only the
     printed one is built."""
@@ -206,7 +202,7 @@ def cmd_approximate(args) -> int:
             "approximations": [
                 {
                     "reduct": list(r.reduct),
-                    "t_star": _nums(r.t_star),
+                    "t_star": r.t_star_rows.tolist(),
                     "modified": {
                         f"{u}[{w}]": [old.numerator, new.numerator]
                         for (u, w), (old, new) in sorted(r.modified_rows.items())
@@ -220,13 +216,14 @@ def cmd_approximate(args) -> int:
             lines = [f"{len(feasible)} feasible column reduct(s)"]
             for r in results:
                 lines.append("reduct {" + ", ".join(r.reduct) + "}:")
-                lines.extend("  " + _vec(row, n) for row in _nums(r.t_star))
+                lines.extend("  " + _vec(row, n) for row in r.t_star_rows.tolist())
             return "\n".join(lines)
 
         _emit(args, payload, text)
         return ExitStatus.OK
     if args.pessimistic:
-        t_star = _nums(approx.pessimistic_approximation(instance))
+        # the pessimistic rhs replaces every column by its interior
+        t_star = fre_mod._closures(instance)[1].T.tolist()
         payload = lambda: {"pessimistic_rhs": t_star}
         text = lambda: "pessimistic rhs:\n" + "\n".join(
             "  " + _vec(row, n) for row in t_star
@@ -238,18 +235,16 @@ def cmd_approximate(args) -> int:
     def payload():
         data = {"diagnosis": report.to_json()}
         if not report.solvable:
-            data["approximations"] = []
-            for entry in report.feasible:
-                result = approx.approximate_by_reduct(instance, entry["reduct"])
-                data["approximations"].append(
-                    {
-                        "reduct": list(result.reduct),
-                        "t_star": _nums(result.t_star),
-                        "solution_counts": {
-                            c.column: c.count for c in result.solution_summary.columns
-                        },
-                    }
-                )
+            data["approximations"] = [
+                {
+                    "reduct": list(r.reduct),
+                    "t_star": r.t_star_rows.tolist(),
+                    "solution_counts": {
+                        c.column: c.count for c in r.solution_summary.columns
+                    },
+                }
+                for r in report.results
+            ]
         return data
 
     _emit(args, payload, report.render_text)

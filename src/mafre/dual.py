@@ -12,7 +12,8 @@ Rows of the unknown are the rhs columns of the transposed primal, reduction
 removes columns (elements of W, the attributes of the transposed context) and
 the variable-side fixpoints are its extents.  A dual instance is its frame
 plus that transposed primal, built once when the instance is constructed;
-a reduced one slices the primal's checked arrays and is not checked again.
+a reduced one slices the primal's checked arrays and is not checked again,
+and a repair is the primal one with its array transposed.
 The opposite frame is not verified again: the opposite triple's adjunction
 test at (x, y, z) is the original's at (y, x, z).  Everything below is a thin
 adapter over the primal solver; ``dual_compose``, ``dual_is_solution`` and
@@ -22,6 +23,7 @@ transposition.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 from itertools import product
 from operator import attrgetter
@@ -62,10 +64,6 @@ from .fre import (
     max_solution,
     solvability_gap,
 )
-
-
-def _transpose(rows) -> tuple:
-    return tuple(zip(*rows))
 
 
 class DualContext(Context):
@@ -261,7 +259,7 @@ def dual_is_solvable(dfre: DualFreInstance) -> bool:
 def dual_max_solution(dfre: DualFreInstance):
     """Greatest solution; row u is the necessity image of rhs row u."""
     try:
-        return _transpose(max_solution(dfre.transposed()))
+        return tuple(zip(*max_solution(dfre.transposed())))
     except UnsolvableError as exc:
         raise UnsolvableError(
             "dual instance is unsolvable; rhs differs from its closure",
@@ -342,16 +340,8 @@ def dual_approximate(dfre: DualFreInstance, Y) -> ApproximationResult:
     columns in Y keep their original values.
     """
     result = approximate_by_reduct(dfre.transposed(), Y)
-    changed = result.modified_rows
-    return ApproximationResult(
-        reduct=result.reduct,
-        t_star=_transpose(result.t_star),
-        preserved_rows=result.preserved_rows,
-        modified_rows={
-            (u, w): changed[w, u]
-            for u in dfre.row_names
-            for w in dfre.col_names
-            if (w, u) in changed
-        },
-        solution_summary=result.solution_summary,
+    return replace(
+        result,
+        t_star_rows=result.t_star_rows.T,
+        modified_rows={(u, w): v for (w, u), v in result.modified_rows.items()},
     )

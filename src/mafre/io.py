@@ -24,6 +24,10 @@ from .errors import MafreError
 from .fre import FreInstance
 
 
+# the adjunction check of a triple grows as (n+1)^3 and its tables as (n+1)^2
+MAX_GRANULARITY = 512
+
+
 class ProblemFileError(MafreError):
     """The problem file is malformed."""
 
@@ -116,6 +120,7 @@ def parse_problem(data: dict) -> ProblemFile:
     _expect(isinstance(data, dict), "problem file must be a JSON object")
     n = data.get("granularity")
     _expect(_is_int(n) and n >= 1, "granularity must be an integer >= 1")
+    _expect(n <= MAX_GRANULARITY, f"granularity {n} exceeds {MAX_GRANULARITY}")
     triples = data.get("triples")
     _expect(isinstance(triples, list) and triples, "triples must be a non-empty list")
     for spec in triples:
@@ -182,12 +187,17 @@ def problem_from_instance(instance, triples=None) -> ProblemFile:
     """Serialize a solver instance back to a ProblemFile.
 
     ``triples`` may override the triple specs (names or tables); by default
-    built-in triples serialize by name and others by explicit tables.
+    a triple serializes by name when its tables are those of the built-in
+    triple of that name, and by explicit tables otherwise.
     """
     if triples is None:
         triples = []
+        n = instance.frame.granularity
         for t in instance.frame.triples:
-            if t.name in BUILTIN_TRIPLE_NAMES:
+            if (
+                t.name in BUILTIN_TRIPLE_NAMES
+                and (t._tables == builtin_triple(t.name, n)._tables).all()
+            ):
                 triples.append(t.name)
             else:
                 triples.append(

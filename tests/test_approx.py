@@ -3,12 +3,14 @@ import random
 import pytest
 
 from mafre import (
+    DualFreInstance,
     FreInstance,
     approximate_by_reduct,
     associated_context,
     brute_force_solutions,
     builtin_frame,
     diagnose,
+    dual_approximate,
     enumerate_reducts,
     enumerate_solutions,
     find_feasible_reducts,
@@ -333,3 +335,38 @@ class TestRandomRepairs:
             assert feasible == set(find_feasible_reducts(fre))
             for Y in report.infeasible_reducts:
                 assert not is_solvable(reduce_fre(fre, Y, enforce_consistency=False))
+
+
+class TestRepairComputedOnce:
+    """A repair is one numerator array; its GranularValue matrix and its
+    solution summary are read from it later and equal a direct computation."""
+
+    def test_both_orientations(self):
+        repairs = 0
+        for fre in corrupted_instances(15, seed=909):
+            # the dual instance whose transposed primal has the arrays of fre
+            dfre = DualFreInstance(
+                fre.frame.opposite(), fre.col_names, fre.var_names, fre.row_names,
+                fre._coeff_array.T.tolist(), fre.sigma, fre._rhs_array.T.tolist(),
+            )
+            for p in (fre, dfre.transposed()):
+                report = diagnose(p)
+                assert [r.reduct for r in report.results] == [
+                    e["reduct"] for e in report.feasible
+                ]
+                for Y in find_feasible_reducts(p):
+                    for materialize in (False, True):
+                        result = approximate_by_reduct(p, Y, materialize_solutions=materialize)
+                        direct = enumerate_solutions(
+                            result.approximated_instance(p), materialize=materialize
+                        )
+                        assert result.solution_summary.to_json() == direct.to_json()
+                    repairs += 1
+            for Y in find_feasible_reducts(dfre.transposed()):
+                primal = approximate_by_reduct(dfre.transposed(), Y)
+                dual = dual_approximate(dfre, Y)
+                assert dual.t_star == tuple(zip(*primal.t_star))
+                assert dual.modified_rows == {
+                    (u, w): change for (w, u), change in primal.modified_rows.items()
+                }
+        assert repairs >= 15

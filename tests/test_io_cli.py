@@ -3,10 +3,18 @@ from pathlib import Path
 
 import pytest
 
-from mafre import builtin_frame, builtin_triple
+from mafre import (
+    AdjointTriple,
+    Frame,
+    FreInstance,
+    GranularLattice,
+    builtin_frame,
+    builtin_triple,
+)
 from mafre.cli import main
 from mafre.dual import DualFreInstance, dual_compose
 from mafre.io import (
+    MAX_GRANULARITY,
     ProblemFile,
     ProblemFileError,
     load_problem,
@@ -126,6 +134,46 @@ class TestProblemFiles:
                     "rhs": [[1]],
                 }
             )
+
+    def test_table_triple_named_as_a_builtin_round_trip(self):
+        # a triple called "godel" with the sq-left tables is written as tables
+        n, sq_left = 4, builtin_triple("sq-left", 4)
+        renamed = AdjointTriple(
+            "godel", n, sq_left.conj_table, sq_left.left_residuum_table,
+            sq_left.right_residuum_table,
+        )
+        frame = Frame(GranularLattice(n), [renamed, builtin_triple("godel", n)])
+        fre = FreInstance.from_numerators(
+            frame, ["u1", "u2"], ["v1", "v2"], ["w"], [[3, 1], [2, 4]], [0, 1], [[2], [1]]
+        )
+        problem = problem_from_instance(fre)
+        assert problem.triples[1] == "godel"
+        assert problem.triples[0]["name"] == "godel"
+        assert problem.triples[0]["conj"] == [list(r) for r in sq_left.conj_table]
+        back = parse_problem(json.loads(problem.dumps())).to_instance()
+        assert [t.conj_table for t in back.frame.triples] == [
+            sq_left.conj_table, builtin_triple("godel", n).conj_table,
+        ]
+        assert back.rhs == fre.rhs and back.coeff == fre.coeff
+
+    def test_granularity_cap(self, tmp_path, capsys, monkeypatch):
+        import mafre.io
+
+        with open(SOLVABLE) as fh:
+            data = json.load(fh)
+        data["granularity"] = MAX_GRANULARITY
+        assert parse_problem(data).granularity == 512
+        built = []
+        monkeypatch.setattr(
+            mafre.io, "builtin_triple", lambda *a: built.append(a) or builtin_triple(*a)
+        )
+        data["granularity"] = MAX_GRANULARITY + 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: granularity 513 exceeds 512\n"
+        assert built == []
 
     def test_dual_file_orientation(self, dual_file):
         problem = load_problem(dual_file)
@@ -368,6 +416,33 @@ class TestCliApproximate:
         assert main(["approximate", UNSOLVABLE, "--pessimistic", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["pessimistic_rhs"] == [[2], [5], [1], [2], [1]]
+
+    def test_each_repair_computed_once(self, tmp_path, capsys, monkeypatch):
+        # diagnose repairs every reduct once; the JSON output reads its
+        # results, and only a printed solution count sweeps a solution box
+        import mafre.approx as approx
+        from test_cli_golden import write_problems
+
+        calls = {}
+
+        def spy(name):
+            real = getattr(approx, name)
+            return lambda *a, **k: calls.update({name: calls[name] + 1}) or real(*a, **k)
+
+        for name in ("_repair", "approximate_by_reduct", "enumerate_solutions"):
+            monkeypatch.setattr(approx, name, spy(name))
+
+        def counted(*argv):
+            calls.update(_repair=0, approximate_by_reduct=0, enumerate_solutions=0)
+            assert main(["approximate", *argv]) == 0
+            capsys.readouterr()
+            return tuple(calls.values())  # repairs, approximate_by_reduct, sweeps
+
+        assert counted(UNSOLVABLE, "--json") == (2, 0, 1)
+        assert counted(UNSOLVABLE)[2] == 0
+        paths = write_problems(tmp_path)
+        for name in ("squares_unsolvable_dual", "squares_solvable_dual"):
+            assert counted(str(paths[name]))[2] == counted(str(paths[name]), "--json")[2] == 0
 
 
 class TestCliLatticeAndOracle:
