@@ -87,14 +87,11 @@ class ApproximationResult:
     def solution_summary(self) -> SolutionSet:
         return enumerate_solutions(self._instance, materialize=self._materialize)
 
-    def approximated_instance(self, fre: FreInstance) -> FreInstance:
+    def approximated_instance(self, fre):
         """``fre`` with rhs T*; only the rhs changed, so it is built on the
-        associated context of ``fre`` (and shares its cached derived data)."""
-        return _with_rhs(fre, self.t_star_rows)
-
-
-def _with_rhs(fre: FreInstance, rhs: np.ndarray) -> FreInstance:
-    return FreInstance._on(associated_context(fre), fre.sigma, fre.col_names, rhs)
+        associated context of ``fre`` (and shares its cached derived data).
+        ``fre`` is the primal or dual instance the result was computed for."""
+        return fre._with_rhs(self.t_star_rows)
 
 
 def _result(fre: FreInstance, Y: tuple, repaired: np.ndarray, materialize: bool):
@@ -104,7 +101,7 @@ def _result(fre: FreInstance, Y: tuple, repaired: np.ndarray, materialize: bool)
     pairs = np.stack([fre._rhs_array[rows, cols], repaired[rows, cols]])
     changes = zip(rows.tolist(), cols.tolist(), zip(*_values(pairs, fre.frame.granularity)))
     modified = {(fre.row_names[i], fre.col_names[j]): c for i, j, c in changes}
-    return ApproximationResult(Y, Y, modified, repaired, _with_rhs(fre, repaired), materialize)
+    return ApproximationResult(Y, Y, modified, repaired, fre._with_rhs(repaired), materialize)
 
 
 def approximate_by_reduct(

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every command reads a JSON problem file and supports ``--json`` for
-machine-readable output.  Exit codes: 0 success, 1 unsolvable (solve),
-2 malformed input, 3 enumeration budget exceeded.
+machine-readable output.  All JSON output, that of ``--json`` and the problem
+file of ``reduce``, is printed by ``io._dumps``.  Exit codes: 0 success,
+1 unsolvable (solve), 2 malformed input, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import enum
 import functools
-import json
 import sys
 
 from . import approx, dual as dual_mod, fre as fre_mod
@@ -26,7 +26,7 @@ from .errors import (
     MafreError,
     UnsolvableError,
 )
-from .io import ProblemFile, ProblemFileError, load_problem, problem_from_instance
+from .io import ProblemFileError, _dumps, load_problem, problem_from_instance
 
 
 class ExitStatus(enum.IntEnum):
@@ -36,18 +36,21 @@ class ExitStatus(enum.IntEnum):
     BUDGET_EXCEEDED = 3
 
 
-def _dec(k: int, n: int) -> str:
-    return f"{k / n:g}"
+@functools.lru_cache(maxsize=16)
+def _decimals(n: int) -> tuple:
+    """The decimal text of every numerator k/n, indexed by k."""
+    return tuple(f"{k / n:g}" for k in range(n + 1))
 
 
 def _vec(numerators, n: int) -> str:
-    return "(" + ", ".join(_dec(k, n) for k in numerators) + ")"
+    dec = _decimals(n)
+    return "(" + ", ".join([dec[k] for k in numerators]) + ")"
 
 
 def _emit(args, payload, text) -> None:
     """Print ``payload()`` as JSON with --json, else ``text()``; only the
     printed one is built."""
-    print(json.dumps(payload(), indent=2) if args.json else text())
+    print(_dumps(payload()) if args.json else text())
 
 
 def _split_set(raw: str):
@@ -101,10 +104,14 @@ def _solve(args, instance, gap_of, solutions_of, closure, part, counted) -> int:
                 for u, w, old, new in gap
             ],
         }
-        text = lambda: f"unsolvable; rhs vs {closure}:\n" + "\n".join(
-            f"  {u}[{w}]: {_dec(old.numerator, n)} -> {_dec(new.numerator, n)}"
-            for u, w, old, new in gap
-        )
+
+        def text():
+            dec = _decimals(n)
+            return f"unsolvable; rhs vs {closure}:\n" + "\n".join(
+                f"  {u}[{w}]: {dec[old.numerator]} -> {dec[new.numerator]}"
+                for u, w, old, new in gap
+            )
+
         _emit(args, payload, text)
         return ExitStatus.UNSOLVABLE
     solutions = solutions_of(instance, materialize=args.enumerate)

@@ -187,6 +187,10 @@ class DualFreInstance:
     def from_numerators(cls, frame, row_names, var_names, col_names, coeff, sigma, rhs):
         return cls(frame, row_names, var_names, col_names, coeff, sigma, rhs)
 
+    def _with_rhs(self, rhs: np.ndarray) -> "DualFreInstance":
+        """This instance with the checked rhs array ``rhs`` (U x W)."""
+        return DualFreInstance._on(self.frame, self._primal._with_rhs(rhs.T))
+
     row_names = property(attrgetter("_primal.col_names"))
     var_names = property(attrgetter("_primal.var_names"))
     col_names = property(attrgetter("_primal.row_names"))

@@ -89,6 +89,10 @@ class FreInstance:
     def from_numerators(cls, frame, row_names, var_names, col_names, coeff, sigma, rhs):
         return cls(frame, row_names, var_names, col_names, coeff, sigma, rhs)
 
+    def _with_rhs(self, rhs: np.ndarray) -> "FreInstance":
+        """This instance with the checked rhs array ``rhs``, on the same context."""
+        return FreInstance._on(self._context, self.sigma, self.col_names, rhs)
+
     frame = property(attrgetter("_context.frame"))
     row_names = property(attrgetter("_context.attributes"))
     var_names = property(attrgetter("_context.objects"))

@@ -1,15 +1,20 @@
-"""JSON problem files.
+"""JSON problem files, and the JSON encoder of every output.
 
 All values are integer numerators over a single granularity, so files are
 exact by construction; decimal rendering happens only in human-facing output.
 Triples are given by built-in name or as explicit operator tables, and sigma
-uses 1-based indices into the triple list.
+uses 1-based indices into the triple list.  ``_dumps`` prints what
+``json.dumps(obj, indent=2)`` prints, writing rows and matrices of integers
+with one format operation each.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _str
 from typing import List, Sequence, Union
 
 from .algebra import (
@@ -26,6 +31,68 @@ from .fre import FreInstance
 
 # the adjunction check of a triple grows as (n+1)^3 and its tables as (n+1)^2
 MAX_GRANULARITY = 512
+
+
+# json's own encoder for the leaves written neither inline nor by a template:
+# bool, None, float, int and str subclasses (a float repr is exactly json's)
+_scalar = json.JSONEncoder().encode
+_intstr = int.__repr__
+
+
+def _block(parts, nl: str, brackets: str = "[]") -> str:
+    """``parts`` one per line, indented one step past ``nl`` (a newline plus
+    the indentation of the line the block opens on), between ``brackets``."""
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(parts) + nl + brackets[1]
+
+
+@functools.lru_cache(maxsize=256)
+def _row_template(length: int, nl: str) -> str:
+    """The %-template of a row of ``length`` integers opened after ``nl``."""
+    return _block(["%d"] * length, nl)
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _str(k)
+    if isinstance(k, (int, float)) or k is None:  # bool is an int
+        return _str(_scalar(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte; ``nl`` is a newline plus
+    the indentation of the line ``obj`` starts on.
+
+    A list of exact ints is one %-format of a cached row template, and a list
+    of equal-length such rows one %-format over the flattened matrix.
+    """
+    t = type(obj)
+    if t is int:
+        return _intstr(obj)
+    if t is str:
+        return _str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        kinds = {*map(type, obj)}
+        if kinds == {int}:
+            return _row_template(len(obj), nl) % tuple(obj)
+        if kinds <= {list, tuple}:
+            widths = {*map(len, obj)}
+            if len(widths) == 1 and 0 not in widths:
+                flat = list(chain.from_iterable(obj))
+                if {*map(type, flat)} == {int}:
+                    row = _row_template(len(obj[0]), inner)
+                    return _block([row] * len(obj), nl) % tuple(flat)
+        return _block([_dumps(v, inner) for v in obj], nl)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return _block([_key(k) + ": " + _dumps(v, inner) for k, v in obj.items()], nl, "{}")
+    return _scalar(obj)
 
 
 class ProblemFileError(MafreError):
@@ -92,7 +159,7 @@ class ProblemFile:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        return _dumps(self.to_json())
 
 
 def _expect(cond, message):

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -35,6 +36,8 @@ from mafre.errors import (
     NotAReductError,
     UnsolvableError,
 )
+from mafre.io import parse_problem
+from test_cli_golden import EXAMPLES, transpose
 
 
 def random_dual_solvable(rng, frame, n_rows, n_vars, n_cols):
@@ -446,8 +449,32 @@ class TestDualRepair:
                     result.t_star,
                 )
                 assert dual_is_solvable(fixed)
+                assert result.approximated_instance(dfre).rhs == fixed.rhs
                 repaired += 1
         assert repaired >= 10
+
+    def test_approximated_instance_is_the_repaired_dual(self):
+        data = json.loads((EXAMPLES / "squares_unsolvable.json").read_text())
+        dfre = parse_problem(transpose(data)).to_instance()
+        assert not dual_is_solvable(dfre)
+        feasible = dual_find_feasible_reducts(dfre)
+        assert feasible
+        for Y in feasible:
+            result = dual_approximate(dfre, Y)
+            fixed = result.approximated_instance(dfre)
+            assert isinstance(fixed, DualFreInstance)
+            assert dual_is_solvable(fixed)
+            assert (fixed._rhs_array == result.t_star_rows).all()
+            assert fixed.rhs == result.t_star
+            assert (fixed.row_names, fixed.var_names, fixed.col_names, fixed.sigma) == (
+                dfre.row_names, dfre.var_names, dfre.col_names, dfre.sigma
+            )
+            primal, repaired = fixed.transposed(), result._instance
+            assert (primal.row_names, primal.var_names, primal.col_names, primal.sigma) == (
+                repaired.row_names, repaired.var_names, repaired.col_names, repaired.sigma
+            )
+            assert (primal._coeff_array == repaired._coeff_array).all()
+            assert (primal._rhs_array == repaired._rhs_array).all()
 
     def test_non_reduct_and_infeasible_errors(self):
         rng = random.Random(82)

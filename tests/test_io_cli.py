@@ -244,7 +244,7 @@ class TestCliSolve:
             assert main(argv + ["--json"]) == 0
             json.loads(capsys.readouterr().out)
         with monkeypatch.context() as patch:  # text encodes no JSON
-            patch.setattr(mafre.cli.json, "dumps", refuse)
+            patch.setattr(mafre.cli, "_dumps", refuse)
             assert main(argv) == 0
             assert capsys.readouterr().out
 

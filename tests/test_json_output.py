@@ -1,0 +1,141 @@
+"""JSON output: ``io._dumps`` prints exactly what ``json.dumps(obj, indent=2)``
+prints, on generated values, on fixed edge cases, on problem files and on
+CLI output larger than the golden file reaches."""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_solvable_instance
+from mafre import builtin_frame
+from mafre.context import build_concept_lattice
+from mafre.dual import dual_associated_context, dual_solutions
+from mafre.fre import associated_context, enumerate_solutions
+from mafre.io import _dumps, load_problem, parse_problem, problem_from_instance
+from test_cli_golden import EXAMPLES, NAMES, run, transpose
+
+ints = st.integers(min_value=-(10**20), max_value=10**20)
+# non-ASCII and control characters, quotes and backslashes
+texts = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF), max_size=6)
+scalars = st.one_of(st.none(), st.booleans(), ints, st.floats(), texts)
+int_rows = st.lists(ints, min_size=1, max_size=5)
+# equal-length rows go through the matrix template, ragged ones row by row
+matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda width: st.lists(st.lists(ints, min_size=width, max_size=width), max_size=6)
+)
+ragged = st.lists(st.lists(ints, max_size=4), max_size=6)
+# a bool, None or float among the ints of a row
+mixed_rows = st.lists(st.one_of(ints, st.booleans(), st.none(), st.floats()), min_size=1)
+keys = st.one_of(texts, ints, st.booleans(), st.none(), st.floats())
+values = st.recursive(
+    st.one_of(scalars, int_rows, matrices, ragged, mixed_rows),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(keys, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values)
+def test_dumps_equals_json_dumps_indent_2(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+FIXED = [
+    {"a": {"b": [{"c": [[1, 2], [3, 4]]}, []]}},
+    [],
+    {},
+    [[]],
+    [[], []],
+    [[1, 2, 3], [4], [], [5, 6]],
+    [[1, True]],
+    [[1, 2], [True, 3]],
+    [[1, None], [2.5, 3]],
+    [1, None, 2.0, float("nan"), float("inf"), -float("inf")],
+    (1, 2),
+    ((1, 2), (3, 4)),
+    [(1, 2), [3, 4]],
+    {"éé☃": "\x00\x1f\n\t\"\\ 😀 \U0001f600"},
+    {1: "a", -2: [1], 10**30: {}},
+    {1.5: 1, True: 2, None: 3},
+    [[-(10**30), 0], [7, 10**30]],
+]
+
+
+@pytest.mark.parametrize("value", FIXED, ids=range(len(FIXED)))
+def test_dumps_fixed_cases(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_rejects_what_json_rejects():
+    for value in ({(1,): 2}, [object()], {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("orientation", ["primal", "dual"])
+def test_problem_file_dumps(name, orientation):
+    data = json.loads((EXAMPLES / f"{name}.json").read_text())
+    pf = parse_problem(data if orientation == "primal" else transpose(data))
+    assert pf.dumps() == json.dumps(pf.to_json(), indent=2)
+    reread = problem_from_instance(pf.to_instance(), triples=pf.triples)
+    assert reread.dumps() == json.dumps(reread.to_json(), indent=2)
+
+
+@pytest.fixture(scope="module")
+def large_files(tmp_path_factory):
+    """A seeded primal instance with 2272 solutions over two columns and 207
+    concepts, and its dual transpose, as problem files."""
+    frame = builtin_frame(["sq-left", "sq-right", "godel"], 8)
+    fre = random_solvable_instance(random.Random(2), frame, 4, 5, n_cols=2)
+    directory = tmp_path_factory.mktemp("large")
+    primal = problem_from_instance(fre).to_json()
+    paths = {}
+    for key, problem in (("primal", primal), ("dual", transpose(primal))):
+        paths[key] = directory / f"{key}.json"
+        paths[key].write_text(json.dumps(problem))
+    return paths
+
+
+def test_large_solve_enumerate_json(large_files):
+    fre = load_problem(large_files["primal"]).to_instance()
+    solutions = enumerate_solutions(fre, materialize=True)
+    assert sum(c.count for c in solutions.columns) >= 500
+    dfre = load_problem(large_files["dual"]).to_instance()
+    for path, solved in (
+        (large_files["primal"], solutions),
+        (large_files["dual"], dual_solutions(dfre, materialize=True)),
+    ):
+        payload = {"solvable": True, "solutions": solved.to_json()}
+        assert run(["solve", str(path), "--enumerate", "--json"]) == (
+            0, json.dumps(payload, indent=2) + "\n", ""
+        )
+
+
+def test_large_lattice_json(large_files):
+    fre = load_problem(large_files["primal"]).to_instance()
+    lat = build_concept_lattice(associated_context(fre))
+    assert len(lat) >= 100
+    payload = {
+        "concepts": [
+            {"extent": e, "intent": i}
+            for e, i in zip(lat.extent_rows.tolist(), lat.intent_rows.tolist())
+        ]
+    }
+    assert run(["lattice", str(large_files["primal"]), "--json"]) == (
+        0, json.dumps(payload, indent=2) + "\n", ""
+    )
+    dfre = load_problem(large_files["dual"]).to_instance()
+    dual = build_concept_lattice(dual_associated_context(dfre))
+    payload = {"members": dual.extent_rows.tolist()}
+    assert run(["lattice", str(large_files["dual"]), "--json"]) == (
+        0, json.dumps(payload, indent=2) + "\n", ""
+    )
