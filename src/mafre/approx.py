@@ -65,7 +65,7 @@ def is_feasible_reduct(fre: FreInstance, Y) -> bool:
 
 def find_feasible_reducts(fre: FreInstance):
     """All reducts whose reduced instance is solvable; may be empty."""
-    return [Y for Y in enumerate_reducts(associated_context(fre)) if _repair(fre, Y)[1]]
+    return [Y for Y, result in _repairs(fre) if result is not None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +104,15 @@ def _result(fre: FreInstance, Y: tuple, repaired: np.ndarray, materialize: bool)
     return ApproximationResult(Y, Y, modified, repaired, fre._with_rhs(repaired), materialize)
 
 
+def _repairs(fre: FreInstance):
+    """``(Y, result)`` for every reduct Y of the associated context, in
+    order: ``result`` is the ApproximationResult of Y when Y is feasible,
+    else None.  Each reduct is repaired once."""
+    for Y in enumerate_reducts(associated_context(fre)):
+        repaired, feasible = _repair(fre, Y)
+        yield Y, _result(fre, Y, repaired, False) if feasible else None
+
+
 def approximate_by_reduct(
     fre: FreInstance, Y, *, materialize_solutions: bool = False
 ) -> ApproximationResult:
@@ -130,10 +139,25 @@ class DiagnosisReport:
     """Machine- and human-readable account of where an instance is incoherent."""
 
     solvable: bool
-    feasible: tuple  # entries per feasible reduct
+    results: tuple  # ApproximationResult per feasible reduct
     infeasible_reducts: tuple
     notable_threshold: int
-    results: tuple = ()  # ApproximationResult per feasible reduct
+
+    @property
+    def feasible(self) -> tuple:
+        """Per feasible reduct, its changes as (row, column, old, new, steps,
+        severity): notable above ``notable_threshold`` steps, else slight."""
+        entries = []
+        for r in self.results:
+            modified = []
+            for (row, col), (old, new) in r.modified_rows.items():
+                steps = abs(old.numerator - new.numerator)
+                severity = "notable" if steps > self.notable_threshold else "slight"
+                modified.append((row, col, old, new, steps, severity))
+            entries.append(
+                {"reduct": r.reduct, "preserved_rows": r.preserved_rows, "modified": modified}
+            )
+        return tuple(entries)
 
     def to_json(self) -> dict:
         return {
@@ -190,21 +214,7 @@ def diagnose(fre: FreInstance, notable_threshold: int = 1) -> DiagnosisReport:
     granular steps) are flagged as notable, the rest as slight."""
     if is_solvable(fre):
         return DiagnosisReport(True, (), (), notable_threshold)
-    feasible_entries, results, infeasible = [], [], []
-    for Y in enumerate_reducts(associated_context(fre)):
-        repaired, feasible = _repair(fre, Y)
-        if not feasible:
-            infeasible.append(Y)
-            continue
-        result = _result(fre, Y, repaired, False)
-        modified = []
-        for (row, col), (old, new) in result.modified_rows.items():
-            steps = abs(old.numerator - new.numerator)
-            severity = "notable" if steps > notable_threshold else "slight"
-            modified.append((row, col, old, new, steps, severity))
-        feasible_entries.append({"reduct": Y, "preserved_rows": Y, "modified": modified})
-        results.append(result)
-    return DiagnosisReport(
-        False, tuple(feasible_entries), tuple(infeasible), notable_threshold,
-        tuple(results),
-    )
+    repairs = list(_repairs(fre))
+    results = tuple(result for _, result in repairs if result is not None)
+    infeasible = tuple(Y for Y, result in repairs if result is None)
+    return DiagnosisReport(False, results, infeasible, notable_threshold)

@@ -201,11 +201,11 @@ def cmd_approximate(args) -> int:
     instance = problem.to_instance()
     n = instance.frame.granularity
     if problem.orientation == "dual":
-        feasible = dual_mod.dual_find_feasible_reducts(instance)
-        results = [dual_mod.dual_approximate(instance, Y) for Y in feasible]
+        repairs = approx._repairs(instance.transposed())
+        results = [dual_mod._dual_result(r) for _, r in repairs if r is not None]
         payload = lambda: {
             "solvable": dual_mod.dual_is_solvable(instance),
-            "feasible_reducts": [list(Y) for Y in feasible],
+            "feasible_reducts": [list(r.reduct) for r in results],
             "approximations": [
                 {
                     "reduct": list(r.reduct),
@@ -220,7 +220,7 @@ def cmd_approximate(args) -> int:
         }
 
         def text():
-            lines = [f"{len(feasible)} feasible column reduct(s)"]
+            lines = [f"{len(results)} feasible column reduct(s)"]
             for r in results:
                 lines.append("reduct {" + ", ".join(r.reduct) + "}:")
                 lines.extend("  " + _vec(row, n) for row in r.t_star_rows.tolist())

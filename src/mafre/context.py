@@ -10,8 +10,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -231,22 +230,6 @@ def _grid(n: int, k: int):
         yield idx[:, None] // place % (n + 1)
 
 
-def _grid_images(batch, n: int, k: int) -> np.ndarray:
-    """The distinct rows of ``batch(G)`` over every G in the grid {0..n}^k."""
-    seen = [_unique_rows(batch(G)) for G in _grid(n, k)]
-    return _unique_rows(np.concatenate(seen, axis=0))
-
-
-def exhaustive_intents(ctx: Context) -> np.ndarray:
-    """All distinct intents, found by closing every fuzzy object set.
-
-    Cost is (n+1)^|B| batched evaluations.  It is the oracle of the default
-    engine: passed to ``build_concept_lattice`` as its ``strategy``, it builds
-    the lattice from the definition.
-    """
-    return _grid_images(ctx.possibility_batch, ctx.frame.granularity, len(ctx.objects))
-
-
 def _generators(ctx: Context) -> tuple:
     """``(rows, gens)``: ``rows[a, k]`` is the extent (top except a:k)^down
     for attribute a and k in 0..n, an (|A|, n+1, |B|) array (k = n gives
@@ -390,10 +373,7 @@ class ConceptLattice:
         return [self.context._object_set(row) for row in rows]
 
 
-def build_concept_lattice(
-    ctx: Context,
-    strategy: Optional[Callable[[Context], np.ndarray]] = None,
-) -> ConceptLattice:
+def build_concept_lattice(ctx: Context) -> ConceptLattice:
     """Build the full concept lattice of a finite context.
 
     The necessity operator preserves infima, and every attribute set f is the
@@ -402,13 +382,7 @@ def build_concept_lattice(
     which include top; the closure is found semi-naively and costs time in
     proportion to the number of extents times the generators, not to the
     (n+1)^|B| object sets.  The result is cached on the context.
-
-    ``strategy`` may supply the candidate intents as a (k, |A|) numerator
-    array (it must cover every intent); such a lattice is not cached.
     """
-    if strategy is not None:
-        intents = np.asarray(strategy(ctx), dtype=np.int64)
-        return ConceptLattice(ctx, ctx.necessity_batch(intents))
     if ctx._lattice is None:
         ctx._lattice = ConceptLattice(ctx, _meet_closure(_generators(ctx)[1]))
     return ctx._lattice
@@ -489,34 +463,36 @@ def is_consistent(ctx: Context, Y: Iterable) -> bool:
     return all(mask & family for family in _families(ctx))
 
 
-def enumerate_reducts(ctx: Context):
-    """All minimal consistent attribute subsets, in lexicographic index order.
+def _minimal(masks) -> list:
+    """The inclusion-minimal ones among ``masks``, each once, by popcount
+    (a strict subset has fewer bits, so it is kept before its supersets)."""
+    kept = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if all(k & m != k for k in kept):
+            kept.append(m)
+    return kept
 
-    Every subset is tested with ``is_consistent`` (the generator test, which
-    builds no lattice), and minimality re-checks each one-element removal.
-    When the lattice is {top} the empty set is consistent, so it is the only
-    reduct.  The search runs once per context and is cached on it; every
-    call returns a new list.
+
+def enumerate_reducts(ctx: Context):
+    """All minimal consistent attribute subsets, ordered by size and then by
+    their attribute positions.
+
+    Y is consistent iff it meets every family of ``_families``, so the
+    reducts are the minimal transversals of those families.  Berge's
+    algorithm adds the minimal families one at a time: the minimal
+    transversals so far, each extended by one attribute of the new family,
+    minimized again.  With no family (the lattice is {top})
+    the empty set is the only reduct.  The search runs once per context and
+    is cached on it; every call returns a new list.
     """
     if ctx._reducts is None:
-        cache = {}
-
-        def consistent(Y: tuple) -> bool:
-            if Y not in cache:
-                cache[Y] = is_consistent(ctx, Y)
-            return cache[Y]
-
-        names = ctx.attributes
-        # the loop finds no reduct when the empty set is consistent
-        reducts = [] if _families(ctx) else [()]
-        for size in range(1, len(names) + 1):
-            for idxs in combinations(range(len(names)), size):
-                Y = tuple(names[i] for i in idxs)
-                if consistent(Y) and all(
-                    not consistent(tuple(a for a in Y if a != drop)) for drop in Y
-                ):
-                    reducts.append(Y)
-        ctx._reducts = tuple(reducts)
+        bits = [1 << i for i in range(len(ctx.attributes))]
+        transversals = [0]
+        for family in _minimal(_families(ctx)):
+            transversals = _minimal(t | b for t in transversals for b in bits if b & family)
+        reducts = [[i for i, b in enumerate(bits) if t & b] for t in transversals]
+        reducts.sort(key=lambda idxs: (len(idxs), idxs))
+        ctx._reducts = tuple(tuple(ctx.attributes[i] for i in idxs) for idxs in reducts)
     return list(ctx._reducts)
 
 

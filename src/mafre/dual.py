@@ -336,6 +336,16 @@ def dual_find_feasible_reducts(dfre: DualFreInstance):
     return find_feasible_reducts(dfre.transposed())
 
 
+def _dual_result(result: ApproximationResult) -> ApproximationResult:
+    """A repair of the transposed primal, read as one of the dual instance:
+    T* transposed to U x W and the changed entries keyed (row, column)."""
+    return replace(
+        result,
+        t_star_rows=result.t_star_rows.T,
+        modified_rows={(u, w): v for (w, u), v in result.modified_rows.items()},
+    )
+
+
 def dual_approximate(dfre: DualFreInstance, Y) -> ApproximationResult:
     """Repair the rhs through a feasible column reduct Y.
 
@@ -343,9 +353,4 @@ def dual_approximate(dfre: DualFreInstance, Y) -> ApproximationResult:
     reduced rhs row pushed back through the full dual possibility operator;
     columns in Y keep their original values.
     """
-    result = approximate_by_reduct(dfre.transposed(), Y)
-    return replace(
-        result,
-        t_star_rows=result.t_star_rows.T,
-        modified_rows={(u, w): v for (w, u), v in result.modified_rows.items()},
-    )
+    return _dual_result(approximate_by_reduct(dfre.transposed(), Y))

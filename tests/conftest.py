@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from mafre import Context, FreInstance, builtin_frame
@@ -91,6 +92,18 @@ def random_context(rng: random.Random, frame, n_attrs, n_objs):
     attrs = [f"a{i}" for i in range(n_attrs)]
     objs = [f"b{i}" for i in range(n_objs)]
     return Context(frame, attrs, objs, rel, sigma)
+
+
+def exhaustive_lattice(ctx):
+    """The concept lattice of ``ctx`` from the definition, the oracle of the
+    default engine: every fuzzy object set in {0..n}^|B| is closed, and the
+    distinct intents give the extents.  Costs (n+1)^|B| batched evaluations."""
+    from mafre import context
+
+    n, nb = ctx.frame.granularity, len(ctx.objects)
+    seen = [context._unique_rows(ctx.possibility_batch(G)) for G in context._grid(n, nb)]
+    intents = context._unique_rows(np.concatenate(seen, axis=0))
+    return context.ConceptLattice(ctx, ctx.necessity_batch(intents))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

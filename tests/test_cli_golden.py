@@ -117,7 +117,7 @@ def record() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for key, path in write_problems(Path(tmp)).items():
             problem = load_problem(path)
-            reduct = ",".join(enumerate_reducts(_context(problem, problem.to_instance()))[0])
+            reduct = ",".join(enumerate_reducts(_context(problem.to_instance()))[0])
             for template in COMMANDS:
                 for form in ([], ["--json"]):
                     args = [reduct if a == "<reduct>" else a for a in template] + form

@@ -26,7 +26,7 @@ from mafre.errors import (
     NotAnExtentError,
     RangeError,
 )
-from conftest import SQUARES_ROWS, SQUARES_VARS, random_context
+from conftest import SQUARES_ROWS, SQUARES_VARS, exhaustive_lattice, random_context
 
 
 def fs(names, nums, n=8):
@@ -234,12 +234,9 @@ class TestLattice:
             with pytest.raises(NotAnExtentError):
                 predecessors(lat, probe)
 
-    def test_pluggable_strategy(self, squares_context):
+    def test_exhaustive_oracle_gives_the_same_extents(self, squares_context):
         default = build_concept_lattice(squares_context)
-        from mafre.context import exhaustive_intents
-
-        replayed = build_concept_lattice(squares_context, strategy=exhaustive_intents)
-        assert replayed.extent_set() == default.extent_set()
+        assert exhaustive_lattice(squares_context).extent_set() == default.extent_set()
 
     def test_dot_export_counts(self, squares_context):
         lat = build_concept_lattice(restrict(squares_context, ["u1", "u2", "u3"]))
@@ -251,7 +248,7 @@ class TestLattice:
 
 class TestLatticeEngine:
     """The default engine closes the generator extents under meets; the
-    object-side sweep ``exhaustive_intents`` is its oracle."""
+    object-side sweep ``exhaustive_lattice`` is its oracle."""
 
     @pytest.mark.parametrize(
         "n_attrs, n_objs", [(1, 1), (1, 3), (3, 1), (2, 4), (3, 3), (4, 2)]
@@ -259,13 +256,10 @@ class TestLatticeEngine:
     def test_matches_object_sweep(self, n_attrs, n_objs, monkeypatch):
         from mafre import context as context_mod
 
-        oracle = context_mod.exhaustive_intents
-        grid = context_mod._grid_images
+        grid = context_mod._grid
         sweeps = []
         monkeypatch.setattr(
-            context_mod,
-            "_grid_images",
-            lambda *args: sweeps.append(args) or grid(*args),
+            context_mod, "_grid", lambda *args: sweeps.append(args) or grid(*args)
         )
         rng = random.Random(100 * n_attrs + n_objs)
         for n in range(1, 7):
@@ -276,7 +270,8 @@ class TestLatticeEngine:
                 for c in (ctx, restrict(ctx, keep)):
                     got = build_concept_lattice(c)
                     assert sweeps == []  # the default build sweeps no grid
-                    expected = build_concept_lattice(c, strategy=oracle)
+                    expected = exhaustive_lattice(c)
+                    assert sweeps  # the oracle does
                     sweeps.clear()
                     assert np.array_equal(got.extent_rows, expected.extent_rows)
                     assert got.covers() == expected.covers()
@@ -292,30 +287,22 @@ class TestLatticeEngine:
             assert np.array_equal(_unique_rows(rows), np.unique(rows, axis=0))
 
     def test_all_zero_coefficients_give_top_alone(self):
-        from mafre.context import exhaustive_intents
-
         for names in (["godel"], ["sq-left", "sq-right"]):
             frame = builtin_frame(names, 5)
             zeros = [[frame.value(0)] * 3 for _ in range(2)]
             sigma = [0, 0, len(names) - 1]
             ctx = Context(frame, ["a0", "a1"], ["b0", "b1", "b2"], zeros, sigma)
-            for lat in (
-                build_concept_lattice(ctx),
-                build_concept_lattice(ctx, strategy=exhaustive_intents),
-            ):
+            for lat in (build_concept_lattice(ctx), exhaustive_lattice(ctx)):
                 assert lat.extent_rows.tolist() == [[5, 5, 5]]
                 assert lat.covers() == []
 
     def test_large_context_covers_match_int64_product(self):
-        from mafre.context import exhaustive_intents
-
         ctx = random_context(
             random.Random(61), builtin_frame(["sq-left", "sq-right", "godel"], 9), 6, 4
         )
         lat = build_concept_lattice(ctx)
         assert len(lat) > 250
-        oracle = build_concept_lattice(ctx, strategy=exhaustive_intents)
-        assert np.array_equal(lat.extent_rows, oracle.extent_rows)
+        assert np.array_equal(lat.extent_rows, exhaustive_lattice(ctx).extent_rows)
         rows = lat.extent_rows
         less = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
         np.fill_diagonal(less, False)
@@ -479,12 +466,10 @@ class TestConsistencyAndReducts:
         from mafre import context as context_mod
 
         ctx = random_context(random.Random(41), builtin_frame(["godel"], 3), 3, 2)
-        checked = []
-        consistent = context_mod.is_consistent
+        checked = []  # one entry per search: each reads the families once
+        families = context_mod._families
         monkeypatch.setattr(
-            context_mod,
-            "is_consistent",
-            lambda *a, **k: checked.append(a) or consistent(*a, **k),
+            context_mod, "_families", lambda *a: checked.append(a) or families(*a)
         )
         first = enumerate_reducts(ctx)
         searched = len(checked)
@@ -581,24 +566,34 @@ class TestConsistencyAndReducts:
                 assert not ("a0" in Y and "a_dup" in Y)
 
     def test_reducts_by_brute_subset_scan(self):
-        # definition-level cross-check on small random contexts
+        # definition-level cross-check: scan every subset, the empty one too
         from itertools import combinations
 
         rng = random.Random(31)
         frame = builtin_frame(["sq-left", "godel"], 4)
-        for _ in range(5):
-            ctx = random_context(rng, frame, 3, 2)
-            consistent = {}
-            for size in range(1, 4):
-                for Y in combinations(ctx.attributes, size):
-                    consistent[Y] = is_consistent(ctx, Y)
+        contexts = [random_context(rng, frame, k, 2) for k in range(3, 11)]
+        ctx = contexts[0]
+        contexts.append(  # a duplicated row
+            Context(
+                frame,
+                [*ctx.attributes, "a_dup"],
+                ctx.objects,
+                [*ctx.relation, ctx.relation[1]],
+                [*ctx.sigma, ctx.sigma[1]],
+            )
+        )
+        zero = [[frame.value(0)] * 2] * 4  # the lattice is {top}
+        contexts.append(Context(frame, ["a0", "a1", "a2", "a3"], ["b0", "b1"], zero, [0, 1]))
+        for ctx in contexts:
+            consistent = {
+                Y: is_consistent(ctx, Y)
+                for size in range(len(ctx.attributes) + 1)
+                for Y in combinations(ctx.attributes, size)
+            }
             expected = [
                 Y
                 for Y, ok in consistent.items()
-                if ok
-                and all(
-                    not consistent.get(tuple(a for a in Y if a != d), False)
-                    for d in Y
-                )
+                if ok and not any(consistent[tuple(a for a in Y if a != d)] for d in Y)
             ]
             assert enumerate_reducts(ctx) == expected
+        assert enumerate_reducts(contexts[-1]) == [()]

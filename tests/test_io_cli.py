@@ -418,9 +418,13 @@ class TestCliApproximate:
         assert payload["pessimistic_rhs"] == [[2], [5], [1], [2], [1]]
 
     def test_each_repair_computed_once(self, tmp_path, capsys, monkeypatch):
-        # diagnose repairs every reduct once; the JSON output reads its
-        # results, and only a printed solution count sweeps a solution box
+        # approximate repairs every reduct once where it lists repairs (each
+        # dual file and the unsolvable primal; a solvable primal is answered
+        # without any); the JSON output reads the same results, and only a
+        # printed solution count sweeps a solution box
         import mafre.approx as approx
+        from mafre.cli import _context
+        from mafre.context import enumerate_reducts
         from test_cli_golden import write_problems
 
         calls = {}
@@ -440,9 +444,14 @@ class TestCliApproximate:
 
         assert counted(UNSOLVABLE, "--json") == (2, 0, 1)
         assert counted(UNSOLVABLE)[2] == 0
-        paths = write_problems(tmp_path)
-        for name in ("squares_unsolvable_dual", "squares_solvable_dual"):
-            assert counted(str(paths[name]))[2] == counted(str(paths[name]), "--json")[2] == 0
+        for name, path in write_problems(tmp_path).items():
+            reducts = enumerate_reducts(_context(load_problem(path).to_instance()))
+            dual = name.endswith("_dual")
+            listed = dual or name == "squares_unsolvable"
+            for form in ([], ["--json"]):
+                repairs, _, sweeps = counted(str(path), *form)
+                assert repairs == (len(reducts) if listed else 0), (name, form)
+                assert not (dual and sweeps)
 
 
 class TestCliLatticeAndOracle:
