@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cached_property, lru_cache, total_ordering
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,9 @@ BUILTIN_TRIPLE_NAMES = ("sq-left", "sq-right", "godel")
 # size of one chunk of a numpy sweep (grid rows, or cells of the adjunction
 # cube), so that memory stays bounded however large the sweep is
 _CHUNK = 200_000
+# built-in triples kept per process, as (name, n) keys: one triple at n = 512
+# holds 6.3 MB of tables, so the cache is bounded
+_BUILTIN_CACHE_SIZE = 16
 
 
 @total_ordering
@@ -120,8 +123,10 @@ class AdjointTriple:
 
     Operator tables are indexed by numerators: ``conj_table[x][y]``,
     ``left_residuum_table[z][y]`` and ``right_residuum_table[z][x]``.  The
-    same three tables are kept stacked as one (3, n+1, n+1) integer array for
-    numpy evaluation.
+    same three tables are kept stacked as one read-only (3, n+1, n+1) integer
+    array for numpy evaluation; the tuple forms are built on first use.
+    A triple is immutable, so one that passed ``verify_adjoint_triple`` is
+    marked ``_verified`` and is not checked again.
     """
 
     def __init__(self, name, granularity, conj_table, lres_table, rres_table):
@@ -137,9 +142,17 @@ class AdjointTriple:
         self.name = name
         self.granularity = n
         self._tables = np.stack(arrays)
-        self.conj_table, self.left_residuum_table, self.right_residuum_table = (
-            tuple(map(tuple, table)) for table in self._tables.tolist()
-        )
+        self._tables.flags.writeable = False
+        self._verified = False
+        self._opposite = None
+
+    @cached_property
+    def _tuples(self) -> tuple:
+        return tuple(tuple(map(tuple, table)) for table in self._tables.tolist())
+
+    conj_table = property(lambda self: self._tuples[0])
+    left_residuum_table = property(lambda self: self._tuples[1])
+    right_residuum_table = property(lambda self: self._tuples[2])
 
     def _in(self, v: GranularValue) -> int:
         if v.granularity != self.granularity:
@@ -165,16 +178,19 @@ class AdjointTriple:
         """The triple of y & x: conj table transposed, the two residua swapped.
 
         A dual equation X (.) S = T is the primal one S^T (.) X^T = T^T over
-        the opposite triples.
+        the opposite triples.  It is built once; its opposite is this triple.
         """
-        conj, lres, rres = self._tables
-        return AdjointTriple(
-            self.name[:-3] if self.name.endswith("^op") else self.name + "^op",
-            self.granularity,
-            conj.T,
-            rres,
-            lres,
-        )
+        if self._opposite is None:
+            conj, lres, rres = self._tables
+            opposite = AdjointTriple(
+                self.name[:-3] if self.name.endswith("^op") else self.name + "^op",
+                self.granularity,
+                conj.T,
+                rres,
+                lres,
+            )
+            opposite._opposite, self._opposite = self, opposite
+        return self._opposite
 
     def __repr__(self):
         return f"AdjointTriple({self.name!r}, n={self.granularity})"
@@ -205,8 +221,14 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
     return r
 
 
+# typed: an np.int64 n gets a triple of its own, whose granularity never
+# reaches a caller that passed an int
+@lru_cache(maxsize=_BUILTIN_CACHE_SIZE, typed=True)
 def builtin_triple(name: str, n: int) -> AdjointTriple:
     """Return one of the built-in adjoint triples on [0,1]_n.
+
+    A triple is built once per (name, n) and shared by every caller in the
+    process (it is immutable), so it is verified at most once.
 
     ``sq-left``:  x & y = ceil(n x^2 y)/n, ``sq-right``: x & y = ceil(n x y^2)/n,
     ``godel``:    x & y = min(x, y).  Residua clip at 1 and return 1 when the
@@ -255,7 +277,8 @@ def verify_adjoint_triple(t: AdjointTriple, lattice: GranularLattice) -> Adjunct
 
     All (x, y, z) are tested at once with numpy, in slices of x holding at
     most ``_CHUNK`` cells.  On failure the witness is the first counterexample
-    in lexicographic (x, y, z) order.
+    in lexicographic (x, y, z) order.  A triple that passes is marked
+    ``_verified``.
     """
     if t.granularity != lattice.granularity:
         raise GranularityMismatchError(
@@ -276,16 +299,22 @@ def verify_adjoint_triple(t: AdjointTriple, lattice: GranularLattice) -> Adjunct
             i, y, z = np.unravel_index(np.argmax(bad), bad.shape)
             witness = tuple(GranularValue(int(v), n) for v in (start + i, y, z))
             return AdjunctionReport(False, witness)
+    t._verified = True
     return AdjunctionReport(True, None)
 
 
 class Frame:
-    """A granular chain together with a family of verified adjoint triples."""
+    """A granular chain together with a family of verified adjoint triples.
+
+    A triple that already passed the adjunction check is not checked again.
+    """
 
     def __init__(self, lattice: GranularLattice, triples: Sequence[AdjointTriple]):
         if not triples:
             raise RangeError("a frame needs at least one adjoint triple")
         for t in triples:
+            if t._verified and t.granularity == lattice.granularity:
+                continue
             report = verify_adjoint_triple(t, lattice)
             if not report:
                 raise InvalidTripleError(

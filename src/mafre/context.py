@@ -10,12 +10,14 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .algebra import _CHUNK, Frame, GranularValue
 from .errors import (
+    BudgetExceededError,
     DimensionError,
     GranularityMismatchError,
     IndexMismatchError,
@@ -70,11 +72,42 @@ def _numerator(v, n: int, what: str):
     return v
 
 
+def _int64(rows, n_rows: int, n_cols: int, n: int):
+    """``rows`` as a new (n_rows, n_cols) int64 array when it is an int64
+    array or a list of rows (lists or tuples) of exact ints, of that shape
+    and with every entry in 0..n; else None.  One set of entry types (which
+    rejects bool) and one numpy shape and range test, with no per-entry
+    Python step."""
+    if isinstance(rows, np.ndarray):
+        if rows.dtype != np.int64:
+            return None
+        arr = np.array(rows)
+    elif {*map(type, rows)} <= {list, tuple} and {*map(type, chain.from_iterable(rows))} <= {int}:
+        try:
+            arr = np.array(rows, dtype=np.int64)
+        except (ValueError, OverflowError):  # ragged rows, an int beyond int64
+            return None
+    else:
+        return None
+    if arr.shape != (n_rows, n_cols) or ((arr < 0) | (arr > n)).any():
+        return None
+    return arr
+
+
 def _matrix(rows, n_rows: int, n_cols: int, what: str, n: int) -> np.ndarray:
     """``rows`` as an (n_rows, n_cols) int64 array.  Every entry must be an
     integer in 0..n or a GranularValue on [0,1]_n: a wrong shape raises
     DimensionError, another granularity GranularityMismatchError and any
-    other entry RangeError."""
+    other entry RangeError.
+
+    Input that ``_int64`` accepts needs nothing more; other input
+    (GranularValue or numpy-scalar entries), and input it rejects, goes
+    entry by entry, which also finds the error to raise."""
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    arr = _int64(rows, n_rows, n_cols, n)
+    if arr is not None:
+        return arr
     rows = [[_numerator(v, n, what) for v in row] for row in rows]
     if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
         raise DimensionError(f"{what} must be {n_rows}x{n_cols}")
@@ -463,6 +496,12 @@ def is_consistent(ctx: Context, Y: Iterable) -> bool:
     return all(mask & family for family in _families(ctx))
 
 
+# the most minimal transversals that ``enumerate_reducts`` keeps after any
+# family (the reducts are the last of them): their number can grow
+# exponentially, and minimizing the next list costs its square
+MAX_REDUCTS = 1_000
+
+
 def _minimal(masks) -> list:
     """The inclusion-minimal ones among ``masks``, each once, by popcount
     (a strict subset has fewer bits, so it is kept before its supersets)."""
@@ -482,14 +521,19 @@ def enumerate_reducts(ctx: Context):
     algorithm adds the minimal families one at a time: the minimal
     transversals so far, each extended by one attribute of the new family,
     minimized again.  With no family (the lattice is {top})
-    the empty set is the only reduct.  The search runs once per context and
-    is cached on it; every call returns a new list.
+    the empty set is the only reduct.  More than ``MAX_REDUCTS`` transversals
+    after any family raise BudgetExceededError.  The search runs once per
+    context and is cached on it; every call returns a new list.
     """
     if ctx._reducts is None:
         bits = [1 << i for i in range(len(ctx.attributes))]
         transversals = [0]
         for family in _minimal(_families(ctx)):
             transversals = _minimal(t | b for t in transversals for b in bits if b & family)
+            if len(transversals) > MAX_REDUCTS:
+                raise BudgetExceededError(
+                    f"reduct search exceeds {MAX_REDUCTS} partial reducts"
+                )
         reducts = [[i for i, b in enumerate(bits) if t & b] for t in transversals]
         reducts.sort(key=lambda idxs: (len(idxs), idxs))
         ctx._reducts = tuple(tuple(ctx.attributes[i] for i in idxs) for idxs in reducts)

@@ -24,6 +24,7 @@ from .algebra import (
     GranularLattice,
     builtin_triple,
 )
+from .context import _int64
 from .dual import DualFreInstance
 from .errors import MafreError
 from .fre import FreInstance
@@ -173,7 +174,15 @@ def _is_int(v) -> bool:
 
 
 def _int_matrix(data, n_rows, n_cols, n, what):
+    """``data`` as a list of ``n_rows`` lists of ``n_cols`` integers in [0, n].
+
+    A list of lists is checked whole by ``context._int64`` (one set of entry
+    types, one numpy range test); only a matrix it rejects is walked row by
+    row to its first bad row or entry, which names the error.
+    """
     _expect(isinstance(data, list) and len(data) == n_rows, f"{what} must have {n_rows} rows")
+    if {*map(type, data)} <= {list} and _int64(data, n_rows, n_cols, n) is not None:
+        return [list(row) for row in data]
     for row in data:
         _expect(isinstance(row, list) and len(row) == n_cols, f"{what} rows must have {n_cols} entries")
         for v in row:

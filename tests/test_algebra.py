@@ -313,6 +313,42 @@ def test_opposite_frame_is_not_verified_again(monkeypatch):
         assert (back.name, back.conj_table) == (t.name, t.conj_table)
 
 
+def test_builtin_triples_are_shared_and_read_only():
+    t = builtin_triple("sq-left", 5)
+    assert builtin_triple("sq-left", 5) is t
+    with pytest.raises(ValueError):
+        t._tables[0, 1, 1] = 0
+    with pytest.raises(ValueError):
+        t.opposite()._tables[1][2, 3] = 5
+    custom = AdjointTriple("custom", 5, t.conj_table, t.left_residuum_table, t.right_residuum_table)
+    with pytest.raises(ValueError):
+        custom._tables[2, 0, 0] = 1
+
+
+def test_builtin_triple_cache_is_bounded():
+    maxsize = builtin_triple.cache_info().maxsize
+    assert maxsize is not None and maxsize > len(BUILTIN_TRIPLE_NAMES)
+    for n in range(1, maxsize + 2):
+        builtin_triple("godel", n)
+    assert builtin_triple.cache_info().currsize == maxsize
+
+
+def test_opposite_is_built_once():
+    t = builtin_triple("sq-right", 4)
+    custom = AdjointTriple("custom", 4, t.conj_table, t.left_residuum_table, t.right_residuum_table)
+    for triple in (t, custom):
+        assert triple.opposite() is triple.opposite()
+        assert triple.opposite().opposite() is triple
+
+
+def test_a_verified_triple_still_needs_its_granularity():
+    t = builtin_triple("godel", 5)
+    Frame(GranularLattice(5), [t])
+    assert t._verified
+    with pytest.raises(GranularityMismatchError):
+        Frame(GranularLattice(6), [t])
+
+
 def test_isqrt_is_exact_near_squares():
     from mafre.algebra import _isqrt
 

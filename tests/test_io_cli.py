@@ -192,7 +192,7 @@ class TestCliSolve:
         assert payload["valid"] and payload["granularity"] == 8
         assert all(t["adjoint"] for t in payload["triples"])
 
-    def test_check_verifies_each_triple_once(self, capsys, monkeypatch):
+    def test_check_verifies_each_triple_once(self, capsys, monkeypatch, tmp_path):
         import mafre.algebra
 
         calls = []
@@ -202,8 +202,37 @@ class TestCliSolve:
             "verify_adjoint_triple",
             lambda t, lattice: calls.append(t.name) or verify(t, lattice),
         )
+        mafre.algebra.builtin_triple.cache_clear()
         assert main(["check", SOLVABLE]) == 0
         assert calls == ["sq-left", "sq-right"]
+        # the built-in triples of a second load are the verified ones
+        assert main(["check", SOLVABLE]) == 0
+        assert calls == ["sq-left", "sq-right"]
+        # a triple given by its tables is a new triple on every load
+        with open(SOLVABLE) as fh:
+            data = json.load(fh)
+        sq_right = builtin_triple("sq-right", 8)
+        data["triples"][1] = {
+            "name": "custom",
+            "conj": [list(r) for r in sq_right.conj_table],
+            "left_residuum": [list(r) for r in sq_right.left_residuum_table],
+            "right_residuum": [list(r) for r in sq_right.right_residuum_table],
+        }
+        custom = tmp_path / "custom.json"
+        custom.write_text(json.dumps(data))
+        for _ in range(2):
+            assert main(["check", str(custom)]) == 0
+        assert calls == ["sq-left", "sq-right", "custom", "custom"]
+        capsys.readouterr()
+        # a triple that fails is marked nowhere, so it fails on every load
+        data["triples"][1]["name"] = "broken"
+        data["triples"][1]["conj"][8][8] = 0
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(data))
+        for _ in range(2):
+            assert main(["check", str(broken)]) == 2
+            assert "triple 'broken' fails adjunction" in capsys.readouterr().err
+        assert calls[4:] == ["broken", "broken"]
 
     def test_one_parser_serves_every_call(self, capsys, monkeypatch):
         import mafre.cli
@@ -471,6 +500,24 @@ class TestCliLatticeAndOracle:
 
     def test_oracle_budget_exit_3(self, capsys):
         assert main(["oracle", MAXMIN, "--budget", "10"]) == 3
+
+    def test_reduct_budget_exit_3(self, capsys, monkeypatch):
+        import mafre.context
+        from mafre import associated_context, enumerate_reducts
+        from mafre.errors import BudgetExceededError
+
+        # squares_unsolvable has two reducts, {u1, u2, u3} and {u2, u3, u4}
+        monkeypatch.setattr(mafre.context, "MAX_REDUCTS", 1)
+        ctx = associated_context(load_problem(UNSOLVABLE).to_instance())
+        with pytest.raises(BudgetExceededError, match="exceeds 1 partial reducts"):
+            enumerate_reducts(ctx)
+        for argv in (["reducts", UNSOLVABLE], ["approximate", UNSOLVABLE], ["reducts", MAXMIN]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == "error: reduct search exceeds 1 partial reducts\n"
+        monkeypatch.setattr(mafre.context, "MAX_REDUCTS", 2)
+        assert len(enumerate_reducts(ctx)) == 2
+        assert main(["reducts", UNSOLVABLE]) == 0
+        assert capsys.readouterr().out.startswith("2 reduct(s):")
 
 
 class TestCliDual:

@@ -38,7 +38,13 @@ from mafre import (
 )
 from mafre.context import _generators
 from mafre.dual import dual_associated_context
-from mafre.errors import DimensionError, GranularityMismatchError, RangeError
+from mafre.io import ProblemFileError, _int_matrix, parse_problem
+from mafre.errors import (
+    DimensionError,
+    GranularityMismatchError,
+    InvalidTripleError,
+    RangeError,
+)
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_data"
 TRIPLES = ("godel", "sq-left", "sq-right")
@@ -253,6 +259,174 @@ class TestValidation:
             DualContext(frame, ["v", "x"], ["w", "y"], [[1, 2], [3]], [0, 0])
 
 
+def _loop_numerator(v, n, what):
+    if isinstance(v, GranularValue):
+        if v.granularity != n:
+            raise GranularityMismatchError(f"{what} value {v} on a [0,1]_{n} frame")
+        return v.numerator
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise RangeError(f"{what} entry {v!r} is not an integer")
+    if not 0 <= v <= n:
+        raise RangeError(f"{what} entry {v} outside [0, {n}]")
+    return v
+
+
+def _loop_matrix(rows, n_rows, n_cols, what, n):
+    """The entry-by-entry check of instance matrices, the reference for the
+    vectorised ``context._matrix``."""
+    rows = [[_loop_numerator(v, n, what) for v in row] for row in rows]
+    if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
+        raise DimensionError(f"{what} must be {n_rows}x{n_cols}")
+    return np.array(rows, dtype=np.int64).reshape(n_rows, n_cols)
+
+
+def _loop_int_matrix(data, n_rows, n_cols, n, what):
+    """The entry-by-entry check of file matrices, the reference for the
+    vectorised ``io._int_matrix``."""
+    if not (isinstance(data, list) and len(data) == n_rows):
+        raise ProblemFileError(f"{what} must have {n_rows} rows")
+    for row in data:
+        if not (isinstance(row, list) and len(row) == n_cols):
+            raise ProblemFileError(f"{what} rows must have {n_cols} entries")
+        for v in row:
+            if not (isinstance(v, int) and not isinstance(v, bool)):
+                raise ProblemFileError(f"{what} entries must be integers")
+            if not 0 <= v <= n:
+                raise ProblemFileError(f"{what} entry {v} outside [0, {n}]")
+    return [list(row) for row in data]
+
+
+def _outcome(fn):
+    """The class and message of what ``fn()`` raises, or None."""
+    try:
+        fn()
+    except Exception as exc:  # every error is compared, whatever its class
+        return type(exc), str(exc)
+    return None
+
+
+# 2x2 matrices on [0,1]_4; the first bad entry in row-major order names the error
+MATRICES = [
+    [[True, 1], [0, 2]],
+    [[1, 2], [0, False]],
+    [[1.0, 1], [0, 2]],
+    [[2.5, 1], [0, 2]],
+    [["1", 1], [0, 2]],
+    [[[1], 1], [0, 2]],
+    [[None, 1], [0, 2]],
+    [[-1, 1], [0, 2]],
+    [[1, 5], [0, 2]],
+    [[1, 2**70], [0, 2]],
+    [[1, -(2**70)], [0, 2]],
+    [[1, 2], [3]],
+    [[1, 2, 3], [0, 1]],
+    [[9, 2], [3]],
+    [[1, 2]],
+    [[1, 2], [0, 1], [0, 1]],
+    [],
+    [[1, 2], 3],
+    [[1, 2], "ab"],
+    [[1, 2], (3, 4)],
+    [[9, "a"], [0, 1]],
+    [["a", 9], [0, 1]],
+    [[1, 9], [True, 0]],
+    [[1, True], [9, 0]],
+    [[GranularValue(1, 4), 1], [0, 2]],
+    [[GranularValue(1, 5), 1], [0, 2]],
+    [[np.int64(1), np.int64(2)], [np.int64(3), np.int64(4)]],
+    [[np.int64(1), 5], [0, 2]],
+    [[1, 2], [3, 4]],
+]
+ARRAYS = [
+    np.array([[1, 2], [3, 4]]),
+    np.array([[1, 2], [3, 4]], dtype=np.int32),
+    np.array([[1, 5], [0, 2]]),
+    np.array([[-1, 1], [0, 2]]),
+    np.array([[0.0, 1.5], [0.0, 0.0]]),
+    np.array([[True, False], [False, True]]),
+    np.zeros((2, 3), dtype=np.int64),
+    np.zeros((2, 2, 1), dtype=np.int64),
+    np.zeros(4, dtype=np.int64),
+]
+
+
+class TestVectorisedChecks:
+    """The vectorised entry checks raise what the entry-by-entry loops raised."""
+
+    @pytest.mark.parametrize("matrix", MATRICES, ids=range(len(MATRICES)))
+    @pytest.mark.parametrize("key", ["coefficients", "rhs"])
+    def test_problem_file(self, key, matrix):
+        data = {
+            "granularity": 4,
+            "triples": ["godel"],
+            "rows": ["u1", "u2"],
+            "variables": ["v1", "v2"],
+            "columns": ["w1", "w2"],
+            "coefficients": [[1, 2], [3, 4]],
+            "sigma": [1, 1],
+            "rhs": [[0, 1], [2, 3]],
+        }
+        expected = _outcome(lambda: _loop_int_matrix(matrix, 2, 2, 4, key))
+        got = _outcome(lambda: parse_problem(dict(data, **{key: matrix})))
+        assert got == expected
+
+    @pytest.mark.parametrize("matrix", MATRICES + ARRAYS, ids=range(len(MATRICES + ARRAYS)))
+    @pytest.mark.parametrize("key", ["coeff", "rhs"])
+    @pytest.mark.parametrize("cls", [FreInstance, DualFreInstance])
+    def test_instance(self, cls, key, matrix):
+        frame = builtin_frame(["godel", "sq-left"], 4)
+        args = {"coeff": [[1, 2], [3, 4]], "rhs": [[0, 1], [2, 3]], key: matrix}
+        what = "relation" if key == "coeff" else "rhs"
+
+        def build():
+            return cls.from_numerators(
+                frame, ("u1", "u2"), ("v1", "v2"), ("w1", "w2"), args["coeff"], [0, 1],
+                args["rhs"],
+            )
+
+        expected = _outcome(lambda: _loop_matrix(matrix, 2, 2, what, 4))
+        assert _outcome(build) == expected
+        if expected is None:
+            array = build()._coeff_array if key == "coeff" else build()._rhs_array
+            assert array.tolist() == _loop_matrix(matrix, 2, 2, what, 4).tolist()
+
+    def test_first_bad_entry_names_the_error(self):
+        with pytest.raises(ProblemFileError, match=r"^rhs entry 9 outside \[0, 4\]$"):
+            _int_matrix([[9, "a"]], 1, 2, 4, "rhs")
+        with pytest.raises(ProblemFileError, match="^rhs entries must be integers$"):
+            _int_matrix([["a", 9]], 1, 2, 4, "rhs")
+        frame = builtin_frame(["godel"], 4)
+        with pytest.raises(GranularityMismatchError):
+            FreInstance.from_numerators(
+                frame, ["u"], ["v"], ["w"], [[GranularValue(1, 5)]], [0], [[0]]
+            )
+
+    def test_accepted_inputs(self):
+        frame = builtin_frame(["godel", "sq-left"], 4)
+        expected = [[1, 2], [3, 4]]
+        for coeff in (
+            [[np.int64(k) for k in row] for row in expected],
+            np.array(expected, dtype=np.int64),
+            _gv(frame, expected),
+            tuple(map(tuple, expected)),
+        ):
+            for cls in (FreInstance, DualFreInstance):
+                fre = cls.from_numerators(
+                    frame, ("u1", "u2"), ("v1", "v2"), ("w1", "w2"), coeff, [0, 1], coeff
+                )
+                assert fre._coeff_array.tolist() == expected
+                assert fre._rhs_array.tolist() == expected
+
+    def test_a_checked_array_is_a_copy(self):
+        frame = builtin_frame(["godel"], 4)
+        coeff = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        fre = FreInstance.from_numerators(
+            frame, ["u1", "u2"], ["v1", "v2"], ["w"], coeff, [0, 0], [[1], [2]]
+        )
+        coeff[0, 0] = 4
+        assert fre._coeff_array.tolist() == [[1, 2], [3, 4]]
+
+
 class TestNoValuesOnLoad:
     @pytest.fixture()
     def built(self, monkeypatch):
@@ -426,23 +600,44 @@ class TestVerifiedOnce:
         verify = algebra.verify_adjoint_triple
         spy = lambda t, lattice: calls.append(t.name) or verify(t, lattice)
         monkeypatch.setattr(algebra, "verify_adjoint_triple", spy)
+        algebra.builtin_triple.cache_clear()
+        data = {
+            "granularity": 4,
+            "triples": list(TRIPLES),
+            "orientation": "dual",
+            "rows": ["u1", "u2"],
+            "variables": ["v1", "v2", "v3"],
+            "columns": ["w1", "w2"],
+            "coefficients": [[3, 1], [2, 4], [0, 2]],
+            "sigma": [1, 2, 3],
+            "rhs": [[2, 3], [1, 2]],
+        }
         path = tmp_path / "dual.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "granularity": 4,
-                    "triples": list(TRIPLES),
-                    "orientation": "dual",
-                    "rows": ["u1", "u2"],
-                    "variables": ["v1", "v2", "v3"],
-                    "columns": ["w1", "w2"],
-                    "coefficients": [[3, 1], [2, 4], [0, 2]],
-                    "sigma": [1, 2, 3],
-                    "rhs": [[2, 3], [1, 2]],
-                }
-            )
-        )
+        path.write_text(json.dumps(data))
         dfre = load_problem(path).to_instance()
         assert calls == list(TRIPLES)
         dual_reduce(dfre, ["w1"], enforce_consistency=False).transposed()
         assert calls == list(TRIPLES)
+        # the built-in triples of a second load are the verified ones
+        load_problem(path).to_instance()
+        assert calls == list(TRIPLES)
+        # a triple given by its tables is a new triple on every load
+        godel = algebra.builtin_triple("godel", 4)
+        data["triples"][0] = {
+            "name": "custom",
+            "conj": [list(r) for r in godel.conj_table],
+            "left_residuum": [list(r) for r in godel.left_residuum_table],
+            "right_residuum": [list(r) for r in godel.right_residuum_table],
+        }
+        path.write_text(json.dumps(data))
+        for _ in range(2):
+            load_problem(path).to_instance()
+        assert calls == [*TRIPLES, "custom", "custom"]
+        # a triple that fails is marked nowhere, so it fails on every load
+        data["triples"][0]["name"] = "broken"
+        data["triples"][0]["conj"][4][4] = 0
+        path.write_text(json.dumps(data))
+        for _ in range(2):
+            with pytest.raises(InvalidTripleError, match="'broken' fails adjunction"):
+                load_problem(path).to_instance()
+        assert calls[len(TRIPLES) + 2 :] == ["broken", "broken"]
