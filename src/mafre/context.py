@@ -240,14 +240,25 @@ class Concept:
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of a 2-D integer array in lexicographic order.
 
-    Equal to ``np.unique(rows, axis=0)``, but sorted with ``np.lexsort`` on
-    the columns instead of as structured records.
+    Equal to ``np.unique(rows, axis=0)``.  When the entries are non-negative
+    and radix^k fits in int64 (radix = max + 1, k columns), each row is one
+    int64 key in base radix, whose order is the rows' lexicographic order,
+    and the keys are sorted (equal keys are equal rows, so any sort kind
+    gives the same result); otherwise ``np.lexsort`` sorts the columns.
     """
-    if len(rows) < 2:
-        return rows
-    rows = rows[np.lexsort(rows.T[::-1])]
+    k = rows.shape[1]
+    if len(rows) < 2 or not k:
+        return rows[:1]
     fresh = np.empty(len(rows), dtype=bool)
     fresh[0] = True
+    radix = int(rows.max()) + 1
+    if rows.min() >= 0 and radix**k <= 2**63:  # the largest key, radix^k - 1, fits
+        keys = rows @ np.array([radix**e for e in range(k - 1, -1, -1)], dtype=np.int64)
+        order = np.argsort(keys)
+        keys = keys[order]
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        return rows[order[fresh]]
+    rows = rows[np.lexsort(rows.T[::-1])]
     np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
     return rows[fresh]
 
@@ -338,19 +349,26 @@ def _meet_closure(gens: np.ndarray) -> np.ndarray:
 class ConceptLattice:
     """The complete lattice of concepts, with its cover (Hasse) relation.
 
-    The lattice is held as numerator arrays: ``extent_rows`` (distinct, in
+    The lattice is held as the numerator array ``extent_rows`` (distinct, in
     lexicographic order, so the result does not depend on how candidates were
-    generated) and ``intent_rows``, row i being concept i.  ``Concept`` and
-    ``FuzzySet`` objects are built only on request: ``concepts`` on first use,
-    and only the returned sets by ``extents`` and ``predecessors_of``.  The
-    cover relation is computed on the first call of ``covers``.
+    generated), row i being concept i.  Everything else is built on first
+    use: ``intent_rows``, the extent index behind ``index_of`` and
+    ``extent_set``, the ``concepts`` (``Concept`` and ``FuzzySet`` objects;
+    ``extents`` and ``predecessors_of`` build only the sets they return) and
+    the cover relation.
     """
 
     def __init__(self, context: Context, extent_rows: np.ndarray):
         self.context = context
         self.extent_rows = _unique_rows(np.asarray(extent_rows, dtype=np.int64))
-        self.intent_rows = context.possibility_batch(self.extent_rows)
-        self._index = {tuple(e): i for i, e in enumerate(self.extent_rows.tolist())}
+
+    @cached_property
+    def intent_rows(self) -> np.ndarray:
+        return self.context.possibility_batch(self.extent_rows)
+
+    @cached_property
+    def _index(self) -> dict:
+        return {tuple(e): i for i, e in enumerate(self.extent_rows.tolist())}
 
     @cached_property
     def _covers(self) -> np.ndarray:
@@ -540,21 +558,33 @@ def enumerate_reducts(ctx: Context):
     return list(ctx._reducts)
 
 
+def _tuple_template(width: int) -> str:
+    """The %-template of ``str(tuple(row))`` for a row of ``width`` ints."""
+    if width == 1:
+        return "(%d,)"
+    return "(" + ", ".join(["%d"] * width) + ")"
+
+
 def lattice_to_dot(
     lat: ConceptLattice, *, include_intents: bool = False, name: str = "concept_lattice"
 ) -> str:
     """Render the Hasse diagram as DOT, drawn bottom-up.
 
     Nodes are labeled with extent numerator tuples (plus intents on request).
+    All node lines are one %-format over the concept numbers and rows, and
+    all edge lines one over the cover pairs.
     """
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
-    rows = zip(lat.extent_rows.tolist(), lat.intent_rows.tolist())
-    for i, (extent, intent) in enumerate(rows):
-        label = str(tuple(extent))
-        if include_intents:
-            label += f"\\n{tuple(intent)}"
-        lines.append(f'  c{i} [label="{label}"];')
-    for i, j in lat.covers():
-        lines.append(f"  c{i} -> c{j};")
-    lines.append("}")
-    return "\n".join(lines)
+    label = _tuple_template(lat.extent_rows.shape[1])
+    columns = [np.arange(len(lat))[:, None], lat.extent_rows]
+    if include_intents:
+        label += "\\n" + _tuple_template(lat.intent_rows.shape[1])
+        columns.append(lat.intent_rows)
+    nodes = ('\n  c%d [label="' + label + '"];') * len(lat)
+    pairs = np.transpose(np.nonzero(lat._covers))
+    edges = "\n  c%d -> c%d;" * len(pairs)
+    return (
+        f"digraph {name} {{\n  rankdir=BT;\n  node [shape=box];"
+        + nodes % tuple(np.hstack(columns).ravel().tolist())
+        + edges % tuple(pairs.ravel().tolist())
+        + "\n}"
+    )

@@ -61,12 +61,50 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
+def _records(obj, nl: str):
+    """A list of dicts as one %-format, or None when it does not fit one.
+
+    The dicts must share one sequence of str keys, and each key's values must
+    be all exact ints, all exact strs or all non-empty rows of exact ints of
+    one width.  The cheap tests come first, so that a list that does not fit
+    (say, of matrices with different row counts) costs little to reject.
+    """
+    keys = tuple(obj[0])
+    if not keys or {*map(type, keys)} != {str} or any(tuple(d) != keys for d in obj):
+        return None
+    inner, field = nl + "  ", nl + "    "
+    slots, columns = [], []
+    for k in keys:
+        col = [d[k] for d in obj]
+        kinds = {*map(type, col)}
+        if kinds == {int}:
+            slots.append("%d")
+            columns.append(zip(col))
+        elif kinds == {str}:
+            slots.append("%s")
+            columns.append(zip(map(_str, col)))
+        elif kinds <= {list, tuple} and col[0] and type(col[0][0]) is int:
+            widths = {*map(len, col)}
+            if len(widths) != 1 or {*map(type, chain.from_iterable(col))} != {int}:
+                return None
+            slots.append(_row_template(widths.pop(), field))
+            columns.append(col)
+        else:
+            return None
+    record = _block(
+        [_str(k).replace("%", "%%") + ": " + slot for k, slot in zip(keys, slots)], inner, "{}"
+    )
+    flat = chain.from_iterable(chain.from_iterable(zip(*columns)))
+    return _block([record] * len(obj), nl) % tuple(flat)
+
+
 def _dumps(obj, nl: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte; ``nl`` is a newline plus
     the indentation of the line ``obj`` starts on.
 
-    A list of exact ints is one %-format of a cached row template, and a list
-    of equal-length such rows one %-format over the flattened matrix.
+    A list of exact ints is one %-format of a cached row template, a list of
+    equal-length such rows one %-format over the flattened matrix, and a
+    list of records that ``_records`` accepts one %-format over their values.
     """
     t = type(obj)
     if t is int:
@@ -87,6 +125,10 @@ def _dumps(obj, nl: str = "\n") -> str:
                 if {*map(type, flat)} == {int}:
                     row = _row_template(len(obj[0]), inner)
                     return _block([row] * len(obj), nl) % tuple(flat)
+        elif kinds == {dict}:
+            records = _records(obj, nl)
+            if records is not None:
+                return records
         return _block([_dumps(v, inner) for v in obj], nl)
     if isinstance(obj, dict):
         if not obj:

@@ -2,8 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mafre import Context, FreInstance, builtin_frame
+
+# ``pytest --hypothesis-profile=ci``: the long property runs of CI
+settings.register_profile("ci", max_examples=3000, deadline=None)
 
 
 @pytest.fixture(scope="session")
@@ -104,6 +108,22 @@ def exhaustive_lattice(ctx):
     seen = [context._unique_rows(ctx.possibility_batch(G)) for G in context._grid(n, nb)]
     intents = context._unique_rows(np.concatenate(seen, axis=0))
     return context.ConceptLattice(ctx, ctx.necessity_batch(intents))
+
+
+def reference_dot(lat, include_intents):
+    """``lattice_to_dot`` written line by line, its oracle: one f-string per
+    node and per cover pair."""
+    lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=box];"]
+    rows = zip(lat.extent_rows.tolist(), lat.intent_rows.tolist())
+    for i, (extent, intent) in enumerate(rows):
+        label = str(tuple(extent))
+        if include_intents:
+            label += f"\\n{tuple(intent)}"
+        lines.append(f'  c{i} [label="{label}"];')
+    for i, j in lat.covers():
+        lines.append(f"  c{i} -> c{j};")
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

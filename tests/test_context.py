@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mafre import (
     FuzzySet,
@@ -26,7 +28,13 @@ from mafre.errors import (
     NotAnExtentError,
     RangeError,
 )
-from conftest import SQUARES_ROWS, SQUARES_VARS, exhaustive_lattice, random_context
+from conftest import (
+    SQUARES_ROWS,
+    SQUARES_VARS,
+    exhaustive_lattice,
+    random_context,
+    reference_dot,
+)
 
 
 def fs(names, nums, n=8):
@@ -276,15 +284,52 @@ class TestLatticeEngine:
                     assert np.array_equal(got.extent_rows, expected.extent_rows)
                     assert got.covers() == expected.covers()
 
-    def test_unique_rows_equals_numpy_unique(self):
+    def test_unique_rows_equals_numpy_unique(self, monkeypatch):
+        from mafre import context as context_mod
+
+        lexsorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(
+            context_mod.np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys)
+        )
+        rng = np.random.default_rng(3)
+        # (count, width, high, low, keyed): the rows are drawn from low..high-1;
+        # they are keyed in base radix = max + 1 when radix^width <= 2^63 and
+        # no entry is negative, else lexsorted
+        cases = (
+            (300, 1, 2, 0, True),  # one column
+            (300, 3, 4, 0, True),
+            (300, 10, 101, 0, False),  # radix^width far beyond 2^63
+            (300, 39, 3, 0, True),  # 3^39 just below 2^63
+            (300, 40, 3, 0, False),  # 3^40 just above
+            (300, 63, 2, 0, True),  # 2^63: the largest key is 2^63 - 1
+            (300, 64, 2, 0, False),
+            (2, 3, 5, 0, True),  # 2 rows
+            (300, 4, 3, -1, False),  # negative entries
+        )
+        for count, width, high, low, keyed in cases:
+            rows = rng.integers(low, high, size=(count, width))
+            rows[0, 0], rows[-1, -1] = high - 1, low  # the radix and sign of the case
+            lexsorts.clear()
+            assert np.array_equal(context_mod._unique_rows(rows), np.unique(rows, axis=0))
+            assert lexsorts == ([] if keyed else [1])
+        # no rows, one row, all rows equal, no columns
+        for shape in ((0, 2), (1, 3), (50, 4), (4, 0)):
+            rows = np.full(shape, 7)
+            assert np.array_equal(context_mod._unique_rows(rows), np.unique(rows, axis=0))
+
+    @settings(deadline=None)
+    @given(
+        hnp.arrays(
+            np.int64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=40),
+            elements=st.one_of(st.integers(0, 12), st.integers(-(2**63), 2**63 - 1)),
+        )
+    )
+    def test_unique_rows_property(self, rows):
         from mafre.context import _unique_rows
 
-        rng = np.random.default_rng(3)
-        # (n+1)^width far beyond 2^63 in the last case
-        shapes = ((0, 2, 2), (1, 3, 2), (300, 1, 2), (300, 3, 4), (300, 10, 101))
-        for count, width, high in shapes:
-            rows = rng.integers(0, high, size=(count, width))
-            assert np.array_equal(_unique_rows(rows), np.unique(rows, axis=0))
+        assert np.array_equal(_unique_rows(rows), np.unique(rows, axis=0))
 
     def test_all_zero_coefficients_give_top_alone(self):
         for names in (["godel"], ["sq-left", "sq-right"]):
@@ -317,12 +362,42 @@ class TestLatticeEngine:
             lat = build_concept_lattice(random_context(rng, frame, 3, 3))
             rows = [tuple(e) for e in lat.extent_rows.tolist()]
             assert len(lat) == len(rows)
-            assert "concepts" not in vars(lat)
+            for lazy in ("concepts", "intent_rows", "_index"):
+                assert lazy not in vars(lat)
+            assert np.array_equal(
+                lat.intent_rows, lat.context.possibility_batch(lat.extent_rows)
+            )
+            assert lat._index == {e: i for i, e in enumerate(rows)}
             assert all(a < b for a, b in zip(rows, rows[1:]))
             assert [c.extent.numerators for c in lat] == rows
             assert [c.intent.numerators for c in lat] == [
                 tuple(f) for f in lat.intent_rows.tolist()
             ]
+
+    def test_dot_matches_line_by_line_rendering(self):
+        from mafre.context import _restrict
+
+        rng = random.Random(12)
+        frame = builtin_frame(["sq-left", "sq-right", "godel"], 4)
+        contexts = [random_context(rng, frame, na, nb) for na, nb in ((3, 3), (2, 4), (4, 2))]
+        contexts += [random_context(rng, frame, 3, 1) for _ in range(3)]  # label (k,)
+        contexts += [restrict(c, ["a1"]) for c in contexts[:3]]  # intent (k,)
+        contexts.append(_restrict(contexts[0], []))  # intent ()
+        zeros = [[frame.value(0)] * 3 for _ in range(2)]
+        contexts.append(Context(frame, ["a0", "a1"], ["b0", "b1", "b2"], zeros, [0, 1, 2]))
+        contexts.append(
+            random_context(
+                random.Random(61), builtin_frame(["sq-left", "sq-right", "godel"], 9), 6, 4
+            )
+        )
+        for ctx in contexts:
+            lat = build_concept_lattice(ctx)
+            for include_intents in (False, True):
+                dot = lattice_to_dot(lat, include_intents=include_intents)
+                assert dot == reference_dot(lat, include_intents)
+        top_only = lattice_to_dot(build_concept_lattice(contexts[-2]))
+        assert top_only.count("[label=") == 1 and "->" not in top_only
+        assert len(lat) > 250
 
     def test_covers_computed_on_first_request(self):
         rng = random.Random(9)

@@ -13,7 +13,7 @@ from mafre import builtin_frame
 from mafre.context import build_concept_lattice
 from mafre.dual import dual_associated_context, dual_solutions
 from mafre.fre import associated_context, enumerate_solutions
-from mafre.io import _dumps, load_problem, parse_problem, problem_from_instance
+from mafre.io import _dumps, _records, load_problem, parse_problem, problem_from_instance
 from test_cli_golden import EXAMPLES, NAMES, run, transpose
 
 ints = st.integers(min_value=-(10**20), max_value=10**20)
@@ -29,8 +29,33 @@ ragged = st.lists(st.lists(ints, max_size=4), max_size=6)
 # a bool, None or float among the ints of a row
 mixed_rows = st.lists(st.one_of(ints, st.booleans(), st.none(), st.floats()), min_size=1)
 keys = st.one_of(texts, ints, st.booleans(), st.none(), st.floats())
+
+
+@st.composite
+def records(draw):
+    """Dicts with one sequence of str keys, each key's values all ints, all
+    strs or all int rows (lists or tuples) of one width: one template each."""
+    names = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
+    columns = [
+        draw(
+            st.one_of(
+                st.just(ints),
+                st.just(texts),
+                st.integers(1, 5).map(
+                    lambda w: st.lists(ints, min_size=w, max_size=w).flatmap(
+                        lambda row: st.sampled_from([row, tuple(row)])
+                    )
+                ),
+            )
+        )
+        for _ in names
+    ]
+    count = draw(st.integers(1, 5))
+    return [{k: draw(column) for k, column in zip(names, columns)} for _ in range(count)]
+
+
 values = st.recursive(
-    st.one_of(scalars, int_rows, matrices, ragged, mixed_rows),
+    st.one_of(scalars, int_rows, matrices, ragged, mixed_rows, records()),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -40,7 +65,8 @@ values = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+# 300 examples, or more under a profile that asks for more (CI's ``ci``)
+@settings(max_examples=max(300, settings().max_examples), deadline=None)
 @given(values)
 def test_dumps_equals_json_dumps_indent_2(value):
     assert _dumps(value) == json.dumps(value, indent=2)
@@ -64,12 +90,44 @@ FIXED = [
     {1: "a", -2: [1], 10**30: {}},
     {1.5: 1, True: 2, None: 3},
     [[-(10**30), 0], [7, 10**30]],
+    [{"a": 1}, [1]],
 ]
+# lists of records that ``_records`` writes as one %-format
+RECORDS = [
+    [{"row": "u1", "column": "w", "stated": 4, "closed": 2}] * 3,
+    [{"extent": [1, 2], "intent": (3,)}, {"extent": (4, 5), "intent": [6]}],
+    [{"%": 1, "a%d": "%d", "%s%%": [2]}, {"%": 3, "a%d": "%s", "%s%%": [4]}],
+    [{"s": "éé☃\"\\\x00\x1f\n 😀", "n": 1}, {"s": "%s %d %%", "n": 2}],
+]
+# and near misses, which it leaves to the key-by-key path
+NEAR_MISSES = [
+    [{}, {}],
+    [{1: 2}, {True: 3}],
+    [{"a": 1, "b": 2}, {"b": 3, "a": 4}],
+    [{"a": 1}, {"a": 2, "b": 3}],
+    [{"a": 1}, {"a": True}],
+    [{"a": []}, {"a": []}],
+    [{"a": [1]}, {"a": []}],
+    [{"a": [1, 2]}, {"a": [3]}],
+    [{"a": [1, 2]}, {"a": [3, True]}],
+    [{"a": 1}, {"a": 1.5}],
+    [{"a": 1}, {"a": "1"}],
+    [{"a": {"b": 1}}, {"a": {"b": 2}}],
+    [{"m": [[1, 2]]}, {"m": [[1, 2], [3, 4]]}],
+]
+FIXED += RECORDS + NEAR_MISSES
 
 
 @pytest.mark.parametrize("value", FIXED, ids=range(len(FIXED)))
 def test_dumps_fixed_cases(value):
     assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_records_template_taken_when_the_columns_fit():
+    for value in RECORDS:
+        assert _records(value, "\n") == json.dumps(value, indent=2)
+    for value in NEAR_MISSES:
+        assert _records(value, "\n") is None
 
 
 def test_dumps_rejects_what_json_rejects():
