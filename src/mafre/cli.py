@@ -85,8 +85,9 @@ def cmd_check(args) -> int:
     return ExitStatus.OK
 
 
-def _solve(args, instance, gap_of, solutions_of, closure, part, counted) -> int:
-    """Solve through the orientation's ``gap_of`` and ``solutions_of``.
+def _solve(args, instance, solutions_of, closure, part, counted) -> int:
+    """Solve through the orientation's ``solutions_of``, which reports an
+    unsolvable instance by raising UnsolvableError with its gap.
 
     ``closure``, ``part`` and ``counted`` are its words for the fixpoint the
     rhs is compared with, for one solved part of the unknown and for the
@@ -95,12 +96,14 @@ def _solve(args, instance, gap_of, solutions_of, closure, part, counted) -> int:
     if args.max_count is not None and args.max_count < 0:
         raise ProblemFileError("--max-count must be >= 0")
     n = instance.frame.granularity
-    gap = gap_of(instance)
-    if gap:
+    try:
+        solutions = solutions_of(instance, materialize=args.enumerate)
+    except UnsolvableError as exc:
+        gap = exc.gap_rows
         payload = lambda: {
             "solvable": False,
             "gap": [
-                {"row": u, "column": w, "stated": old.numerator, "closed": new.numerator}
+                {"row": u, "column": w, "stated": old, "closed": new}
                 for u, w, old, new in gap
             ],
         }
@@ -108,13 +111,11 @@ def _solve(args, instance, gap_of, solutions_of, closure, part, counted) -> int:
         def text():
             dec = _decimals(n)
             return f"unsolvable; rhs vs {closure}:\n" + "\n".join(
-                f"  {u}[{w}]: {dec[old.numerator]} -> {dec[new.numerator]}"
-                for u, w, old, new in gap
+                f"  {u}[{w}]: {dec[old]} -> {dec[new]}" for u, w, old, new in gap
             )
 
         _emit(args, payload, text)
         return ExitStatus.UNSOLVABLE
-    solutions = solutions_of(instance, materialize=args.enumerate)
 
     def text():
         lines = ["solvable"]
@@ -136,12 +137,12 @@ def cmd_solve(args) -> int:
     problem = load_problem(args.file)
     instance = problem.to_instance()
     if problem.orientation == "primal":
-        gap_of, solutions_of = fre_mod.solvability_gap, fre_mod.enumerate_solutions
+        solutions_of = fre_mod.enumerate_solutions
         words = ("interior", "column", "solution(s)")
     else:
-        gap_of, solutions_of = dual_mod.dual_solvability_gap, dual_mod.dual_solutions
+        solutions_of = dual_mod.dual_solutions
         words = ("closure", "row", "solution row(s)")
-    return _solve(args, instance, gap_of, solutions_of, *words)
+    return _solve(args, instance, solutions_of, *words)
 
 
 def _context(instance):

@@ -61,6 +61,7 @@ from .fre import (
     SolutionSet,
     associated_context,
     enumerate_solutions,
+    is_solvable,
     max_solution,
     solvability_gap,
 )
@@ -252,12 +253,17 @@ def _dual_gap(gap) -> list:
     return [(u, w, old, new) for w, u, old, new in gap]
 
 
+def _dual_unsolvable(exc: UnsolvableError, message: str) -> UnsolvableError:
+    """``exc`` of the transposed primal, read as one of the dual instance."""
+    return UnsolvableError(message, _dual_gap(exc.gap_rows), exc.granularity)
+
+
 def dual_solvability_gap(dfre: DualFreInstance):
     return _dual_gap(solvability_gap(dfre.transposed()))
 
 
 def dual_is_solvable(dfre: DualFreInstance) -> bool:
-    return not dual_solvability_gap(dfre)
+    return is_solvable(dfre.transposed())
 
 
 def dual_max_solution(dfre: DualFreInstance):
@@ -265,9 +271,8 @@ def dual_max_solution(dfre: DualFreInstance):
     try:
         return tuple(zip(*max_solution(dfre.transposed())))
     except UnsolvableError as exc:
-        raise UnsolvableError(
-            "dual instance is unsolvable; rhs differs from its closure",
-            gap=_dual_gap(exc.gap),
+        raise _dual_unsolvable(
+            exc, "dual instance is unsolvable; rhs differs from its closure"
         ) from None
 
 
@@ -276,9 +281,7 @@ def dual_solutions(dfre: DualFreInstance, materialize: bool = True) -> SolutionS
     try:
         return enumerate_solutions(dfre.transposed(), materialize=materialize)
     except UnsolvableError as exc:
-        raise UnsolvableError(
-            "cannot enumerate an unsolvable dual instance", gap=_dual_gap(exc.gap)
-        ) from None
+        raise _dual_unsolvable(exc, "cannot enumerate an unsolvable dual instance") from None
 
 
 def dual_brute_force(dfre: DualFreInstance, budget: int = 10_000_000):

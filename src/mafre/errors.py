@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all mafre modules."""
 
+from functools import cached_property
+
 
 class MafreError(Exception):
     """Base class for all library errors."""
@@ -47,13 +49,29 @@ class InconsistentSetError(MafreError):
 class UnsolvableError(MafreError):
     """The equation admits no solution.
 
-    ``gap`` lists (row, column, stated_value, closed_value) for every entry
-    where the right-hand side differs from its interior.
+    ``gap_rows`` lists (row, column, stated, closed) for every entry where the
+    right-hand side differs from its interior, with the values as numerators
+    over ``granularity``; ``gap`` is the same list with GranularValues, built
+    on first read.
     """
 
-    def __init__(self, message, gap=()):
+    def __init__(self, message, gap_rows=(), granularity=None):
         super().__init__(message)
-        self.gap = tuple(gap)
+        self.gap_rows, self.granularity = tuple(gap_rows), granularity
+
+    @staticmethod
+    def _granular(gap_rows, n: int) -> list:
+        """Numerator gap entries with their values as GranularValues."""
+        from .algebra import GranularValue  # algebra imports this module
+
+        return [
+            (u, w, GranularValue(old, n), GranularValue(new, n))
+            for u, w, old, new in gap_rows
+        ]
+
+    @cached_property
+    def gap(self) -> tuple:
+        return tuple(self._granular(self.gap_rows, self.granularity))
 
 
 class InfeasibleReductError(MafreError):

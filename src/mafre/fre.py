@@ -11,6 +11,13 @@ all of which are above e, so x <= e ^ g < e for some generator g, and the
 lower covers of e are the maximal meets e ^ g != e.  A brute-force
 enumerator is kept alongside as an independent oracle.
 
+Each solver call makes one closure pass over all rhs columns; an unsolvable
+instance raises UnsolvableError carrying the gap as numerators.  Columns with
+the same maximum share its predecessors and, when swept, its box and minimal
+solutions.  A count alone sweeps no box when there are at most as many
+predecessor subsets as box rows: it is then an inclusion-exclusion sum of box
+sizes over those subsets, in Python ints.
+
 An instance is its checked associated context plus one rhs numerator array.
 Derived instances (reduced, repaired, the transposed primal of a dual one)
 are built by ``FreInstance._on`` from slices of those checked arrays and are
@@ -19,6 +26,7 @@ not checked again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -190,35 +198,39 @@ def _closures(fre: FreInstance):
 
 
 def _gap(fre: FreInstance, interiors: np.ndarray) -> list:
-    """Entries (u, w, stated, closed) where T differs from its interior,
-    column by column, rows in order within a column."""
+    """Entries (u, w, stated, closed) where T differs from its interior, with
+    the values as numerators, column by column, rows in order within a column."""
     cols, rows = np.nonzero(interiors != fre._rhs_array.T)
-    pairs = np.stack([fre._rhs_array[rows, cols], interiors[cols, rows]])
-    stated, closed = _values(pairs, fre.frame.granularity)
+    entries = np.stack(
+        [rows, cols, fre._rhs_array[rows, cols], interiors[cols, rows]], axis=1
+    ).tolist()
     return [
-        (fre.row_names[u], fre.col_names[w], old, new)
-        for w, u, old, new in zip(cols.tolist(), rows.tolist(), stated, closed)
+        (fre.row_names[u], fre.col_names[w], old, new) for u, w, old, new in entries
     ]
+
+
+def _unsolvable(fre: FreInstance, interiors: np.ndarray, message: str) -> None:
+    """Raise UnsolvableError with the gap rows when T is not its interior."""
+    gap = _gap(fre, interiors)
+    if gap:
+        raise UnsolvableError(message, gap, fre.frame.granularity)
 
 
 def solvability_gap(fre: FreInstance):
     """Entries (u, w, stated, closed) where T differs from its interior."""
-    return _gap(fre, _closures(fre)[1])
+    gap = _gap(fre, _closures(fre)[1])
+    return UnsolvableError._granular(gap, fre.frame.granularity)
 
 
 def is_solvable(fre: FreInstance) -> bool:
     """True iff every rhs column is a fixpoint of the interior operator."""
-    return not solvability_gap(fre)
+    return np.array_equal(_closures(fre)[1], fre._rhs_array.T)
 
 
 def max_solution(fre: FreInstance):
     """The greatest solution, column w given by T_w^down."""
     maxima, interiors = _closures(fre)
-    gap = _gap(fre, interiors)
-    if gap:
-        raise UnsolvableError(
-            "instance is unsolvable; rhs differs from its interior", gap=gap
-        )
+    _unsolvable(fre, interiors, "instance is unsolvable; rhs differs from its interior")
     return _values(maxima.T, fre.frame.granularity)
 
 
@@ -228,9 +240,10 @@ class ColumnSolutions:
 
     It is held as numerator arrays over the unknowns: the maximum solution,
     the predecessors whose down-sets are excluded and, when the box was swept,
-    every solution.  The FuzzySet views (``max_solution``,
-    ``excluded_predecessors``, ``enumerated``, ``minimal``) are built on first
-    use; ``enumerated`` and ``minimal`` are None when the box was only counted.
+    every solution and the minimal ones.  The FuzzySet views
+    (``max_solution``, ``excluded_predecessors``, ``enumerated``, ``minimal``)
+    are built on first use; ``solution_rows``, ``minimal_rows``,
+    ``enumerated`` and ``minimal`` are None when the box was only counted.
     """
 
     column: object
@@ -240,18 +253,13 @@ class ColumnSolutions:
     predecessor_rows: np.ndarray  # (predecessors, |V|)
     count: int
     solution_rows: Optional[np.ndarray] = None  # (count, |V|), lexicographic
+    minimal_rows: Optional[np.ndarray] = None  # (minimal, |V|), lexicographic
 
     def _sets(self, rows) -> tuple:
         return tuple(
             FuzzySet.from_numerators(self.var_names, row, self.granularity)
             for row in rows.tolist()
         )
-
-    @cached_property
-    def minimal_rows(self) -> Optional[np.ndarray]:
-        if self.solution_rows is None:
-            return None
-        return _minimal_rows(self.solution_rows, self.predecessor_rows)
 
     @cached_property
     def max_solution(self) -> FuzzySet:
@@ -305,9 +313,10 @@ class SolutionSet:
 
 
 def _box_and_filter(max_row: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
-    """All numerator vectors below ``max_row`` not below any predecessor."""
-    axes = [np.arange(m + 1, dtype=np.int64) for m in max_row.tolist()]
-    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    """All numerator vectors below ``max_row`` not below any predecessor, in
+    lexicographic order."""
+    sides = (max_row + 1).tolist()
+    box = np.indices(sides, dtype=np.int64).reshape(len(sides), -1).T
     if len(pred_rows):
         box = box[~_leq(box, pred_rows).any(axis=1)]
     return box
@@ -325,35 +334,56 @@ def _minimal_rows(rows: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
     return rows[(below | (rows == 0)).all(axis=1)]
 
 
+def _count(max_row: np.ndarray, pred_rows: np.ndarray) -> int:
+    """The number of vectors below ``max_row`` and below no predecessor.
+
+    By inclusion-exclusion over the predecessor subsets S: the sum of
+    (-1)^|S| times the size of the box below the meet of ``max_row`` and S,
+    2^|P| box sizes in all, taken as Python ints (a box can exceed 2^63 rows).
+    When there are more subsets than rows in the box, the box is swept.
+    """
+    k, size = len(pred_rows), math.prod((max_row + 1).tolist())
+    if 2**k > size:
+        return len(_box_and_filter(max_row, pred_rows))
+    subsets = ((np.arange(2**k)[:, None] >> np.arange(k)) & 1).astype(bool)  # [S, p]
+    picked = np.where(subsets[:, :, None], pred_rows, max_row)  # [S, p, v]
+    meets = np.minimum(picked.min(axis=1, initial=max_row.max()), max_row)
+    signs = (-1) ** subsets.sum(axis=1)
+    return sum(
+        sign * math.prod(sides)
+        for sign, sides in zip(signs.tolist(), (meets + 1).tolist())
+    )
+
+
 def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionSet:
     """The whole solution set: maximum plus excluded predecessor down-sets.
 
-    Each column's maximum solution is an extent of the associated context,
-    and its excluded predecessors are that extent's lower covers, taken from
-    generator meets (``_lower_covers``); no concept lattice is built.  With
-    ``materialize`` the box below the maximum is swept explicitly and the
-    solutions (with their minimal elements) are listed; otherwise only the
-    count is produced.
+    One closure pass gives every column's maximum and interior; an unsolvable
+    instance raises UnsolvableError with the gap.  Each column's maximum
+    solution is an extent of the associated context, and its excluded
+    predecessors are that extent's lower covers, taken from generator meets
+    (``_lower_covers``); no concept lattice is built.  With ``materialize``
+    the box below the maximum is swept explicitly and the solutions and their
+    minimal elements are listed; otherwise only the count is produced, by
+    inclusion-exclusion over the predecessors (``_count``).  Columns with
+    equal maxima share all of this: it is computed once per distinct maximum.
     """
     maxima, interiors = _closures(fre)
-    gap = _gap(fre, interiors)
-    if gap:
-        raise UnsolvableError("cannot enumerate an unsolvable instance", gap=gap)
+    _unsolvable(fre, interiors, "cannot enumerate an unsolvable instance")
     gens = _generators(associated_context(fre))[1]
     n = fre.frame.granularity
-    swept = {}  # columns with equal maxima share their predecessors and box
+    solved = {}  # maximum -> (predecessors, count, solutions, minimal)
     cols = []
     for w, m in zip(fre.col_names, maxima):
         key = m.tobytes()
-        if key not in swept:
+        if key not in solved:
             preds = _lower_covers(m, gens)
-            swept[key] = preds, _box_and_filter(m, preds)
-        preds, box = swept[key]
-        cols.append(
-            ColumnSolutions(
-                w, fre.var_names, n, m, preds, len(box), box if materialize else None
-            )
-        )
+            if materialize:
+                box = _box_and_filter(m, preds)
+                solved[key] = preds, len(box), box, _minimal_rows(box, preds)
+            else:
+                solved[key] = preds, _count(m, preds), None, None
+        cols.append(ColumnSolutions(w, fre.var_names, n, m, *solved[key]))
     return SolutionSet(n, fre.var_names, tuple(cols))
 
 

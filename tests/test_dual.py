@@ -221,6 +221,40 @@ class TestDualSolving:
             assert dual_is_solvable(dfre) == (not dual_solvability_gap(dfre))
             assert dual_is_solvable(dfre) == bool(dual_brute_force(dfre))
 
+    def test_error_gap_is_the_dual_solvability_gap(self):
+        rng = random.Random(19)
+        frame = builtin_frame(["sq-left", "godel"], 4)
+        unsolvable = 0
+        for _ in range(30):
+            dfre = random_dual_instance(rng, frame, 3, 2, 3)
+            gap = dual_solvability_gap(dfre)
+            if not gap:
+                continue
+            unsolvable += 1
+            for solve in (dual_solutions, dual_max_solution):
+                with pytest.raises(UnsolvableError) as exc:
+                    solve(dfre)
+                assert exc.value.gap == tuple(gap)  # GranularValues, same order
+                assert exc.value.gap_rows == tuple(
+                    (u, w, old.numerator, new.numerator) for u, w, old, new in gap
+                )
+        assert unsolvable > 10
+
+    def test_is_solvable_builds_no_granular_values(self, monkeypatch):
+        from mafre.algebra import GranularValue
+
+        rng = random.Random(31)
+        frame = builtin_frame(["sq-left"], 4)
+        instances = [random_dual_instance(rng, frame, 2, 2, 2) for _ in range(10)]
+        expected = [not dual_solvability_gap(dfre) for dfre in instances]
+        assert any(expected) and not all(expected)
+
+        def refuse(self):
+            raise AssertionError("GranularValue built")
+
+        monkeypatch.setattr(GranularValue, "__post_init__", refuse)
+        assert [dual_is_solvable(dfre) for dfre in instances] == expected
+
     def test_godel_transposition_correspondence(self):
         # with a commutative conjunctor, a dual system transposes into a
         # primal one and the two solution sets coincide rowwise

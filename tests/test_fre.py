@@ -1,7 +1,10 @@
+import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mafre import (
     FreInstance,
@@ -123,6 +126,50 @@ class TestGap:
             seen += len({w for _, w, _, _ in expected}) > 1
         assert seen > 10  # most instances have gaps in several columns
 
+    def test_error_gap_is_the_solvability_gap(self):
+        rng = random.Random(9)
+        frame = builtin_frame(["sq-right", "godel"], 4)
+        unsolvable = 0
+        for _ in range(30):
+            fre = FreInstance.from_numerators(
+                frame,
+                [f"u{i}" for i in range(4)],
+                ["v0", "v1"],
+                ["w0", "w1", "w2"],
+                [[rng.randint(0, 4) for _ in range(2)] for _ in range(4)],
+                [0, 1],
+                [[rng.randint(0, 4) for _ in range(3)] for _ in range(4)],
+            )
+            gap = solvability_gap(fre)
+            assert is_solvable(fre) == (not gap)
+            if not gap:
+                continue
+            unsolvable += 1
+            for solve in (enumerate_solutions, max_solution):
+                with pytest.raises(UnsolvableError) as exc:
+                    solve(fre)
+                assert exc.value.gap == tuple(gap)  # GranularValues, same order
+                assert exc.value.granularity == 4
+                assert exc.value.gap_rows == tuple(
+                    (u, w, old.numerator, new.numerator) for u, w, old, new in gap
+                )
+        assert unsolvable > 10
+
+    def test_is_solvable_builds_no_granular_values(
+        self, squares_solvable, squares_unsolvable, monkeypatch
+    ):
+        from mafre.algebra import GranularValue
+
+        def refuse(self):
+            raise AssertionError("GranularValue built")
+
+        monkeypatch.setattr(GranularValue, "__post_init__", refuse)
+        assert is_solvable(squares_solvable)
+        assert not is_solvable(squares_unsolvable)
+        with pytest.raises(UnsolvableError) as exc:
+            enumerate_solutions(squares_unsolvable)
+        assert exc.value.gap_rows[0] == ("u1", "w", 4, 2)
+
 
 class TestEnumeration:
     def test_squares_two_solutions(self, squares_solvable):
@@ -202,10 +249,13 @@ class TestEnumeration:
         from mafre import fre as fre_mod
         from conftest import SQUARES_COEFF, SQUARES_ROWS, SQUARES_SIGMA
 
-        sweeps = []
-        sweep = fre_mod._box_and_filter
+        sweeps, minimals = [], []
+        sweep, minimal = fre_mod._box_and_filter, fre_mod._minimal_rows
         monkeypatch.setattr(
             fre_mod, "_box_and_filter", lambda *a: sweeps.append(a) or sweep(*a)
+        )
+        monkeypatch.setattr(
+            fre_mod, "_minimal_rows", lambda *a: minimals.append(a) or minimal(*a)
         )
         rhs = [[2, 0, 2], [4, 0, 4], [0, 0, 0], [2, 0, 2], [0, 0, 0]]
         fre = FreInstance.from_numerators(
@@ -213,10 +263,14 @@ class TestEnumeration:
             SQUARES_COEFF, SQUARES_SIGMA, rhs,
         )
         cols = enumerate_solutions(fre).columns
-        assert len(sweeps) == 2
+        assert len(sweeps) == 2 and len(minimals) == 2
         assert cols[0].to_json() | {"column": "w3"} == cols[2].to_json()
         assert cols[0].count == 2 and cols[1].count == 1
         assert cols[1].solution_rows.tolist() == [[0, 0, 0, 0, 0]]
+        for col in cols:
+            box = sweep(col.max_row, col.predecessor_rows)
+            fresh = minimal(box, col.predecessor_rows)
+            assert col.minimal_rows.tolist() == fresh.tolist()
 
     def test_solutions_held_as_arrays(self, maxmin_solvable):
         col = enumerate_solutions(maxmin_solvable).column("w")
@@ -235,6 +289,131 @@ class TestEnumeration:
         back = json.loads(text)
         assert back["granularity"] == 8
         assert back["columns"][0]["count"] == 2
+
+
+class TestCount:
+    """Count-only mode: inclusion-exclusion over the predecessors, the box
+    swept only when it has fewer rows than there are predecessor subsets."""
+
+    @staticmethod
+    def _sweeps(monkeypatch):
+        from mafre import fre as fre_mod
+
+        sweeps, sweep = [], fre_mod._box_and_filter
+        monkeypatch.setattr(
+            fre_mod, "_box_and_filter", lambda *a: sweeps.append(a) or sweep(*a)
+        )
+        return sweeps, sweep
+
+    def test_count_equals_the_sweep_and_brute_force(self, monkeypatch):
+        sweeps, sweep = self._sweeps(monkeypatch)
+        rng = random.Random(31)
+        frames = [
+            builtin_frame(["godel"], 4),
+            builtin_frame(["sq-left", "sq-right"], 4),
+            builtin_frame(["sq-right", "godel"], 5),
+        ]
+        predecessors = set()
+        for i in range(90):
+            fre = random_solvable_instance(
+                rng, frames[i % 3], rng.randint(1, 4), rng.randint(1, 3)
+            )
+            col = enumerate_solutions(fre, materialize=False).columns[0]
+            assert sweeps == []  # every column here has 2^|P| <= its box
+            listed = enumerate_solutions(fre).columns[0]
+            assert col.count == len(sweep(col.max_row, col.predecessor_rows))
+            assert col.count == listed.count == len(brute_force_solutions(fre))
+            predecessors.add(min(len(col.predecessor_rows), 2))
+            sweeps.clear()
+        assert predecessors == {0, 1, 2}
+
+    def test_a_box_smaller_than_the_subsets_is_swept(self, monkeypatch):
+        sweeps, sweep = self._sweeps(monkeypatch)
+        rng = random.Random(5)
+        frames = [
+            builtin_frame(["godel"], 1),
+            builtin_frame(["sq-left", "sq-right"], 1),
+            builtin_frame(["sq-right", "godel"], 1),
+        ]
+        swept = 0
+        for i in range(300):
+            fre = random_solvable_instance(
+                rng, frames[i % 3], rng.randint(10, 16), rng.randint(4, 5), 2
+            )
+            cols = enumerate_solutions(fre, materialize=False).columns
+            wide = {
+                c.max_row.tobytes()
+                for c in cols
+                if 2 ** len(c.predecessor_rows) > math.prod((c.max_row + 1).tolist())
+            }
+            # one sweep per distinct maximum with more subsets than box rows
+            assert sorted(a[0].tobytes() for a in sweeps) == sorted(wide)
+            swept += len(wide)
+            sweeps.clear()
+            listed = enumerate_solutions(fre).columns
+            for c, full in zip(cols, listed):
+                assert c.count == len(sweep(c.max_row, c.predecessor_rows))
+                assert c.count == full.count
+            sweeps.clear()
+        assert swept >= 1
+
+    def test_count_only_sweeps_no_box(self, monkeypatch):
+        from conftest import SQUARES_COEFF, SQUARES_ROWS, SQUARES_SIGMA
+
+        sweeps, _ = self._sweeps(monkeypatch)
+        frame = builtin_frame(["sq-left", "sq-right"], 8)
+        rhs = [[2, 0, 2], [4, 0, 4], [0, 0, 0], [2, 0, 2], [0, 0, 0]]
+        fre = FreInstance.from_numerators(
+            frame, SQUARES_ROWS, SQUARES_VARS, ("w1", "w2", "w3"),
+            SQUARES_COEFF, SQUARES_SIGMA, rhs,
+        )
+        counted = enumerate_solutions(fre, materialize=False).columns
+        assert sweeps == []
+        assert [c.count for c in counted] == [2, 1, 2]
+        assert all(c.solution_rows is None and c.minimal_rows is None for c in counted)
+        enumerate_solutions(fre)
+        assert len(sweeps) == 2  # materialized: one sweep per distinct maximum
+
+    def test_count_beyond_int64(self, monkeypatch):
+        # one equation max_v min(1, x_v) = 1 over 16 unknowns at n = 15: the
+        # extents are the constant vectors, so the maximum (all 15) has one
+        # predecessor (all 14) and a box of 16^16 = 2^64 rows
+        sweeps, _ = self._sweeps(monkeypatch)
+        nv = 16
+        fre = FreInstance.from_numerators(
+            builtin_frame(["godel"], 15), ["u"], [f"v{i}" for i in range(nv)],
+            ["w"], [[15] * nv], [0] * nv, [[15]],
+        )
+        col = enumerate_solutions(fre, materialize=False).columns[0]
+        assert col.max_row.tolist() == [15] * nv
+        assert col.predecessor_rows.tolist() == [[14] * nv]
+        assert col.count == 16**nv - 15**nv > 2**63
+        assert sweeps == []
+
+    @settings(max_examples=max(300, settings().max_examples), deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda nv: st.tuples(
+                st.lists(st.integers(0, 4), min_size=nv, max_size=nv),
+                st.lists(
+                    st.lists(st.integers(0, 5), min_size=nv, max_size=nv), max_size=6
+                ),
+            )
+        )
+    )
+    def test_count_property(self, case):
+        # any rows may be excluded, also ones not below the maximum
+        from mafre import fre as fre_mod
+
+        top, preds = case
+        max_row = np.array(top, dtype=np.int64)
+        pred_rows = np.array(preds, dtype=np.int64).reshape(len(preds), len(top))
+        expected = sum(
+            not any(all(a <= b for a, b in zip(x, p)) for p in preds)
+            for x in product(*(range(m + 1) for m in top))
+        )
+        assert fre_mod._count(max_row, pred_rows) == expected
+        assert len(fre_mod._box_and_filter(max_row, pred_rows)) == expected
 
 
 class TestOracleEquivalence:

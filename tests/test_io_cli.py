@@ -294,6 +294,26 @@ class TestCliSolve:
         assert main(["solve", UNSOLVABLE]) == 1
         assert "unsolvable" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [[], ["--enumerate"]])
+    def test_solve_closes_the_rhs_once(self, flags, tmp_path, capsys, monkeypatch):
+        import mafre.fre
+        from test_cli_golden import write_problems
+
+        closures = []
+        closure = mafre.fre._closures
+        monkeypatch.setattr(
+            mafre.fre, "_closures", lambda fre: closures.append(fre) or closure(fre)
+        )
+        codes = {}
+        for name, path in write_problems(tmp_path).items():
+            for json_flag in ([], ["--json"]):
+                closures.clear()
+                codes[name] = main(["solve", str(path), *flags, *json_flag])
+                assert len(closures) == 1, (name, json_flag)
+        capsys.readouterr()
+        assert len(codes) == 6  # both exit codes are covered, in both orientations
+        assert all(rc == ("unsolvable" in name) for name, rc in codes.items())
+
     def test_solve_max_count_caps_listing(self, capsys):
         assert main(["solve", MAXMIN, "--enumerate", "--max-count", "3"]) == 0
         out = capsys.readouterr().out
