@@ -52,26 +52,18 @@ class UnsolvableError(MafreError):
     ``gap_rows`` lists (row, column, stated, closed) for every entry where the
     right-hand side differs from its interior, with the values as numerators
     over ``granularity``; ``gap`` is the same list with GranularValues, built
-    on first read.
+    on first read by ``fre._gap_values``.
     """
 
     def __init__(self, message, gap_rows=(), granularity=None):
         super().__init__(message)
         self.gap_rows, self.granularity = tuple(gap_rows), granularity
 
-    @staticmethod
-    def _granular(gap_rows, n: int) -> list:
-        """Numerator gap entries with their values as GranularValues."""
-        from .algebra import GranularValue  # algebra imports this module
-
-        return [
-            (u, w, GranularValue(old, n), GranularValue(new, n))
-            for u, w, old, new in gap_rows
-        ]
-
     @cached_property
     def gap(self) -> tuple:
-        return tuple(self._granular(self.gap_rows, self.granularity))
+        from .fre import _gap_values  # fre imports this module
+
+        return tuple(_gap_values(self.gap_rows, self.granularity))
 
 
 class InfeasibleReductError(MafreError):

@@ -14,9 +14,10 @@ enumerator is kept alongside as an independent oracle.
 Each solver call makes one closure pass over all rhs columns; an unsolvable
 instance raises UnsolvableError carrying the gap as numerators.  Columns with
 the same maximum share its predecessors and, when swept, its box and minimal
-solutions.  A count alone sweeps no box when there are at most as many
-predecessor subsets as box rows: it is then an inclusion-exclusion sum of box
-sizes over those subsets, in Python ints.
+solutions, the latter found on first read.  A count alone sweeps no box when
+there are no predecessors or twice as many box rows as predecessor subsets:
+it is then an inclusion-exclusion sum of box sizes over those subsets, which
+holds fewer rows than the box.
 
 An instance is its checked associated context plus one rhs numerator array.
 Derived instances (reduced, repaired, the transposed primal of a dual one)
@@ -27,11 +28,11 @@ not checked again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 from itertools import product
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -216,10 +217,17 @@ def _unsolvable(fre: FreInstance, interiors: np.ndarray, message: str) -> None:
         raise UnsolvableError(message, gap, fre.frame.granularity)
 
 
+def _gap_values(gap: list, n: int) -> list:
+    """Gap entries (u, w, stated, closed) with the numerator values as
+    GranularValues over n."""
+    pairs = np.array([entry[2:] for entry in gap], dtype=np.int64).reshape(-1, 2)
+    stated, closed = _values(pairs.T, n)
+    return [(u, w, old, new) for (u, w, _, _), old, new in zip(gap, stated, closed)]
+
+
 def solvability_gap(fre: FreInstance):
     """Entries (u, w, stated, closed) where T differs from its interior."""
-    gap = _gap(fre, _closures(fre)[1])
-    return UnsolvableError._granular(gap, fre.frame.granularity)
+    return _gap_values(_gap(fre, _closures(fre)[1]), fre.frame.granularity)
 
 
 def is_solvable(fre: FreInstance) -> bool:
@@ -240,10 +248,12 @@ class ColumnSolutions:
 
     It is held as numerator arrays over the unknowns: the maximum solution,
     the predecessors whose down-sets are excluded and, when the box was swept,
-    every solution and the minimal ones.  The FuzzySet views
-    (``max_solution``, ``excluded_predecessors``, ``enumerated``, ``minimal``)
-    are built on first use; ``solution_rows``, ``minimal_rows``,
-    ``enumerated`` and ``minimal`` are None when the box was only counted.
+    every solution and the minimal ones.  ``minimal_rows`` and the FuzzySet
+    views (``max_solution``, ``excluded_predecessors``, ``enumerated``,
+    ``minimal``) are built on first use, the minimal rows by ``_minimal_of``,
+    which columns with the same maximum share; ``solution_rows``,
+    ``minimal_rows``, ``enumerated`` and ``minimal`` are None when the box
+    was only counted.
     """
 
     column: object
@@ -253,13 +263,18 @@ class ColumnSolutions:
     predecessor_rows: np.ndarray  # (predecessors, |V|)
     count: int
     solution_rows: Optional[np.ndarray] = None  # (count, |V|), lexicographic
-    minimal_rows: Optional[np.ndarray] = None  # (minimal, |V|), lexicographic
+    _minimal_of: Optional[Callable] = field(default=None, repr=False)
 
     def _sets(self, rows) -> tuple:
         return tuple(
             FuzzySet.from_numerators(self.var_names, row, self.granularity)
             for row in rows.tolist()
         )
+
+    @cached_property
+    def minimal_rows(self) -> Optional[np.ndarray]:
+        """(minimal, |V|), lexicographic."""
+        return None if self._minimal_of is None else self._minimal_of()
 
     @cached_property
     def max_solution(self) -> FuzzySet:
@@ -334,25 +349,42 @@ def _minimal_rows(rows: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
     return rows[(below | (rows == 0)).all(axis=1)]
 
 
+def _inclusion_exclusion(max_row: np.ndarray, pred_rows: np.ndarray) -> int:
+    """The number of vectors below ``max_row`` and below no predecessor, by
+    inclusion-exclusion over the predecessor subsets S: the sum of (-1)^|S|
+    times the size of the box below the meet of ``max_row`` and S.
+
+    The meets are built by doubling, one predecessor at a time, and kept
+    apart by the sign of their term: 2^|P| rows of |V| entries in all.  The
+    box sizes are int64 products up to 2^63 and Python ints beyond.
+    """
+    even, odd = max_row[None, :], np.zeros((0, len(max_row)), dtype=np.int64)
+    for p in pred_rows:
+        even, odd = (
+            np.concatenate([even, np.minimum(odd, p)]),
+            np.concatenate([odd, np.minimum(even, p)]),
+        )
+    dtype = np.int64 if math.prod((max_row + 1).tolist()) < 2**63 else object
+
+    def sizes(meets):
+        return (meets + 1).astype(dtype, copy=False).prod(axis=1).sum(dtype=object)
+
+    return int(sizes(even) - sizes(odd))
+
+
 def _count(max_row: np.ndarray, pred_rows: np.ndarray) -> int:
     """The number of vectors below ``max_row`` and below no predecessor.
 
-    By inclusion-exclusion over the predecessor subsets S: the sum of
-    (-1)^|S| times the size of the box below the meet of ``max_row`` and S,
-    2^|P| box sizes in all, taken as Python ints (a box can exceed 2^63 rows).
-    When there are more subsets than rows in the box, the box is swept.
+    Inclusion-exclusion peaks at under 2^(|P|+1) rows of |V| entries (the
+    meets of one doubling step and of the next), or one row when there are
+    no predecessors; the sweep holds the whole box, prod(m + 1) rows, and
+    its comparisons with every predecessor.  The former is taken when that
+    peak is at most the box, so it never holds more than the sweep would.
     """
     k, size = len(pred_rows), math.prod((max_row + 1).tolist())
-    if 2**k > size:
-        return len(_box_and_filter(max_row, pred_rows))
-    subsets = ((np.arange(2**k)[:, None] >> np.arange(k)) & 1).astype(bool)  # [S, p]
-    picked = np.where(subsets[:, :, None], pred_rows, max_row)  # [S, p, v]
-    meets = np.minimum(picked.min(axis=1, initial=max_row.max()), max_row)
-    signs = (-1) ** subsets.sum(axis=1)
-    return sum(
-        sign * math.prod(sides)
-        for sign, sides in zip(signs.tolist(), (meets + 1).tolist())
-    )
+    if k == 0 or 2 ** (k + 1) <= size:
+        return _inclusion_exclusion(max_row, pred_rows)
+    return len(_box_and_filter(max_row, pred_rows))
 
 
 def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionSet:
@@ -363,16 +395,17 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
     solution is an extent of the associated context, and its excluded
     predecessors are that extent's lower covers, taken from generator meets
     (``_lower_covers``); no concept lattice is built.  With ``materialize``
-    the box below the maximum is swept explicitly and the solutions and their
-    minimal elements are listed; otherwise only the count is produced, by
-    inclusion-exclusion over the predecessors (``_count``).  Columns with
+    the box below the maximum is swept explicitly and the solutions are
+    listed, their minimal elements on first read; otherwise only the count is
+    produced, by inclusion-exclusion over the predecessors when that holds
+    fewer rows than the box, else by the sweep (``_count``).  Columns with
     equal maxima share all of this: it is computed once per distinct maximum.
     """
     maxima, interiors = _closures(fre)
     _unsolvable(fre, interiors, "cannot enumerate an unsolvable instance")
     gens = _generators(associated_context(fre))[1]
     n = fre.frame.granularity
-    solved = {}  # maximum -> (predecessors, count, solutions, minimal)
+    solved = {}  # maximum -> (predecessors, count, solutions, minimal_of)
     cols = []
     for w, m in zip(fre.col_names, maxima):
         key = m.tobytes()
@@ -380,7 +413,8 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
             preds = _lower_covers(m, gens)
             if materialize:
                 box = _box_and_filter(m, preds)
-                solved[key] = preds, len(box), box, _minimal_rows(box, preds)
+                minimal_of = cache(partial(_minimal_rows, box, preds))
+                solved[key] = preds, len(box), box, minimal_of
             else:
                 solved[key] = preds, _count(m, preds), None, None
         cols.append(ColumnSolutions(w, fre.var_names, n, m, *solved[key]))

@@ -263,14 +263,29 @@ class TestEnumeration:
             SQUARES_COEFF, SQUARES_SIGMA, rhs,
         )
         cols = enumerate_solutions(fre).columns
-        assert len(sweeps) == 2 and len(minimals) == 2
+        assert len(sweeps) == 2 and minimals == []  # minimal rows on first read
         assert cols[0].to_json() | {"column": "w3"} == cols[2].to_json()
+        assert len(minimals) == 1  # w3 reuses the minimal rows of w1
         assert cols[0].count == 2 and cols[1].count == 1
         assert cols[1].solution_rows.tolist() == [[0, 0, 0, 0, 0]]
         for col in cols:
             box = sweep(col.max_row, col.predecessor_rows)
             fresh = minimal(box, col.predecessor_rows)
             assert col.minimal_rows.tolist() == fresh.tolist()
+        assert len(minimals) == 2  # once per distinct maximum
+
+    def test_minimal_rows_only_on_read(self, maxmin_solvable, monkeypatch):
+        from mafre import fre as fre_mod
+
+        minimals, minimal = [], fre_mod._minimal_rows
+        monkeypatch.setattr(
+            fre_mod, "_minimal_rows", lambda *a: minimals.append(a) or minimal(*a)
+        )
+        col = enumerate_solutions(maxmin_solvable).column("w")
+        assert len(col.enumerated) == col.count == 875
+        assert minimals == []
+        assert len(col.minimal) == 4 and len(col.to_json()["minimal"]) == 4
+        assert len(minimals) == 1
 
     def test_solutions_held_as_arrays(self, maxmin_solvable):
         col = enumerate_solutions(maxmin_solvable).column("w")
@@ -293,7 +308,8 @@ class TestEnumeration:
 
 class TestCount:
     """Count-only mode: inclusion-exclusion over the predecessors, the box
-    swept only when it has fewer rows than there are predecessor subsets."""
+    swept only when there are predecessors and twice as many subsets of them
+    exceed its rows."""
 
     @staticmethod
     def _sweeps(monkeypatch):
@@ -305,7 +321,15 @@ class TestCount:
         )
         return sweeps, sweep
 
+    @staticmethod
+    def _wide(col) -> bool:
+        """True when the count of ``col`` sweeps its box."""
+        k = len(col.predecessor_rows)
+        return k > 0 and 2 ** (k + 1) > math.prod((col.max_row + 1).tolist())
+
     def test_count_equals_the_sweep_and_brute_force(self, monkeypatch):
+        from mafre import fre as fre_mod
+
         sweeps, sweep = self._sweeps(monkeypatch)
         rng = random.Random(31)
         frames = [
@@ -319,11 +343,15 @@ class TestCount:
                 rng, frames[i % 3], rng.randint(1, 4), rng.randint(1, 3)
             )
             col = enumerate_solutions(fre, materialize=False).columns[0]
-            assert sweeps == []  # every column here has 2^|P| <= its box
+            assert len(sweeps) == self._wide(col)
             listed = enumerate_solutions(fre).columns[0]
             assert col.count == len(sweep(col.max_row, col.predecessor_rows))
+            assert col.count == fre_mod._inclusion_exclusion(
+                col.max_row, col.predecessor_rows
+            )
             assert col.count == listed.count == len(brute_force_solutions(fre))
-            predecessors.add(min(len(col.predecessor_rows), 2))
+            if not self._wide(col):
+                predecessors.add(min(len(col.predecessor_rows), 2))
             sweeps.clear()
         assert predecessors == {0, 1, 2}
 
@@ -341,12 +369,8 @@ class TestCount:
                 rng, frames[i % 3], rng.randint(10, 16), rng.randint(4, 5), 2
             )
             cols = enumerate_solutions(fre, materialize=False).columns
-            wide = {
-                c.max_row.tobytes()
-                for c in cols
-                if 2 ** len(c.predecessor_rows) > math.prod((c.max_row + 1).tolist())
-            }
-            # one sweep per distinct maximum with more subsets than box rows
+            wide = {c.max_row.tobytes() for c in cols if self._wide(c)}
+            # one sweep per distinct maximum with too many subsets for its box
             assert sorted(a[0].tobytes() for a in sweeps) == sorted(wide)
             swept += len(wide)
             sweeps.clear()
@@ -356,6 +380,35 @@ class TestCount:
                 assert c.count == full.count
             sweeps.clear()
         assert swept >= 1
+
+    @pytest.mark.parametrize("n, nv", [(1, 12), (3, 8)])
+    def test_many_predecessors_hold_no_more_than_the_box(self, monkeypatch, n, nv):
+        # x_v = 1 for every v over godel with identity coefficients: every
+        # vector is an extent, so the top has nv lower covers and a box of
+        # (n + 1)^nv rows.  At n = 1 there are as many predecessor subsets
+        # as box rows and the box is swept; at n = 3 inclusion-exclusion
+        # counts it with 2^nv meet rows.  Neither may hold arrays much larger
+        # than the box itself.
+        import tracemalloc
+
+        sweeps, sweep = self._sweeps(monkeypatch)
+        names = [f"v{i}" for i in range(nv)]
+        identity = [[n * (u == v) for v in range(nv)] for u in range(nv)]
+        fre = FreInstance.from_numerators(
+            builtin_frame(["godel"], n), names, names, ["w"], identity,
+            [0] * nv, [[n]] * nv,
+        )
+        box_bytes = (n + 1) ** nv * nv * 8
+        tracemalloc.start()
+        try:
+            col = enumerate_solutions(fre, materialize=False).columns[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(col.predecessor_rows) == nv
+        assert col.count == 1 == len(sweep(col.max_row, col.predecessor_rows))
+        assert len(sweeps) == (n == 1)
+        assert peak < (2 * box_bytes if n == 1 else box_bytes // 8)
 
     def test_count_only_sweeps_no_box(self, monkeypatch):
         from conftest import SQUARES_COEFF, SQUARES_ROWS, SQUARES_SIGMA
@@ -413,6 +466,7 @@ class TestCount:
             for x in product(*(range(m + 1) for m in top))
         )
         assert fre_mod._count(max_row, pred_rows) == expected
+        assert fre_mod._inclusion_exclusion(max_row, pred_rows) == expected
         assert len(fre_mod._box_and_filter(max_row, pred_rows)) == expected
 
 
