@@ -14,7 +14,6 @@ from .algebra import (
     GranularValue,
     builtin_frame,
     builtin_triple,
-    make_granular,
     verify_adjoint_triple,
 )
 from .approx import (
@@ -45,17 +44,11 @@ from .context import (
 from .dual import (
     DualContext,
     DualFreInstance,
-    DualLattice,
-    build_dual_lattice,
     dual_approximate,
     dual_brute_force,
-    dual_enumerate_reducts,
     dual_find_feasible_reducts,
-    dual_is_consistent,
     dual_is_solvable,
     dual_max_solution,
-    dual_necessity,
-    dual_possibility,
     dual_reduce,
     dual_solutions,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, total_ordering
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -80,11 +80,6 @@ class GranularValue:
         return f"GranularValue({self.numerator}, {self.granularity})"
 
 
-def make_granular(k: int, n: int) -> GranularValue:
-    """Build the exact value k/n; rejects out-of-range numerators."""
-    return GranularValue(k, n)
-
-
 @dataclass(frozen=True)
 class GranularLattice:
     """The finite chain [0,1]_n."""
@@ -112,10 +107,6 @@ class GranularLattice:
 
     def __len__(self) -> int:
         return self.granularity + 1
-
-
-def _table_from_fn(n: int, fn: Callable[[int, int], int]):
-    return tuple(tuple(fn(a, b) for b in range(n + 1)) for a in range(n + 1))
 
 
 class AdjointTriple:

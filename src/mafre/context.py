@@ -354,7 +354,7 @@ class ConceptLattice:
     generated), row i being concept i.  Everything else is built on first
     use: ``intent_rows``, the extent index behind ``index_of`` and
     ``extent_set``, the ``concepts`` (``Concept`` and ``FuzzySet`` objects;
-    ``extents`` and ``predecessors_of`` build only the sets they return) and
+    ``extents`` and ``predecessors`` build only the sets they return) and
     the cover relation.
     """
 
@@ -417,12 +417,6 @@ class ConceptLattice:
         i, j = np.nonzero(self._covers)
         return list(zip(i.tolist(), j.tolist()))
 
-    def predecessors_of(self, extent: FuzzySet):
-        """Extents directly covered by ``extent``, from generator meets."""
-        e = self.extent_rows[self.index_of(extent)]
-        rows = _lower_covers(e, _generators(self.context)[1])
-        return [self.context._object_set(row) for row in rows]
-
 
 def build_concept_lattice(ctx: Context) -> ConceptLattice:
     """Build the full concept lattice of a finite context.
@@ -440,8 +434,9 @@ def build_concept_lattice(ctx: Context) -> ConceptLattice:
 
 
 def predecessors(lat: ConceptLattice, e: FuzzySet):
-    """The set of extents immediately below ``e`` in the lattice."""
-    return lat.predecessors_of(e)
+    """The extents immediately below the extent ``e``, from generator meets."""
+    rows = _lower_covers(lat.extent_rows[lat.index_of(e)], _generators(lat.context)[1])
+    return [lat.context._object_set(row) for row in rows]
 
 
 def _indices(ctx: Context, attributes: Iterable) -> list:
@@ -565,9 +560,7 @@ def _tuple_template(width: int) -> str:
     return "(" + ", ".join(["%d"] * width) + ")"
 
 
-def lattice_to_dot(
-    lat: ConceptLattice, *, include_intents: bool = False, name: str = "concept_lattice"
-) -> str:
+def lattice_to_dot(lat: ConceptLattice, *, include_intents: bool = False) -> str:
     """Render the Hasse diagram as DOT, drawn bottom-up.
 
     Nodes are labeled with extent numerator tuples (plus intents on request).
@@ -583,7 +576,7 @@ def lattice_to_dot(
     pairs = np.transpose(np.nonzero(lat._covers))
     edges = "\n  c%d -> c%d;" * len(pairs)
     return (
-        f"digraph {name} {{\n  rankdir=BT;\n  node [shape=box];"
+        "digraph concept_lattice {\n  rankdir=BT;\n  node [shape=box];"
         + nodes % tuple(np.hstack(columns).ravel().tolist())
         + edges % tuple(pairs.ravel().tolist())
         + "\n}"

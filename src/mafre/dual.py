@@ -15,10 +15,15 @@ plus that transposed primal, built once when the instance is constructed;
 a reduced one slices the primal's checked arrays and is not checked again,
 and a repair is the primal one with its array transposed.
 The opposite frame is not verified again: the opposite triple's adjunction
-test at (x, y, z) is the original's at (y, x, z).  Everything below is a thin
-adapter over the primal solver; ``dual_compose``, ``dual_is_solution`` and
-``dual_brute_force`` stay independent of it, as the oracles that check the
-transposition.
+test at (x, y, z) is the original's at (y, x, z).
+
+A ``DualContext`` is a primal ``Context``, so ``possibility`` (h to t) and
+``necessity`` (t to h) take it as it is; so do ``build_concept_lattice``,
+whose extents are the variable-side fixpoints, and ``restrict``,
+``is_consistent`` and ``enumerate_reducts``, on sets of columns.  This module
+keeps what transposes something, plus ``dual_compose``, ``dual_is_solution``
+and ``dual_brute_force``: independent of the primal solver, they are the
+oracles that check the transposition.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ import numpy as np
 from .algebra import Frame
 from .approx import ApproximationResult, approximate_by_reduct, find_feasible_reducts
 from .context import (
-    ConceptLattice,
     Context,
     FuzzySet,
     _conj_tables,
@@ -43,12 +47,7 @@ from .context import (
     _names,
     _restrict,
     _values,
-    build_concept_lattice,
-    enumerate_reducts,
     is_consistent,
-    necessity,
-    possibility,
-    restrict,
 )
 from .errors import (
     BudgetExceededError,
@@ -72,7 +71,10 @@ class DualContext(Context):
 
     It is the primal context with attributes W, objects V and relation S^T
     over the opposite triples (``frame`` is the opposite frame); ``variables``
-    and ``columns`` name its objects and attributes.
+    and ``columns`` name its objects and attributes.  The primal context
+    functions take it: ``possibility`` and ``necessity`` are the dual
+    connection, the lattice extents are the variable-side fixpoints, and
+    ``restrict``, ``is_consistent`` and ``enumerate_reducts`` work on columns.
     """
 
     def __init__(self, frame: Frame, variables, columns, relation, sigma):
@@ -97,65 +99,6 @@ def _known_columns(ctx: DualContext, Y: Iterable) -> tuple:
     if unknown:
         raise DimensionError(f"unknown columns: {sorted(unknown)}")
     return Y
-
-
-def dual_possibility(h: FuzzySet, ctx: DualContext) -> FuzzySet:
-    """sup_v h(v) & S(v, w), componentwise over W."""
-    if h.index_set != ctx.variables:
-        raise DimensionError("argument must be indexed by the context variables")
-    return possibility(h, ctx)
-
-
-def dual_necessity(t: FuzzySet, ctx: DualContext) -> FuzzySet:
-    """inf_w t(w) <-(left) S(v, w), componentwise over V."""
-    if t.index_set != ctx.columns:
-        raise DimensionError("argument must be indexed by the context columns")
-    return necessity(t, ctx)
-
-
-class DualLattice:
-    """Variable-side fixpoints of the dual connection, with covers.
-
-    A view of the concept lattice of the dual context: its members are the
-    extents, in the same order, and member indices are concept indices.  The
-    member FuzzySets are built on first use of ``members``.
-    """
-
-    def __init__(self, lattice: ConceptLattice):
-        self.lattice = lattice
-        self.member_set = lattice.extent_set
-        self.covers = lattice.covers
-        self.predecessors_of = lattice.predecessors_of
-
-    @cached_property
-    def members(self) -> tuple:
-        return tuple(self.lattice.extents())
-
-    def __len__(self):
-        return len(self.lattice)
-
-
-def build_dual_lattice(ctx: DualContext) -> DualLattice:
-    """All variable-side fixpoints: the extents of the dual context."""
-    return DualLattice(build_concept_lattice(ctx))
-
-
-def dual_restrict(ctx: DualContext, columns: Iterable) -> DualContext:
-    """The dual context limited to a subset of columns, keeping input order."""
-    columns = _known_columns(ctx, columns)
-    if not columns:
-        raise DimensionError("cannot restrict to an empty column set")
-    return restrict(ctx, columns)
-
-
-def dual_is_consistent(ctx: DualContext, Y: Iterable) -> bool:
-    """True when dropping the columns outside Y preserves the variable-side set."""
-    return is_consistent(ctx, _known_columns(ctx, Y))
-
-
-def dual_enumerate_reducts(ctx: DualContext):
-    """Minimal column subsets preserving the variable-side fixpoint set."""
-    return enumerate_reducts(ctx)
 
 
 class DualFreInstance:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
-from typing import List, Sequence, Union
+from typing import List, Union
 
 from .algebra import (
     AdjointTriple,
@@ -249,6 +249,7 @@ def parse_problem(data: dict) -> ProblemFile:
             )
         else:
             _expect(isinstance(spec, dict), "each triple must be a name or a table object")
+            _expect(isinstance(spec.get("name", ""), str), "custom triple name must be a string")
             for key in ("conj", "left_residuum", "right_residuum"):
                 _expect(key in spec, f"custom triple missing {key!r} table")
                 _int_matrix(spec[key], n + 1, n + 1, n, key)

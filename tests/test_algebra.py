@@ -14,7 +14,6 @@ from mafre import (
     GranularValue,
     builtin_frame,
     builtin_triple,
-    make_granular,
     verify_adjoint_triple,
 )
 from mafre.errors import (
@@ -23,62 +22,67 @@ from mafre.errors import (
     RangeError,
     UnknownTripleError,
 )
-from mafre.algebra import BUILTIN_TRIPLE_NAMES, Frame, _table_from_fn
+from mafre.algebra import BUILTIN_TRIPLE_NAMES, Frame
 
 
-def test_make_granular_basic():
-    v = make_granular(7, 8)
+def _table_from_fn(n: int, fn):
+    """The (n+1)x(n+1) table of ``fn`` over the numerators, one call per cell."""
+    return tuple(tuple(fn(a, b) for b in range(n + 1)) for a in range(n + 1))
+
+
+def test_granular_value_basic():
+    v = GranularValue(7, 8)
     assert v.fraction == Fraction(7, 8)
     assert float(v) == 0.875
-    assert make_granular(0, 8) == GranularLattice(8).bottom
+    assert GranularValue(0, 8) == GranularLattice(8).bottom
 
 
-def test_make_granular_out_of_range():
+def test_granular_value_out_of_range():
     with pytest.raises(RangeError):
-        make_granular(9, 8)
+        GranularValue(9, 8)
     with pytest.raises(RangeError):
-        make_granular(-1, 8)
+        GranularValue(-1, 8)
     with pytest.raises(RangeError):
-        make_granular(0, 0)
+        GranularValue(0, 0)
 
 
 def test_order_and_lattice_ops():
-    a, b = make_granular(2, 8), make_granular(5, 8)
+    a, b = GranularValue(2, 8), GranularValue(5, 8)
     assert a < b and a <= b and b > a
     assert a.meet(b) == a and a.join(b) == b
     with pytest.raises(GranularityMismatchError):
-        a.meet(make_granular(1, 4))
+        a.meet(GranularValue(1, 4))
 
 
 def test_roundtrip_value_rational_value():
     for n in (1, 4, 8):
         for k in range(n + 1):
-            v = make_granular(k, n)
+            v = GranularValue(k, n)
             f = v.fraction
-            assert make_granular(f.numerator * (n // f.denominator), n) == v
+            assert GranularValue(f.numerator * (n // f.denominator), n) == v
 
 
 def test_builtin_sq_left_values():
     t = builtin_triple("sq-left", 8)
     # ceil(8 * 0.75^2 * 0.875) = ceil(3.9375) = 4
-    assert t.conj(make_granular(6, 8), make_granular(7, 8)) == make_granular(4, 8)
+    assert t.conj(GranularValue(6, 8), GranularValue(7, 8)) == GranularValue(4, 8)
     # floor(8 * 0.25 / 0.75^2) = floor(3.55..) = 3
-    assert t.right_residuum(make_granular(2, 8), make_granular(6, 8)) == make_granular(3, 8)
-    assert t.right_residuum(make_granular(0, 8), make_granular(6, 8)) == make_granular(0, 8)
+    assert t.right_residuum(GranularValue(2, 8), GranularValue(6, 8)) == GranularValue(3, 8)
+    assert t.right_residuum(GranularValue(0, 8), GranularValue(6, 8)) == GranularValue(0, 8)
 
 
 def test_builtin_godel_values():
     t = builtin_triple("godel", 8)
-    assert t.conj(make_granular(4, 8), make_granular(7, 8)) == make_granular(4, 8)
-    assert t.conj(make_granular(8, 8), make_granular(3, 8)) == make_granular(3, 8)
+    assert t.conj(GranularValue(4, 8), GranularValue(7, 8)) == GranularValue(4, 8)
+    assert t.conj(GranularValue(8, 8), GranularValue(3, 8)) == GranularValue(3, 8)
 
 
 def test_residua_return_top_at_zero_divisor():
     for name in ("sq-left", "sq-right", "godel"):
         t = builtin_triple(name, 8)
         for k in range(9):
-            assert t.right_residuum(make_granular(k, 8), make_granular(0, 8)).numerator == 8
-            assert t.left_residuum(make_granular(k, 8), make_granular(0, 8)).numerator == 8
+            assert t.right_residuum(GranularValue(k, 8), GranularValue(0, 8)).numerator == 8
+            assert t.left_residuum(GranularValue(k, 8), GranularValue(0, 8)).numerator == 8
 
 
 def test_builtin_tables_refuse_granularities_that_overflow_int64():
@@ -142,7 +146,7 @@ def test_frame_rejects_bad_triple():
 def test_mixed_granularity_rejected():
     t = builtin_triple("godel", 8)
     with pytest.raises(GranularityMismatchError):
-        t.conj(make_granular(1, 4), make_granular(1, 8))
+        t.conj(GranularValue(1, 4), GranularValue(1, 8))
 
 
 @pytest.mark.parametrize("name", ["sq-left", "sq-right", "godel"])

@@ -21,6 +21,7 @@ from mafre import (
     restrict,
 )
 from mafre.context import ConceptLattice, Context
+from mafre.dual import DualContext
 from mafre.errors import (
     DimensionError,
     GranularityMismatchError,
@@ -559,17 +560,34 @@ class TestConsistencyAndReducts:
 
     def test_generator_test_matches_restricted_lattices(self):
         # oracle: Y is consistent iff every full extent is an extent of the
-        # context restricted to Y (the empty Y: iff the lattice is {top})
+        # context restricted to Y (the empty Y: iff the lattice is {top}); on
+        # primal contexts and on dual ones, whose attributes are the columns
         from itertools import combinations
 
-        rng = random.Random(43)
-        for i in range(240):
-            n = 1 + i % 6
-            frame = builtin_frame(["godel", "sq-left", "sq-right"], n)
-            ctx = random_context(rng, frame, rng.randint(1, 5), rng.randint(1, 3))
-            if i % 8 == 0:  # all-zero coefficients: the lattice is {top}
-                zero = [[frame.value(0)] * len(ctx.objects)] * len(ctx.attributes)
-                ctx = Context(frame, ctx.attributes, ctx.objects, zero, ctx.sigma)
+        def contexts():
+            rng = random.Random(43)
+            for i in range(240):
+                n = 1 + i % 6
+                frame = builtin_frame(["godel", "sq-left", "sq-right"], n)
+                ctx = random_context(rng, frame, rng.randint(1, 5), rng.randint(1, 3))
+                if i % 8 == 0:  # all-zero coefficients: the lattice is {top}
+                    zero = [[frame.value(0)] * len(ctx.objects)] * len(ctx.attributes)
+                    ctx = Context(frame, ctx.attributes, ctx.objects, zero, ctx.sigma)
+                yield ctx
+            rng = random.Random(44)
+            for i in range(120):
+                n = 1 + i % 6
+                frame = builtin_frame(["godel", "sq-left", "sq-right"], n)
+                nv, nw = rng.randint(1, 3), rng.randint(1, 5)
+                S = [[rng.randint(0, n) for _ in range(nw)] for _ in range(nv)]
+                if i % 8 == 0:  # S all zero: the lattice is {top}
+                    S = [[0] * nw] * nv
+                sigma = [rng.randrange(3) for _ in range(nv)]
+                variables = [f"v{k}" for k in range(nv)]
+                yield DualContext(frame, variables, [f"w{k}" for k in range(nw)], S, sigma)
+
+        for ctx in contexts():
+            n = ctx.frame.granularity
             full = build_concept_lattice(ctx).extent_set()
             oracle = {(): full == {(n,) * len(ctx.objects)}}
             subsets = [

@@ -7,31 +7,32 @@ import pytest
 from mafre import (
     DualContext,
     DualFreInstance,
-    build_dual_lattice,
+    build_concept_lattice,
     builtin_frame,
     dual_approximate,
     dual_brute_force,
-    dual_enumerate_reducts,
     dual_find_feasible_reducts,
-    dual_is_consistent,
     dual_is_solvable,
     dual_max_solution,
-    dual_necessity,
-    dual_possibility,
     dual_reduce,
     dual_solutions,
+    enumerate_reducts,
+    is_consistent,
+    necessity,
+    possibility,
+    restrict,
 )
 from mafre.context import FuzzySet
 from mafre.dual import (
     dual_associated_context,
     dual_compose,
     dual_is_solution,
-    dual_restrict,
     dual_solvability_gap,
 )
 from mafre.errors import (
     DimensionError,
     InconsistentSetError,
+    IndexMismatchError,
     InfeasibleReductError,
     NotAReductError,
     UnsolvableError,
@@ -96,7 +97,7 @@ class TestDualOperators:
                 ctx.columns, [rng.randint(0, 5) for _ in range(2)], 5
             )
             # h <= t^nec  iff  h^pos <= t
-            assert h.leq(dual_necessity(t, ctx)) == dual_possibility(h, ctx).leq(t)
+            assert h.leq(necessity(t, ctx)) == possibility(h, ctx).leq(t)
 
     def test_possibility_is_composition_row(self):
         rng = random.Random(9)
@@ -110,15 +111,38 @@ class TestDualOperators:
             direct = dual_compose(
                 frame, ([v for v in h.values],), dfre.coeff, dfre.sigma
             )[0]
-            assert dual_possibility(h, ctx).values == direct
+            assert possibility(h, ctx).values == direct
+
+    def test_necessity_is_its_definition(self):
+        # h(v) = inf_w t(w) <-(left) S(v, w), from the original triples'
+        # left residua on the untransposed S
+        rng = random.Random(11)
+        for n in (1, 3, 5):
+            frame = builtin_frame(["sq-left", "sq-right", "godel"], n)
+            for _ in range(20):
+                nv, nw = rng.randint(1, 4), rng.randint(1, 3)
+                S = [[rng.randint(0, n) for _ in range(nw)] for _ in range(nv)]
+                sigma = [rng.randrange(3) for _ in range(nv)]
+                ctx = DualContext(
+                    frame, [f"v{i}" for i in range(nv)], [f"w{j}" for j in range(nw)], S, sigma
+                )
+                t = FuzzySet.from_numerators(ctx.columns, [rng.randint(0, n) for _ in range(nw)], n)
+                expected = [
+                    min(
+                        frame.triples[sigma[v]].left_residuum_table[t.numerators[w]][S[v][w]]
+                        for w in range(nw)
+                    )
+                    for v in range(nv)
+                ]
+                assert necessity(t, ctx).numerators == tuple(expected)
 
     def test_index_checks(self):
         frame = builtin_frame(["godel"], 4)
         ctx = DualContext(frame, ("v0",), ("w0",), [[frame.value(2)]], [0])
-        with pytest.raises(DimensionError):
-            dual_possibility(FuzzySet.from_numerators(("x",), (1,), 4), ctx)
-        with pytest.raises(DimensionError):
-            dual_necessity(FuzzySet.from_numerators(("x",), (1,), 4), ctx)
+        with pytest.raises(IndexMismatchError):
+            possibility(FuzzySet.from_numerators(("x",), (1,), 4), ctx)
+        with pytest.raises(IndexMismatchError):
+            necessity(FuzzySet.from_numerators(("x",), (1,), 4), ctx)
 
 
 class TestDualSolving:
@@ -290,11 +314,14 @@ class TestDualLattice:
         rng = random.Random(60)
         frame = builtin_frame(["sq-left", "godel"], 4)
         ctx = dual_associated_context(random_dual_solvable(rng, frame, 2, 3, 2))
-        lat = build_dual_lattice(ctx)
-        assert len(lat) == len(lat.lattice) > 1
-        assert "members" not in vars(lat)
-        assert [m.numerators for m in lat.members] == [
-            tuple(r) for r in lat.lattice.extent_rows.tolist()
+        lat = build_concept_lattice(ctx)
+        assert len(lat) > 1
+        # the extents are the variable-side sets, built without the concepts
+        extents = lat.extents()
+        assert "concepts" not in vars(lat)
+        assert all(h.index_set == ctx.variables for h in extents)
+        assert [h.numerators for h in extents] == [
+            tuple(r) for r in lat.extent_rows.tolist()
         ]
 
     def test_members_are_fixpoints(self):
@@ -302,9 +329,9 @@ class TestDualLattice:
         frame = builtin_frame(["sq-left", "godel"], 4)
         dfre = random_dual_solvable(rng, frame, 2, 3, 2)
         ctx = dual_associated_context(dfre)
-        lat = build_dual_lattice(ctx)
-        for h in lat.members:
-            again = dual_necessity(dual_possibility(h, ctx), ctx)
+        lat = build_concept_lattice(ctx)
+        for h in lat.extents():
+            again = necessity(possibility(h, ctx), ctx)
             assert again == h
 
     def test_max_solution_rows_are_members(self):
@@ -312,16 +339,16 @@ class TestDualLattice:
         frame = builtin_frame(["sq-right"], 4)
         dfre = random_dual_solvable(rng, frame, 2, 2, 2)
         ctx = dual_associated_context(dfre)
-        lat = build_dual_lattice(ctx)
+        lat = build_concept_lattice(ctx)
         for row in dual_max_solution(dfre):
-            assert tuple(v.numerator for v in row) in lat.member_set()
+            assert tuple(v.numerator for v in row) in lat.extent_set()
 
     def test_covers_are_strict_and_immediate(self):
         rng = random.Random(63)
         frame = builtin_frame(["godel", "sq-left"], 4)
         dfre = random_dual_solvable(rng, frame, 2, 2, 2)
-        lat = build_dual_lattice(dual_associated_context(dfre))
-        members = [m.numerators for m in lat.members]
+        lat = build_concept_lattice(dual_associated_context(dfre))
+        members = [m.numerators for m in lat.extents()]
         for i, j in lat.covers():
             low, high = members[i], members[j]
             assert low != high and all(a <= b for a, b in zip(low, high))
@@ -350,8 +377,8 @@ class TestDualReduction:
         frame = builtin_frame(["sq-left", "godel"], 4)
         for _ in range(10):
             ctx = self._context_with_duplicate_column(rng, frame)
-            assert dual_is_consistent(ctx, ("w0", "w1"))
-            for Y in dual_enumerate_reducts(ctx):
+            assert is_consistent(ctx, ("w0", "w1"))
+            for Y in enumerate_reducts(ctx):
                 assert not ("w0" in Y and "w2" in Y)
 
     def test_full_column_set_always_consistent(self):
@@ -359,7 +386,7 @@ class TestDualReduction:
         frame = builtin_frame(["sq-right"], 4)
         dfre = random_dual_solvable(rng, frame, 2, 2, 3)
         ctx = dual_associated_context(dfre)
-        assert dual_is_consistent(ctx, ctx.columns)
+        assert is_consistent(ctx, ctx.columns)
 
     def test_reduce_consistent_preserves_solutions(self):
         rng = random.Random(73)
@@ -369,7 +396,7 @@ class TestDualReduction:
             dfre = random_dual_solvable(rng, frame, 2, 2, 3)
             ctx = dual_associated_context(dfre)
             proper = [
-                Y for Y in dual_enumerate_reducts(ctx) if len(Y) < len(ctx.columns)
+                Y for Y in enumerate_reducts(ctx) if len(Y) < len(ctx.columns)
             ]
             if not proper or not dual_is_solvable(dfre):
                 continue
@@ -392,7 +419,7 @@ class TestDualReduction:
                 (
                     (w,)
                     for w in ctx.columns
-                    if not dual_is_consistent(ctx, (w,))
+                    if not is_consistent(ctx, (w,))
                 ),
                 None,
             )
@@ -405,10 +432,11 @@ class TestDualReduction:
     def test_restrict_errors(self):
         frame = builtin_frame(["godel"], 4)
         ctx = DualContext(frame, ("v0",), ("w0",), [[frame.value(1)]], [0])
+        assert restrict(ctx, ("w0",)).columns == ("w0",)
         with pytest.raises(DimensionError):
-            dual_restrict(ctx, ())
-        with pytest.raises(DimensionError):
-            dual_restrict(ctx, ("nope",))
+            restrict(ctx, ())
+        with pytest.raises(IndexMismatchError):
+            restrict(ctx, ("nope",))
 
 
 class TestDualEmptyReduct:
@@ -421,8 +449,8 @@ class TestDualEmptyReduct:
                 [[0, 0]] * 3, (0, 1, 0), rhs,
             )
             ctx = dual_associated_context(dfre)
-            assert dual_enumerate_reducts(ctx) == [()]
-            assert dual_is_consistent(ctx, ()) and dual_is_consistent(ctx, ("w2",))
+            assert enumerate_reducts(ctx) == [()]
+            assert is_consistent(ctx, ()) and is_consistent(ctx, ("w2",))
             assert dual_is_solvable(dfre) == solvable
             assert dual_find_feasible_reducts(dfre) == [()]
             result = dual_approximate(dfre, ())
@@ -434,7 +462,7 @@ class TestDualEmptyReduct:
 
     def test_empty_reduction_refused_on_a_proper_lattice(self):
         dfre = random_dual_solvable(random.Random(83), builtin_frame(["godel"], 4), 1, 2, 2)
-        assert dual_enumerate_reducts(dual_associated_context(dfre)) != [()]
+        assert enumerate_reducts(dual_associated_context(dfre)) != [()]
         with pytest.raises(DimensionError):
             dual_reduce(dfre, (), enforce_consistency=False)
 
@@ -522,7 +550,7 @@ class TestDualRepair:
             ctx = dual_associated_context(cand)
             if dual_is_solvable(cand):
                 continue
-            reducts = dual_enumerate_reducts(ctx)
+            reducts = enumerate_reducts(ctx)
             bad = [
                 Y
                 for Y in reducts

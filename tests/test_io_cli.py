@@ -135,6 +135,40 @@ class TestProblemFiles:
                 }
             )
 
+    @pytest.mark.parametrize("orientation", ["primal", "dual"])
+    def test_custom_triple_name_must_be_a_string(self, orientation, tmp_path, capsys):
+        # a dual file names the opposite triple after the original's name
+        t = builtin_triple("godel", 2)
+        data = {
+            "granularity": 2,
+            "triples": [
+                {
+                    "name": 5,
+                    "conj": [list(r) for r in t.conj_table],
+                    "left_residuum": [list(r) for r in t.left_residuum_table],
+                    "right_residuum": [list(r) for r in t.right_residuum_table],
+                }
+            ],
+            "orientation": orientation,
+            "rows": ["u"],
+            "variables": ["v"],
+            "columns": ["w"],
+            "coefficients": [[1]],
+            "sigma": [1],
+            "rhs": [[1]],
+        }
+        with pytest.raises(ProblemFileError, match="custom triple name must be a string"):
+            parse_problem(data)
+        path = tmp_path / "named.json"
+        for command in ("check", "solve"):
+            path.write_text(json.dumps(data))
+            assert main([command, str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: custom triple name must be a string\n"
+        data["triples"][0]["name"] = "min"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 0
+
     def test_table_triple_named_as_a_builtin_round_trip(self):
         # a triple called "godel" with the sq-left tables is written as tables
         n, sq_left = 4, builtin_triple("sq-left", 4)

@@ -31,6 +31,7 @@ from mafre import (
     find_feasible_reducts,
     is_consistent,
     load_problem,
+    predecessors,
     problem_from_instance,
     reduce_fre,
     restrict,
@@ -483,7 +484,7 @@ class TestGeneratorsOnce:
         first = enumerate_solutions(fre).columns[0]
         enumerate_solutions(fre)
         lattice = build_concept_lattice(ctx)
-        lattice.predecessors_of(first.max_solution)
+        predecessors(lattice, first.max_solution)
         assert batches.count(na * (n + 1)) == 1
         # restrict drops every cache: its generators are its own
         sub = restrict(ctx, ctx.attributes[:2])
