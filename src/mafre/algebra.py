@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, total_ordering
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -187,17 +188,36 @@ class AdjointTriple:
         return f"AdjointTriple({self.name!r}, n={self.granularity})"
 
 
+def _int64(rows, n_rows: int, n_cols: int, n: int):
+    """``rows`` as a new (n_rows, n_cols) int64 array when it is an int64
+    array or a list of rows (lists or tuples) of exact ints, of that shape
+    and with every entry in 0..n; else None.  One set of entry types (which
+    rejects bool) and one numpy shape and range test, with no per-entry
+    Python step."""
+    if isinstance(rows, np.ndarray):
+        if rows.dtype != np.int64:
+            return None
+        arr = np.array(rows)
+    elif {*map(type, rows)} <= {list, tuple} and {*map(type, chain.from_iterable(rows))} <= {int}:
+        try:
+            arr = np.array(rows, dtype=np.int64)
+        except (ValueError, OverflowError):  # ragged rows, an int beyond int64
+            return None
+    else:
+        return None
+    if arr.shape != (n_rows, n_cols) or ((arr < 0) | (arr > n)).any():
+        return None
+    return arr
+
+
 def _table_array(label: str, table, n: int) -> np.ndarray:
-    """``table`` as an (n+1) x (n+1) int64 array with entries in [0, n]."""
-    try:
-        arr = np.asarray(table)
-    except ValueError:  # ragged rows
-        arr = None
-    if arr is None or arr.shape != (n + 1, n + 1):
-        raise RangeError(f"{label} table must be ({n+1})x({n+1})")
-    if (arr < 0).any() or (arr > n).any():
-        raise RangeError(f"{label} table entry outside [0, {n}]")
-    return arr.astype(np.int64)
+    """``table`` as an (n+1) x (n+1) int64 array with entries in [0, n]: an
+    int64 array or rows of exact ints, as ``_int64`` takes them; any other
+    entry (a float, a bool, a string) raises RangeError."""
+    arr = _int64(table if isinstance(table, np.ndarray) else list(table), n + 1, n + 1, n)
+    if arr is None:
+        raise RangeError(f"{label} table must be ({n+1})x({n+1}) integers in [0, {n}]")
+    return arr
 
 
 def _isqrt(v: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import enum
 import functools
+import os
 import sys
 
 from . import approx, dual as dual_mod, fre as fre_mod
@@ -20,12 +21,7 @@ from .context import (
     is_consistent,
     lattice_to_dot,
 )
-from .errors import (
-    BudgetExceededError,
-    InconsistentSetError,
-    MafreError,
-    UnsolvableError,
-)
+from .errors import BudgetExceededError, MafreError, UnsolvableError
 from .io import ProblemFileError, _dumps, load_problem, problem_from_instance
 
 
@@ -47,10 +43,28 @@ def _vec(numerators, n: int) -> str:
     return "(" + ", ".join([dec[k] for k in numerators]) + ")"
 
 
+def _print(text: str) -> None:
+    """Print ``text`` to stdout.  A reader that has stopped reading (as
+    ``| head`` does) is not an error: stdout is then pointed at devnull, so
+    the flush at exit cannot fail again, and the command keeps its exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(args, payload, text) -> None:
     """Print ``payload()`` as JSON with --json, else ``text()``; only the
     printed one is built."""
-    print(_dumps(payload()) if args.json else text())
+    _print(_dumps(payload()) if args.json else text())
+
+
+def _non_negative(value, option: str) -> None:
+    """Refuse a negative value of an integer option (exit 2)."""
+    if value is not None and value < 0:
+        raise ProblemFileError(f"{option} must be >= 0")
 
 
 def _split_set(raw: str):
@@ -93,8 +107,7 @@ def _solve(args, instance, solutions_of, closure, part, counted) -> int:
     rhs is compared with, for one solved part of the unknown and for the
     solutions of a part.
     """
-    if args.max_count is not None and args.max_count < 0:
-        raise ProblemFileError("--max-count must be >= 0")
+    _non_negative(args.max_count, "--max-count")
     n = instance.frame.granularity
     try:
         solutions = solutions_of(instance, materialize=args.enumerate)
@@ -193,11 +206,12 @@ def cmd_reduce(args) -> int:
         except OSError as exc:
             raise ProblemFileError(f"cannot write {args.output}: {exc}") from exc
     else:
-        print(out)
+        _print(out)
     return ExitStatus.OK
 
 
 def cmd_approximate(args) -> int:
+    _non_negative(args.notable_threshold, "--notable-threshold")
     problem = load_problem(args.file)
     instance = problem.to_instance()
     n = instance.frame.granularity
@@ -263,7 +277,7 @@ def cmd_lattice(args) -> int:
     problem = load_problem(args.file)
     lat = build_concept_lattice(_context(problem.to_instance()))
     if args.dot:
-        print(lattice_to_dot(lat, include_intents=args.intents))
+        _print(lattice_to_dot(lat, include_intents=args.intents))
     elif problem.orientation == "primal":
         payload = lambda: {
             "concepts": [
@@ -281,6 +295,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _non_negative(args.budget, "--budget")
     problem = load_problem(args.file)
     instance = problem.to_instance()
     # both orientations compare per-part solution rows over V: those of a
@@ -373,7 +388,7 @@ def main(argv=None) -> int:
     except UnsolvableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitStatus.UNSOLVABLE
-    except (ProblemFileError, InconsistentSetError, MafreError) as exc:
+    except MafreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitStatus.INPUT_ERROR
 

@@ -2,7 +2,9 @@
 
 The possibility/necessity operators and the lattice construction work in
 numerator space: every adjoint triple is compiled to integer lookup tables, so
-batched numpy evaluation stays exact.
+batched numpy evaluation stays exact.  Every lower cover, of the Hasse
+diagram, of ``predecessors`` and of the solver, comes from one rule,
+``_lower_covers``: |A| candidate meets per extent, the maximal ones kept.
 """
 
 from __future__ import annotations
@@ -10,12 +12,11 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .algebra import _CHUNK, Frame, GranularValue
+from .algebra import _CHUNK, Frame, GranularValue, _int64
 from .errors import (
     BudgetExceededError,
     DimensionError,
@@ -70,28 +71,6 @@ def _numerator(v, n: int, what: str):
     if not 0 <= v <= n:
         raise RangeError(f"{what} entry {v} outside [0, {n}]")
     return v
-
-
-def _int64(rows, n_rows: int, n_cols: int, n: int):
-    """``rows`` as a new (n_rows, n_cols) int64 array when it is an int64
-    array or a list of rows (lists or tuples) of exact ints, of that shape
-    and with every entry in 0..n; else None.  One set of entry types (which
-    rejects bool) and one numpy shape and range test, with no per-entry
-    Python step."""
-    if isinstance(rows, np.ndarray):
-        if rows.dtype != np.int64:
-            return None
-        arr = np.array(rows)
-    elif {*map(type, rows)} <= {list, tuple} and {*map(type, chain.from_iterable(rows))} <= {int}:
-        try:
-            arr = np.array(rows, dtype=np.int64)
-        except (ValueError, OverflowError):  # ragged rows, an int beyond int64
-            return None
-    else:
-        return None
-    if arr.shape != (n_rows, n_cols) or ((arr < 0) | (arr > n)).any():
-        return None
-    return arr
 
 
 def _matrix(rows, n_rows: int, n_cols: int, what: str, n: int) -> np.ndarray:
@@ -292,31 +271,40 @@ def _generators(ctx: Context) -> tuple:
 
 
 def _leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``out[i, j]`` is True when row ``a[i]`` <= row ``b[j]`` componentwise.
+    """``out[..., i, j]`` is True when row ``a[..., i, :]`` <= row
+    ``b[..., j, :]`` componentwise; leading axes are batch axes, the same
+    in ``a`` and ``b``.
 
-    Built one column at a time: the (len(a), len(b)) result is and-ed with
-    each column's comparison, which avoids a 3-D broadcast reduced over its
+    Built one column at a time: the (..., len_a, len_b) result is and-ed
+    with each column's comparison, which avoids a broadcast reduced over its
     short trailing axis.
     """
-    out = np.ones((len(a), len(b)), dtype=bool)
-    for k in range(a.shape[1]):
-        out &= a[:, k, None] <= b[None, :, k]
+    out = np.ones(a.shape[:-1] + b.shape[-2:-1], dtype=bool)
+    for k in range(a.shape[-1]):
+        out &= a[..., :, None, k] <= b[..., None, :, k]
     return out
 
 
-def _lower_covers(e: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """The extents directly below the extent ``e``, in lexicographic order.
+def _lower_covers(ctx: Context, extents: np.ndarray, intents: np.ndarray) -> tuple:
+    """``(candidates, covers)`` for a (c, |B|) array of extents and their
+    (c, |A|) intents: ``candidates[i, a]`` is ``extents[i]`` met with the
+    generator (top except a:f(a) - 1)^down, f = ``intents[i]``, and the
+    (c, |A|) mask ``covers`` marks the lower covers of ``extents[i]`` among
+    them (an extent may be marked more than once).
 
-    ``gens`` is ``_generators(ctx)[1]``.  An extent x < e is the meet of the
-    generators above it, and not all of them are above e; so x <= e ^ g < e
-    for some generator g.  The lower covers of e are therefore the maximal
-    elements of {e ^ g : g in gens, e ^ g != e}, and no lattice is needed.
+    Each candidate with f(a) > 0 is an extent whose intent at a is at most
+    f(a) - 1, so it lies strictly below e.  Every extent x < e has x^up < f,
+    so x^up(a) <= f(a) - 1 for some a, and by the Galois connection x lies
+    below that candidate.  So the lower covers of e are the maximal
+    candidates, |A| rows per extent, and no lattice is needed.
     """
-    meets = _unique_rows(np.minimum(e[None, :], gens))
-    meets = meets[(meets != e).any(axis=1)]
-    below = _leq(meets, meets)
-    np.fill_diagonal(below, False)  # the rows are distinct
-    return meets[~below.any(axis=1)]
+    rows = _generators(ctx)[0]
+    marked = intents > 0
+    steps = rows[np.arange(intents.shape[1]), np.maximum(intents - 1, 0)]
+    candidates = np.minimum(extents[:, None, :], steps)  # [extent, a]
+    below = _leq(candidates, candidates)  # [extent, a, a']
+    above = below & ~below.transpose(0, 2, 1) & marked[:, None, :]
+    return candidates, marked & ~above.any(axis=2)
 
 
 def _meet_closure(gens: np.ndarray) -> np.ndarray:
@@ -355,7 +343,7 @@ class ConceptLattice:
     use: ``intent_rows``, the extent index behind ``index_of`` and
     ``extent_set``, the ``concepts`` (``Concept`` and ``FuzzySet`` objects;
     ``extents`` and ``predecessors`` build only the sets they return) and
-    the cover relation.
+    the cover pairs, from ``_lower_covers``.
     """
 
     def __init__(self, context: Context, extent_rows: np.ndarray):
@@ -371,13 +359,23 @@ class ConceptLattice:
         return {tuple(e): i for i, e in enumerate(self.extent_rows.tolist())}
 
     @cached_property
-    def _covers(self) -> np.ndarray:
-        """``_covers[i, j]``: concept i is covered by concept j."""
-        less = _leq(self.extent_rows, self.extent_rows)
-        np.fill_diagonal(less, False)
-        # exact: a path count is at most len(less), far below 2^24
-        lf = less.astype(np.float32)
-        return less & ~((lf @ lf) > 0)
+    def _cover_pairs(self) -> np.ndarray:
+        """The (lower, upper) concept indices of every cover pair, ascending.
+
+        ``_lower_covers`` gives each extent's covers as rows; one stable
+        lexsort of the extents followed by those rows puts each extent just
+        before the rows equal to it, so a running maximum of the extent
+        positions gives each row its concept index.
+        """
+        rows = self.extent_rows
+        candidates, covers = _lower_covers(self.context, rows, self.intent_rows)
+        upper = np.nonzero(covers)[0]
+        both = np.concatenate([rows, candidates[covers]])
+        order = np.lexsort(both.T[::-1])
+        latest = np.maximum.accumulate(np.where(order < len(rows), order, -1))
+        lower = order >= len(rows)
+        keys = np.unique(latest[lower] * len(rows) + upper[order[lower] - len(rows)])
+        return np.stack(np.divmod(keys, len(rows)), axis=1)
 
     def __len__(self):
         return len(self.extent_rows)
@@ -414,8 +412,7 @@ class ConceptLattice:
 
     def covers(self):
         """All cover pairs (lower, upper) as concept indices."""
-        i, j = np.nonzero(self._covers)
-        return list(zip(i.tolist(), j.tolist()))
+        return list(map(tuple, self._cover_pairs.tolist()))
 
 
 def build_concept_lattice(ctx: Context) -> ConceptLattice:
@@ -434,9 +431,10 @@ def build_concept_lattice(ctx: Context) -> ConceptLattice:
 
 
 def predecessors(lat: ConceptLattice, e: FuzzySet):
-    """The extents immediately below the extent ``e``, from generator meets."""
-    rows = _lower_covers(lat.extent_rows[lat.index_of(e)], _generators(lat.context)[1])
-    return [lat.context._object_set(row) for row in rows]
+    """The extents immediately below the extent ``e``, in lexicographic order."""
+    ctx, row = lat.context, lat.extent_rows[lat.index_of(e)][None, :]
+    candidates, covers = _lower_covers(ctx, row, ctx.possibility_batch(row))
+    return [ctx._object_set(p) for p in _unique_rows(candidates[covers])]
 
 
 def _indices(ctx: Context, attributes: Iterable) -> list:
@@ -573,7 +571,7 @@ def lattice_to_dot(lat: ConceptLattice, *, include_intents: bool = False) -> str
         label += "\\n" + _tuple_template(lat.intent_rows.shape[1])
         columns.append(lat.intent_rows)
     nodes = ('\n  c%d [label="' + label + '"];') * len(lat)
-    pairs = np.transpose(np.nonzero(lat._covers))
+    pairs = lat._cover_pairs
     edges = "\n  c%d -> c%d;" * len(pairs)
     return (
         "digraph concept_lattice {\n  rankdir=BT;\n  node [shape=box];"

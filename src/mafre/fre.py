@@ -5,11 +5,11 @@ closure operators of the associated context.  Column w is solvable iff T_w is
 a fixpoint of the interior T_w^down^up; its maximum solution is the extent
 T_w^down, and its solutions are the box below that maximum minus the
 down-sets of the extent's lower covers in the property-oriented concept
-lattice.  Those covers come from generator meets without building the
-lattice: an extent x < e is the meet of the generator extents above it, not
-all of which are above e, so x <= e ^ g < e for some generator g, and the
-lower covers of e are the maximal meets e ^ g != e.  A brute-force
-enumerator is kept alongside as an independent oracle.
+lattice.  Those covers come from ``context._lower_covers`` without building
+the lattice: with f = e^up, every extent x < e lies below one of the
+extents e ^ (top except a:f(a) - 1)^down, f(a) > 0, so the lower covers are
+the maximal ones among these |U| candidates.  A brute-force enumerator is
+kept alongside as an independent oracle.
 
 Each solver call makes one closure pass over all rhs columns; an unsolvable
 instance raises UnsolvableError carrying the gap as numerators.  Columns with
@@ -41,13 +41,13 @@ from .context import (
     Context,
     FuzzySet,
     _conj_tables,
-    _generators,
     _grid,
     _leq,
     _lower_covers,
     _matrix,
     _names,
     _restrict,
+    _unique_rows,
     _values,
     is_consistent,
 )
@@ -392,25 +392,26 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
 
     One closure pass gives every column's maximum and interior; an unsolvable
     instance raises UnsolvableError with the gap.  Each column's maximum
-    solution is an extent of the associated context, and its excluded
-    predecessors are that extent's lower covers, taken from generator meets
-    (``_lower_covers``); no concept lattice is built.  With ``materialize``
-    the box below the maximum is swept explicitly and the solutions are
-    listed, their minimal elements on first read; otherwise only the count is
-    produced, by inclusion-exclusion over the predecessors when that holds
-    fewer rows than the box, else by the sweep (``_count``).  Columns with
-    equal maxima share all of this: it is computed once per distinct maximum.
+    solution is an extent of the associated context, its interior is that
+    extent's intent, and its excluded predecessors are that extent's lower
+    covers, found for every column by one ``_lower_covers`` call; no concept
+    lattice is built.  With ``materialize`` the box below the maximum is
+    swept explicitly and the solutions are listed, their minimal elements on
+    first read; otherwise only the count is produced, by inclusion-exclusion
+    over the predecessors when that holds fewer rows than the box, else by
+    the sweep (``_count``).  Columns with equal maxima share all of this: it
+    is computed once per distinct maximum.
     """
     maxima, interiors = _closures(fre)
     _unsolvable(fre, interiors, "cannot enumerate an unsolvable instance")
-    gens = _generators(associated_context(fre))[1]
+    candidates, covers = _lower_covers(associated_context(fre), maxima, interiors)
     n = fre.frame.granularity
     solved = {}  # maximum -> (predecessors, count, solutions, minimal_of)
     cols = []
-    for w, m in zip(fre.col_names, maxima):
+    for j, (w, m) in enumerate(zip(fre.col_names, maxima)):
         key = m.tobytes()
         if key not in solved:
-            preds = _lower_covers(m, gens)
+            preds = _unique_rows(candidates[j][covers[j]])
             if materialize:
                 box = _box_and_filter(m, preds)
                 minimal_of = cache(partial(_minimal_rows, box, preds))

@@ -22,9 +22,9 @@ from .algebra import (
     BUILTIN_TRIPLE_NAMES,
     Frame,
     GranularLattice,
+    _int64,
     builtin_triple,
 )
-from .context import _int64
 from .dual import DualFreInstance
 from .errors import MafreError
 from .fre import FreInstance
@@ -218,7 +218,7 @@ def _is_int(v) -> bool:
 def _int_matrix(data, n_rows, n_cols, n, what):
     """``data`` as a list of ``n_rows`` lists of ``n_cols`` integers in [0, n].
 
-    A list of lists is checked whole by ``context._int64`` (one set of entry
+    A list of lists is checked whole by ``algebra._int64`` (one set of entry
     types, one numpy range test); only a matrix it rejects is walked row by
     row to its first bad row or entry, which names the error.
     """

@@ -126,6 +126,24 @@ def reference_dot(lat, include_intents):
     return "\n".join(lines)
 
 
+def reference_lower_covers(e, gens):
+    """The extents directly below the extent ``e``, in lexicographic order,
+    from generator meets: the reference of ``context._lower_covers``.
+
+    ``gens`` is ``context._generators(ctx)[1]``.  An extent x < e is the meet
+    of the generators above it, and not all of them are above e; so
+    x <= e ^ g < e for some generator g.  The lower covers of e are therefore
+    the maximal elements of {e ^ g : g in gens, e ^ g != e}.
+    """
+    from mafre import context
+
+    meets = context._unique_rows(np.minimum(e[None, :], gens))
+    meets = meets[(meets != e).any(axis=1)]
+    below = context._leq(meets, meets)
+    np.fill_diagonal(below, False)  # the rows are distinct
+    return meets[~below.any(axis=1)]
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One PASS/FAIL line per acceptance criterion at the end of the run."""
     outcomes = {}

@@ -143,6 +143,29 @@ def test_frame_rejects_bad_triple():
     assert exc.value.witness is not None
 
 
+def test_triple_tables_must_hold_integers():
+    """A float, bool or str entry is refused, not truncated or read as 1;
+    int lists, tuple tables and int64 arrays build the same triple."""
+    g = builtin_triple("godel", 2)
+    conj, lres, rres = (list(map(list, table)) for table in g._tuples)
+
+    def build(table):
+        return AdjointTriple("t", 2, table, lres, rres)
+
+    bad_tables = [
+        [[0, 0, 0], [0, 1, 1], [0, 1, 0.7]],  # truncated to 0 before
+        np.array(conj, dtype=float),
+        [[0, 0, 0], [0, True, 1], [0, 1, 2]],  # read as 1 before
+        [[0, 0, 0], [0, "1", 1], [0, 1, 2]],
+        np.array(conj, dtype=bool),
+    ]
+    for table in bad_tables:
+        with pytest.raises(RangeError):
+            build(table)
+    for table in (conj, g.conj_table, np.array(conj, dtype=np.int64)):
+        assert build(table).conj_table == g.conj_table
+
+
 def test_mixed_granularity_rejected():
     t = builtin_triple("godel", 8)
     with pytest.raises(GranularityMismatchError):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from mafre import (
     predecessors,
     restrict,
 )
-from mafre.context import ConceptLattice, Context
+from mafre.context import (
+    ConceptLattice,
+    Context,
+    _generators,
+    _leq,
+    _lower_covers,
+    _restrict,
+    _unique_rows,
+)
 from mafre.dual import DualContext
 from mafre.errors import (
     DimensionError,
@@ -35,6 +44,7 @@ from conftest import (
     exhaustive_lattice,
     random_context,
     reference_dot,
+    reference_lower_covers,
 )
 
 
@@ -349,12 +359,7 @@ class TestLatticeEngine:
         lat = build_concept_lattice(ctx)
         assert len(lat) > 250
         assert np.array_equal(lat.extent_rows, exhaustive_lattice(ctx).extent_rows)
-        rows = lat.extent_rows
-        less = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
-        np.fill_diagonal(less, False)
-        paths = less.astype(np.int64) @ less.astype(np.int64)
-        i, j = np.nonzero(less & (paths == 0))
-        assert lat.covers() == list(zip(i.tolist(), j.tolist()))
+        assert lat.covers() == _cover_oracle(lat.extent_rows)
 
     def test_rows_sorted_and_concepts_built_on_demand(self):
         rng = random.Random(8)
@@ -376,8 +381,6 @@ class TestLatticeEngine:
             ]
 
     def test_dot_matches_line_by_line_rendering(self):
-        from mafre.context import _restrict
-
         rng = random.Random(12)
         frame = builtin_frame(["sq-left", "sq-right", "godel"], 4)
         contexts = [random_context(rng, frame, na, nb) for na, nb in ((3, 3), (2, 4), (4, 2))]
@@ -406,43 +409,85 @@ class TestLatticeEngine:
         for render in (ConceptLattice.covers, lattice_to_dot):
             lat = build_concept_lattice(random_context(rng, frame, 3, 3))
             assert len(lat) > 1
-            assert "_covers" not in vars(lat)
+            assert "_cover_pairs" not in vars(lat)
             render(lat)
-            assert "_covers" in vars(lat)
+            assert "_cover_pairs" in vars(lat)
+
+
+def _cover_oracle(rows):
+    """The cover pairs (lower, upper) of the extent order, ascending, as
+    ``less & ~reach2`` from an int64 matrix product."""
+    less = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
+    np.fill_diagonal(less, False)
+    reach2 = (less.astype(np.int64) @ less.astype(np.int64)) > 0
+    i, j = np.nonzero(less & ~reach2)
+    return list(zip(i.tolist(), j.tolist()))
+
+
+def _some_context(rng, frame, kind, na, nb):
+    """A seeded random context of one of four kinds: ``primal``,
+    ``restricted`` (a random non-empty subset of its attributes), ``none``
+    (no attributes) and ``dual`` (a DualContext with na columns and nb
+    variables)."""
+    if kind == "dual":
+        n = frame.granularity
+        relation = [[rng.randint(0, n) for _ in range(na)] for _ in range(nb)]
+        sigma = [rng.randrange(len(frame.triples)) for _ in range(nb)]
+        names = [f"v{i}" for i in range(nb)], [f"w{i}" for i in range(na)]
+        return DualContext(frame, *names, relation, sigma)
+    ctx = random_context(rng, frame, na, nb)
+    if kind == "restricted":
+        return restrict(ctx, rng.sample(ctx.attributes, rng.randint(1, na)))
+    if kind == "none":
+        return _restrict(ctx, [])
+    return ctx
 
 
 class TestLowerCovers:
-    """``_lower_covers`` (generator meets) against the cover relation of the
-    whole lattice, ``less & ~reach2``, kept here as the oracle."""
+    """``_lower_covers``, the one cover rule behind ``covers()``,
+    ``predecessors`` and the solver, against the cover relation of the whole
+    lattice, ``less & ~reach2``, kept here as the oracle."""
 
     @staticmethod
     def _check(ctx):
-        from mafre.context import _generators, _lower_covers
-
-        rows = build_concept_lattice(ctx).extent_rows
-        less = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
-        np.fill_diagonal(less, False)
-        reach2 = (less.astype(np.int64) @ less.astype(np.int64)) > 0
-        covers = less & ~reach2
-        gens = _generators(ctx)[1]
-        for j, e in enumerate(rows):
-            assert np.array_equal(_lower_covers(e, gens), rows[covers[:, j]])
-        return rows, gens
+        """Check ``covers()``, ``predecessors`` and the kernel's rows for every
+        extent of the lattice of ``ctx``; return the extents and pairs."""
+        lat = build_concept_lattice(ctx)
+        rows = lat.extent_rows
+        pairs = _cover_oracle(rows)
+        assert lat.covers() == pairs
+        candidates, covers = _lower_covers(ctx, rows, lat.intent_rows)
+        for j in range(len(rows)):
+            expected = rows[[i for i, k in pairs if k == j]]
+            assert np.array_equal(_unique_rows(candidates[j][covers[j]]), expected)
+            got = [p.numerators for p in predecessors(lat, lat._extent(j))]
+            assert got == list(map(tuple, expected.tolist()))
+        return rows, pairs
 
     def test_matches_cover_relation(self):
-        from mafre.context import _lower_covers
-
         rng = random.Random(43)
         sizes = 0
         for n in range(1, 7):
             frame = builtin_frame(["sq-left", "sq-right", "godel"], n)
             for _ in range(8):
                 ctx = random_context(rng, frame, rng.randint(1, 4), rng.randint(1, 4))
-                rows, gens = self._check(ctx)
+                rows, pairs = self._check(ctx)
                 sizes += len(rows)
-                # rows[0] is the bottom: lexicographically least
-                assert _lower_covers(rows[0], gens).shape == (0, rows.shape[1])
+                # rows[0] is the bottom: lexicographically least, covers nothing
+                assert all(j != 0 for _, j in pairs)
         assert sizes > 500
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 7),
+        kind=st.sampled_from(["primal", "restricted", "none", "dual"]),
+        na=st.integers(1, 4),
+        nb=st.integers(1, 4),
+    )
+    def test_covers_property(self, seed, n, kind, na, nb):
+        frame = builtin_frame(["sq-left", "sq-right", "godel"], n)
+        self._check(_some_context(random.Random(seed), frame, kind, na, nb))
 
     def test_trivial_lattices(self):
         frame = builtin_frame(["godel", "sq-right"], 5)
@@ -451,21 +496,56 @@ class TestLowerCovers:
         all_zero = Context(frame, ["a0", "a1"], objs, zeros, [0, 1, 1])
         no_attrs = Context(frame, [], objs, [], [0, 1, 0])
         for ctx in (all_zero, no_attrs):
-            rows, _ = self._check(ctx)
-            assert rows.tolist() == [[5, 5, 5]]
+            rows, pairs = self._check(ctx)
+            assert rows.tolist() == [[5, 5, 5]] and pairs == []
+
+    def test_large_lattice_matches_generator_meets(self, large_lattice):
+        """7,035 concepts: every extent's covers, mapped to indices, are those
+        of the generator-meet search."""
+        lat = large_lattice
+        assert len(lat) == 7035
+        gens = _generators(lat.context)[1]
+        expected = sorted(
+            (lat._index[tuple(row)], j)
+            for j, e in enumerate(lat.extent_rows)
+            for row in reference_lower_covers(e, gens).tolist()
+        )
+        assert lat.covers() == expected
+
+    def test_large_lattice_covers_hold_no_square_array(self, large_lattice):
+        """The cover pairs of 7,035 concepts, intents included, peak below
+        one N x N bool array under tracemalloc."""
+        fresh = ConceptLattice(large_lattice.context, large_lattice.extent_rows)
+        tracemalloc.start()
+        try:
+            fresh.covers()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(fresh) ** 2
 
     def test_leq_matches_broadcast(self):
-        from mafre.context import _leq
-
         rng = np.random.default_rng(11)
-        shapes = ((0, 3, 2), (3, 0, 2), (0, 0, 4), (1, 1, 1), (7, 5, 3), (40, 30, 6))
-        for na, nb, width in shapes:
-            a = rng.integers(0, 4, size=(na, width))
-            b = rng.integers(0, 4, size=(nb, width))
-            expected = (a[:, None, :] <= b[None, :, :]).all(axis=2)
+        shapes = (
+            ((), 0, 3, 2), ((), 3, 0, 2), ((), 0, 0, 4), ((), 1, 1, 1),
+            ((), 7, 5, 3), ((), 40, 30, 6), ((4,), 6, 6, 3), ((0,), 2, 3, 2),
+            ((3,), 5, 2, 0), ((2, 3), 4, 7, 5),
+        )
+        for batch, na, nb, width in shapes:
+            a = rng.integers(0, 4, size=(*batch, na, width))
+            b = rng.integers(0, 4, size=(*batch, nb, width))
+            expected = (a[..., :, None, :] <= b[..., None, :, :]).all(axis=-1)
             got = _leq(a, b)
-            assert got.shape == (na, nb)
+            assert got.shape == (*batch, na, nb)
             assert np.array_equal(got, expected)
+
+
+@pytest.fixture(scope="module")
+def large_lattice():
+    """The lattice of a seeded uniform random context with |A| = 10,
+    |B| = 7, n = 9 and all three triples: 7,035 concepts."""
+    frame = builtin_frame(["sq-left", "sq-right", "godel"], 9)
+    return build_concept_lattice(random_context(random.Random(1), frame, 10, 7))
 
 
 class TestRestriction:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -363,6 +366,48 @@ class TestCliSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--max-count" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["oracle", MAXMIN, "--budget", "-1"], "--budget"),
+            (["approximate", UNSOLVABLE, "--notable-threshold", "-5"], "--notable-threshold"),
+            (["approximate", SOLVABLE, "--notable-threshold", "-1"], "--notable-threshold"),
+        ],
+    )
+    def test_negative_integer_options_exit_2(self, argv, option, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and option in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", MAXMIN, "--enumerate"],
+            ["solve", MAXMIN, "--json"],
+            ["lattice", MAXMIN, "--dot"],
+            ["reduce", SOLVABLE, "--set", "u1,u2,u3"],
+            ["solve", UNSOLVABLE],
+        ],
+    )
+    def test_closed_stdout_is_not_an_error(self, argv):
+        """A reader that is gone before the command writes (``| head``) costs
+        neither a traceback nor the command's exit code."""
+        code = "import sys; from mafre.cli import main; sys.exit(main())"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == (1 if argv[1] == UNSOLVABLE else 0)
+        assert err == ""
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["solve", "/nonexistent.json"]) == 2
