@@ -13,11 +13,12 @@ kept alongside as an independent oracle.
 
 Each solver call makes one closure pass over all rhs columns; an unsolvable
 instance raises UnsolvableError carrying the gap as numerators.  Columns with
-the same maximum share its predecessors and, when swept, its box and minimal
-solutions, the latter found on first read.  A count alone sweeps no box when
-there are no predecessors or twice as many box rows as predecessor subsets:
-it is then an inclusion-exclusion sum of box sizes over those subsets, which
-holds fewer rows than the box.
+the same maximum share its predecessors, one JSON body and, when swept, its
+box and minimal solutions, the latter found on first read.  A count alone
+sweeps no box when there are no predecessors or twice as many box rows as
+predecessor subsets: it is then an inclusion-exclusion sum of box sizes over
+those subsets, which holds fewer rows than the box.  A listing refuses a box
+of more than ``MAX_SOLUTIONS`` rows.
 
 An instance is its checked associated context plus one rhs numerator array.
 Derived instances (reduced, repaired, the transposed primal of a dual one)
@@ -292,9 +293,9 @@ class ColumnSolutions:
     def minimal(self) -> Optional[tuple]:
         return None if self.solution_rows is None else self._sets(self.minimal_rows)
 
-    def to_json(self):
+    def _body(self) -> dict:
+        """The JSON fields after ``column``."""
         data = {
-            "column": self.column,
             "max_solution": self.max_row.tolist(),
             "excluded_predecessors": self.predecessor_rows.tolist(),
             "count": self.count,
@@ -303,6 +304,9 @@ class ColumnSolutions:
             data["solutions"] = self.solution_rows.tolist()
             data["minimal"] = self.minimal_rows.tolist()
         return data
+
+    def to_json(self):
+        return {"column": self.column, **self._body()}
 
 
 @dataclass(frozen=True)
@@ -320,10 +324,23 @@ class SolutionSet:
         raise KeyError(w)
 
     def to_json(self):
+        """The columns' JSON records; columns whose fields come from the same
+        arrays (as ``enumerate_solutions`` shares them per distinct maximum)
+        share one body, so its lists are built once and ``io._dumps`` writes
+        them once."""
+        bodies, columns = {}, []
+        for c in self.columns:
+            key = (
+                c.max_row.tobytes(), c.count,
+                id(c.predecessor_rows), id(c.solution_rows), id(c.minimal_rows),
+            )
+            if key not in bodies:
+                bodies[key] = c._body()
+            columns.append({"column": c.column, **bodies[key]})
         return {
             "granularity": self.granularity,
             "variables": list(self.var_names),
-            "columns": [c.to_json() for c in self.columns],
+            "columns": columns,
         }
 
 
@@ -387,6 +404,12 @@ def _count(max_row: np.ndarray, pred_rows: np.ndarray) -> int:
     return len(_box_and_filter(max_row, pred_rows))
 
 
+# the most box rows that ``enumerate_solutions`` lists below one maximum: the
+# box is |V| int64 columns, 56 MB at |V| = 7 (``_minimal_rows`` lowers each
+# row in every coordinate at once, |V| times as much again)
+MAX_SOLUTIONS = 1_000_000
+
+
 def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionSet:
     """The whole solution set: maximum plus excluded predecessor down-sets.
 
@@ -400,7 +423,8 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
     first read; otherwise only the count is produced, by inclusion-exclusion
     over the predecessors when that holds fewer rows than the box, else by
     the sweep (``_count``).  Columns with equal maxima share all of this: it
-    is computed once per distinct maximum.
+    is computed once per distinct maximum.  A box of more than
+    ``MAX_SOLUTIONS`` rows is not listed: it raises BudgetExceededError.
     """
     maxima, interiors = _closures(fre)
     _unsolvable(fre, interiors, "cannot enumerate an unsolvable instance")
@@ -413,6 +437,11 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
         if key not in solved:
             preds = _unique_rows(candidates[j][covers[j]])
             if materialize:
+                size = math.prod((m + 1).tolist())
+                if size > MAX_SOLUTIONS:
+                    raise BudgetExceededError(
+                        f"listing a solution box of {size} rows exceeds budget {MAX_SOLUTIONS}"
+                    )
                 box = _box_and_filter(m, preds)
                 minimal_of = cache(partial(_minimal_rows, box, preds))
                 solved[key] = preds, len(box), box, minimal_of

@@ -5,7 +5,8 @@ exact by construction; decimal rendering happens only in human-facing output.
 Triples are given by built-in name or as explicit operator tables, and sigma
 uses 1-based indices into the triple list.  ``_dumps`` prints what
 ``json.dumps(obj, indent=2)`` prints, writing rows and matrices of integers
-with one format operation each.
+with one format operation each, and a list that the output holds at several
+places at one indentation once per call (a memo keyed by object id).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .algebra import (
     _int64,
     builtin_triple,
 )
+from .context import _Checked
 from .dual import DualFreInstance
 from .errors import MafreError
 from .fre import FreInstance
@@ -61,16 +63,29 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
+def _slot_fits(v) -> bool:
+    """Whether a record field can take a slot of ``_records``: an exact int
+    or str, or a non-empty row that starts with an exact int."""
+    t = type(v)
+    return t is int or t is str or (t in (list, tuple) and len(v) > 0 and type(v[0]) is int)
+
+
 def _records(obj, nl: str):
     """A list of dicts as one %-format, or None when it does not fit one.
 
     The dicts must share one sequence of str keys, and each key's values must
     be all exact ints, all exact strs or all non-empty rows of exact ints of
     one width.  The cheap tests come first, so that a list that does not fit
-    (say, of matrices with different row counts) costs little to reject.
+    (say, of records holding matrices) costs little to reject: the first
+    record's fields are tested before any other record is walked.
     """
     keys = tuple(obj[0])
-    if not keys or {*map(type, keys)} != {str} or any(tuple(d) != keys for d in obj):
+    if (
+        not keys
+        or {*map(type, keys)} != {str}
+        or not all(map(_slot_fits, obj[0].values()))
+        or any(tuple(d) != keys for d in obj)
+    ):
         return None
     inner, field = nl + "  ", nl + "    "
     slots, columns = [], []
@@ -98,44 +113,61 @@ def _records(obj, nl: str):
     return _block([record] * len(obj), nl) % tuple(flat)
 
 
-def _dumps(obj, nl: str = "\n") -> str:
+def _dumps(obj, nl: str = "\n", seen: dict = None) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte; ``nl`` is a newline plus
     the indentation of the line ``obj`` starts on.
 
     A list of exact ints is one %-format of a cached row template, a list of
     equal-length such rows one %-format over the flattened matrix, and a
     list of records that ``_records`` accepts one %-format over their values.
+    ``seen`` memoizes, for one call, the text of every list and tuple by
+    ``(id, nl)``: an object that the payload holds at several places at one
+    indentation (the bodies that solution columns share per maximum) is
+    written once.  An id cannot be reused within the call, because every
+    keyed object is part of ``obj`` and nothing is encoded from a temporary.
     """
     t = type(obj)
     if t is int:
         return _intstr(obj)
     if t is str:
         return _str(obj)
+    if seen is None:
+        seen = {}
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = nl + "  "
-        kinds = {*map(type, obj)}
-        if kinds == {int}:
-            return _row_template(len(obj), nl) % tuple(obj)
-        if kinds <= {list, tuple}:
-            widths = {*map(len, obj)}
-            if len(widths) == 1 and 0 not in widths:
-                flat = list(chain.from_iterable(obj))
-                if {*map(type, flat)} == {int}:
-                    row = _row_template(len(obj[0]), inner)
-                    return _block([row] * len(obj), nl) % tuple(flat)
-        elif kinds == {dict}:
-            records = _records(obj, nl)
-            if records is not None:
-                return records
-        return _block([_dumps(v, inner) for v in obj], nl)
+        key = id(obj), nl
+        if key not in seen:
+            seen[key] = _list(obj, nl, seen)
+        return seen[key]
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = nl + "  "
-        return _block([_key(k) + ": " + _dumps(v, inner) for k, v in obj.items()], nl, "{}")
+        return _block(
+            [_key(k) + ": " + _dumps(v, inner, seen) for k, v in obj.items()], nl, "{}"
+        )
     return _scalar(obj)
+
+
+def _list(obj, nl: str, seen: dict) -> str:
+    """The text of the non-empty list or tuple ``obj`` for ``_dumps``."""
+    inner = nl + "  "
+    kinds = {*map(type, obj)}
+    if kinds == {int}:
+        return _row_template(len(obj), nl) % tuple(obj)
+    if kinds <= {list, tuple}:
+        widths = {*map(len, obj)}
+        if len(widths) == 1 and 0 not in widths:
+            flat = list(chain.from_iterable(obj))
+            if {*map(type, flat)} == {int}:
+                row = _row_template(len(obj[0]), inner)
+                return _block([row] * len(obj), nl) % tuple(flat)
+    elif kinds == {dict}:
+        records = _records(obj, nl)
+        if records is not None:
+            return records
+    return _block([_dumps(v, inner, seen) for v in obj], nl)
 
 
 class ProblemFileError(MafreError):
@@ -155,6 +187,10 @@ class ProblemFile:
     coefficients: List[List[int]]
     sigma: List[int]  # 1-based triple index per variable
     rhs: List[List[int]]
+    # not a field: the int64 arrays of coefficients and rhs that
+    # ``parse_problem`` checked, which ``to_instance`` builds over; without
+    # them (as after ``dataclasses.replace``) it builds over the lists
+    _arrays = None
 
     def frame(self) -> Frame:
         lattice = GranularLattice(self.granularity)
@@ -178,14 +214,9 @@ class ProblemFile:
         frame = self.frame()
         sigma0 = [i - 1 for i in self.sigma]
         cls = FreInstance if self.orientation == "primal" else DualFreInstance
+        coeff, rhs = self._arrays or (self.coefficients, self.rhs)
         return cls.from_numerators(
-            frame,
-            self.rows,
-            self.variables,
-            self.columns,
-            self.coefficients,
-            sigma0,
-            self.rhs,
+            frame, self.rows, self.variables, self.columns, coeff, sigma0, rhs
         )
 
     def to_json(self) -> dict:
@@ -215,22 +246,25 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _int_matrix(data, n_rows, n_cols, n, what):
-    """``data`` as a list of ``n_rows`` lists of ``n_cols`` integers in [0, n].
+def _int_matrix(data, n_rows, n_cols, n, what) -> _Checked:
+    """``data``, a list of ``n_rows`` lists of ``n_cols`` integers in [0, n],
+    as an int64 array.
 
-    A list of lists is checked whole by ``algebra._int64`` (one set of entry
-    types, one numpy range test); only a matrix it rejects is walked row by
-    row to its first bad row or entry, which names the error.
+    A list of lists is checked and converted whole by ``algebra._int64`` (one
+    set of entry types, one numpy range test); only a matrix it rejects is
+    walked row by row to its first bad row or entry, which names the error.
     """
     _expect(isinstance(data, list) and len(data) == n_rows, f"{what} must have {n_rows} rows")
-    if {*map(type, data)} <= {list} and _int64(data, n_rows, n_cols, n) is not None:
-        return [list(row) for row in data]
-    for row in data:
-        _expect(isinstance(row, list) and len(row) == n_cols, f"{what} rows must have {n_cols} entries")
-        for v in row:
-            _expect(_is_int(v), f"{what} entries must be integers")
-            _expect(0 <= v <= n, f"{what} entry {v} outside [0, {n}]")
-    return [list(row) for row in data]
+    arr = _int64(data, n_rows, n_cols, n) if {*map(type, data)} <= {list} else None
+    if arr is None:  # the walk raises at the first bad row or entry
+        for row in data:
+            _expect(isinstance(row, list) and len(row) == n_cols, f"{what} rows must have {n_cols} entries")
+            for v in row:
+                _expect(_is_int(v), f"{what} entries must be integers")
+                _expect(0 <= v <= n, f"{what} entry {v} outside [0, {n}]")
+    # instances share the array of every to_instance call: none may write it
+    arr.flags.writeable = False
+    return _Checked(arr)
 
 
 def parse_problem(data: dict) -> ProblemFile:
@@ -280,17 +314,19 @@ def parse_problem(data: dict) -> ProblemFile:
             data.get("coefficients"), len(names["variables"]), len(names["columns"]), n, "coefficients"
         )
     rhs = _int_matrix(data.get("rhs"), len(names["rows"]), len(names["columns"]), n, "rhs")
-    return ProblemFile(
+    problem = ProblemFile(
         granularity=n,
         triples=triples,
         orientation=orientation,
         rows=names["rows"],
         variables=names["variables"],
         columns=names["columns"],
-        coefficients=coeff,
+        coefficients=[list(row) for row in data["coefficients"]],
         sigma=sigma,
-        rhs=rhs,
+        rhs=[list(row) for row in data["rhs"]],
     )
+    problem._arrays = coeff, rhs
+    return problem
 
 
 def load_problem(path) -> ProblemFile:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import product
@@ -304,6 +305,105 @@ class TestEnumeration:
         back = json.loads(text)
         assert back["granularity"] == 8
         assert back["columns"][0]["count"] == 2
+
+
+class _CountedRows(np.ndarray):
+    """A view of a rows array that counts its ``tolist`` calls."""
+
+    def tolist(self):
+        self.calls += 1
+        return super().tolist()
+
+
+def _repeated_parts(seed: int, dual: bool):
+    """A seeded solvable instance whose five unknown parts (columns of a
+    primal X, rows of a dual one) repeat one to three distinct vectors, so
+    that several parts have the same maximum."""
+    from mafre import DualFreInstance
+    from mafre.dual import dual_compose
+
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    frame = builtin_frame(rng.sample(["godel", "sq-left", "sq-right"], rng.randint(1, 3)), n)
+    nv, ne = rng.randint(1, 3), rng.randint(1, 3)
+    sigma = [rng.randrange(len(frame.triples)) for _ in range(nv)]
+    coeff = [[frame.value(rng.randint(0, n)) for _ in range(nv)] for _ in range(ne)]
+    vectors = [[frame.value(rng.randint(0, n)) for _ in range(nv)] for _ in range(rng.randint(1, 3))]
+    parts = [rng.choice(vectors) for _ in range(5)]
+    equations = [f"e{i}" for i in range(ne)]
+    variables, part_names = [f"v{i}" for i in range(nv)], [f"p{i}" for i in range(5)]
+    if not dual:
+        rhs = sup_compose(frame, coeff, list(zip(*parts)), sigma)
+        return FreInstance(frame, equations, variables, part_names, coeff, sigma, rhs)
+    # X (.) S = T with the parts as the rows of X and the equations as columns
+    S = list(zip(*coeff))
+    rhs = dual_compose(frame, parts, S, sigma)
+    return DualFreInstance(frame, part_names, variables, equations, S, sigma, rhs)
+
+
+class TestSharedJson:
+    """``SolutionSet.to_json`` renders one body per distinct maximum."""
+
+    @settings(max_examples=max(100, settings().max_examples), deadline=None)
+    @given(st.integers(0, 2**32), st.booleans(), st.booleans())
+    def test_one_body_per_maximum(self, seed, dual, materialize):
+        from mafre.dual import dual_solutions
+        from mafre.io import _dumps
+
+        instance = _repeated_parts(seed, dual)
+        solve = dual_solutions if dual else enumerate_solutions
+        solutions = solve(instance, materialize=materialize)
+        cols = solutions.columns
+        # every array shared per maximum counts the tolist calls on it
+        views = {}
+        for c in cols:
+            for name in ("predecessor_rows", "solution_rows"):
+                rows = getattr(c, name)
+                if rows is not None:
+                    if id(rows) not in views:
+                        views[id(rows)] = rows.view(_CountedRows)
+                        views[id(rows)].calls = 0
+                    object.__setattr__(c, name, views[id(rows)])
+        data = solutions.to_json()
+        maxima = [c.max_row.tobytes() for c in cols]
+        assert len(set(maxima)) < len(cols)  # some parts share their maximum
+        assert len(views) == len(set(maxima)) * (2 if materialize else 1)
+        assert all(view.calls == 1 for view in views.values())
+        assert data["columns"] == [c.to_json() for c in cols]
+        for a, m in zip(data["columns"], maxima):
+            for b, k in zip(data["columns"], maxima):
+                if m == k:
+                    assert all(a[f] is b[f] for f in a if isinstance(a[f], list))
+        assert _dumps(data) == json.dumps(data, indent=2)
+
+    def test_unshared_columns_render_their_own_arrays(self):
+        # two hand-built columns with one maximum but arrays of their own
+        from mafre.fre import ColumnSolutions, SolutionSet
+
+        rows = lambda *r: np.array(r, dtype=np.int64).reshape(len(r), 2)
+        top = np.array([1, 1], dtype=np.int64)
+        first = ColumnSolutions(
+            "w1", ("v1", "v2"), 1, top, rows([0, 1]), 2, rows([1, 0], [1, 1]),
+            lambda: rows([1, 0]),
+        )
+        second = ColumnSolutions(
+            "w2", ("v1", "v2"), 1, top.copy(), rows(), 4,
+            rows([0, 0], [0, 1], [1, 0], [1, 1]), lambda: rows([0, 0]),
+        )
+        for cols in ((first, second), (second, first)):
+            data = SolutionSet(1, ("v1", "v2"), cols).to_json()["columns"]
+            assert data == [c.to_json() for c in cols]
+            assert data[0]["solutions"] != data[1]["solutions"]
+        counted = SolutionSet(
+            1, ("v1", "v2"),
+            (
+                ColumnSolutions("w1", ("v1", "v2"), 1, top, rows(), 4),
+                ColumnSolutions("w2", ("v1", "v2"), 1, top.copy(), rows([0, 0]), 3),
+            ),
+        ).to_json()["columns"]
+        assert [(c["excluded_predecessors"], c["count"]) for c in counted] == [
+            ([], 4), ([[0, 0]], 3),
+        ]
 
 
 class TestCount:

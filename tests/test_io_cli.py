@@ -618,6 +618,52 @@ class TestCliLatticeAndOracle:
         assert main(["reducts", UNSOLVABLE]) == 0
         assert capsys.readouterr().out.startswith("2 reduct(s):")
 
+    @pytest.mark.parametrize("orientation", ["primal", "dual"])
+    def test_solution_box_budget_exit_3(self, orientation, tmp_path, capsys):
+        # every coefficient and rhs entry 0: each part's maximum is top, a
+        # box of 10^12 rows over 12 unknowns at n = 9
+        names = {"rows": ["u1", "u2", "u3"], "columns": ["w1", "w2"]}
+        names["variables"] = [f"v{i}" for i in range(12)]
+        coeff = [[0] * 12] * 3 if orientation == "primal" else [[0] * 2] * 12
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "granularity": 9, "triples": ["godel"], "orientation": orientation,
+            **names, "coefficients": coeff, "sigma": [1] * 12, "rhs": [[0] * 2] * 3,
+        }))
+        for flags in (["--max-count", "2"], ["--json"]):
+            assert main(["solve", str(path), "--enumerate", *flags]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (
+                "error: listing a solution box of 1000000000000 rows exceeds budget 1000000\n"
+            )
+        # counting needs no box
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out.count("\n  1000000000000 solution") == (
+            2 if orientation == "primal" else 3
+        )
+
+    def test_largest_listed_box(self, tmp_path, capsys, monkeypatch):
+        import mafre.fre
+        from mafre import enumerate_solutions
+        from mafre.errors import BudgetExceededError
+
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "granularity": 2, "triples": ["godel"], "rows": ["u1"],
+            "variables": ["v1", "v2", "v3"], "columns": ["w"],
+            "coefficients": [[0, 0, 0]], "sigma": [1, 1, 1], "rhs": [[0]],
+        }))
+        fre = load_problem(path).to_instance()
+        monkeypatch.setattr(mafre.fre, "MAX_SOLUTIONS", 27)  # 3^3 rows
+        assert enumerate_solutions(fre).column("w").solution_rows.shape == (27, 3)
+        assert main(["solve", str(path), "--enumerate", "--max-count", "0"]) == 0
+        assert capsys.readouterr().out.endswith("  27 solution(s)\n  ... (27 more)\n")
+        monkeypatch.setattr(mafre.fre, "MAX_SOLUTIONS", 26)
+        with pytest.raises(BudgetExceededError, match="box of 27 rows exceeds budget 26"):
+            enumerate_solutions(fre)
+        assert enumerate_solutions(fre, materialize=False).column("w").count == 27
+
 
 class TestCliDual:
     def test_dual_check_and_solve(self, dual_file, capsys):

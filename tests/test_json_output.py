@@ -2,6 +2,7 @@
 prints, on generated values, on fixed edge cases, on problem files and on
 CLI output larger than the golden file reaches."""
 
+import copy
 import json
 import random
 
@@ -123,11 +124,71 @@ def test_dumps_fixed_cases(value):
     assert _dumps(value) == json.dumps(value, indent=2)
 
 
+@st.composite
+def aliased(draw):
+    """Values that hold the same list and tuple objects at several places,
+    at equal and at different indentations, among equal but distinct copies:
+    shared int rows, matrices, ragged rows, records and empty sequences, and
+    shared lists of those."""
+    pool = draw(
+        st.lists(
+            st.one_of(int_rows, int_rows.map(tuple), matrices, ragged, records(), st.just([])),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    pool += draw(st.lists(st.lists(st.sampled_from(pool), max_size=3), max_size=2))
+    shared = st.sampled_from(pool)
+    leaves = st.one_of(shared, shared.map(copy.deepcopy), scalars)
+    return draw(
+        st.recursive(
+            leaves,
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=4),
+                st.lists(inner, max_size=4).map(tuple),
+                st.dictionaries(texts, inner, max_size=4),
+            ),
+            max_leaves=12,
+        )
+    )
+
+
+@settings(max_examples=max(300, settings().max_examples), deadline=None)
+@given(aliased())
+def test_dumps_of_shared_lists_equals_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_shared_list_written_once_per_indentation(monkeypatch):
+    import mafre.io
+
+    templates, template = [], mafre.io._row_template
+    monkeypatch.setattr(
+        mafre.io, "_row_template", lambda *a: templates.append(a) or template(*a)
+    )
+    m = [[1, 2], [3, 4]]
+    columns = [{"column": w, "m": m, "p": [[5, 6]]} for w in "abc"]
+    value = {"columns": columns, "again": m}
+    assert _dumps(value) == json.dumps(value, indent=2)
+    # each row template is opened one step past its matrix: m once inside
+    # the records and once at the top, each of the three distinct p once
+    assert sorted(templates) == [(2, "\n" + " " * 4)] + [(2, "\n" + " " * 8)] * 4
+
+
 def test_records_template_taken_when_the_columns_fit():
     for value in RECORDS:
         assert _records(value, "\n") == json.dumps(value, indent=2)
     for value in NEAR_MISSES:
         assert _records(value, "\n") is None
+
+
+def test_records_rejected_at_the_first_record():
+    class Unread(dict):
+        def __iter__(self):
+            raise AssertionError("a later record was walked")
+
+    value = [{"column": "w", "rows": [[1, 2]]}, Unread(column="x", rows=[[3, 4]])]
+    assert _records(value, "\n") is None
 
 
 def test_dumps_rejects_what_json_rejects():

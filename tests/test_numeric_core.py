@@ -9,6 +9,7 @@ transposed, that every entry is validated with the documented errors, and
 that loading a problem file builds no GranularValue at all.
 """
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -642,3 +643,39 @@ class TestVerifiedOnce:
             with pytest.raises(InvalidTripleError, match="'broken' fails adjunction"):
                 load_problem(path).to_instance()
         assert calls[len(TRIPLES) + 2 :] == ["broken", "broken"]
+
+    @pytest.mark.parametrize("orientation", ["primal", "dual"])
+    def test_load_converts_each_matrix_once(self, orientation, monkeypatch, tmp_path):
+        import mafre.context as context_mod
+        import mafre.io as io_mod
+
+        shapes = []
+        for module in (io_mod, context_mod):
+            convert = module._int64
+            spy = lambda rows, *shape, convert=convert: shapes.append(shape[:2]) or convert(
+                rows, *shape
+            )
+            monkeypatch.setattr(module, "_int64", spy)
+        # coefficients 2x3 (primal) or 3x4 (dual), rhs 2x4, sigma 1x3
+        coeff = [[3, 1, 0], [2, 4, 1]] if orientation == "primal" else [
+            [3, 1, 0, 2], [2, 4, 1, 0], [0, 2, 4, 4]
+        ]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({
+            "granularity": 4, "triples": list(TRIPLES), "orientation": orientation,
+            "rows": ["u1", "u2"], "variables": ["v1", "v2", "v3"],
+            "columns": ["w1", "w2", "w3", "w4"], "coefficients": coeff,
+            "sigma": [1, 2, 3], "rhs": [[2, 3, 0, 1], [1, 2, 4, 0]],
+        }))
+        problem = load_problem(path)
+        instance = problem.to_instance()
+        coeff_shape = (2, 3) if orientation == "primal" else (3, 4)
+        assert sorted(shapes) == sorted([coeff_shape, (2, 4), (1, 3)])
+        assert instance._coeff_array.tolist() == coeff == problem.coefficients
+        assert instance._rhs_array.tolist() == [[2, 3, 0, 1], [1, 2, 4, 0]] == problem.rhs
+        # a second instance of the same file shares the checked arrays, which
+        # nothing may write
+        assert not problem.to_instance()._rhs_array.flags.writeable
+        # a file edited through replace builds over its lists, checked again
+        edited = dataclasses.replace(problem, rhs=[[0, 0, 0, 0], [0, 0, 0, 0]])
+        assert edited.to_instance()._rhs_array.tolist() == [[0] * 4] * 2
