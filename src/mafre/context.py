@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -73,13 +73,6 @@ def _numerator(v, n: int, what: str):
     return v
 
 
-class _Checked(NamedTuple):
-    """An int64 numerator array that its maker has checked for the shape and
-    granularity it hands it on with; ``_matrix`` returns it as it is."""
-
-    array: np.ndarray
-
-
 def _matrix(rows, n_rows: int, n_cols: int, what: str, n: int) -> np.ndarray:
     """``rows`` as an (n_rows, n_cols) int64 array.  Every entry must be an
     integer in 0..n or a GranularValue on [0,1]_n: a wrong shape raises
@@ -88,12 +81,7 @@ def _matrix(rows, n_rows: int, n_cols: int, what: str, n: int) -> np.ndarray:
 
     Input that ``_int64`` accepts needs nothing more; other input
     (GranularValue or numpy-scalar entries), and input it rejects, goes
-    entry by entry, which also finds the error to raise.  A ``_Checked``
-    array of the right shape is not checked again."""
-    if type(rows) is _Checked:
-        rows = rows.array
-        if rows.shape == (n_rows, n_cols):
-            return rows
+    entry by entry, which also finds the error to raise."""
     if not isinstance(rows, np.ndarray):
         rows = list(rows)
     arr = _int64(rows, n_rows, n_cols, n)

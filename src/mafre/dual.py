@@ -41,7 +41,6 @@ from .approx import ApproximationResult, approximate_by_reduct, find_feasible_re
 from .context import (
     Context,
     FuzzySet,
-    _Checked,
     _conj_tables,
     _grid,
     _matrix,
@@ -83,7 +82,7 @@ class DualContext(Context):
         S = _matrix(relation, len(variables), len(columns), "relation", frame.granularity)
         if len(sigma) != len(variables) or any(map(np.ndim, sigma)):
             raise DimensionError("sigma must assign one triple per variable")
-        super().__init__(frame.opposite(), columns, variables, _Checked(S.T), sigma)
+        super().__init__(frame.opposite(), columns, variables, S.T, sigma)
 
     @property
     def variables(self) -> tuple:

@@ -18,7 +18,7 @@ box and minimal solutions, the latter found on first read.  A count alone
 sweeps no box when there are no predecessors or twice as many box rows as
 predecessor subsets: it is then an inclusion-exclusion sum of box sizes over
 those subsets, which holds fewer rows than the box.  A listing refuses a box
-of more than ``MAX_SOLUTIONS`` rows.
+whose arrays would hold more than ``MAX_LISTING_ENTRIES`` entries.
 
 An instance is its checked associated context plus one rhs numerator array.
 Derived instances (reduced, repaired, the transposed primal of a dual one)
@@ -327,7 +327,8 @@ class SolutionSet:
         """The columns' JSON records; columns whose fields come from the same
         arrays (as ``enumerate_solutions`` shares them per distinct maximum)
         share one body, so its lists are built once and ``io._dumps`` writes
-        them once."""
+        them once.  Those records hold the same list objects: treat the
+        result as read-only, or copy a record's lists before editing them."""
         bodies, columns = {}, []
         for c in self.columns:
             key = (
@@ -347,8 +348,12 @@ class SolutionSet:
 def _box_and_filter(max_row: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
     """All numerator vectors below ``max_row`` not below any predecessor, in
     lexicographic order."""
-    sides = (max_row + 1).tolist()
-    box = np.indices(sides, dtype=np.int64).reshape(len(sides), -1).T
+    free = np.flatnonzero(max_row)  # the other coordinates are 0 in every row
+    sides = (max_row[free] + 1).tolist()
+    box = np.zeros((math.prod(sides), len(max_row)), dtype=np.int64)
+    grid = box.reshape(*sides, len(max_row))  # a view, one axis per free coordinate
+    for v, axis in zip(free.tolist(), np.indices(sides, dtype=np.int64, sparse=True)):
+        grid[..., v] = axis
     if len(pred_rows):
         box = box[~_leq(box, pred_rows).any(axis=1)]
     return box
@@ -404,10 +409,12 @@ def _count(max_row: np.ndarray, pred_rows: np.ndarray) -> int:
     return len(_box_and_filter(max_row, pred_rows))
 
 
-# the most box rows that ``enumerate_solutions`` lists below one maximum: the
-# box is |V| int64 columns, 56 MB at |V| = 7 (``_minimal_rows`` lowers each
-# row in every coordinate at once, |V| times as much again)
-MAX_SOLUTIONS = 1_000_000
+# the most entries that ``enumerate_solutions`` lets one array hold when it
+# lists the solutions below a maximum: the box holds rows x |V| entries, its
+# comparisons with the predecessors rows x |P| and ``_minimal_rows``, which
+# lowers every row in every coordinate at once, rows x |V| x max(|V|, |P|);
+# 2^25 int64 entries are 256 MB
+MAX_LISTING_ENTRIES = 2**25
 
 
 def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionSet:
@@ -423,8 +430,9 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
     first read; otherwise only the count is produced, by inclusion-exclusion
     over the predecessors when that holds fewer rows than the box, else by
     the sweep (``_count``).  Columns with equal maxima share all of this: it
-    is computed once per distinct maximum.  A box of more than
-    ``MAX_SOLUTIONS`` rows is not listed: it raises BudgetExceededError.
+    is computed once per distinct maximum.  A box whose listing needs more
+    than ``MAX_LISTING_ENTRIES`` entries in one array (rows x |V| x
+    max(|V|, |P|)) is not built: it raises BudgetExceededError.
     """
     maxima, interiors = _closures(fre)
     _unsolvable(fre, interiors, "cannot enumerate an unsolvable instance")
@@ -438,9 +446,11 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
             preds = _unique_rows(candidates[j][covers[j]])
             if materialize:
                 size = math.prod((m + 1).tolist())
-                if size > MAX_SOLUTIONS:
+                entries = size * len(m) * max(len(m), len(preds))
+                if entries > MAX_LISTING_ENTRIES:
                     raise BudgetExceededError(
-                        f"listing a solution box of {size} rows exceeds budget {MAX_SOLUTIONS}"
+                        f"listing a solution box of {size} rows over {len(m)} unknowns"
+                        f" needs {entries} entries, exceeds budget {MAX_LISTING_ENTRIES}"
                     )
                 box = _box_and_filter(m, preds)
                 minimal_of = cache(partial(_minimal_rows, box, preds))

@@ -26,7 +26,6 @@ from .algebra import (
     _int64,
     builtin_triple,
 )
-from .context import _Checked
 from .dual import DualFreInstance
 from .errors import MafreError
 from .fre import FreInstance
@@ -187,10 +186,6 @@ class ProblemFile:
     coefficients: List[List[int]]
     sigma: List[int]  # 1-based triple index per variable
     rhs: List[List[int]]
-    # not a field: the int64 arrays of coefficients and rhs that
-    # ``parse_problem`` checked, which ``to_instance`` builds over; without
-    # them (as after ``dataclasses.replace``) it builds over the lists
-    _arrays = None
 
     def frame(self) -> Frame:
         lattice = GranularLattice(self.granularity)
@@ -214,9 +209,14 @@ class ProblemFile:
         frame = self.frame()
         sigma0 = [i - 1 for i in self.sigma]
         cls = FreInstance if self.orientation == "primal" else DualFreInstance
-        coeff, rhs = self._arrays or (self.coefficients, self.rhs)
         return cls.from_numerators(
-            frame, self.rows, self.variables, self.columns, coeff, sigma0, rhs
+            frame,
+            self.rows,
+            self.variables,
+            self.columns,
+            self.coefficients,
+            sigma0,
+            self.rhs,
         )
 
     def to_json(self) -> dict:
@@ -246,25 +246,22 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _int_matrix(data, n_rows, n_cols, n, what) -> _Checked:
-    """``data``, a list of ``n_rows`` lists of ``n_cols`` integers in [0, n],
-    as an int64 array.
+def _int_matrix(data, n_rows, n_cols, n, what):
+    """``data`` as a list of ``n_rows`` lists of ``n_cols`` integers in [0, n].
 
-    A list of lists is checked and converted whole by ``algebra._int64`` (one
-    set of entry types, one numpy range test); only a matrix it rejects is
-    walked row by row to its first bad row or entry, which names the error.
+    A list of lists is checked whole by ``algebra._int64`` (one set of entry
+    types, one numpy range test); only a matrix it rejects is walked row by
+    row to its first bad row or entry, which names the error.
     """
     _expect(isinstance(data, list) and len(data) == n_rows, f"{what} must have {n_rows} rows")
-    arr = _int64(data, n_rows, n_cols, n) if {*map(type, data)} <= {list} else None
-    if arr is None:  # the walk raises at the first bad row or entry
-        for row in data:
-            _expect(isinstance(row, list) and len(row) == n_cols, f"{what} rows must have {n_cols} entries")
-            for v in row:
-                _expect(_is_int(v), f"{what} entries must be integers")
-                _expect(0 <= v <= n, f"{what} entry {v} outside [0, {n}]")
-    # instances share the array of every to_instance call: none may write it
-    arr.flags.writeable = False
-    return _Checked(arr)
+    if {*map(type, data)} <= {list} and _int64(data, n_rows, n_cols, n) is not None:
+        return [list(row) for row in data]
+    for row in data:
+        _expect(isinstance(row, list) and len(row) == n_cols, f"{what} rows must have {n_cols} entries")
+        for v in row:
+            _expect(_is_int(v), f"{what} entries must be integers")
+            _expect(0 <= v <= n, f"{what} entry {v} outside [0, {n}]")
+    return [list(row) for row in data]
 
 
 def parse_problem(data: dict) -> ProblemFile:
@@ -314,19 +311,17 @@ def parse_problem(data: dict) -> ProblemFile:
             data.get("coefficients"), len(names["variables"]), len(names["columns"]), n, "coefficients"
         )
     rhs = _int_matrix(data.get("rhs"), len(names["rows"]), len(names["columns"]), n, "rhs")
-    problem = ProblemFile(
+    return ProblemFile(
         granularity=n,
         triples=triples,
         orientation=orientation,
         rows=names["rows"],
         variables=names["variables"],
         columns=names["columns"],
-        coefficients=[list(row) for row in data["coefficients"]],
+        coefficients=coeff,
         sigma=sigma,
-        rhs=[list(row) for row in data["rhs"]],
+        rhs=rhs,
     )
-    problem._arrays = coeff, rhs
-    return problem
 
 
 def load_problem(path) -> ProblemFile:

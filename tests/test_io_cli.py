@@ -635,7 +635,8 @@ class TestCliLatticeAndOracle:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == (
-                "error: listing a solution box of 1000000000000 rows exceeds budget 1000000\n"
+                "error: listing a solution box of 1000000000000 rows over 12 unknowns"
+                " needs 144000000000000 entries, exceeds budget 33554432\n"
             )
         # counting needs no box
         assert main(["solve", str(path)]) == 0
@@ -655,14 +656,43 @@ class TestCliLatticeAndOracle:
             "coefficients": [[0, 0, 0]], "sigma": [1, 1, 1], "rhs": [[0]],
         }))
         fre = load_problem(path).to_instance()
-        monkeypatch.setattr(mafre.fre, "MAX_SOLUTIONS", 27)  # 3^3 rows
+        # 3^3 rows over 3 unknowns, no predecessors: 27 x 3 x 3 entries
+        monkeypatch.setattr(mafre.fre, "MAX_LISTING_ENTRIES", 243)
         assert enumerate_solutions(fre).column("w").solution_rows.shape == (27, 3)
         assert main(["solve", str(path), "--enumerate", "--max-count", "0"]) == 0
         assert capsys.readouterr().out.endswith("  27 solution(s)\n  ... (27 more)\n")
-        monkeypatch.setattr(mafre.fre, "MAX_SOLUTIONS", 26)
-        with pytest.raises(BudgetExceededError, match="box of 27 rows exceeds budget 26"):
+        monkeypatch.setattr(mafre.fre, "MAX_LISTING_ENTRIES", 242)
+        with pytest.raises(BudgetExceededError, match="needs 243 entries, exceeds budget 242"):
             enumerate_solutions(fre)
         assert enumerate_solutions(fre, materialize=False).column("w").count == 27
+
+    @pytest.mark.parametrize("n_vars, n_free", [(70, 3), (60, 19)])
+    def test_many_unknowns_small_box(self, n_vars, n_free, tmp_path, capsys):
+        # u = 0 with coefficient 0 on the first n_free unknowns and 1 on the
+        # rest: the maximum is 1 on the former and 0 on the latter, a box of
+        # 2^n_free rows with no predecessors
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "granularity": 1, "triples": ["godel"], "rows": ["u"],
+            "variables": [f"v{i}" for i in range(n_vars)], "columns": ["w"],
+            "coefficients": [[0] * n_free + [1] * (n_vars - n_free)],
+            "sigma": [1] * n_vars, "rhs": [[0]],
+        }))
+        rows = 2**n_free
+        code = main(["solve", str(path), "--enumerate", "--max-count", "1"])
+        out, err = capsys.readouterr()
+        if rows * n_vars * n_vars <= 2**25:  # 8 rows past numpy's 64 dimensions
+            assert (code, err) == (0, "")
+            zero = "(" + ", ".join(["0"] * n_vars) + ")"
+            assert f"  {rows} solution(s)\n  {zero}\n  ... ({rows - 1} more)\n" in out
+        else:  # 2^19 rows: a 250 MB box and 15 GB to find its minimal rows
+            assert (code, out) == (3, "")
+            assert err == (
+                f"error: listing a solution box of {rows} rows over {n_vars} unknowns"
+                f" needs {rows * n_vars * n_vars} entries, exceeds budget 33554432\n"
+            )
+        assert main(["solve", str(path)]) == 0
+        assert f"  {rows} solution(s)\n" in capsys.readouterr().out
 
 
 class TestCliDual:

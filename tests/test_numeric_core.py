@@ -645,37 +645,31 @@ class TestVerifiedOnce:
         assert calls[len(TRIPLES) + 2 :] == ["broken", "broken"]
 
     @pytest.mark.parametrize("orientation", ["primal", "dual"])
-    def test_load_converts_each_matrix_once(self, orientation, monkeypatch, tmp_path):
-        import mafre.context as context_mod
-        import mafre.io as io_mod
-
-        shapes = []
-        for module in (io_mod, context_mod):
-            convert = module._int64
-            spy = lambda rows, *shape, convert=convert: shapes.append(shape[:2]) or convert(
-                rows, *shape
-            )
-            monkeypatch.setattr(module, "_int64", spy)
-        # coefficients 2x3 (primal) or 3x4 (dual), rhs 2x4, sigma 1x3
+    def test_instance_follows_edited_lists(self, orientation, tmp_path):
+        # the lists are the only stored form of a loaded file's matrices
         coeff = [[3, 1, 0], [2, 4, 1]] if orientation == "primal" else [
             [3, 1, 0, 2], [2, 4, 1, 0], [0, 2, 4, 4]
         ]
+        rhs = [[2, 3, 0, 1], [1, 2, 4, 0]]
         path = tmp_path / "problem.json"
         path.write_text(json.dumps({
             "granularity": 4, "triples": list(TRIPLES), "orientation": orientation,
             "rows": ["u1", "u2"], "variables": ["v1", "v2", "v3"],
             "columns": ["w1", "w2", "w3", "w4"], "coefficients": coeff,
-            "sigma": [1, 2, 3], "rhs": [[2, 3, 0, 1], [1, 2, 4, 0]],
+            "sigma": [1, 2, 3], "rhs": rhs,
         }))
         problem = load_problem(path)
         instance = problem.to_instance()
-        coeff_shape = (2, 3) if orientation == "primal" else (3, 4)
-        assert sorted(shapes) == sorted([coeff_shape, (2, 4), (1, 3)])
         assert instance._coeff_array.tolist() == coeff == problem.coefficients
-        assert instance._rhs_array.tolist() == [[2, 3, 0, 1], [1, 2, 4, 0]] == problem.rhs
-        # a second instance of the same file shares the checked arrays, which
-        # nothing may write
-        assert not problem.to_instance()._rhs_array.flags.writeable
-        # a file edited through replace builds over its lists, checked again
-        edited = dataclasses.replace(problem, rhs=[[0, 0, 0, 0], [0, 0, 0, 0]])
-        assert edited.to_instance()._rhs_array.tolist() == [[0] * 4] * 2
+        assert instance._rhs_array.tolist() == rhs == problem.rhs
+        problem.rhs[0][0] = 4
+        problem.coefficients[1][2] = 0
+        instance = problem.to_instance()
+        assert instance._rhs_array[0, 0] == 4 and instance._coeff_array[1, 2] == 0
+        problem.rhs = [[0] * 4, [1] * 4]
+        assert problem.to_instance()._rhs_array.tolist() == [[0] * 4, [1] * 4]
+        edited = dataclasses.replace(problem, coefficients=[[0] * len(r) for r in coeff])
+        assert not edited.to_instance()._coeff_array.any()
+        problem.rhs[1][3] = 5  # outside [0, 4]: checked again on every build
+        with pytest.raises(RangeError):
+            problem.to_instance()
