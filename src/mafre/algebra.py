@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BudgetExceededError,
     GranularityMismatchError,
     InvalidTripleError,
     RangeError,
@@ -28,6 +29,10 @@ BUILTIN_TRIPLE_NAMES = ("sq-left", "sq-right", "godel")
 # size of one chunk of a numpy sweep (grid rows, or cells of the adjunction
 # cube), so that memory stays bounded however large the sweep is
 _CHUNK = 200_000
+# the most entries one array of a search that can grow exponentially may
+# hold (a solution box, its minimal rows, inclusion-exclusion meets, lattice
+# extents and covers); 2^25 int64 entries are 256 MB
+MAX_ENTRIES = 2**25
 # built-in triples kept per process, as (name, n) keys: one triple at n = 512
 # holds 6.3 MB of tables, so the cache is bounded
 _BUILTIN_CACHE_SIZE = 16
@@ -186,6 +191,15 @@ class AdjointTriple:
 
     def __repr__(self):
         return f"AdjointTriple({self.name!r}, n={self.granularity})"
+
+
+def _check_entries(entries: int, what: str) -> None:
+    """Raise BudgetExceededError when ``what`` needs an array of more than
+    ``MAX_ENTRIES`` entries; called before that array is allocated."""
+    if entries > MAX_ENTRIES:
+        raise BudgetExceededError(
+            f"{what} needs {entries} entries, exceeds budget {MAX_ENTRIES}"
+        )
 
 
 def _int64(rows, n_rows: int, n_cols: int, n: int):

@@ -73,11 +73,15 @@ class ApproximationResult:
     """Outcome of a reduct-based repair: the rhs T* and what changed."""
 
     reduct: tuple
-    preserved_rows: tuple
     modified_rows: dict  # (row, column) -> (old, new)
     t_star_rows: np.ndarray  # (|U|, |W|)
     _instance: FreInstance  # the repaired primal instance
     _materialize: bool
+
+    @property
+    def preserved_rows(self) -> tuple:
+        """The rows kept as stated: those of the reduct."""
+        return self.reduct
 
     @cached_property
     def t_star(self) -> tuple:  # matrix over U x W
@@ -101,7 +105,7 @@ def _result(fre: FreInstance, Y: tuple, repaired: np.ndarray, materialize: bool)
     pairs = np.stack([fre._rhs_array[rows, cols], repaired[rows, cols]])
     changes = zip(rows.tolist(), cols.tolist(), zip(*_values(pairs, fre.frame.granularity)))
     modified = {(fre.row_names[i], fre.col_names[j]): c for i, j, c in changes}
-    return ApproximationResult(Y, Y, modified, repaired, fre._with_rhs(repaired), materialize)
+    return ApproximationResult(Y, modified, repaired, fre._with_rhs(repaired), materialize)
 
 
 def _repairs(fre: FreInstance):

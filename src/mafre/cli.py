@@ -3,7 +3,7 @@
 Every command reads a JSON problem file and supports ``--json`` for
 machine-readable output.  All JSON output, that of ``--json`` and the problem
 file of ``reduce``, is printed by ``io._dumps``.  Exit codes: 0 success,
-1 unsolvable (solve), 2 malformed input, 3 enumeration budget exceeded.
+1 unsolvable (solve), 2 malformed input, 3 budget exceeded.
 """
 
 from __future__ import annotations

@@ -5,6 +5,9 @@ numerator space: every adjoint triple is compiled to integer lookup tables, so
 batched numpy evaluation stays exact.  Every lower cover, of the Hasse
 diagram, of ``predecessors`` and of the solver, comes from one rule,
 ``_lower_covers``: |A| candidate meets per extent, the maximal ones kept.
+A lattice build stops with BudgetExceededError once its extents hold more
+than ``algebra.MAX_ENTRIES`` entries, and so does the cover relation when
+its candidate arrays would.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import _CHUNK, Frame, GranularValue, _int64
+from .algebra import _CHUNK, Frame, GranularValue, _check_entries, _int64
 from .errors import (
     BudgetExceededError,
     DimensionError,
@@ -313,9 +316,12 @@ def _meet_closure(gens: np.ndarray) -> np.ndarray:
     Semi-naive: each round meets the rows first found in the previous round
     with every generator, in chunks of at most 200,000 candidate rows, and
     keeps the unseen results; it stops when a round finds nothing new.
-    Membership is keyed by the bytes of a row, which cannot overflow.
+    Membership is keyed by the bytes of a row, which cannot overflow.  Once a
+    chunk leaves more than ``MAX_ENTRIES`` entries in the rows found, it
+    raises BudgetExceededError.
     """
-    width = gens.shape[1] * gens.itemsize
+    nb = gens.shape[1]
+    width = nb * gens.itemsize
     seen = {gens[i].tobytes() for i in range(len(gens))}
     found, new = [gens], gens
     step = max(1, _CHUNK // len(gens))
@@ -323,12 +329,16 @@ def _meet_closure(gens: np.ndarray) -> np.ndarray:
         fresh = []
         for start in range(0, len(new), step):
             meets = np.minimum(new[start : start + step, None, :], gens[None, :, :])
-            meets = _unique_rows(meets.reshape(-1, gens.shape[1]))
+            meets = _unique_rows(meets.reshape(-1, nb))
             raw = meets.tobytes()
             keys = [raw[i : i + width] for i in range(0, len(raw), width)]
             unseen = np.fromiter((key not in seen for key in keys), bool, len(keys))
             seen.update(keys)
             fresh.append(meets[unseen])
+            _check_entries(
+                len(seen) * nb,
+                f"a concept lattice of at least {len(seen)} extents over {nb} objects",
+            )
         new = np.concatenate(fresh, axis=0)
         found.append(new)
     return np.concatenate(found, axis=0)
@@ -365,9 +375,15 @@ class ConceptLattice:
         ``_lower_covers`` gives each extent's covers as rows; one stable
         lexsort of the extents followed by those rows puts each extent just
         before the rows equal to it, so a running maximum of the extent
-        positions gives each row its concept index.
+        positions gives each row its concept index.  The candidates and
+        their comparisons hold N x |A| x max(|A|, |B|) entries.
         """
         rows = self.extent_rows
+        na, nb = len(self.context.attributes), len(self.context.objects)
+        _check_entries(
+            len(rows) * na * max(na, nb),
+            f"the covers of {len(rows)} concepts over {na} attributes and {nb} objects",
+        )
         candidates, covers = _lower_covers(self.context, rows, self.intent_rows)
         upper = np.nonzero(covers)[0]
         both = np.concatenate([rows, candidates[covers]])

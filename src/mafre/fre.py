@@ -13,12 +13,13 @@ kept alongside as an independent oracle.
 
 Each solver call makes one closure pass over all rhs columns; an unsolvable
 instance raises UnsolvableError carrying the gap as numerators.  Columns with
-the same maximum share its predecessors, one JSON body and, when swept, its
-box and minimal solutions, the latter found on first read.  A count alone
-sweeps no box when there are no predecessors or twice as many box rows as
-predecessor subsets: it is then an inclusion-exclusion sum of box sizes over
-those subsets, which holds fewer rows than the box.  A listing refuses a box
-whose arrays would hold more than ``MAX_LISTING_ENTRIES`` entries.
+the same maximum share its predecessors, one JSON body and, when listed, its
+box and minimal solutions, found together.  A count alone sweeps no box when
+there are no predecessors or twice as many box rows as predecessor subsets:
+it is then an inclusion-exclusion sum of box sizes over those subsets, which
+holds fewer rows than the box.  The box sweep, the minimal rows and the
+inclusion-exclusion each check the largest array they are about to allocate
+against ``algebra.MAX_ENTRIES`` and raise BudgetExceededError above it.
 
 An instance is its checked associated context plus one rhs numerator array.
 Derived instances (reduced, repaired, the transposed primal of a dual one)
@@ -29,15 +30,15 @@ not checked again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import attrgetter
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .algebra import Frame
+from .algebra import Frame, _check_entries
 from .context import (
     Context,
     FuzzySet,
@@ -249,12 +250,10 @@ class ColumnSolutions:
 
     It is held as numerator arrays over the unknowns: the maximum solution,
     the predecessors whose down-sets are excluded and, when the box was swept,
-    every solution and the minimal ones.  ``minimal_rows`` and the FuzzySet
-    views (``max_solution``, ``excluded_predecessors``, ``enumerated``,
-    ``minimal``) are built on first use, the minimal rows by ``_minimal_of``,
-    which columns with the same maximum share; ``solution_rows``,
-    ``minimal_rows``, ``enumerated`` and ``minimal`` are None when the box
-    was only counted.
+    every solution and the minimal ones.  The FuzzySet views
+    (``max_solution``, ``excluded_predecessors``, ``enumerated``,
+    ``minimal``) are built on first use; ``solution_rows``, ``minimal_rows``,
+    ``enumerated`` and ``minimal`` are None when the box was only counted.
     """
 
     column: object
@@ -264,18 +263,13 @@ class ColumnSolutions:
     predecessor_rows: np.ndarray  # (predecessors, |V|)
     count: int
     solution_rows: Optional[np.ndarray] = None  # (count, |V|), lexicographic
-    _minimal_of: Optional[Callable] = field(default=None, repr=False)
+    minimal_rows: Optional[np.ndarray] = None  # (minimal, |V|), lexicographic
 
     def _sets(self, rows) -> tuple:
         return tuple(
             FuzzySet.from_numerators(self.var_names, row, self.granularity)
             for row in rows.tolist()
         )
-
-    @cached_property
-    def minimal_rows(self) -> Optional[np.ndarray]:
-        """(minimal, |V|), lexicographic."""
-        return None if self._minimal_of is None else self._minimal_of()
 
     @cached_property
     def max_solution(self) -> FuzzySet:
@@ -347,11 +341,17 @@ class SolutionSet:
 
 def _box_and_filter(max_row: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
     """All numerator vectors below ``max_row`` not below any predecessor, in
-    lexicographic order."""
+    lexicographic order.  The box holds rows x |V| entries and its
+    comparisons with the predecessors rows x |P|."""
     free = np.flatnonzero(max_row)  # the other coordinates are 0 in every row
     sides = (max_row[free] + 1).tolist()
-    box = np.zeros((math.prod(sides), len(max_row)), dtype=np.int64)
-    grid = box.reshape(*sides, len(max_row))  # a view, one axis per free coordinate
+    rows, nv, k = math.prod(sides), len(max_row), len(pred_rows)
+    _check_entries(
+        rows * max(nv, k),
+        f"sweeping a solution box of {rows} rows over {nv} unknowns and {k} predecessors",
+    )
+    box = np.zeros((rows, nv), dtype=np.int64)
+    grid = box.reshape(*sides, nv)  # a view, one axis per free coordinate
     for v, axis in zip(free.tolist(), np.indices(sides, dtype=np.int64, sparse=True)):
         grid[..., v] = axis
     if len(pred_rows):
@@ -363,9 +363,16 @@ def _minimal_rows(rows: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
     """The minimal elements of ``rows``, the box minus predecessor down-sets.
 
     That set is an up-set of the box, so a row is minimal iff lowering any
-    positive entry by one step lands below some predecessor.
+    positive entry by one step lands below some predecessor.  Every row is
+    lowered in every coordinate at once, rows x |V| x |V| entries, and those
+    rows are compared with the predecessors, rows x |V| x |P|.
     """
-    nv = rows.shape[1]
+    nv, k = rows.shape[1], len(pred_rows)
+    _check_entries(
+        len(rows) * nv * max(nv, k),
+        f"finding the minimal ones of {len(rows)} solutions over {nv} unknowns"
+        f" and {k} predecessors",
+    )
     lowered = rows[:, None, :] - np.eye(nv, dtype=np.int64)  # [row, v]
     below = _leq(lowered.reshape(-1, nv), pred_rows).any(axis=1).reshape(-1, nv)
     return rows[(below | (rows == 0)).all(axis=1)]
@@ -377,10 +384,16 @@ def _inclusion_exclusion(max_row: np.ndarray, pred_rows: np.ndarray) -> int:
     times the size of the box below the meet of ``max_row`` and S.
 
     The meets are built by doubling, one predecessor at a time, and kept
-    apart by the sign of their term: 2^|P| rows of |V| entries in all.  The
-    box sizes are int64 products up to 2^63 and Python ints beyond.
+    apart by the sign of their term: 2^|P| rows of |V| entries in all, under
+    2^(|P|+1) while one doubling step builds the next.  The box sizes are
+    int64 products up to 2^63 and Python ints beyond.
     """
-    even, odd = max_row[None, :], np.zeros((0, len(max_row)), dtype=np.int64)
+    nv, k = len(max_row), len(pred_rows)
+    _check_entries(
+        2 ** (k + 1) * nv,
+        f"counting by inclusion-exclusion over {k} predecessors of {nv} unknowns",
+    )
+    even, odd = max_row[None, :], np.zeros((0, nv), dtype=np.int64)
     for p in pred_rows:
         even, odd = (
             np.concatenate([even, np.minimum(odd, p)]),
@@ -409,14 +422,6 @@ def _count(max_row: np.ndarray, pred_rows: np.ndarray) -> int:
     return len(_box_and_filter(max_row, pred_rows))
 
 
-# the most entries that ``enumerate_solutions`` lets one array hold when it
-# lists the solutions below a maximum: the box holds rows x |V| entries, its
-# comparisons with the predecessors rows x |P| and ``_minimal_rows``, which
-# lowers every row in every coordinate at once, rows x |V| x max(|V|, |P|);
-# 2^25 int64 entries are 256 MB
-MAX_LISTING_ENTRIES = 2**25
-
-
 def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionSet:
     """The whole solution set: maximum plus excluded predecessor down-sets.
 
@@ -426,35 +431,27 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
     extent's intent, and its excluded predecessors are that extent's lower
     covers, found for every column by one ``_lower_covers`` call; no concept
     lattice is built.  With ``materialize`` the box below the maximum is
-    swept explicitly and the solutions are listed, their minimal elements on
-    first read; otherwise only the count is produced, by inclusion-exclusion
+    swept explicitly and the solutions are listed with their minimal
+    elements; otherwise only the count is produced, by inclusion-exclusion
     over the predecessors when that holds fewer rows than the box, else by
     the sweep (``_count``).  Columns with equal maxima share all of this: it
-    is computed once per distinct maximum.  A box whose listing needs more
-    than ``MAX_LISTING_ENTRIES`` entries in one array (rows x |V| x
-    max(|V|, |P|)) is not built: it raises BudgetExceededError.
+    is computed once per distinct maximum.  An array above
+    ``algebra.MAX_ENTRIES`` entries is not built: it raises
+    BudgetExceededError.
     """
     maxima, interiors = _closures(fre)
     _unsolvable(fre, interiors, "cannot enumerate an unsolvable instance")
     candidates, covers = _lower_covers(associated_context(fre), maxima, interiors)
     n = fre.frame.granularity
-    solved = {}  # maximum -> (predecessors, count, solutions, minimal_of)
+    solved = {}  # maximum -> (predecessors, count, solutions, minimal)
     cols = []
     for j, (w, m) in enumerate(zip(fre.col_names, maxima)):
         key = m.tobytes()
         if key not in solved:
             preds = _unique_rows(candidates[j][covers[j]])
             if materialize:
-                size = math.prod((m + 1).tolist())
-                entries = size * len(m) * max(len(m), len(preds))
-                if entries > MAX_LISTING_ENTRIES:
-                    raise BudgetExceededError(
-                        f"listing a solution box of {size} rows over {len(m)} unknowns"
-                        f" needs {entries} entries, exceeds budget {MAX_LISTING_ENTRIES}"
-                    )
                 box = _box_and_filter(m, preds)
-                minimal_of = cache(partial(_minimal_rows, box, preds))
-                solved[key] = preds, len(box), box, minimal_of
+                solved[key] = preds, len(box), box, _minimal_rows(box, preds)
             else:
                 solved[key] = preds, _count(m, preds), None, None
         cols.append(ColumnSolutions(w, fre.var_names, n, m, *solved[key]))

@@ -32,6 +32,7 @@ from mafre.context import (
 )
 from mafre.dual import DualContext
 from mafre.errors import (
+    BudgetExceededError,
     DimensionError,
     GranularityMismatchError,
     IndexMismatchError,
@@ -412,6 +413,39 @@ class TestLatticeEngine:
             assert "_cover_pairs" not in vars(lat)
             render(lat)
             assert "_cover_pairs" in vars(lat)
+
+    def test_lattice_budget(self, monkeypatch):
+        # N extents hold N x |B| entries and their cover candidates
+        # N x |A| x max(|A|, |B|); a lattice exactly at either budget builds
+        from mafre import algebra
+
+        rng = random.Random(13)
+        frame = builtin_frame(["sq-left", "godel"], 4)
+        for na, nb in ((4, 2), (2, 4), (3, 3)):
+            ctx = random_context(rng, frame, na, nb)
+            size = len(build_concept_lattice(_restrict(ctx, list(range(na)))))
+            extents, covers = size * nb, size * na * max(na, nb)
+            assert size > 1 and extents < covers
+            monkeypatch.setattr(algebra, "MAX_ENTRIES", extents - 1)
+            with pytest.raises(
+                BudgetExceededError,
+                match=f"^a concept lattice of at least \\d+ extents over {nb} objects"
+                f" needs \\d+ entries, exceeds budget {extents - 1}$",
+            ):
+                build_concept_lattice(ctx)
+            monkeypatch.setattr(algebra, "MAX_ENTRIES", extents)
+            lat = build_concept_lattice(ctx)
+            assert len(lat) == size
+            monkeypatch.setattr(algebra, "MAX_ENTRIES", covers - 1)
+            with pytest.raises(
+                BudgetExceededError,
+                match=f"^the covers of {size} concepts over {na} attributes and {nb}"
+                f" objects needs {covers} entries, exceeds budget {covers - 1}$",
+            ):
+                lat.covers()
+            monkeypatch.setattr(algebra, "MAX_ENTRIES", covers)
+            assert lat.covers() == _cover_oracle(lat.extent_rows)
+            monkeypatch.undo()
 
 
 def _cover_oracle(rows):

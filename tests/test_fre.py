@@ -264,29 +264,31 @@ class TestEnumeration:
             SQUARES_COEFF, SQUARES_SIGMA, rhs,
         )
         cols = enumerate_solutions(fre).columns
-        assert len(sweeps) == 2 and minimals == []  # minimal rows on first read
+        # the minimal rows come with the listing, once per distinct maximum
+        assert len(sweeps) == len(minimals) == 2
         assert cols[0].to_json() | {"column": "w3"} == cols[2].to_json()
-        assert len(minimals) == 1  # w3 reuses the minimal rows of w1
+        assert len(minimals) == 2  # rendering computes nothing more
         assert cols[0].count == 2 and cols[1].count == 1
         assert cols[1].solution_rows.tolist() == [[0, 0, 0, 0, 0]]
         for col in cols:
             box = sweep(col.max_row, col.predecessor_rows)
             fresh = minimal(box, col.predecessor_rows)
             assert col.minimal_rows.tolist() == fresh.tolist()
-        assert len(minimals) == 2  # once per distinct maximum
 
-    def test_minimal_rows_only_on_read(self, maxmin_solvable, monkeypatch):
-        from mafre import fre as fre_mod
+    def test_equal_maxima_share_minimal_rows(self, squares_frame):
+        from conftest import SQUARES_COEFF, SQUARES_ROWS, SQUARES_SIGMA
 
-        minimals, minimal = [], fre_mod._minimal_rows
-        monkeypatch.setattr(
-            fre_mod, "_minimal_rows", lambda *a: minimals.append(a) or minimal(*a)
+        rhs = [[2, 0, 2], [4, 0, 4], [0, 0, 0], [2, 0, 2], [0, 0, 0]]
+        fre = FreInstance.from_numerators(
+            squares_frame, SQUARES_ROWS, SQUARES_VARS, ("w1", "w2", "w3"),
+            SQUARES_COEFF, SQUARES_SIGMA, rhs,
         )
-        col = enumerate_solutions(maxmin_solvable).column("w")
-        assert len(col.enumerated) == col.count == 875
-        assert minimals == []
-        assert len(col.minimal) == 4 and len(col.to_json()["minimal"]) == 4
-        assert len(minimals) == 1
+        first, second, third = enumerate_solutions(fre).columns
+        assert first.minimal_rows is third.minimal_rows
+        assert first.solution_rows is third.solution_rows
+        assert second.minimal_rows is not first.minimal_rows
+        assert first.minimal_rows.tolist() == [[0, 0, 0, 6, 0]]
+        assert second.minimal_rows.tolist() == [[0, 0, 0, 0, 0]]
 
     def test_solutions_held_as_arrays(self, maxmin_solvable):
         col = enumerate_solutions(maxmin_solvable).column("w")
@@ -357,7 +359,7 @@ class TestSharedJson:
         # every array shared per maximum counts the tolist calls on it
         views = {}
         for c in cols:
-            for name in ("predecessor_rows", "solution_rows"):
+            for name in ("predecessor_rows", "solution_rows", "minimal_rows"):
                 rows = getattr(c, name)
                 if rows is not None:
                     if id(rows) not in views:
@@ -367,7 +369,7 @@ class TestSharedJson:
         data = solutions.to_json()
         maxima = [c.max_row.tobytes() for c in cols]
         assert len(set(maxima)) < len(cols)  # some parts share their maximum
-        assert len(views) == len(set(maxima)) * (2 if materialize else 1)
+        assert len(views) == len(set(maxima)) * (3 if materialize else 1)
         assert all(view.calls == 1 for view in views.values())
         assert data["columns"] == [c.to_json() for c in cols]
         for a, m in zip(data["columns"], maxima):
@@ -384,11 +386,11 @@ class TestSharedJson:
         top = np.array([1, 1], dtype=np.int64)
         first = ColumnSolutions(
             "w1", ("v1", "v2"), 1, top, rows([0, 1]), 2, rows([1, 0], [1, 1]),
-            lambda: rows([1, 0]),
+            rows([1, 0]),
         )
         second = ColumnSolutions(
             "w2", ("v1", "v2"), 1, top.copy(), rows(), 4,
-            rows([0, 0], [0, 1], [1, 0], [1, 1]), lambda: rows([0, 0]),
+            rows([0, 0], [0, 1], [1, 0], [1, 1]), rows([0, 0]),
         )
         for cols in ((first, second), (second, first)):
             data = SolutionSet(1, ("v1", "v2"), cols).to_json()["columns"]
@@ -404,6 +406,16 @@ class TestSharedJson:
         assert [(c["excluded_predecessors"], c["count"]) for c in counted] == [
             ([], 4), ([[0, 0]], 3),
         ]
+
+
+# a maximum over 1 to 4 unknowns and up to 6 rows to exclude, which may lie
+# anywhere, also not below the maximum
+_BOX_CASES = st.integers(1, 4).flatmap(
+    lambda nv: st.tuples(
+        st.lists(st.integers(0, 4), min_size=nv, max_size=nv),
+        st.lists(st.lists(st.integers(0, 5), min_size=nv, max_size=nv), max_size=6),
+    )
+)
 
 
 class TestCount:
@@ -544,18 +556,8 @@ class TestCount:
         assert sweeps == []
 
     @settings(max_examples=max(300, settings().max_examples), deadline=None)
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda nv: st.tuples(
-                st.lists(st.integers(0, 4), min_size=nv, max_size=nv),
-                st.lists(
-                    st.lists(st.integers(0, 5), min_size=nv, max_size=nv), max_size=6
-                ),
-            )
-        )
-    )
+    @given(_BOX_CASES)
     def test_count_property(self, case):
-        # any rows may be excluded, also ones not below the maximum
         from mafre import fre as fre_mod
 
         top, preds = case
@@ -568,6 +570,33 @@ class TestCount:
         assert fre_mod._count(max_row, pred_rows) == expected
         assert fre_mod._inclusion_exclusion(max_row, pred_rows) == expected
         assert len(fre_mod._box_and_filter(max_row, pred_rows)) == expected
+
+    @settings(max_examples=max(300, settings().max_examples), deadline=None)
+    @given(_BOX_CASES, st.integers(0, 16_000))
+    def test_budget_property(self, case, budget):
+        # each checked function raises iff its largest array is over budget
+        from mafre import algebra, fre as fre_mod
+
+        top, preds = case
+        nv, k = len(top), len(preds)
+        max_row = np.array(top, dtype=np.int64)
+        pred_rows = np.array(preds, dtype=np.int64).reshape(k, nv)
+        box = fre_mod._box_and_filter(max_row, pred_rows)
+        checks = [
+            (fre_mod._box_and_filter, max_row, math.prod(m + 1 for m in top) * max(nv, k)),
+            (fre_mod._minimal_rows, box, len(box) * nv * max(nv, k)),
+            (fre_mod._inclusion_exclusion, max_row, 2 ** (k + 1) * nv),
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            for function, rows, entries in checks:
+                for limit in (budget, entries - 1, entries):
+                    patch.setattr(algebra, "MAX_ENTRIES", limit)
+                    if entries > limit:
+                        message = f" needs {entries} entries, exceeds budget {limit}$"
+                        with pytest.raises(BudgetExceededError, match=message):
+                            function(rows, pred_rows)
+                    else:
+                        function(rows, pred_rows)
 
 
 class TestOracleEquivalence:

@@ -597,6 +597,24 @@ class TestCliLatticeAndOracle:
         assert main(["oracle", MAXMIN]) == 0
         assert "MATCH (875 solutions)" in capsys.readouterr().out
 
+    def test_lattice_budget_exit_3(self, capsys, monkeypatch):
+        import mafre.algebra
+
+        # 40 concepts over 5 attributes and 5 objects: 200 extent entries,
+        # 1000 cover candidate entries
+        lattice, dot = ["lattice", SOLVABLE], ["lattice", SOLVABLE, "--dot"]
+        for budget, codes in ((199, (3, 3)), (200, (0, 3)), (1000, (0, 0))):
+            monkeypatch.setattr(mafre.algebra, "MAX_ENTRIES", budget)
+            for argv, code in zip((lattice, dot), codes):
+                assert main(argv) == code
+                out, err = capsys.readouterr()
+                if code:
+                    assert out == "" and err.count("\n") == 1
+                    assert err.startswith("error: ")
+                    assert err.endswith(f" entries, exceeds budget {budget}\n")
+                else:
+                    assert out and err == ""
+
     def test_oracle_budget_exit_3(self, capsys):
         assert main(["oracle", MAXMIN, "--budget", "10"]) == 3
 
@@ -635,8 +653,9 @@ class TestCliLatticeAndOracle:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == (
-                "error: listing a solution box of 1000000000000 rows over 12 unknowns"
-                " needs 144000000000000 entries, exceeds budget 33554432\n"
+                "error: sweeping a solution box of 1000000000000 rows over 12 unknowns"
+                " and 0 predecessors needs 12000000000000 entries, exceeds budget"
+                " 33554432\n"
             )
         # counting needs no box
         assert main(["solve", str(path)]) == 0
@@ -645,7 +664,7 @@ class TestCliLatticeAndOracle:
         )
 
     def test_largest_listed_box(self, tmp_path, capsys, monkeypatch):
-        import mafre.fre
+        import mafre.algebra
         from mafre import enumerate_solutions
         from mafre.errors import BudgetExceededError
 
@@ -656,13 +675,18 @@ class TestCliLatticeAndOracle:
             "coefficients": [[0, 0, 0]], "sigma": [1, 1, 1], "rhs": [[0]],
         }))
         fre = load_problem(path).to_instance()
-        # 3^3 rows over 3 unknowns, no predecessors: 27 x 3 x 3 entries
-        monkeypatch.setattr(mafre.fre, "MAX_LISTING_ENTRIES", 243)
+        # 3^3 rows over 3 unknowns, no predecessors: their minimal rows lower
+        # every row in every coordinate, 27 x 3 x 3 entries
+        monkeypatch.setattr(mafre.algebra, "MAX_ENTRIES", 243)
         assert enumerate_solutions(fre).column("w").solution_rows.shape == (27, 3)
         assert main(["solve", str(path), "--enumerate", "--max-count", "0"]) == 0
         assert capsys.readouterr().out.endswith("  27 solution(s)\n  ... (27 more)\n")
-        monkeypatch.setattr(mafre.fre, "MAX_LISTING_ENTRIES", 242)
-        with pytest.raises(BudgetExceededError, match="needs 243 entries, exceeds budget 242"):
+        monkeypatch.setattr(mafre.algebra, "MAX_ENTRIES", 242)
+        with pytest.raises(
+            BudgetExceededError,
+            match="^finding the minimal ones of 27 solutions over 3 unknowns and 0"
+            " predecessors needs 243 entries, exceeds budget 242$",
+        ):
             enumerate_solutions(fre)
         assert enumerate_solutions(fre, materialize=False).column("w").count == 27
 
@@ -685,14 +709,59 @@ class TestCliLatticeAndOracle:
             assert (code, err) == (0, "")
             zero = "(" + ", ".join(["0"] * n_vars) + ")"
             assert f"  {rows} solution(s)\n  {zero}\n  ... ({rows - 1} more)\n" in out
-        else:  # 2^19 rows: a 250 MB box and 15 GB to find its minimal rows
+        else:  # 2^19 rows: a 250 MB box, but 15 GB to find its minimal rows
             assert (code, out) == (3, "")
             assert err == (
-                f"error: listing a solution box of {rows} rows over {n_vars} unknowns"
-                f" needs {rows * n_vars * n_vars} entries, exceeds budget 33554432\n"
+                f"error: finding the minimal ones of {rows} solutions over {n_vars}"
+                f" unknowns and 0 predecessors needs {rows * n_vars * n_vars} entries,"
+                " exceeds budget 33554432\n"
             )
         assert main(["solve", str(path)]) == 0
         assert f"  {rows} solution(s)\n" in capsys.readouterr().out
+
+    @staticmethod
+    def _identity(path, n, nv, orientation):
+        """x_v = n for every v over godel with identity coefficients, as a
+        file at ``path``: every vector is an extent, so the maximum (all n)
+        has nv lower covers and a box of (n + 1)^nv rows, and is the only
+        solution."""
+        from test_cli_golden import transpose
+
+        problem = {
+            "granularity": n, "triples": ["godel"],
+            "rows": [f"u{i}" for i in range(nv)],
+            "variables": [f"v{i}" for i in range(nv)], "columns": ["w"],
+            "coefficients": [[n * (u == v) for v in range(nv)] for u in range(nv)],
+            "sigma": [1] * nv, "rhs": [[n]] * nv,
+        }
+        path.write_text(json.dumps(transpose(problem) if orientation == "dual" else problem))
+        return str(path)
+
+    @pytest.mark.parametrize("orientation", ["primal", "dual"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_count_budget_exit_3(self, n, orientation, tmp_path, capsys):
+        path = self._identity(tmp_path / "identity.json", n, 40, orientation)
+        error = {
+            # 2^41 predecessor subsets exceed the 2^40 box rows: the sweep
+            1: "sweeping a solution box of 1099511627776 rows over 40 unknowns"
+            " and 40 predecessors needs 43980465111040 entries",
+            # 3^40 box rows: inclusion-exclusion over the 2^40 subsets
+            2: "counting by inclusion-exclusion over 40 predecessors of 40"
+            " unknowns needs 87960930222080 entries",
+        }[n]
+        for form in ([], ["--json"]):
+            assert main(["solve", path, *form]) == 3
+            assert capsys.readouterr() == ("", f"error: {error}, exceeds budget 33554432\n")
+
+    def test_list_under_budget(self, tmp_path, capsys):
+        # 2^20 box rows over 20 unknowns and 20 predecessors: the box is within
+        # the budget, and its one solution has one minimal row
+        path = self._identity(tmp_path / "identity.json", 1, 20, "primal")
+        assert main(["solve", path, "--enumerate"]) == 0
+        one = "(" + ", ".join(["1"] * 20) + ")"
+        assert capsys.readouterr().out == (
+            f"solvable\ncolumn w: maximum {one}\n  1 solution(s)\n  {one}\n"
+        )
 
 
 class TestCliDual:
