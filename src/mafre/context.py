@@ -2,12 +2,16 @@
 
 The possibility/necessity operators and the lattice construction work in
 numerator space: every adjoint triple is compiled to integer lookup tables, so
-batched numpy evaluation stays exact.  Every lower cover, of the Hasse
-diagram, of ``predecessors`` and of the solver, comes from one rule,
-``_lower_covers``: |A| candidate meets per extent, the maximal ones kept.
-A lattice build stops with BudgetExceededError once its extents hold more
-than ``algebra.MAX_ENTRIES`` entries, and so does the cover relation when
-its candidate arrays would.
+batched numpy evaluation stays exact.  The lattice engine handles each
+extent row as one int64 key in base n + 1 (``_key_places``) wherever the
+keys fit: the meet closure deduplicates and looks up keys by sorting and
+binary search, and the cover relation numbers each cover by a key lookup;
+rows too wide to key go through bytes and the extent index instead.  Every
+lower cover, of the Hasse diagram, of ``predecessors`` and of the solver,
+comes from one rule, ``_lower_covers``: |A| candidate meets per extent, the
+maximal ones kept.  A lattice build stops with BudgetExceededError once its
+extents hold more than ``algebra.MAX_ENTRIES`` entries, and so does the
+cover relation when its candidate arrays would.
 """
 
 from __future__ import annotations
@@ -219,23 +223,43 @@ class Concept:
     intent: FuzzySet
 
 
+def _key_places(rows: np.ndarray) -> tuple:
+    """``(radix, place)`` for the rows of a non-empty 2-D integer array:
+    radix = max + 1, and ``rows @ place`` is one int64 key per row in base
+    radix, first column most significant, so equal keys are equal rows and
+    the keys order as the rows do lexicographically.  ``place`` is None when
+    an entry is negative or the largest key, radix^k - 1 (k columns), would
+    not fit in int64."""
+    radix, k = int(rows.max()) + 1, rows.shape[1]
+    if rows.min() < 0 or radix**k > 2**63:
+        return radix, None
+    return radix, np.array([radix**e for e in range(k - 1, -1, -1)], dtype=np.int64)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending: one sort and a mask of
+    the entries that differ from their left neighbour."""
+    keys = np.sort(keys)
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    return keys[fresh]
+
+
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of a 2-D integer array in lexicographic order.
 
-    Equal to ``np.unique(rows, axis=0)``.  When the entries are non-negative
-    and radix^k fits in int64 (radix = max + 1, k columns), each row is one
-    int64 key in base radix, whose order is the rows' lexicographic order,
-    and the keys are sorted (equal keys are equal rows, so any sort kind
+    Equal to ``np.unique(rows, axis=0)``.  Rows that ``_key_places`` can key
+    are ordered by their keys (equal keys are equal rows, so any sort kind
     gives the same result); otherwise ``np.lexsort`` sorts the columns.
     """
-    k = rows.shape[1]
-    if len(rows) < 2 or not k:
+    if len(rows) < 2 or not rows.shape[1]:
         return rows[:1]
     fresh = np.empty(len(rows), dtype=bool)
     fresh[0] = True
-    radix = int(rows.max()) + 1
-    if rows.min() >= 0 and radix**k <= 2**63:  # the largest key, radix^k - 1, fits
-        keys = rows @ np.array([radix**e for e in range(k - 1, -1, -1)], dtype=np.int64)
+    place = _key_places(rows)[1]
+    if place is not None:
+        keys = rows @ place
         order = np.argsort(keys)
         keys = keys[order]
         np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
@@ -311,20 +335,51 @@ def _lower_covers(ctx: Context, extents: np.ndarray, intents: np.ndarray) -> tup
 
 
 def _meet_closure(gens: np.ndarray) -> np.ndarray:
-    """Every componentwise minimum of a non-empty subset of ``gens``.
+    """Every componentwise minimum of a non-empty subset of the distinct rows
+    ``gens``.
 
     Semi-naive: each round meets the rows first found in the previous round
-    with every generator, in chunks of at most 200,000 candidate rows, and
-    keeps the unseen results; it stops when a round finds nothing new.
-    Membership is keyed by the bytes of a row, which cannot overflow.  Once a
-    chunk leaves more than ``MAX_ENTRIES`` entries in the rows found, it
-    raises BudgetExceededError.
+    with every generator, in chunks of at most ``_CHUNK`` meet entries, and
+    keeps the unseen results; it stops when a round finds nothing new.  Rows
+    are handled as their ``_key_places`` keys: a chunk's meets are summed
+    from per-column minima of place-scaled digits, deduplicated by a sort,
+    and looked up among the sorted keys seen so far with ``np.searchsorted``;
+    only the new keys are decoded to rows.  The result is sorted.  Where the
+    keys would overflow int64, ``_byte_closure`` runs instead.  Once a chunk
+    leaves more than ``MAX_ENTRIES`` entries in the rows found, it raises
+    BudgetExceededError.
     """
+    nb = gens.shape[1]
+    radix, place = _key_places(gens)
+    step = max(1, _CHUNK // (len(gens) * nb))
+    if place is None:
+        return _byte_closure(gens, step)
+    place = place[:, None]
+    scaled = gens.T * place  # [column, generator]
+    seen = np.sort(scaled.sum(axis=0))
+    new = scaled
+    while new.shape[1]:
+        fresh = []
+        for start in range(0, new.shape[1], step):
+            meets = np.minimum(new[:, start : start + step, None], scaled[:, None, :])
+            keys = _distinct(meets.sum(axis=0).ravel())
+            at = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+            keys = keys[seen[at] != keys]
+            seen = np.sort(np.concatenate([seen, keys]))
+            fresh.append(keys)
+            _check_extents(len(seen), nb)
+        new = np.concatenate(fresh) // place % radix * place
+    return (seen // place % radix).T
+
+
+def _byte_closure(gens: np.ndarray, step: int) -> np.ndarray:
+    """``_meet_closure`` for rows whose keys would overflow int64, ``step``
+    rows to a chunk: membership is keyed by the bytes of a row, which cannot
+    overflow."""
     nb = gens.shape[1]
     width = nb * gens.itemsize
     seen = {gens[i].tobytes() for i in range(len(gens))}
     found, new = [gens], gens
-    step = max(1, _CHUNK // len(gens))
     while len(new):
         fresh = []
         for start in range(0, len(new), step):
@@ -335,13 +390,16 @@ def _meet_closure(gens: np.ndarray) -> np.ndarray:
             unseen = np.fromiter((key not in seen for key in keys), bool, len(keys))
             seen.update(keys)
             fresh.append(meets[unseen])
-            _check_entries(
-                len(seen) * nb,
-                f"a concept lattice of at least {len(seen)} extents over {nb} objects",
-            )
+            _check_extents(len(seen), nb)
         new = np.concatenate(fresh, axis=0)
         found.append(new)
     return np.concatenate(found, axis=0)
+
+
+def _check_extents(count: int, nb: int) -> None:
+    _check_entries(
+        count * nb, f"a concept lattice of at least {count} extents over {nb} objects"
+    )
 
 
 class ConceptLattice:
@@ -372,11 +430,12 @@ class ConceptLattice:
     def _cover_pairs(self) -> np.ndarray:
         """The (lower, upper) concept indices of every cover pair, ascending.
 
-        ``_lower_covers`` gives each extent's covers as rows; one stable
-        lexsort of the extents followed by those rows puts each extent just
-        before the rows equal to it, so a running maximum of the extent
-        positions gives each row its concept index.  The candidates and
-        their comparisons hold N x |A| x max(|A|, |B|) entries.
+        ``_lower_covers`` gives each extent's covers as rows.  Each row's
+        concept index is found by ``np.searchsorted`` among the sorted extent
+        keys (``_key_places``), or, where the keys would overflow int64, in
+        ``_index``; the pairs, one int64 key each, are deduplicated by a
+        sort.  The candidates and their comparisons hold
+        N x |A| x max(|A|, |B|) entries.
         """
         rows = self.extent_rows
         na, nb = len(self.context.attributes), len(self.context.objects)
@@ -386,11 +445,13 @@ class ConceptLattice:
         )
         candidates, covers = _lower_covers(self.context, rows, self.intent_rows)
         upper = np.nonzero(covers)[0]
-        both = np.concatenate([rows, candidates[covers]])
-        order = np.lexsort(both.T[::-1])
-        latest = np.maximum.accumulate(np.where(order < len(rows), order, -1))
-        lower = order >= len(rows)
-        keys = np.unique(latest[lower] * len(rows) + upper[order[lower] - len(rows)])
+        place = _key_places(rows)[1]
+        if place is None:
+            lower = [self._index[row] for row in map(tuple, candidates[covers].tolist())]
+            lower = np.array(lower, dtype=np.int64)
+        else:
+            lower = np.searchsorted(rows @ place, (candidates @ place)[covers])
+        keys = _distinct(lower * len(rows) + upper)
         return np.stack(np.divmod(keys, len(rows)), axis=1)
 
     def __len__(self):
@@ -491,19 +552,28 @@ def _families(ctx: Context) -> tuple:
     Every extent is a meet of generators, so a meet-irreducible extent is a
     generator.  The extents strictly above a generator g are meets of the
     generators strictly above it, so g is meet-irreducible iff their
-    componentwise minimum is not g (top, with none above, never is).
+    componentwise minimum is not g (top, with none above, never is).  The
+    minima are taken over chunks of generators of at most ``_CHUNK``
+    entries; each generator row of each attribute is then looked up among
+    the irreducible rows.
     """
     if ctx._families is None:
         rows, gens = _generators(ctx)
-        above = _leq(gens, gens)
-        np.fill_diagonal(above, False)  # the rows are distinct
-        top = ctx.frame.granularity
-        meet_above = np.where(above[:, :, None], gens[None, :, :], top).min(axis=1)
-        irreducible = gens[(meet_above != gens).any(axis=1)]
-        owners = (irreducible[:, None, None, :] == rows[None]).all(axis=3).any(axis=2)
-        ctx._families = tuple(
-            sum(1 << int(a) for a in np.flatnonzero(row)) for row in owners
-        )
+        top, step = ctx.frame.granularity, max(1, _CHUNK // gens.size)
+        irreducible = []
+        for start in range(0, len(gens), step):
+            chunk = gens[start : start + step]
+            above = _leq(chunk, gens)
+            at = np.arange(len(chunk))
+            above[at, start + at] = False  # the rows are distinct
+            meet_above = np.where(above[:, :, None], gens, top).min(axis=1)
+            irreducible += map(tuple, chunk[(meet_above != chunk).any(axis=1)].tolist())
+        masks = dict.fromkeys(irreducible, 0)
+        for a, block in enumerate(rows.tolist()):
+            for row in map(tuple, block):
+                if row in masks:
+                    masks[row] |= 1 << a
+        ctx._families = tuple(masks.values())
     return ctx._families
 
 

@@ -24,9 +24,12 @@ from mafre import (
 from mafre.context import (
     ConceptLattice,
     Context,
+    _families,
     _generators,
+    _key_places,
     _leq,
     _lower_covers,
+    _meet_closure,
     _restrict,
     _unique_rows,
 )
@@ -448,6 +451,131 @@ class TestLatticeEngine:
             monkeypatch.undo()
 
 
+    # (n, |B|, keyed): a row of |B| entries in 0..n is keyed iff (n+1)^|B| <= 2^63
+    KEY_BOUNDARY = [(1, 63, True), (1, 64, False), (2, 39, True), (2, 40, False)]
+
+    @pytest.mark.parametrize("n, nb, keyed", KEY_BOUNDARY)
+    def test_key_boundary(self, n, nb, keyed, monkeypatch):
+        # keyed rows are closed and mapped to covers by np.searchsorted over
+        # int64 keys; rows beyond int64 by bytes and by ``_index``
+        from mafre import context as context_mod
+
+        searches = []
+        searchsorted = np.searchsorted
+        monkeypatch.setattr(
+            context_mod.np,
+            "searchsorted",
+            lambda *args: searches.append(1) or searchsorted(*args),
+        )
+        rng = random.Random(100 * n + nb)
+        frame = builtin_frame(["godel"], n)
+        for na in (1, 2, 3, 3):
+            ctx = random_context(rng, frame, na, nb)
+            gens = _generators(ctx)[1]
+            searches.clear()
+            extents = _meet_closure(gens)
+            assert bool(searches) == keyed
+            expected = _subset_meets(gens)
+            assert len(extents) == len(expected)
+            assert np.array_equal(extents if keyed else _unique_rows(extents), expected)
+            lat = ConceptLattice(ctx, extents)
+            searches.clear()
+            assert lat.covers() == _cover_oracle(lat.extent_rows)
+            assert bool(searches) == keyed
+            assert ("_index" in vars(lat)) != keyed
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: hnp.arrays(
+                np.int64,
+                st.tuples(st.integers(1, 8), st.integers(1, 70)),
+                elements=st.integers(0, n),
+            )
+        )
+    )
+    def test_meet_closure_property(self, gens):
+        # widths up to 70 cross the int64 key boundary at every n <= 9
+        gens = _unique_rows(gens)
+        extents = _meet_closure(gens)
+        expected = _subset_meets(gens)
+        assert len(extents) == len(expected)
+        keyed = _key_places(gens)[1] is not None
+        assert np.array_equal(extents if keyed else _unique_rows(extents), expected)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_chunk_size_changes_nothing(self, chunk, monkeypatch):
+        # one chunk of meets holds at most _CHUNK entries, or one row's
+        # |gens| x |B|; the closure and the families do not depend on it
+        from mafre import context as context_mod
+
+        rng = random.Random(17)
+        contexts = [
+            random_context(rng, builtin_frame(names, n), na, nb)
+            for names, n, na, nb in (
+                (["sq-left", "sq-right", "godel"], 4, 3, 3),
+                (["sq-left", "godel"], 6, 4, 2),
+                (["godel"], 5, 5, 1),
+                (["sq-right", "godel"], 3, 2, 4),
+                (["godel"], 1, 3, 70),
+            )
+        ]
+        expected = [
+            (_unique_rows(_meet_closure(_generators(c)[1])), _families(c)) for c in contexts
+        ]
+        sizes = []
+        minimum = np.minimum
+        monkeypatch.setattr(context_mod, "_CHUNK", chunk)
+        monkeypatch.setattr(
+            context_mod.np,
+            "minimum",
+            lambda *args: sizes.append(np.broadcast(*args).size) or minimum(*args),
+        )
+        for ctx, (extents, families) in zip(contexts, expected):
+            gens = _generators(ctx)[1]
+            sizes.clear()
+            got = _meet_closure(gens)
+            assert max(sizes) <= max(chunk, gens.size)
+            assert len(got) == len(extents)
+            assert np.array_equal(_unique_rows(got), extents)
+            assert _families(_restrict(ctx, list(range(len(ctx.attributes))))) == families
+
+    def test_overflow_lattice_budget(self, monkeypatch):
+        # rows of 64 Boolean entries have no int64 key: the byte closure
+        # checks the same budget
+        from mafre import algebra
+
+        ctx = random_context(random.Random(14), builtin_frame(["godel"], 1), 3, 64)
+        assert _key_places(_generators(ctx)[1])[1] is None
+        size = len(build_concept_lattice(_restrict(ctx, [0, 1, 2])))
+        assert size > 1
+        monkeypatch.setattr(algebra, "MAX_ENTRIES", size * 64 - 1)
+        with pytest.raises(
+            BudgetExceededError,
+            match=f"^a concept lattice of at least {size} extents over 64 objects"
+            f" needs {size * 64} entries, exceeds budget {size * 64 - 1}$",
+        ):
+            build_concept_lattice(ctx)
+        monkeypatch.setattr(algebra, "MAX_ENTRIES", size * 64)
+        assert len(build_concept_lattice(ctx)) == size
+
+    def test_families_hold_no_generator_cube(self):
+        # 776 generators over 10 objects: the minima above each generator are
+        # taken in chunks, below one |gens|^2 x |B| bool array (taken at once,
+        # they filled an int64 array of that shape)
+        ctx = random_context(random.Random(15), builtin_frame(["godel"], 99), 10, 10)
+        gens = _generators(ctx)[1]
+        assert len(gens) == 776
+        tracemalloc.start()
+        try:
+            families = _families(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gens.size * len(gens)
+        assert families and all(families)
+
+
 def _cover_oracle(rows):
     """The cover pairs (lower, upper) of the extent order, ascending, as
     ``less & ~reach2`` from an int64 matrix product."""
@@ -456,6 +584,14 @@ def _cover_oracle(rows):
     reach2 = (less.astype(np.int64) @ less.astype(np.int64)) > 0
     i, j = np.nonzero(less & ~reach2)
     return list(zip(i.tolist(), j.tolist()))
+
+
+def _subset_meets(gens):
+    """The componentwise minima of every non-empty subset of ``gens``,
+    distinct and sorted: the oracle of ``_meet_closure``."""
+    subsets = range(1, 2 ** len(gens))
+    meets = [gens[[i for i in range(len(gens)) if s >> i & 1]].min(axis=0) for s in subsets]
+    return np.unique(np.array(meets), axis=0)
 
 
 def _some_context(rng, frame, kind, na, nb):
