@@ -2,11 +2,11 @@
 
 The possibility/necessity operators and the lattice construction work in
 numerator space: every adjoint triple is compiled to integer lookup tables, so
-batched numpy evaluation stays exact.  The lattice engine handles each
-extent row as one int64 key in base n + 1 (``_key_places``) wherever the
-keys fit: the meet closure deduplicates and looks up keys by sorting and
-binary search, and the cover relation numbers each cover by a key lookup;
-rows too wide to key go through bytes and the extent index instead.  Every
+batched numpy evaluation stays exact.  The lattice engine sorts, deduplicates
+and looks up extent rows through one sortable key per row, ``_row_keys``: an
+int64 in base n + 1 where it fits, else the row's bytes.  The meet closure
+is an attribute-by-attribute product of the generator chains, and the cover
+relation numbers each cover by binary search among the extent keys.  Every
 lower cover, of the Hasse diagram, of ``predecessors`` and of the solver,
 comes from one rule, ``_lower_covers``: |A| candidate meets per extent, the
 maximal ones kept.  A lattice build stops with BudgetExceededError once its
@@ -223,50 +223,46 @@ class Concept:
     intent: FuzzySet
 
 
-def _key_places(rows: np.ndarray) -> tuple:
-    """``(radix, place)`` for the rows of a non-empty 2-D integer array:
-    radix = max + 1, and ``rows @ place`` is one int64 key per row in base
-    radix, first column most significant, so equal keys are equal rows and
-    the keys order as the rows do lexicographically.  ``place`` is None when
-    an entry is negative or the largest key, radix^k - 1 (k columns), would
-    not fit in int64."""
-    radix, k = int(rows.max()) + 1, rows.shape[1]
-    if rows.min() < 0 or radix**k > 2**63:
-        return radix, None
-    return radix, np.array([radix**e for e in range(k - 1, -1, -1)], dtype=np.int64)
+def _row_keys(rows: np.ndarray, radix: int | None = None) -> np.ndarray:
+    """One sortable key per row of a non-empty 2-D int64 array: equal keys
+    are equal rows, and the keys order as the rows do lexicographically, so
+    ``np.sort``, ``np.argsort`` and ``np.searchsorted`` act on rows through
+    them.  This is the only place that decides how a row becomes a key.
+
+    The key is an int64 in base ``radix``, first column most significant,
+    where no entry is negative and the largest key, radix^k - 1 (k columns),
+    fits.  ``radix`` is max + 1 unless the caller knows a bound (then every
+    entry must lie in 0..radix-1).  Otherwise it is a ``np.void`` over the
+    row's big-endian bytes: two per entry in 0..65535, else eight per entry
+    with the sign bit flipped, so the bytes compare as the signed entries do.
+    """
+    k = rows.shape[1]
+    low, high = (int(rows.min()), int(rows.max())) if radix is None else (0, radix - 1)
+    radix = high + 1
+    if low >= 0 and radix**k <= 2**63:
+        return rows @ np.array([radix**e for e in range(k - 1, -1, -1)], dtype=np.int64)
+    if low >= 0 and high <= 0xFFFF:
+        raw = rows.astype(">u2", order="C")
+    else:
+        raw = (rows.view(np.uint64) ^ np.uint64(1 << 63)).astype(">u8", order="C")
+    return raw.view(np.dtype((np.void, raw.itemsize * k))).ravel()
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-D array, ascending: one sort and a mask of
-    the entries that differ from their left neighbour."""
-    keys = np.sort(keys)
-    fresh = np.empty(len(keys), dtype=bool)
-    fresh[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    return keys[fresh]
-
-
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D integer array in lexicographic order.
-
-    Equal to ``np.unique(rows, axis=0)``.  Rows that ``_key_places`` can key
-    are ordered by their keys (equal keys are equal rows, so any sort kind
-    gives the same result); otherwise ``np.lexsort`` sorts the columns.
+def _unique_rows(rows: np.ndarray, radix: int | None = None) -> np.ndarray:
+    """The distinct rows of a 2-D int64 array in lexicographic order, equal
+    to ``np.unique(rows, axis=0)``: the rows ordered by their ``_row_keys``
+    (``radix`` as there), and those whose key differs from the one before.
+    Equal keys are equal rows, so any sort kind gives the same result.
     """
     if len(rows) < 2 or not rows.shape[1]:
         return rows[:1]
+    keys = _row_keys(rows, radix)
+    order = np.argsort(keys)
+    keys = keys[order]
     fresh = np.empty(len(rows), dtype=bool)
     fresh[0] = True
-    place = _key_places(rows)[1]
-    if place is not None:
-        keys = rows @ place
-        order = np.argsort(keys)
-        keys = keys[order]
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        return rows[order[fresh]]
-    rows = rows[np.lexsort(rows.T[::-1])]
-    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
-    return rows[fresh]
+    fresh[1:] = keys[1:] != keys[:-1]  # no void loop for np.not_equal(out=)
+    return rows.take(order[fresh], axis=0)
 
 
 def _grid(n: int, k: int):
@@ -334,66 +330,46 @@ def _lower_covers(ctx: Context, extents: np.ndarray, intents: np.ndarray) -> tup
     return candidates, marked & ~above.any(axis=2)
 
 
-def _meet_closure(gens: np.ndarray) -> np.ndarray:
-    """Every componentwise minimum of a non-empty subset of the distinct rows
-    ``gens``.
+def _meet_closure(chains: np.ndarray) -> np.ndarray:
+    """The extents, sorted, from the (|A|, n+1, |B|) generator rows of
+    ``_generators``.
 
-    Semi-naive: each round meets the rows first found in the previous round
-    with every generator, in chunks of at most ``_CHUNK`` meet entries, and
-    keeps the unseen results; it stops when a round finds nothing new.  Rows
-    are handled as their ``_key_places`` keys: a chunk's meets are summed
-    from per-column minima of place-scaled digits, deduplicated by a sort,
-    and looked up among the sorted keys seen so far with ``np.searchsorted``;
-    only the new keys are decoded to rows.  The result is sorted.  Where the
-    keys would overflow int64, ``_byte_closure`` runs instead.  Once a chunk
-    leaves more than ``MAX_ENTRIES`` entries in the rows found, it raises
-    BudgetExceededError.
+    Each attribute's rows (top except a:k)^down, k = 0..n, form a chain: they
+    increase with k up to top, so equal rows adjoin and the distinct ones are
+    sorted.  Every extent is the meet of one row per attribute, so the
+    closure is an attribute-by-attribute product: L_1 holds the distinct rows
+    of chain 1 (L_0 = {top} with no attributes), and L_a the distinct meets
+    of the rows of L_(a-1) with those of chain a, found in chunks of at most
+    ``_CHUNK`` meet entries.  That is |A| rounds with no lookup against the
+    rows found before.  Each chunk is deduplicated on its own, and the rows
+    found in a round again whenever they have doubled since the last time,
+    and at its end.  L_a is the extent set of the context restricted to its
+    first a attributes, never larger than the lattice, so once a
+    deduplication leaves more than ``MAX_ENTRIES`` entries the lattice has
+    as many: BudgetExceededError.  The keys have radix n + 1, one more than
+    the largest entry (top's).
     """
-    nb = gens.shape[1]
-    radix, place = _key_places(gens)
-    step = max(1, _CHUNK // (len(gens) * nb))
-    if place is None:
-        return _byte_closure(gens, step)
-    place = place[:, None]
-    scaled = gens.T * place  # [column, generator]
-    seen = np.sort(scaled.sum(axis=0))
-    new = scaled
-    while new.shape[1]:
-        fresh = []
-        for start in range(0, new.shape[1], step):
-            meets = np.minimum(new[:, start : start + step, None], scaled[:, None, :])
-            keys = _distinct(meets.sum(axis=0).ravel())
-            at = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
-            keys = keys[seen[at] != keys]
-            seen = np.sort(np.concatenate([seen, keys]))
-            fresh.append(keys)
-            _check_extents(len(seen), nb)
-        new = np.concatenate(fresh) // place % radix * place
-    return (seen // place % radix).T
-
-
-def _byte_closure(gens: np.ndarray, step: int) -> np.ndarray:
-    """``_meet_closure`` for rows whose keys would overflow int64, ``step``
-    rows to a chunk: membership is keyed by the bytes of a row, which cannot
-    overflow."""
-    nb = gens.shape[1]
-    width = nb * gens.itemsize
-    seen = {gens[i].tobytes() for i in range(len(gens))}
-    found, new = [gens], gens
-    while len(new):
-        fresh = []
-        for start in range(0, len(new), step):
-            meets = np.minimum(new[start : start + step, None, :], gens[None, :, :])
-            meets = _unique_rows(meets.reshape(-1, nb))
-            raw = meets.tobytes()
-            keys = [raw[i : i + width] for i in range(0, len(raw), width)]
-            unseen = np.fromiter((key not in seen for key in keys), bool, len(keys))
-            seen.update(keys)
-            fresh.append(meets[unseen])
-            _check_extents(len(seen), nb)
-        new = np.concatenate(fresh, axis=0)
-        found.append(new)
-    return np.concatenate(found, axis=0)
+    nb = chains.shape[2]
+    radix = int(chains.max(initial=chains.shape[1] - 1)) + 1
+    distinct = np.ones(chains.shape[:2], dtype=bool)
+    distinct[:, :-1] = (chains[:, 1:] != chains[:, :-1]).any(axis=2)
+    rounds = [chain[keep] for chain, keep in zip(chains, distinct)]
+    found = rounds[0] if rounds else np.full((1, nb), radix - 1, dtype=np.int64)
+    for chain in rounds[1:]:
+        step = max(1, _CHUNK // chain.size)
+        parts, pending, kept = [], 0, len(found)
+        for start in range(0, len(found), step):
+            meets = np.minimum(found[start : start + step, None, :], chain)
+            parts.append(_unique_rows(meets.reshape(-1, nb), radix))
+            pending += len(parts[-1])
+            if pending >= 2 * kept or start + step >= len(found):
+                if len(parts) > 1:
+                    parts = [np.concatenate(parts)]  # frees the chunks before the sort
+                    parts = [_unique_rows(parts[0], radix)]
+                pending = kept = len(parts[0])
+                _check_extents(kept, nb)
+        found = parts[0]
+    return found
 
 
 def _check_extents(count: int, nb: int) -> None:
@@ -430,11 +406,11 @@ class ConceptLattice:
     def _cover_pairs(self) -> np.ndarray:
         """The (lower, upper) concept indices of every cover pair, ascending.
 
-        ``_lower_covers`` gives each extent's covers as rows.  Each row's
-        concept index is found by ``np.searchsorted`` among the sorted extent
-        keys (``_key_places``), or, where the keys would overflow int64, in
-        ``_index``; the pairs, one int64 key each, are deduplicated by a
-        sort.  The candidates and their comparisons hold
+        ``_lower_covers`` gives each extent's covers as rows.  The extents
+        and those rows are keyed by ``_row_keys`` with the same radix, n + 1,
+        so both get the same encoding, and each row's concept index is found
+        by ``np.searchsorted`` among the sorted extent keys; the pairs are
+        deduplicated as rows.  The candidates and their comparisons hold
         N x |A| x max(|A|, |B|) entries.
         """
         rows = self.extent_rows
@@ -445,14 +421,9 @@ class ConceptLattice:
         )
         candidates, covers = _lower_covers(self.context, rows, self.intent_rows)
         upper = np.nonzero(covers)[0]
-        place = _key_places(rows)[1]
-        if place is None:
-            lower = [self._index[row] for row in map(tuple, candidates[covers].tolist())]
-            lower = np.array(lower, dtype=np.int64)
-        else:
-            lower = np.searchsorted(rows @ place, (candidates @ place)[covers])
-        keys = _distinct(lower * len(rows) + upper)
-        return np.stack(np.divmod(keys, len(rows)), axis=1)
+        radix = self.context.frame.granularity + 1
+        lower = np.searchsorted(_row_keys(rows, radix), _row_keys(candidates[covers], radix))
+        return _unique_rows(np.stack([lower, upper], axis=1), len(rows))
 
     def __len__(self):
         return len(self.extent_rows)
@@ -498,12 +469,13 @@ def build_concept_lattice(ctx: Context) -> ConceptLattice:
     The necessity operator preserves infima, and every attribute set f is the
     meet over a of (top except a:f(a)).  So the extents are exactly the
     meet-closure of the |A|(n+1) generator extents (top except a:k)^down,
-    which include top; the closure is found semi-naively and costs time in
-    proportion to the number of extents times the generators, not to the
-    (n+1)^|B| object sets.  The result is cached on the context.
+    which include top; ``_meet_closure`` takes it one attribute's chain at a
+    time and costs time in proportion to the number of extents times the
+    n + 1 rows of a chain, not to the (n+1)^|B| object sets.  The result is
+    cached on the context.
     """
     if ctx._lattice is None:
-        ctx._lattice = ConceptLattice(ctx, _meet_closure(_generators(ctx)[1]))
+        ctx._lattice = ConceptLattice(ctx, _meet_closure(_generators(ctx)[0]))
     return ctx._lattice
 
 

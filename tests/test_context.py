@@ -26,11 +26,11 @@ from mafre.context import (
     Context,
     _families,
     _generators,
-    _key_places,
     _leq,
     _lower_covers,
     _meet_closure,
     _restrict,
+    _row_keys,
     _unique_rows,
 )
 from mafre.dual import DualContext
@@ -299,18 +299,11 @@ class TestLatticeEngine:
                     assert np.array_equal(got.extent_rows, expected.extent_rows)
                     assert got.covers() == expected.covers()
 
-    def test_unique_rows_equals_numpy_unique(self, monkeypatch):
-        from mafre import context as context_mod
-
-        lexsorts = []
-        lexsort = np.lexsort
-        monkeypatch.setattr(
-            context_mod.np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys)
-        )
+    def test_unique_rows_equals_numpy_unique(self):
         rng = np.random.default_rng(3)
         # (count, width, high, low, keyed): the rows are drawn from low..high-1;
-        # they are keyed in base radix = max + 1 when radix^width <= 2^63 and
-        # no entry is negative, else lexsorted
+        # they are keyed by an int64 in base radix = max + 1 when
+        # radix^width <= 2^63 and no entry is negative, else by their bytes
         cases = (
             (300, 1, 2, 0, True),  # one column
             (300, 3, 4, 0, True),
@@ -325,13 +318,12 @@ class TestLatticeEngine:
         for count, width, high, low, keyed in cases:
             rows = rng.integers(low, high, size=(count, width))
             rows[0, 0], rows[-1, -1] = high - 1, low  # the radix and sign of the case
-            lexsorts.clear()
-            assert np.array_equal(context_mod._unique_rows(rows), np.unique(rows, axis=0))
-            assert lexsorts == ([] if keyed else [1])
+            assert np.array_equal(_unique_rows(rows), np.unique(rows, axis=0))
+            assert _row_keys(rows).dtype.kind == ("i" if keyed else "V")
         # no rows, one row, all rows equal, no columns
         for shape in ((0, 2), (1, 3), (50, 4), (4, 0)):
             rows = np.full(shape, 7)
-            assert np.array_equal(context_mod._unique_rows(rows), np.unique(rows, axis=0))
+            assert np.array_equal(_unique_rows(rows), np.unique(rows, axis=0))
 
     @settings(deadline=None)
     @given(
@@ -356,7 +348,7 @@ class TestLatticeEngine:
                 assert lat.extent_rows.tolist() == [[5, 5, 5]]
                 assert lat.covers() == []
 
-    def test_large_context_covers_match_int64_product(self):
+    def test_large_context_matches_exhaustive_lattice_and_cover_oracle(self):
         ctx = random_context(
             random.Random(61), builtin_frame(["sq-left", "sq-right", "godel"], 9), 6, 4
         )
@@ -455,34 +447,22 @@ class TestLatticeEngine:
     KEY_BOUNDARY = [(1, 63, True), (1, 64, False), (2, 39, True), (2, 40, False)]
 
     @pytest.mark.parametrize("n, nb, keyed", KEY_BOUNDARY)
-    def test_key_boundary(self, n, nb, keyed, monkeypatch):
-        # keyed rows are closed and mapped to covers by np.searchsorted over
-        # int64 keys; rows beyond int64 by bytes and by ``_index``
-        from mafre import context as context_mod
-
-        searches = []
-        searchsorted = np.searchsorted
-        monkeypatch.setattr(
-            context_mod.np,
-            "searchsorted",
-            lambda *args: searches.append(1) or searchsorted(*args),
-        )
+    def test_key_boundary(self, n, nb, keyed):
+        # keyed rows are int64 keys, rows beyond int64 byte keys; the closure
+        # and the cover map run the same code on both
         rng = random.Random(100 * n + nb)
         frame = builtin_frame(["godel"], n)
         for na in (1, 2, 3, 3):
             ctx = random_context(rng, frame, na, nb)
-            gens = _generators(ctx)[1]
-            searches.clear()
-            extents = _meet_closure(gens)
-            assert bool(searches) == keyed
+            chains, gens = _generators(ctx)
+            assert _row_keys(gens).dtype.kind == ("i" if keyed else "V")
+            extents = _meet_closure(chains)
             expected = _subset_meets(gens)
             assert len(extents) == len(expected)
-            assert np.array_equal(extents if keyed else _unique_rows(extents), expected)
+            assert np.array_equal(extents, expected)
             lat = ConceptLattice(ctx, extents)
-            searches.clear()
             assert lat.covers() == _cover_oracle(lat.extent_rows)
-            assert bool(searches) == keyed
-            assert ("_index" in vars(lat)) != keyed
+            assert "_index" not in vars(lat)
 
     @settings(deadline=None)
     @given(
@@ -495,18 +475,20 @@ class TestLatticeEngine:
         )
     )
     def test_meet_closure_property(self, gens):
-        # widths up to 70 cross the int64 key boundary at every n <= 9
-        gens = _unique_rows(gens)
-        extents = _meet_closure(gens)
-        expected = _subset_meets(gens)
+        # widths up to 70 cross the int64 key boundary at every n <= 9; the
+        # chains [g, colmax] meet to the meets of gens and colmax
+        colmax = gens.max(axis=0)
+        chains = np.stack([gens, np.broadcast_to(colmax, gens.shape)], axis=1)
+        extents = _meet_closure(chains)
+        expected = _subset_meets(np.concatenate([gens, colmax[None, :]]))
         assert len(extents) == len(expected)
-        keyed = _key_places(gens)[1] is not None
-        assert np.array_equal(extents if keyed else _unique_rows(extents), expected)
+        assert np.array_equal(extents, expected)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_chunk_size_changes_nothing(self, chunk, monkeypatch):
-        # one chunk of meets holds at most _CHUNK entries, or one row's
-        # |gens| x |B|; the closure and the families do not depend on it
+        # one chunk of meets holds at most _CHUNK entries, or one row's meets
+        # with a chain, at most |gens| x |B|; the closure and the families do
+        # not depend on it
         from mafre import context as context_mod
 
         rng = random.Random(17)
@@ -520,9 +502,7 @@ class TestLatticeEngine:
                 (["godel"], 1, 3, 70),
             )
         ]
-        expected = [
-            (_unique_rows(_meet_closure(_generators(c)[1])), _families(c)) for c in contexts
-        ]
+        expected = [(_meet_closure(_generators(c)[0]), _families(c)) for c in contexts]
         sizes = []
         minimum = np.minimum
         monkeypatch.setattr(context_mod, "_CHUNK", chunk)
@@ -532,21 +512,21 @@ class TestLatticeEngine:
             lambda *args: sizes.append(np.broadcast(*args).size) or minimum(*args),
         )
         for ctx, (extents, families) in zip(contexts, expected):
-            gens = _generators(ctx)[1]
+            chains, gens = _generators(ctx)
             sizes.clear()
-            got = _meet_closure(gens)
+            got = _meet_closure(chains)
             assert max(sizes) <= max(chunk, gens.size)
             assert len(got) == len(extents)
-            assert np.array_equal(_unique_rows(got), extents)
+            assert np.array_equal(got, extents)
             assert _families(_restrict(ctx, list(range(len(ctx.attributes))))) == families
 
     def test_overflow_lattice_budget(self, monkeypatch):
-        # rows of 64 Boolean entries have no int64 key: the byte closure
-        # checks the same budget
+        # rows of 64 Boolean entries have no int64 key: the closure checks
+        # the same budget on rows keyed by their bytes
         from mafre import algebra
 
         ctx = random_context(random.Random(14), builtin_frame(["godel"], 1), 3, 64)
-        assert _key_places(_generators(ctx)[1])[1] is None
+        assert _row_keys(_generators(ctx)[1]).dtype.kind == "V"
         size = len(build_concept_lattice(_restrict(ctx, [0, 1, 2])))
         assert size > 1
         monkeypatch.setattr(algebra, "MAX_ENTRIES", size * 64 - 1)
