@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .context import _values, enumerate_reducts
+from .context import _values, enumerate_reducts, is_consistent
 from .errors import InfeasibleReductError, NotAReductError
 from .fre import (
     FreInstance,
@@ -30,9 +30,12 @@ from .fre import (
 
 
 def _require_reduct(fre: FreInstance, Y) -> tuple:
-    Y = tuple(Y)
-    reducts = {frozenset(r) for r in enumerate_reducts(associated_context(fre))}
-    if frozenset(Y) not in reducts:
+    """Y when it is consistent and no Y - {y} is: a reduct, no list built."""
+    Y, ctx = tuple(Y), associated_context(fre)
+    wanted = frozenset(Y)
+    if not wanted <= set(ctx.attributes) or not is_consistent(ctx, wanted) or any(
+        is_consistent(ctx, wanted - {y}) for y in wanted
+    ):
         raise NotAReductError(f"{sorted(Y)} is not a reduct of the associated context")
     return Y
 
@@ -147,7 +150,7 @@ class DiagnosisReport:
     infeasible_reducts: tuple
     notable_threshold: int
 
-    @property
+    @cached_property
     def feasible(self) -> tuple:
         """Per feasible reduct, its changes as (row, column, old, new, steps,
         severity): notable above ``notable_threshold`` steps, else slight."""

@@ -14,12 +14,12 @@ kept alongside as an independent oracle.
 Each solver call makes one closure pass over all rhs columns; an unsolvable
 instance raises UnsolvableError carrying the gap as numerators.  Columns with
 the same maximum share its predecessors, one JSON body and, when listed, its
-box and minimal solutions, found together.  A count alone sweeps no box when
-there are no predecessors or twice as many box rows as predecessor subsets:
-it is then an inclusion-exclusion sum of box sizes over those subsets, which
-holds fewer rows than the box.  The box sweep, the minimal rows and the
-inclusion-exclusion each check the largest array they are about to allocate
-against ``algebra.MAX_ENTRIES`` and raise BudgetExceededError above it.
+solutions and minimal ones, read off one boolean grid over the box.  A count
+alone sweeps no box when there are no predecessors or twice as many box rows
+as predecessor subsets: it is then an inclusion-exclusion sum of box sizes
+over those subsets, which holds fewer rows than the box.  The listing and the
+inclusion-exclusion raise BudgetExceededError before allocating an array
+above ``algebra.MAX_ENTRIES`` entries.
 
 An instance is its checked associated context plus one rhs numerator array.
 Derived instances (reduced, repaired, the transposed primal of a dual one)
@@ -44,7 +44,6 @@ from .context import (
     FuzzySet,
     _conj_tables,
     _grid,
-    _leq,
     _lower_covers,
     _matrix,
     _names,
@@ -339,43 +338,40 @@ class SolutionSet:
         }
 
 
-def _box_and_filter(max_row: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
-    """All numerator vectors below ``max_row`` not below any predecessor, in
-    lexicographic order.  The box holds rows x |V| entries and its
-    comparisons with the predecessors rows x |P|."""
-    free = np.flatnonzero(max_row)  # the other coordinates are 0 in every row
+def _box(max_row: np.ndarray, pred_rows: np.ndarray) -> tuple:
+    """(free, grid): the coordinates where ``max_row`` is positive (the
+    others are 0 below it) and a boolean grid, one axis per free coordinate,
+    with each predecessor's down-set, a corner, cleared by one slice (slices
+    clip: it need not lie below the maximum).  Budget: rows x |V| entries."""
+    free = np.flatnonzero(max_row)
     sides = (max_row[free] + 1).tolist()
     rows, nv, k = math.prod(sides), len(max_row), len(pred_rows)
     _check_entries(
-        rows * max(nv, k),
+        rows * nv,
         f"sweeping a solution box of {rows} rows over {nv} unknowns and {k} predecessors",
     )
-    box = np.zeros((rows, nv), dtype=np.int64)
-    grid = box.reshape(*sides, nv)  # a view, one axis per free coordinate
-    for v, axis in zip(free.tolist(), np.indices(sides, dtype=np.int64, sparse=True)):
-        grid[..., v] = axis
-    if len(pred_rows):
-        box = box[~_leq(box, pred_rows).any(axis=1)]
-    return box
+    grid = np.ones(sides, dtype=bool)
+    for p in pred_rows[:, free].tolist():
+        grid[tuple(slice(0, c + 1) for c in p)] = False
+    return free, grid
 
 
-def _minimal_rows(rows: np.ndarray, pred_rows: np.ndarray) -> np.ndarray:
-    """The minimal elements of ``rows``, the box minus predecessor down-sets.
+def _listing(max_row: np.ndarray, pred_rows: np.ndarray) -> tuple:
+    """(rows, minimal) below ``max_row`` and no predecessor, lexicographic
+    (``np.argwhere`` walks the grid in C order).  The solutions are an up-set
+    of the box: one is minimal iff no cell one step below it is one."""
+    free, grid = _box(max_row, pred_rows)
+    lower = np.zeros_like(grid)
+    for axis in range(grid.ndim):
+        head = (slice(None),) * axis
+        lower[head + (slice(1, None),)] |= grid[head + (slice(None, -1),)]
 
-    That set is an up-set of the box, so a row is minimal iff lowering any
-    positive entry by one step lands below some predecessor.  Every row is
-    lowered in every coordinate at once, rows x |V| x |V| entries, and those
-    rows are compared with the predecessors, rows x |V| x |P|.
-    """
-    nv, k = rows.shape[1], len(pred_rows)
-    _check_entries(
-        len(rows) * nv * max(nv, k),
-        f"finding the minimal ones of {len(rows)} solutions over {nv} unknowns"
-        f" and {k} predecessors",
-    )
-    lowered = rows[:, None, :] - np.eye(nv, dtype=np.int64)  # [row, v]
-    below = _leq(lowered.reshape(-1, nv), pred_rows).any(axis=1).reshape(-1, nv)
-    return rows[(below | (rows == 0)).all(axis=1)]
+    def rows(cells):
+        out = np.zeros((np.count_nonzero(cells), len(max_row)), dtype=np.int64)
+        out[:, free] = np.argwhere(cells)
+        return out
+
+    return rows(grid), rows(grid & ~lower)
 
 
 def _inclusion_exclusion(max_row: np.ndarray, pred_rows: np.ndarray) -> int:
@@ -412,14 +408,14 @@ def _count(max_row: np.ndarray, pred_rows: np.ndarray) -> int:
 
     Inclusion-exclusion peaks at under 2^(|P|+1) rows of |V| entries (the
     meets of one doubling step and of the next), or one row when there are
-    no predecessors; the sweep holds the whole box, prod(m + 1) rows, and
-    its comparisons with every predecessor.  The former is taken when that
-    peak is at most the box, so it never holds more than the sweep would.
+    no predecessors; the sweep holds one boolean per box row, prod(m + 1).
+    The former is taken when that peak is at most the box, so it never holds
+    more than the sweep would.
     """
     k, size = len(pred_rows), math.prod((max_row + 1).tolist())
     if k == 0 or 2 ** (k + 1) <= size:
         return _inclusion_exclusion(max_row, pred_rows)
-    return len(_box_and_filter(max_row, pred_rows))
+    return int(np.count_nonzero(_box(max_row, pred_rows)[1]))
 
 
 def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionSet:
@@ -431,7 +427,7 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
     extent's intent, and its excluded predecessors are that extent's lower
     covers, found for every column by one ``_lower_covers`` call; no concept
     lattice is built.  With ``materialize`` the box below the maximum is
-    swept explicitly and the solutions are listed with their minimal
+    swept as one boolean grid, listing the solutions and their minimal
     elements; otherwise only the count is produced, by inclusion-exclusion
     over the predecessors when that holds fewer rows than the box, else by
     the sweep (``_count``).  Columns with equal maxima share all of this: it
@@ -450,8 +446,8 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
         if key not in solved:
             preds = _unique_rows(candidates[j][covers[j]])
             if materialize:
-                box = _box_and_filter(m, preds)
-                solved[key] = preds, len(box), box, _minimal_rows(box, preds)
+                rows, minimal = _listing(m, preds)
+                solved[key] = preds, len(rows), rows, minimal
             else:
                 solved[key] = preds, _count(m, preds), None, None
         cols.append(ColumnSolutions(w, fre.var_names, n, m, *solved[key]))

@@ -44,6 +44,37 @@ class TestFeasibility:
         with pytest.raises(NotAReductError):
             approximate_by_reduct(squares_unsolvable, ("u1", "u2", "u3", "u4"))
 
+    def test_reduct_checked_without_enumerating_reducts(self):
+        # a 4 x 4 identity at n = 2 with each row repeated 6 times: 6^4 =
+        # 1,296 reducts, more partial reducts than the search keeps; u4
+        # repeats u0 with a lower rhs, so the instance is unsolvable
+        from mafre.errors import BudgetExceededError
+
+        rows = [f"u{i}" for i in range(24)]
+        coeff = [[2 * (i % 4 == v) for v in range(4)] for i in range(24)]
+        rhs = [[2]] * 24
+        rhs[4] = [1]
+        fre = FreInstance.from_numerators(
+            builtin_frame(["godel"], 2), rows, ["v0", "v1", "v2", "v3"], ["w"],
+            coeff, [0] * 4, rhs,
+        )
+        with pytest.raises(BudgetExceededError, match="exceeds 1000 partial reducts"):
+            enumerate_reducts(associated_context(fre))
+        def changes(Y):
+            assert is_feasible_reduct(fre, Y)
+            result = approximate_by_reduct(fre, Y)
+            return {u: (a.numerator, b.numerator) for (u, _), (a, b) in result.modified_rows.items()}
+
+        assert changes(("u0", "u1", "u2", "u3")) == {"u4": (1, 2)}
+        assert changes(("u4", "u1", "u2", "u3")) == {
+            u: (2, 1) for u in ("u0", "u8", "u12", "u16", "u20")
+        }
+        for other in (("u0", "u1", "u2"), ("u0", "u1", "u2", "u3", "u4"), ("u0", "u1", "u2", "x")):
+            with pytest.raises(NotAReductError):
+                is_feasible_reduct(fre, other)
+            with pytest.raises(NotAReductError):
+                approximate_by_reduct(fre, other)
+
     def test_infeasible_reduct_refused(self, squares_unsolvable):
         with pytest.raises(InfeasibleReductError):
             approximate_by_reduct(squares_unsolvable, ("u2", "u3", "u4"))
@@ -157,6 +188,12 @@ class TestDiagnose:
         assert entry["reduct"] == ("u1", "u2", "u3")
         severities = {row: sev for row, _, _, _, _, sev in entry["modified"]}
         assert severities == {"u4": "slight", "u5": "notable"}
+
+    def test_feasible_entries_built_once(self, squares_unsolvable):
+        report = diagnose(squares_unsolvable)
+        assert report.feasible is report.feasible
+        report.render_text()
+        assert report.to_json()["feasible_reducts"][0]["reduct"] == ["u1", "u2", "u3"]
 
     def test_threshold_moves_severity(self, squares_unsolvable):
         report = diagnose(squares_unsolvable, notable_threshold=3)

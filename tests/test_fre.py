@@ -250,13 +250,11 @@ class TestEnumeration:
         from mafre import fre as fre_mod
         from conftest import SQUARES_COEFF, SQUARES_ROWS, SQUARES_SIGMA
 
-        sweeps, minimals = [], []
-        sweep, minimal = fre_mod._box_and_filter, fre_mod._minimal_rows
+        sweeps, listings = [], []
+        box, listing = fre_mod._box, fre_mod._listing
+        monkeypatch.setattr(fre_mod, "_box", lambda *a: sweeps.append(a) or box(*a))
         monkeypatch.setattr(
-            fre_mod, "_box_and_filter", lambda *a: sweeps.append(a) or sweep(*a)
-        )
-        monkeypatch.setattr(
-            fre_mod, "_minimal_rows", lambda *a: minimals.append(a) or minimal(*a)
+            fre_mod, "_listing", lambda *a: listings.append(a) or listing(*a)
         )
         rhs = [[2, 0, 2], [4, 0, 4], [0, 0, 0], [2, 0, 2], [0, 0, 0]]
         fre = FreInstance.from_numerators(
@@ -265,14 +263,13 @@ class TestEnumeration:
         )
         cols = enumerate_solutions(fre).columns
         # the minimal rows come with the listing, once per distinct maximum
-        assert len(sweeps) == len(minimals) == 2
+        assert len(sweeps) == len(listings) == 2
         assert cols[0].to_json() | {"column": "w3"} == cols[2].to_json()
-        assert len(minimals) == 2  # rendering computes nothing more
+        assert len(listings) == 2  # rendering computes nothing more
         assert cols[0].count == 2 and cols[1].count == 1
         assert cols[1].solution_rows.tolist() == [[0, 0, 0, 0, 0]]
         for col in cols:
-            box = sweep(col.max_row, col.predecessor_rows)
-            fresh = minimal(box, col.predecessor_rows)
+            fresh = listing(col.max_row, col.predecessor_rows)[1]
             assert col.minimal_rows.tolist() == fresh.tolist()
 
     def test_equal_maxima_share_minimal_rows(self, squares_frame):
@@ -425,13 +422,13 @@ class TestCount:
 
     @staticmethod
     def _sweeps(monkeypatch):
+        """The arguments of every ``_box`` call, and a count of the cells
+        that a sweep of the box keeps, which records no call."""
         from mafre import fre as fre_mod
 
-        sweeps, sweep = [], fre_mod._box_and_filter
-        monkeypatch.setattr(
-            fre_mod, "_box_and_filter", lambda *a: sweeps.append(a) or sweep(*a)
-        )
-        return sweeps, sweep
+        sweeps, box = [], fre_mod._box
+        monkeypatch.setattr(fre_mod, "_box", lambda *a: sweeps.append(a) or box(*a))
+        return sweeps, lambda *a: np.count_nonzero(box(*a)[1])
 
     @staticmethod
     def _wide(col) -> bool:
@@ -457,7 +454,7 @@ class TestCount:
             col = enumerate_solutions(fre, materialize=False).columns[0]
             assert len(sweeps) == self._wide(col)
             listed = enumerate_solutions(fre).columns[0]
-            assert col.count == len(sweep(col.max_row, col.predecessor_rows))
+            assert col.count == sweep(col.max_row, col.predecessor_rows)
             assert col.count == fre_mod._inclusion_exclusion(
                 col.max_row, col.predecessor_rows
             )
@@ -488,7 +485,7 @@ class TestCount:
             sweeps.clear()
             listed = enumerate_solutions(fre).columns
             for c, full in zip(cols, listed):
-                assert c.count == len(sweep(c.max_row, c.predecessor_rows))
+                assert c.count == sweep(c.max_row, c.predecessor_rows)
                 assert c.count == full.count
             sweeps.clear()
         assert swept >= 1
@@ -518,7 +515,7 @@ class TestCount:
         finally:
             tracemalloc.stop()
         assert len(col.predecessor_rows) == nv
-        assert col.count == 1 == len(sweep(col.max_row, col.predecessor_rows))
+        assert col.count == 1 == sweep(col.max_row, col.predecessor_rows)
         assert len(sweeps) == (n == 1)
         assert peak < (2 * box_bytes if n == 1 else box_bytes // 8)
 
@@ -563,13 +560,24 @@ class TestCount:
         top, preds = case
         max_row = np.array(top, dtype=np.int64)
         pred_rows = np.array(preds, dtype=np.int64).reshape(len(preds), len(top))
-        expected = sum(
-            not any(all(a <= b for a, b in zip(x, p)) for p in preds)
+        solutions = [
+            x
             for x in product(*(range(m + 1) for m in top))
-        )
+            if not any(all(a <= b for a, b in zip(x, p)) for p in preds)
+        ]
+        minimal = [
+            x
+            for x in solutions
+            if not any(y != x and all(b <= a for a, b in zip(x, y)) for y in solutions)
+        ]
+        expected = len(solutions)
         assert fre_mod._count(max_row, pred_rows) == expected
         assert fre_mod._inclusion_exclusion(max_row, pred_rows) == expected
-        assert len(fre_mod._box_and_filter(max_row, pred_rows)) == expected
+        assert np.count_nonzero(fre_mod._box(max_row, pred_rows)[1]) == expected
+        rows, minimal_rows = fre_mod._listing(max_row, pred_rows)
+        assert rows.shape == (expected, len(top))
+        assert rows.tolist() == [list(x) for x in solutions]
+        assert minimal_rows.tolist() == [list(x) for x in minimal]
 
     @settings(max_examples=max(300, settings().max_examples), deadline=None)
     @given(_BOX_CASES, st.integers(0, 16_000))
@@ -581,10 +589,9 @@ class TestCount:
         nv, k = len(top), len(preds)
         max_row = np.array(top, dtype=np.int64)
         pred_rows = np.array(preds, dtype=np.int64).reshape(k, nv)
-        box = fre_mod._box_and_filter(max_row, pred_rows)
         checks = [
-            (fre_mod._box_and_filter, max_row, math.prod(m + 1 for m in top) * max(nv, k)),
-            (fre_mod._minimal_rows, box, len(box) * nv * max(nv, k)),
+            (fre_mod._box, max_row, math.prod(m + 1 for m in top) * nv),
+            (fre_mod._listing, max_row, math.prod(m + 1 for m in top) * nv),
             (fre_mod._inclusion_exclusion, max_row, 2 ** (k + 1) * nv),
         ]
         with pytest.MonkeyPatch.context() as patch:
