@@ -22,7 +22,7 @@ from .context import (
     lattice_to_dot,
 )
 from .errors import BudgetExceededError, MafreError, UnsolvableError
-from .io import ProblemFileError, _dumps, load_problem, problem_from_instance
+from .io import ProblemFileError, _dumps, _Records, load_problem, problem_from_instance
 
 
 class ExitStatus(enum.IntEnum):
@@ -112,19 +112,18 @@ def _solve(args, instance, solutions_of, closure, part, counted) -> int:
     try:
         solutions = solutions_of(instance, materialize=args.enumerate)
     except UnsolvableError as exc:
-        gap = exc.gap_rows
+        # the JSON gap is written from the error's columns; only the text
+        # reads them as entries
         payload = lambda: {
             "solvable": False,
-            "gap": [
-                {"row": u, "column": w, "stated": old, "closed": new}
-                for u, w, old, new in gap
-            ],
+            "gap": _Records(("row", "column", "stated", "closed"), exc.gap_columns),
         }
 
         def text():
             dec = _decimals(n)
             return f"unsolvable; rhs vs {closure}:\n" + "\n".join(
-                f"  {u}[{w}]: {dec[old]} -> {dec[new]}" for u, w, old, new in gap
+                f"  {u}[{w}]: {dec[old]} -> {dec[new]}"
+                for u, w, old, new in exc.gap_rows
             )
 
         _emit(args, payload, text)
@@ -280,12 +279,7 @@ def cmd_lattice(args) -> int:
         _print(lattice_to_dot(lat, include_intents=args.intents))
     elif problem.orientation == "primal":
         payload = lambda: {
-            "concepts": [
-                {"extent": extent, "intent": intent}
-                for extent, intent in zip(
-                    lat.extent_rows.tolist(), lat.intent_rows.tolist()
-                )
-            ]
+            "concepts": _Records(("extent", "intent"), (lat.extent_rows, lat.intent_rows))
         }
         _emit(args, payload, lambda: f"{len(lat)} concepts")
     else:

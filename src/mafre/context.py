@@ -116,12 +116,27 @@ def _sigma(sigma, n_rows: int, n_cols: int, frame: Frame) -> np.ndarray:
     return _matrix(sigma, n_rows, n_cols, "sigma", last)
 
 
+def _nested(sigma) -> bool:
+    """Whether an entry of a per-object ``sigma`` is a row (tuple, list or
+    array) rather than one triple index: one test per entry type."""
+    return any(issubclass(t, (tuple, list, np.ndarray)) for t in {*map(type, sigma)})
+
+
 def _names(names, what: str) -> tuple:
     """``names`` as a tuple; duplicates would make name lookups ambiguous."""
     names = tuple(names)
     if len(set(names)) != len(names):
         raise DimensionError(f"{what} contain duplicates")
     return names
+
+
+def _context_names(attributes, objects) -> tuple:
+    """The attribute and object names of a context, checked; a context
+    needs at least one object."""
+    attributes, objects = _names(attributes, "attributes"), _names(objects, "objects")
+    if not objects:
+        raise DimensionError("objects must be non-empty")
+    return attributes, objects
 
 
 def _conj_tables(frame: Frame) -> np.ndarray:
@@ -141,14 +156,15 @@ class Context:
     """
 
     def __init__(self, frame: Frame, attributes, objects, relation, sigma):
-        self.frame = frame
-        self.attributes = _names(attributes, "attributes")
-        self.objects = _names(objects, "objects")
-        if not self.objects:
-            raise DimensionError("objects must be non-empty")
-        na, nb = len(self.attributes), len(self.objects)
-        self._R = _matrix(relation, na, nb, "relation", frame.granularity)
-        self._SIG = _sigma(sigma, na, nb, frame)
+        attributes, objects = _context_names(attributes, objects)
+        R = _matrix(relation, len(attributes), len(objects), "relation", frame.granularity)
+        self._build(frame, attributes, objects, R, sigma)
+
+    def _build(self, frame: Frame, attributes: tuple, objects: tuple, R: np.ndarray, sigma):
+        """Set the context up from checked names and the checked relation
+        array ``R``; ``sigma`` is checked here."""
+        self.frame, self.attributes, self.objects, self._R = frame, attributes, objects, R
+        self._SIG = _sigma(sigma, len(attributes), len(objects), frame)
         self._CT = _conj_tables(frame)
         self._RT = np.stack([t._tables[2] for t in frame.triples])
         self._gens = self._lattice = self._families = self._reducts = None
@@ -390,9 +406,15 @@ class ConceptLattice:
     the cover pairs, from ``_lower_covers``.
     """
 
-    def __init__(self, context: Context, extent_rows: np.ndarray):
+    def __init__(self, context: Context, extent_rows: np.ndarray, *, presorted: bool = False):
         self.context = context
-        self.extent_rows = _unique_rows(np.asarray(extent_rows, dtype=np.int64))
+        # rows from other callers are normalized; ``presorted`` rows (those
+        # of ``_meet_closure``) are distinct and sorted already
+        self.extent_rows = (
+            extent_rows
+            if presorted
+            else _unique_rows(np.asarray(extent_rows, dtype=np.int64))
+        )
 
     @cached_property
     def intent_rows(self) -> np.ndarray:
@@ -475,7 +497,7 @@ def build_concept_lattice(ctx: Context) -> ConceptLattice:
     cached on the context.
     """
     if ctx._lattice is None:
-        ctx._lattice = ConceptLattice(ctx, _meet_closure(_generators(ctx)[0]))
+        ctx._lattice = ConceptLattice(ctx, _meet_closure(_generators(ctx)[0]), presorted=True)
     return ctx._lattice
 
 

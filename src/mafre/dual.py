@@ -41,10 +41,12 @@ from .approx import ApproximationResult, approximate_by_reduct, find_feasible_re
 from .context import (
     Context,
     FuzzySet,
+    _context_names,
     _conj_tables,
     _grid,
     _matrix,
     _names,
+    _nested,
     _restrict,
     _values,
     is_consistent,
@@ -80,9 +82,11 @@ class DualContext(Context):
     def __init__(self, frame: Frame, variables, columns, relation, sigma):
         variables, columns, sigma = tuple(variables), tuple(columns), tuple(sigma)
         S = _matrix(relation, len(variables), len(columns), "relation", frame.granularity)
-        if len(sigma) != len(variables) or any(map(np.ndim, sigma)):
+        if len(sigma) != len(variables) or _nested(sigma):
             raise DimensionError("sigma must assign one triple per variable")
-        super().__init__(frame.opposite(), columns, variables, S.T, sigma)
+        columns, variables = _context_names(columns, variables)
+        # S is checked: its transpose is the relation, with no second check
+        self._build(frame.opposite(), columns, variables, S.T, sigma)
 
     @property
     def variables(self) -> tuple:
@@ -191,18 +195,16 @@ def dual_is_solution(dfre: DualFreInstance, X) -> bool:
     return dual_compose(dfre.frame, X, dfre.coeff, dfre.sigma) == dfre.rhs
 
 
-def _dual_gap(gap) -> list:
-    """A gap of the transposed primal, as (row, column, stated, closed) entries."""
-    return [(u, w, old, new) for w, u, old, new in gap]
-
-
 def _dual_unsolvable(exc: UnsolvableError, message: str) -> UnsolvableError:
-    """``exc`` of the transposed primal, read as one of the dual instance."""
-    return UnsolvableError(message, _dual_gap(exc.gap_rows), exc.granularity)
+    """``exc`` of the transposed primal, read as one of the dual instance:
+    the primal's rows are the dual columns and its columns the dual rows."""
+    cols, rows, stated, closed = exc.gap_columns
+    return UnsolvableError(message, (rows, cols, stated, closed), exc.granularity)
 
 
 def dual_solvability_gap(dfre: DualFreInstance):
-    return _dual_gap(solvability_gap(dfre.transposed()))
+    """Entries (u, w, stated, closed) where T differs from its closure."""
+    return [(u, w, old, new) for w, u, old, new in solvability_gap(dfre.transposed())]
 
 
 def dual_is_solvable(dfre: DualFreInstance) -> bool:

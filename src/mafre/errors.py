@@ -2,6 +2,8 @@
 
 from functools import cached_property
 
+import numpy as np
+
 
 class MafreError(Exception):
     """Base class for all library errors."""
@@ -49,21 +51,31 @@ class InconsistentSetError(MafreError):
 class UnsolvableError(MafreError):
     """The equation admits no solution.
 
-    ``gap_rows`` lists (row, column, stated, closed) for every entry where the
-    right-hand side differs from its interior, with the values as numerators
-    over ``granularity``; ``gap`` is the same list with GranularValues, built
-    on first read by ``fre._gap_values``.
+    ``gap_columns`` holds the entries where the right-hand side differs from
+    its interior column by column: the list of their row names, the list of
+    their column names, and the int64 arrays of their stated and closed
+    numerators over ``granularity``.  ``gap_rows`` lists the same entries as
+    (row, column, stated, closed) tuples and ``gap`` with GranularValues;
+    both are built on first read.
     """
 
-    def __init__(self, message, gap_rows=(), granularity=None):
+    def __init__(self, message, gap_columns=None, granularity=None):
         super().__init__(message)
-        self.gap_rows, self.granularity = tuple(gap_rows), granularity
+        if gap_columns is None:
+            no_values = np.zeros(0, dtype=np.int64)
+            gap_columns = [], [], no_values, no_values
+        self.gap_columns, self.granularity = tuple(gap_columns), granularity
+
+    @cached_property
+    def gap_rows(self) -> tuple:
+        rows, cols, stated, closed = self.gap_columns
+        return tuple(zip(rows, cols, stated.tolist(), closed.tolist()))
 
     @cached_property
     def gap(self) -> tuple:
         from .fre import _gap_values  # fre imports this module
 
-        return tuple(_gap_values(self.gap_rows, self.granularity))
+        return tuple(_gap_values(self.gap_columns, self.granularity))
 
 
 class InfeasibleReductError(MafreError):

@@ -47,6 +47,7 @@ from .context import (
     _lower_covers,
     _matrix,
     _names,
+    _nested,
     _restrict,
     _unique_rows,
     _values,
@@ -76,7 +77,7 @@ class FreInstance:
         if not var_names or not col_names:
             raise DimensionError("variable and column sets must be non-empty")
         sigma = tuple(sigma)
-        if len(sigma) != len(var_names) or any(map(np.ndim, sigma)):
+        if len(sigma) != len(var_names) or _nested(sigma):
             raise DimensionError("sigma must assign one triple per unknown")
         ctx = Context(frame, row_names, var_names, coeff, sigma)
         rhs = _matrix(rhs, len(ctx.attributes), len(col_names), "rhs", frame.granularity)
@@ -199,36 +200,37 @@ def _closures(fre: FreInstance):
     return maxima, ctx.possibility_batch(maxima)
 
 
-def _gap(fre: FreInstance, interiors: np.ndarray) -> list:
-    """Entries (u, w, stated, closed) where T differs from its interior, with
-    the values as numerators, column by column, rows in order within a column."""
+def _gap_columns(fre: FreInstance, interiors: np.ndarray) -> tuple:
+    """The entries where T differs from its interior, column by column as
+    ``UnsolvableError.gap_columns`` holds them: row names, column names,
+    stated and closed numerators; the entries are taken column-major, rows
+    in order within a column."""
     cols, rows = np.nonzero(interiors != fre._rhs_array.T)
-    entries = np.stack(
-        [rows, cols, fre._rhs_array[rows, cols], interiors[cols, rows]], axis=1
-    ).tolist()
-    return [
-        (fre.row_names[u], fre.col_names[w], old, new) for u, w, old, new in entries
-    ]
+    return (
+        list(map(fre.row_names.__getitem__, rows.tolist())),
+        list(map(fre.col_names.__getitem__, cols.tolist())),
+        fre._rhs_array[rows, cols],
+        interiors[cols, rows],
+    )
 
 
 def _unsolvable(fre: FreInstance, interiors: np.ndarray, message: str) -> None:
-    """Raise UnsolvableError with the gap rows when T is not its interior."""
-    gap = _gap(fre, interiors)
-    if gap:
-        raise UnsolvableError(message, gap, fre.frame.granularity)
+    """Raise UnsolvableError with the gap when T is not its interior."""
+    gap_columns = _gap_columns(fre, interiors)
+    if gap_columns[0]:
+        raise UnsolvableError(message, gap_columns, fre.frame.granularity)
 
 
-def _gap_values(gap: list, n: int) -> list:
-    """Gap entries (u, w, stated, closed) with the numerator values as
-    GranularValues over n."""
-    pairs = np.array([entry[2:] for entry in gap], dtype=np.int64).reshape(-1, 2)
-    stated, closed = _values(pairs.T, n)
-    return [(u, w, old, new) for (u, w, _, _), old, new in zip(gap, stated, closed)]
+def _gap_values(gap_columns: tuple, n: int) -> list:
+    """Gap entries (u, w, stated, closed) from ``gap_columns``, with the
+    numerator values as GranularValues over n."""
+    rows, cols, stated, closed = gap_columns
+    return list(zip(rows, cols, *_values(np.stack([stated, closed]), n)))
 
 
 def solvability_gap(fre: FreInstance):
     """Entries (u, w, stated, closed) where T differs from its interior."""
-    return _gap_values(_gap(fre, _closures(fre)[1]), fre.frame.granularity)
+    return _gap_values(_gap_columns(fre, _closures(fre)[1]), fre.frame.granularity)
 
 
 def is_solvable(fre: FreInstance) -> bool:

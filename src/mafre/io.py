@@ -6,7 +6,12 @@ Triples are given by built-in name or as explicit operator tables, and sigma
 uses 1-based indices into the triple list.  ``_dumps`` prints what
 ``json.dumps(obj, indent=2)`` prints, writing rows and matrices of integers
 with one format operation each, and a list that the output holds at several
-places at one indentation once per call (a memo keyed by object id).
+places at one indentation once per call (a memo keyed by object id).  A list
+of records is also one format operation, by one writer with two ways in:
+``_records`` finds the columns of a plain list of dicts, and ``_Records``
+holds them as numerator arrays and str lists from the start, so the large
+record lists (the concepts of a lattice, the gap of an unsolvable system)
+are written with no dict built and no entry walked.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 from typing import List, Union
+
+import numpy as np
 
 from .algebra import (
     AdjointTriple,
@@ -86,7 +93,7 @@ def _records(obj, nl: str):
         or any(tuple(d) != keys for d in obj)
     ):
         return None
-    inner, field = nl + "  ", nl + "    "
+    field = nl + "    "
     slots, columns = [], []
     for k in keys:
         col = [d[k] for d in obj]
@@ -105,11 +112,75 @@ def _records(obj, nl: str):
             columns.append(col)
         else:
             return None
-    record = _block(
-        [_str(k).replace("%", "%%") + ": " + slot for k, slot in zip(keys, slots)], inner, "{}"
-    )
     flat = chain.from_iterable(chain.from_iterable(zip(*columns)))
-    return _block([record] * len(obj), nl) % tuple(flat)
+    return _record_list(keys, slots, flat, len(obj), nl)
+
+
+def _record_list(keys, slots, values, count: int, nl: str) -> str:
+    """``count`` records opened after ``nl`` as one %-format: each holds the
+    str ``keys`` in order, each key's value written into its %-slot in
+    ``slots``, and ``values`` fills the slots, record by record."""
+    if not count:
+        return "[]"
+    record = _block(
+        [_str(k).replace("%", "%%") + ": " + slot for k, slot in zip(keys, slots)],
+        nl + "  ",
+        "{}",
+    )
+    return _block([record] * count, nl) % tuple(values)
+
+
+class _Records:
+    """A list of records held column by column, for ``_dumps``: record i
+    holds, under each str key of ``keys``, entry i of that key's column.
+
+    A column is a 1-D integer array (one int per record), a 2-D integer
+    array (one row of ints per record) or a list of exact strs.  ``_dumps``
+    prints what ``json.dumps`` prints for the list of dicts, with no walk
+    over the entries: the dtype proves they are ints.
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys, columns):
+        self.keys, self.columns = tuple(keys), tuple(columns)
+        if {*map(type, self.keys)} - {str}:
+            raise TypeError("record keys must be str")
+        if len(self.keys) != len(self.columns) or len(set(self.keys)) != len(self.keys):
+            raise ValueError("records need one column per key and distinct keys")
+        if len({len(c) for c in self.columns}) > 1:
+            raise ValueError("record columns must have one length")
+
+    def _text(self, nl: str) -> str:
+        """The text of the records for ``_dumps``, opened after ``nl``.
+
+        Each column becomes a block of one row per record, and the blocks
+        side by side one object array (integers become Python ints), which
+        read row by row gives the values of the slots in order.
+        """
+        field = nl + "    "
+        slots, blocks = [], []
+        for col in self.columns:
+            if type(col) is list and {*map(type, col)} <= {str}:
+                slots.append("%s")
+                blocks.append(np.array([*map(_str, col)], dtype=object)[:, None])
+            elif isinstance(col, np.ndarray) and col.dtype.kind in "iu" and col.ndim == 1:
+                slots.append("%d")
+                blocks.append(col[:, None])
+            elif isinstance(col, np.ndarray) and col.dtype.kind in "iu" and col.ndim == 2:
+                width = col.shape[1]
+                slots.append(_row_template(width, field) if width else "[]")
+                blocks.append(col)
+            else:
+                raise TypeError(
+                    "a record column must be a 1-D or 2-D integer array or a list "
+                    f"of str, not {col!r:.60}"
+                )
+        count = len(self.columns[0]) if self.columns else 0
+        if not count:
+            return "[]"
+        cells = np.concatenate([b.astype(object) for b in blocks], axis=1)
+        return _record_list(self.keys, slots, cells.ravel().tolist(), count, nl)
 
 
 def _dumps(obj, nl: str = "\n", seen: dict = None) -> str:
@@ -118,7 +189,8 @@ def _dumps(obj, nl: str = "\n", seen: dict = None) -> str:
 
     A list of exact ints is one %-format of a cached row template, a list of
     equal-length such rows one %-format over the flattened matrix, and a
-    list of records that ``_records`` accepts one %-format over their values.
+    list of records that ``_records`` accepts, or a ``_Records``, one
+    %-format over their values.
     ``seen`` memoizes, for one call, the text of every list and tuple by
     ``(id, nl)``: an object that the payload holds at several places at one
     indentation (the bodies that solution columns share per maximum) is
@@ -139,6 +211,8 @@ def _dumps(obj, nl: str = "\n", seen: dict = None) -> str:
         if key not in seen:
             seen[key] = _list(obj, nl, seen)
         return seen[key]
+    if t is _Records:
+        return obj._text(nl)
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -205,6 +205,7 @@ class TestDiagnose:
         self, squares_unsolvable, monkeypatch
     ):
         # the repaired instance shares the context (lattice, reducts) of fre
+        from mafre import approx as approx_mod
         from mafre import context as context_mod
 
         s = squares_unsolvable
@@ -212,22 +213,33 @@ class TestDiagnose:
             s.frame, s.row_names, s.var_names, s.col_names, s.coeff, s.sigma, s.rhs
         )
         report = diagnose(fre)
-        built, checked = [], []
-        lattice, consistent = context_mod.ConceptLattice, context_mod.is_consistent
+        families = associated_context(fre)._families
+        assert families is not None
+        built, checked, read = [], [], []
+        closure, consistent = context_mod._meet_closure, approx_mod.is_consistent
+        _families = context_mod._families
         monkeypatch.setattr(
-            context_mod, "ConceptLattice", lambda *a: built.append(a) or lattice(*a)
+            context_mod, "_meet_closure", lambda *a: built.append(a) or closure(*a)
         )
+        # approx binds is_consistent by name: the checks of _require_reduct
         monkeypatch.setattr(
-            context_mod,
+            approx_mod,
             "is_consistent",
             lambda *a, **k: checked.append(a) or consistent(*a, **k),
+        )
+        monkeypatch.setattr(
+            context_mod, "_families", lambda *a: read.append(_families(*a)) or read[-1]
         )
         for entry in report.feasible:
             result = approximate_by_reduct(fre, entry["reduct"])
             assert is_feasible_reduct(fre, entry["reduct"])
             repaired = result.approximated_instance(fre)
             assert associated_context(repaired) is associated_context(fre)
-        assert report.feasible and built == [] and checked == []
+        # each call checks Y and every Y - {y}; no lattice is built and every
+        # check reads the families cached by the diagnosis
+        assert report.feasible and built == []
+        assert len(checked) == 2 * sum(len(e["reduct"]) + 1 for e in report.feasible)
+        assert len(read) == len(checked) and all(f is families for f in read)
         with pytest.raises(NotAReductError):
             is_feasible_reduct(fre, ("u1", "u2"))
 

@@ -273,6 +273,24 @@ class TestLatticeEngine:
     """The default engine closes the generator extents under meets; the
     object-side sweep ``exhaustive_lattice`` is its oracle."""
 
+    def test_build_keeps_the_closure_rows(self, monkeypatch):
+        # the closure's rows are distinct and sorted, so the lattice holds
+        # them as they are; the constructor normalizes rows from elsewhere
+        from mafre import context as context_mod
+
+        found = []
+        spy = lambda *a: found.append(_meet_closure(*a)) or found[-1]
+        monkeypatch.setattr(context_mod, "_meet_closure", spy)
+        frame = builtin_frame(["godel", "sq-left"], 4)
+        for seed in range(5):
+            ctx = random_context(random.Random(seed), frame, 3, 3)
+            lat = build_concept_lattice(ctx)
+            assert lat.extent_rows is found[-1]
+            assert np.array_equal(lat.extent_rows, exhaustive_lattice(ctx).extent_rows)
+            unsorted = np.concatenate([lat.extent_rows[::-1], lat.extent_rows[:2]])
+            again = ConceptLattice(ctx, unsorted.tolist())
+            assert np.array_equal(again.extent_rows, lat.extent_rows)
+
     @pytest.mark.parametrize(
         "n_attrs, n_objs", [(1, 1), (1, 3), (3, 1), (2, 4), (3, 3), (4, 2)]
     )

@@ -156,6 +156,56 @@ class TestGap:
                 )
         assert unsolvable > 10
 
+    @settings(max_examples=max(100, settings().max_examples), deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_gap_columns_order(self, seed):
+        # the error's gap columns against the per-column definition: entries
+        # column-major, rows in order within a column; the dual transpose's
+        # error holds the same entries with rows and columns swapped
+        from mafre.dual import dual_solutions
+        from mafre.io import parse_problem, problem_from_instance
+        from test_cli_golden import transpose
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        names = rng.sample(["sq-left", "sq-right", "godel"], rng.randint(1, 3))
+        frame = builtin_frame(names, n)
+        nu, nv, nw = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 5)
+        fre = FreInstance.from_numerators(
+            frame,
+            [f"u{i}" for i in range(nu)],
+            [f"v{k}" for k in range(nv)],
+            [f"w{j}" for j in range(nw)],
+            [[rng.randint(0, n) for _ in range(nv)] for _ in range(nu)],
+            [rng.randrange(len(frame.triples)) for _ in range(nv)],
+            [[rng.randint(0, n) for _ in range(nw)] for _ in range(nu)],
+        )
+        ctx = associated_context(fre)
+        expected = []
+        for w in fre.col_names:
+            t = fre.rhs_column(w)
+            closed = possibility(necessity(t, ctx), ctx)
+            expected += [
+                (u, w, old.numerator, new.numerator)
+                for u, old, new in zip(fre.row_names, t.values, closed.values)
+                if old != new
+            ]
+        if not expected:
+            assert is_solvable(fre)
+            return
+        dfre = parse_problem(transpose(problem_from_instance(fre).to_json())).to_instance()
+        for solve, entries in (
+            (enumerate_solutions, expected),
+            (dual_solutions, [(w, u, old, new) for u, w, old, new in expected]),
+        ):
+            with pytest.raises(UnsolvableError) as exc:
+                solve(fre if solve is enumerate_solutions else dfre, materialize=False)
+            rows, cols, stated, closed = exc.value.gap_columns
+            assert type(rows) is list and type(cols) is list
+            assert stated.dtype == closed.dtype == np.int64
+            assert list(zip(rows, cols, stated.tolist(), closed.tolist())) == entries
+            assert exc.value.gap_rows == tuple(entries)
+
     def test_is_solvable_builds_no_granular_values(
         self, squares_solvable, squares_unsolvable, monkeypatch
     ):

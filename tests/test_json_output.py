@@ -1,20 +1,29 @@
 """JSON output: ``io._dumps`` prints exactly what ``json.dumps(obj, indent=2)``
-prints, on generated values, on fixed edge cases, on problem files and on
-CLI output larger than the golden file reaches."""
+prints, on generated values, on fixed edge cases, on columnar ``_Records``,
+on problem files and on CLI output larger than the golden file reaches."""
 
 import copy
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_solvable_instance
 from mafre import builtin_frame
 from mafre.context import build_concept_lattice
-from mafre.dual import dual_associated_context, dual_solutions
-from mafre.fre import associated_context, enumerate_solutions
-from mafre.io import _dumps, _records, load_problem, parse_problem, problem_from_instance
+from mafre.dual import dual_associated_context, dual_solutions, dual_solvability_gap
+from mafre.errors import UnsolvableError
+from mafre.fre import FreInstance, associated_context, enumerate_solutions, solvability_gap
+from mafre.io import (
+    _dumps,
+    _records,
+    _Records,
+    load_problem,
+    parse_problem,
+    problem_from_instance,
+)
 from test_cli_golden import EXAMPLES, NAMES, run, transpose
 
 ints = st.integers(min_value=-(10**20), max_value=10**20)
@@ -258,3 +267,195 @@ def test_large_lattice_json(large_files):
     assert run(["lattice", str(large_files["dual"]), "--json"]) == (
         0, json.dumps(payload, indent=2) + "\n", ""
     )
+
+
+# -- columnar records -------------------------------------------------------
+
+INT_DTYPES = (np.int64, np.int32, np.int8, np.uint8, np.uint64)
+# keys and values with format characters, quotes and non-ASCII characters
+record_texts = st.one_of(texts, st.text("%ds\"\\é☃😀", max_size=5))
+
+
+@st.composite
+def record_lists(draw):
+    """A ``_Records`` of 0..5 records: distinct str keys, each with a 1-D
+    integer array, a 2-D integer array of width 0..4 or a list of str."""
+    keys = draw(st.lists(record_texts, min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(0, 5))
+    columns = []
+    for _ in keys:
+        kind = draw(st.sampled_from(["1-D", "2-D", "str"]))
+        if kind == "str":
+            columns.append(draw(st.lists(record_texts, min_size=count, max_size=count)))
+            continue
+        dtype = draw(st.sampled_from(INT_DTYPES))
+        shape = (count,) if kind == "1-D" else (count, draw(st.integers(0, 4)))
+        info = np.iinfo(dtype)
+        size = int(np.prod(shape))
+        entries = st.integers(int(info.min), int(info.max))
+        values = draw(st.lists(entries, min_size=size, max_size=size))
+        columns.append(np.array(values, dtype=dtype).reshape(shape))
+    return _Records(keys, columns)
+
+
+def plain(value):
+    """``value`` with every ``_Records`` replaced by its list of dicts."""
+    if isinstance(value, _Records):
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in value.columns]
+        return [dict(zip(value.keys, entry)) for entry in zip(*columns)]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(plain, value))
+    return value
+
+
+@settings(max_examples=max(300, settings().max_examples), deadline=None)
+@given(record_lists())
+def test_records_dump_as_their_dicts(records):
+    assert _dumps(records) == json.dumps(plain(records), indent=2)
+
+
+# _Records among plain values, at any depth
+nested_records = st.recursive(
+    st.one_of(scalars, int_rows, records(), record_lists()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(record_texts, inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=max(300, settings().max_examples), deadline=None)
+@given(nested_records)
+def test_nested_records_dump_as_their_dicts(value):
+    assert _dumps(value) == json.dumps(plain(value), indent=2)
+
+
+def test_records_edge_cases():
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert _dumps(_Records(("a", "b"), (empty, []))) == "[]"
+    assert _dumps(_Records((), ())) == "[]"
+    assert _dumps({"x": [_Records(("a",), ([],))]}) == json.dumps({"x": [[]]}, indent=2)
+    # a row of width 0 is [] in every record, which no row template writes
+    rows = _Records(("a%", "m"), (np.zeros((2, 0), dtype=np.int64), ["%s", "é"]))
+    assert _dumps(rows) == json.dumps(plain(rows), indent=2)
+    assert '"a%": []' in _dumps(rows)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        np.array([True, False]),
+        np.array([1.0, 2.0]),
+        np.zeros((2, 1, 1), dtype=np.int64),
+        np.array(["a", "b"]),
+        np.int64(3),
+        [1, 2],
+        ("a", "b"),
+        ["a", None],
+        [np.str_("a"), "b"],
+    ],
+    ids=repr,
+)
+def test_records_refuse_other_columns(column):
+    with pytest.raises(TypeError):
+        _dumps(_Records(("a",), (column,)))
+
+
+def test_records_refuse_other_keys():
+    with pytest.raises(TypeError):
+        _Records((1,), (np.arange(2),))
+    with pytest.raises(ValueError):
+        _Records(("a", "a"), (np.arange(2), np.arange(2)))
+    with pytest.raises(ValueError):
+        _Records(("a", "b"), (np.arange(2), np.arange(3)))
+
+
+# -- the CLI's record lists -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def gap_files(tmp_path_factory):
+    """A seeded unsolvable primal system whose gap holds at least 150
+    entries, its dual transpose, and a seeded 6 x 4 system at n = 9."""
+    rng = random.Random(23)
+    frame = builtin_frame(["godel", "sq-left", "sq-right"], 9)
+    draw = lambda rows, cols: [[rng.randint(0, 9) for _ in range(cols)] for _ in range(rows)]
+    unsolvable = FreInstance.from_numerators(
+        frame, [f"u{i}%" for i in range(6)], ["v0", "v1", "v2"],
+        [f"w{j}" for j in range(40)], draw(6, 3), [0, 1, 2], draw(6, 40),
+    )
+    lattice = FreInstance.from_numerators(
+        frame, [f"u{i}" for i in range(6)], [f"v{k}" for k in range(4)], ["w"],
+        draw(6, 4), [0, 1, 2, 0], draw(6, 1),
+    )
+    directory = tmp_path_factory.mktemp("gap")
+    primal = problem_from_instance(unsolvable).to_json()
+    paths = {}
+    for key, problem in (
+        ("primal", primal),
+        ("dual", transpose(primal)),
+        ("lattice", problem_from_instance(lattice).to_json()),
+    ):
+        paths[key] = directory / f"{key}.json"
+        paths[key].write_text(json.dumps(problem))
+    return paths
+
+
+def gap_payload(gap) -> dict:
+    """The ``solve --json`` payload of an unsolvable system, as dicts."""
+    return {
+        "solvable": False,
+        "gap": [
+            {"row": u, "column": w, "stated": old.numerator, "closed": new.numerator}
+            for u, w, old, new in gap
+        ],
+    }
+
+
+@pytest.mark.parametrize("orientation", ["primal", "dual"])
+def test_unsolvable_solve_json_equals_the_dict_payload(gap_files, orientation):
+    instance = load_problem(gap_files[orientation]).to_instance()
+    gap = (solvability_gap if orientation == "primal" else dual_solvability_gap)(instance)
+    assert len(gap) >= 150
+    expected = json.dumps(gap_payload(gap), indent=2) + "\n"
+    for flags in ([], ["--enumerate"]):
+        argv = ["solve", str(gap_files[orientation]), "--json", *flags]
+        assert run(argv) == (1, expected, "")
+
+
+def test_lattice_json_equals_the_dict_payload(gap_files):
+    fre = load_problem(gap_files["lattice"]).to_instance()
+    lat = build_concept_lattice(associated_context(fre))
+    assert len(lat) >= 100
+    payload = {
+        "concepts": [
+            {"extent": e, "intent": i}
+            for e, i in zip(lat.extent_rows.tolist(), lat.intent_rows.tolist())
+        ]
+    }
+    assert run(["lattice", str(gap_files["lattice"]), "--json"]) == (
+        0, json.dumps(payload, indent=2) + "\n", ""
+    )
+
+
+def test_json_record_lists_build_no_dicts(gap_files, monkeypatch):
+    import mafre.io
+
+    walked, read = [], []
+    monkeypatch.setattr(
+        mafre.io, "_records", lambda *a, _records=_records: walked.append(a) or _records(*a)
+    )
+    gap_rows = UnsolvableError.gap_rows
+    spy = property(lambda exc: read.append(exc) or gap_rows.func(exc))
+    monkeypatch.setattr(UnsolvableError, "gap_rows", spy)
+    for key in ("primal", "dual"):
+        assert run(["solve", str(gap_files[key]), "--json"])[0] == 1
+    assert run(["lattice", str(gap_files["lattice"]), "--json"])[0] == 0
+    assert walked == [] and read == []
+    # the text output reads the entries
+    assert run(["solve", str(gap_files["primal"])])[0] == 1
+    assert len(read) == 1

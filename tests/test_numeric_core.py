@@ -644,6 +644,26 @@ class TestVerifiedOnce:
                 load_problem(path).to_instance()
         assert calls[len(TRIPLES) + 2 :] == ["broken", "broken"]
 
+    def test_dual_load_checks_the_relation_once(self, monkeypatch):
+        # the dual context checks S and keeps its transpose as the relation
+        import mafre.context as context_mod
+
+        calls = []
+        check = context_mod._int64
+        monkeypatch.setattr(
+            context_mod, "_int64", lambda rows, *a: calls.append(a) or check(rows, *a)
+        )
+        from test_cli_golden import transpose
+
+        primal = json.loads((EXAMPLES / "squares_unsolvable.json").read_text())
+        counts = []
+        for data in (primal, transpose(primal)):
+            calls.clear()
+            instance = parse_problem(data).to_instance()
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 3  # relation, sigma, rhs
+        assert instance.transposed()._coeff_array.tolist() == primal["coefficients"]
+
     @pytest.mark.parametrize("orientation", ["primal", "dual"])
     def test_instance_follows_edited_lists(self, orientation, tmp_path):
         # the lists are the only stored form of a loaded file's matrices
