@@ -117,9 +117,10 @@ def _sigma(sigma, n_rows: int, n_cols: int, frame: Frame) -> np.ndarray:
 
 
 def _nested(sigma) -> bool:
-    """Whether an entry of a per-object ``sigma`` is a row (tuple, list or
-    array) rather than one triple index: one test per entry type."""
-    return any(issubclass(t, (tuple, list, np.ndarray)) for t in {*map(type, sigma)})
+    """Whether an entry of a per-object ``sigma`` is a row (anything numpy
+    reads as an array) rather than one triple index; a ``sigma`` of plain
+    ints, the usual one, is told apart by one test per entry type."""
+    return not {*map(type, sigma)} <= {int} and any(map(np.ndim, sigma))
 
 
 def _names(names, what: str) -> tuple:
@@ -406,15 +407,17 @@ class ConceptLattice:
     the cover pairs, from ``_lower_covers``.
     """
 
-    def __init__(self, context: Context, extent_rows: np.ndarray, *, presorted: bool = False):
+    def __init__(self, context: Context, extent_rows: np.ndarray):
         self.context = context
-        # rows from other callers are normalized; ``presorted`` rows (those
-        # of ``_meet_closure``) are distinct and sorted already
-        self.extent_rows = (
-            extent_rows
-            if presorted
-            else _unique_rows(np.asarray(extent_rows, dtype=np.int64))
-        )
+        self.extent_rows = _unique_rows(np.asarray(extent_rows, dtype=np.int64))
+
+    @classmethod
+    def _of_closure(cls, context: Context, extent_rows: np.ndarray) -> "ConceptLattice":
+        """The lattice of the int64 rows ``extent_rows`` of ``_meet_closure``,
+        which are distinct and sorted already, held as they are."""
+        lat = cls.__new__(cls)
+        lat.context, lat.extent_rows = context, extent_rows
+        return lat
 
     @cached_property
     def intent_rows(self) -> np.ndarray:
@@ -497,7 +500,7 @@ def build_concept_lattice(ctx: Context) -> ConceptLattice:
     cached on the context.
     """
     if ctx._lattice is None:
-        ctx._lattice = ConceptLattice(ctx, _meet_closure(_generators(ctx)[0]), presorted=True)
+        ctx._lattice = ConceptLattice._of_closure(ctx, _meet_closure(_generators(ctx)[0]))
     return ctx._lattice
 
 

@@ -199,7 +199,9 @@ def _dual_unsolvable(exc: UnsolvableError, message: str) -> UnsolvableError:
     """``exc`` of the transposed primal, read as one of the dual instance:
     the primal's rows are the dual columns and its columns the dual rows."""
     cols, rows, stated, closed = exc.gap_columns
-    return UnsolvableError(message, (rows, cols, stated, closed), exc.granularity)
+    return UnsolvableError(
+        message, gap_columns=(rows, cols, stated, closed), granularity=exc.granularity
+    )
 
 
 def dual_solvability_gap(dfre: DualFreInstance):

@@ -59,12 +59,18 @@ class UnsolvableError(MafreError):
     both are built on first read.
     """
 
-    def __init__(self, message, gap_columns=None, granularity=None):
+    def __init__(self, message, *, gap_columns=None, granularity=None):
         super().__init__(message)
         if gap_columns is None:
             no_values = np.zeros(0, dtype=np.int64)
             gap_columns = [], [], no_values, no_values
-        self.gap_columns, self.granularity = tuple(gap_columns), granularity
+        gap_columns = tuple(gap_columns)
+        kinds = tuple(map(type, gap_columns))
+        if kinds != (list, list, np.ndarray, np.ndarray) or len({*map(len, gap_columns)}) > 1:
+            raise TypeError(
+                "gap_columns must be two name lists and two numerator arrays of one length"
+            )
+        self.gap_columns, self.granularity = gap_columns, granularity
 
     @cached_property
     def gap_rows(self) -> tuple:

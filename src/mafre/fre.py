@@ -218,7 +218,9 @@ def _unsolvable(fre: FreInstance, interiors: np.ndarray, message: str) -> None:
     """Raise UnsolvableError with the gap when T is not its interior."""
     gap_columns = _gap_columns(fre, interiors)
     if gap_columns[0]:
-        raise UnsolvableError(message, gap_columns, fre.frame.granularity)
+        raise UnsolvableError(
+            message, gap_columns=gap_columns, granularity=fre.frame.granularity
+        )
 
 
 def _gap_values(gap_columns: tuple, n: int) -> list:

@@ -1,7 +1,9 @@
 import json
 import random
+from collections import deque
 from itertools import product
 
+import numpy as np
 import pytest
 
 from mafre import (
@@ -428,6 +430,12 @@ class TestDualReduction:
             with pytest.raises(InconsistentSetError):
                 dual_reduce(dfre, bad)
             break
+
+    def test_sigma_rows_are_refused(self):
+        frame = builtin_frame(["godel"], 4)
+        for row in ([0], np.array([0]), range(1), deque([0])):
+            with pytest.raises(DimensionError, match="one triple per variable"):
+                DualContext(frame, ("v0", "v1"), ("w0",), [[1], [2]], [0, row])
 
     def test_restrict_errors(self):
         frame = builtin_frame(["godel"], 4)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import deque
 from itertools import product
 
 import numpy as np
@@ -836,6 +837,30 @@ class TestConstruction:
             FreInstance.from_numerators(
                 squares_frame, ("u1",), ("v1", "v2"), ("w",), [[1]], (0, 0), [[1]]
             )
+
+    def test_sigma_rows_are_refused(self, squares_frame):
+        # any entry numpy reads as an array is a row, not a triple index
+        make = lambda sigma: FreInstance.from_numerators(
+            squares_frame, ("u1",), ("v1", "v2"), ("w",), [[1, 2]], sigma, [[1]]
+        )
+        for row in ((0, 1), [0, 1], np.array([0, 1]), range(2), deque([0, 1])):
+            with pytest.raises(DimensionError, match="one triple per unknown"):
+                make((0, row))
+        assert make((np.int64(1), 0)).sigma == (1, 0)
+
+    def test_unsolvable_error_checks_its_gap_columns(self):
+        stated = np.array([1, 2], dtype=np.int64)
+        for args, kwargs in (
+            ((["u", "v"],), {}),  # the gap is passed by keyword only
+            ((), {"gap_columns": [("u", "w", 1, 2)] * 4}),
+            ((), {"gap_columns": (["u"], ["w"], stated)}),
+            ((), {"gap_columns": (["u"], ["w"], stated, stated)}),
+        ):
+            with pytest.raises(TypeError):
+                UnsolvableError("no solution", *args, **kwargs)
+        exc = UnsolvableError("no solution", gap_columns=(["u"] * 2, ["w", "x"], stated, stated))
+        assert exc.gap_rows == (("u", "w", 1, 1), ("u", "x", 2, 2))
+        assert UnsolvableError("no solution").gap_rows == ()
 
     def test_rhs_column_accessor(self, squares_solvable):
         col = squares_solvable.rhs_column("w")
