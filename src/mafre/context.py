@@ -405,11 +405,27 @@ class ConceptLattice:
     ``extent_set``, the ``concepts`` (``Concept`` and ``FuzzySet`` objects;
     ``extents`` and ``predecessors`` build only the sets they return) and
     the cover pairs, from ``_lower_covers``.
+
+    The constructor takes the rows as ``_matrix`` does (RangeError,
+    DimensionError) and raises NotAnExtentError for a row that is not a
+    closure fixpoint and for rows without top.  Every extent lies on a chain
+    of lower covers down from top, so rows that hold top and every lower
+    cover of their members are the whole lattice; the cover pairs raise
+    NotAnExtentError at the first lower cover missing from the rows.
     """
 
     def __init__(self, context: Context, extent_rows: np.ndarray):
-        self.context = context
-        self.extent_rows = _unique_rows(np.asarray(extent_rows, dtype=np.int64))
+        n, nb = context.frame.granularity, len(context.objects)
+        if not isinstance(extent_rows, np.ndarray):
+            extent_rows = list(extent_rows)
+        rows = _unique_rows(_matrix(extent_rows, len(extent_rows), nb, "extent", n))
+        if not len(rows) or (rows[-1] != n).any():
+            raise NotAnExtentError("the extents of a concept lattice include top")
+        closed = context.necessity_batch(context.possibility_batch(rows))
+        open_rows = np.flatnonzero((closed != rows).any(axis=1))
+        if len(open_rows):
+            raise NotAnExtentError(f"{rows[open_rows[0]].tolist()} is not an extent")
+        self.context, self.extent_rows = context, rows
 
     @classmethod
     def _of_closure(cls, context: Context, extent_rows: np.ndarray) -> "ConceptLattice":
@@ -434,8 +450,9 @@ class ConceptLattice:
         ``_lower_covers`` gives each extent's covers as rows.  The extents
         and those rows are keyed by ``_row_keys`` with the same radix, n + 1,
         so both get the same encoding, and each row's concept index is found
-        by ``np.searchsorted`` among the sorted extent keys; the pairs are
-        deduplicated as rows.  The candidates and their comparisons hold
+        by ``np.searchsorted`` among the sorted extent keys (a row not found
+        there raises NotAnExtentError); the pairs are deduplicated as rows.
+        The candidates and their comparisons hold
         N x |A| x max(|A|, |B|) entries.
         """
         rows = self.extent_rows
@@ -447,7 +464,13 @@ class ConceptLattice:
         candidates, covers = _lower_covers(self.context, rows, self.intent_rows)
         upper = np.nonzero(covers)[0]
         radix = self.context.frame.granularity + 1
-        lower = np.searchsorted(_row_keys(rows, radix), _row_keys(candidates[covers], radix))
+        lows = candidates[covers]
+        keys, found = _row_keys(rows, radix), _row_keys(lows, radix)
+        lower = np.searchsorted(keys, found)
+        missing = np.flatnonzero(keys.take(lower, mode="clip") != found)
+        if len(missing):
+            row = lows[missing[0]].tolist()
+            raise NotAnExtentError(f"the lower cover {row} of an extent is not in the lattice")
         return _unique_rows(np.stack([lower, upper], axis=1), len(rows))
 
     def __len__(self):

@@ -38,7 +38,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .algebra import Frame, _check_entries
+from .algebra import _CHUNK, Frame, _check_entries
 from .context import (
     Context,
     FuzzySet,
@@ -362,8 +362,12 @@ def _box(max_row: np.ndarray, pred_rows: np.ndarray) -> tuple:
 
 def _listing(max_row: np.ndarray, pred_rows: np.ndarray) -> tuple:
     """(rows, minimal) below ``max_row`` and no predecessor, lexicographic
-    (``np.argwhere`` walks the grid in C order).  The solutions are an up-set
-    of the box: one is minimal iff no cell one step below it is one."""
+    (``np.flatnonzero`` walks the grid in C order).  The solutions are an
+    up-set of the box: one is minimal iff no cell one step below it is one.
+    Each free column is filled from the flat cell indices by division and
+    modulo, last axis first, so nothing beside the listing holds more than
+    one index per row; slabs of at most ``_CHUNK`` entries keep the strided
+    column writes in cache."""
     free, grid = _box(max_row, pred_rows)
     lower = np.zeros_like(grid)
     for axis in range(grid.ndim):
@@ -371,8 +375,13 @@ def _listing(max_row: np.ndarray, pred_rows: np.ndarray) -> tuple:
         lower[head + (slice(1, None),)] |= grid[head + (slice(None, -1),)]
 
     def rows(cells):
-        out = np.zeros((np.count_nonzero(cells), len(max_row)), dtype=np.int64)
-        out[:, free] = np.argwhere(cells)
+        flat = np.flatnonzero(cells)
+        out = np.zeros((len(flat), len(max_row)), dtype=np.int64)
+        step = max(1, _CHUNK // len(max_row))
+        for start in range(0, len(flat), step):
+            index, slab = flat[start : start + step], out[start : start + step]
+            for v, side in zip(free[::-1].tolist(), cells.shape[::-1]):
+                np.divmod(index, side, out=(index, slab[:, v]))
         return out
 
     return rows(grid), rows(grid & ~lower)

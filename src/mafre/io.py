@@ -6,12 +6,11 @@ Triples are given by built-in name or as explicit operator tables, and sigma
 uses 1-based indices into the triple list.  ``_dumps`` prints what
 ``json.dumps(obj, indent=2)`` prints, writing rows and matrices of integers
 with one format operation each, and a list that the output holds at several
-places at one indentation once per call (a memo keyed by object id).  A list
-of records is also one format operation, by one writer with two ways in:
-``_records`` finds the columns of a plain list of dicts, and ``_Records``
-holds them as numerator arrays and str lists from the start, so the large
-record lists (the concepts of a lattice, the gap of an unsolvable system)
-are written with no dict built and no entry walked.
+places at one indentation once per call (a memo keyed by object id).  The
+large record lists (the concepts of a lattice, the gap of an unsolvable
+system) reach it as ``_Records``, numerator arrays and str lists held column
+by column, and are written as one format operation with no dict built and
+no entry walked; any other list of dicts is written value by value.
 """
 
 from __future__ import annotations
@@ -69,67 +68,6 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
-def _slot_fits(v) -> bool:
-    """Whether a record field can take a slot of ``_records``: an exact int
-    or str, or a non-empty row that starts with an exact int."""
-    t = type(v)
-    return t is int or t is str or (t in (list, tuple) and len(v) > 0 and type(v[0]) is int)
-
-
-def _records(obj, nl: str):
-    """A list of dicts as one %-format, or None when it does not fit one.
-
-    The dicts must share one sequence of str keys, and each key's values must
-    be all exact ints, all exact strs or all non-empty rows of exact ints of
-    one width.  The cheap tests come first, so that a list that does not fit
-    (say, of records holding matrices) costs little to reject: the first
-    record's fields are tested before any other record is walked.
-    """
-    keys = tuple(obj[0])
-    if (
-        not keys
-        or {*map(type, keys)} != {str}
-        or not all(map(_slot_fits, obj[0].values()))
-        or any(tuple(d) != keys for d in obj)
-    ):
-        return None
-    field = nl + "    "
-    slots, columns = [], []
-    for k in keys:
-        col = [d[k] for d in obj]
-        kinds = {*map(type, col)}
-        if kinds == {int}:
-            slots.append("%d")
-            columns.append(zip(col))
-        elif kinds == {str}:
-            slots.append("%s")
-            columns.append(zip(map(_str, col)))
-        elif kinds <= {list, tuple} and col[0] and type(col[0][0]) is int:
-            widths = {*map(len, col)}
-            if len(widths) != 1 or {*map(type, chain.from_iterable(col))} != {int}:
-                return None
-            slots.append(_row_template(widths.pop(), field))
-            columns.append(col)
-        else:
-            return None
-    flat = chain.from_iterable(chain.from_iterable(zip(*columns)))
-    return _record_list(keys, slots, flat, len(obj), nl)
-
-
-def _record_list(keys, slots, values, count: int, nl: str) -> str:
-    """``count`` records opened after ``nl`` as one %-format: each holds the
-    str ``keys`` in order, each key's value written into its %-slot in
-    ``slots``, and ``values`` fills the slots, record by record."""
-    if not count:
-        return "[]"
-    record = _block(
-        [_str(k).replace("%", "%%") + ": " + slot for k, slot in zip(keys, slots)],
-        nl + "  ",
-        "{}",
-    )
-    return _block([record] * count, nl) % tuple(values)
-
-
 class _Records:
     """A list of records held column by column, for ``_dumps``: record i
     holds, under each str key of ``keys``, entry i of that key's column.
@@ -154,9 +92,11 @@ class _Records:
     def _text(self, nl: str) -> str:
         """The text of the records for ``_dumps``, opened after ``nl``.
 
-        Each column becomes a block of one row per record, and the blocks
-        side by side one object array (integers become Python ints), which
-        read row by row gives the values of the slots in order.
+        Each key's value is written into its %-slot of one record template,
+        repeated once per record.  Each column becomes a block of one row per
+        record, and the blocks side by side one object array (integers become
+        Python ints), which read row by row gives the values of the slots in
+        order.  A ``%`` in a key is doubled in the template.
         """
         field = nl + "    "
         slots, blocks = [], []
@@ -179,8 +119,13 @@ class _Records:
         count = len(self.columns[0]) if self.columns else 0
         if not count:
             return "[]"
+        record = _block(
+            [_str(k).replace("%", "%%") + ": " + slot for k, slot in zip(self.keys, slots)],
+            nl + "  ",
+            "{}",
+        )
         cells = np.concatenate([b.astype(object) for b in blocks], axis=1)
-        return _record_list(self.keys, slots, cells.ravel().tolist(), count, nl)
+        return _block([record] * count, nl) % tuple(cells.ravel().tolist())
 
 
 def _dumps(obj, nl: str = "\n", seen: dict = None) -> str:
@@ -189,8 +134,7 @@ def _dumps(obj, nl: str = "\n", seen: dict = None) -> str:
 
     A list of exact ints is one %-format of a cached row template, a list of
     equal-length such rows one %-format over the flattened matrix, and a
-    list of records that ``_records`` accepts, or a ``_Records``, one
-    %-format over their values.
+    ``_Records`` one %-format over its columns' values.
     ``seen`` memoizes, for one call, the text of every list and tuple by
     ``(id, nl)``: an object that the payload holds at several places at one
     indentation (the bodies that solution columns share per maximum) is
@@ -236,10 +180,6 @@ def _list(obj, nl: str, seen: dict) -> str:
             if {*map(type, flat)} == {int}:
                 row = _row_template(len(obj[0]), inner)
                 return _block([row] * len(obj), nl) % tuple(flat)
-    elif kinds == {dict}:
-        records = _records(obj, nl)
-        if records is not None:
-            return records
     return _block([_dumps(v, inner, seen) for v in obj], nl)
 
 

@@ -257,6 +257,37 @@ class TestLattice:
             with pytest.raises(NotAnExtentError):
                 predecessors(lat, probe)
 
+    def test_constructor_refuses_rows_that_are_no_lattice(self):
+        # entries that are no numerators in 0..n, rows of the wrong width,
+        # rows that are no closure fixpoints and rows without top are refused
+        frame = builtin_frame(["godel"], 4)
+        ctx = Context(frame, ["a"], ["b1", "b2"], [[frame.value(2), frame.value(3)]], [0, 0])
+        lat = build_concept_lattice(ctx)
+        assert lat.extent_rows.tolist() == [[0, 0], [1, 1], [4, 2], [4, 4]]
+        for rows, error in (
+            ([[1.7, 9.0], [-3, 2]], RangeError),
+            ([[0, 4], [-3, 2]], RangeError),
+            ([[4, 4, 4]], DimensionError),
+            ([[1, 2], [4, 4]], NotAnExtentError),
+            (lat.extent_rows[:-1], NotAnExtentError),
+            ([], NotAnExtentError),
+        ):
+            with pytest.raises(error):
+                ConceptLattice(ctx, rows)
+        assert ConceptLattice(ctx, lat.extent_rows[::-1].tolist()).covers() == lat.covers()
+
+    @pytest.mark.parametrize("n, nb", [(4, 2), (1, 64)])
+    def test_covers_refuse_rows_missing_a_lower_cover(self, n, nb):
+        # extents holding top but not every lower cover of their members are
+        # no lattice: the covers name the missing row instead of a self-loop
+        # (3 x 2 at n = 4 keys rows as int64, 3 x 64 at n = 1 as bytes)
+        ctx = random_context(random.Random(nb), builtin_frame(["godel"], n), 3, nb)
+        rows = build_concept_lattice(ctx).extent_rows
+        assert len(rows) > 2
+        part = ConceptLattice(ctx, rows[-2:])
+        with pytest.raises(NotAnExtentError, match="lower cover"):
+            part.covers()
+
     def test_exhaustive_oracle_gives_the_same_extents(self, squares_context):
         default = build_concept_lattice(squares_context)
         assert exhaustive_lattice(squares_context).extent_set() == default.extent_set()

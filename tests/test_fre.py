@@ -656,6 +656,43 @@ class TestCount:
                     else:
                         function(rows, pred_rows)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 50])
+    def test_listing_in_slabs_changes_nothing(self, chunk, monkeypatch):
+        # the free columns are filled in slabs of _CHUNK entries; any slab
+        # size lists the rows of the definition, in lexicographic order
+        from mafre import fre as fre_mod
+
+        monkeypatch.setattr(fre_mod, "_CHUNK", chunk)
+        rng = random.Random(chunk)
+        for nv in (1, 2, 3, 5):
+            top = [rng.randint(0, 3) for _ in range(nv)]
+            preds = [[rng.randint(0, m) for m in top] for _ in range(rng.randint(0, 3))]
+            rows, _ = fre_mod._listing(
+                np.array(top, dtype=np.int64), np.array(preds, dtype=np.int64).reshape(-1, nv)
+            )
+            assert rows.tolist() == [
+                list(x)
+                for x in product(*(range(m + 1) for m in top))
+                if not any(all(a <= b for a, b in zip(x, p)) for p in preds)
+            ]
+
+    def test_listing_holds_no_index_array_beside_the_rows(self):
+        # 2^14 rows of 14 free unknowns: the columns come from one flat index
+        # per row, with no (rows, free) index array beside the listing
+        import tracemalloc
+
+        from mafre import fre as fre_mod
+
+        max_row, pred_rows = np.ones(14, dtype=np.int64), np.zeros((0, 14), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            rows, minimal_rows = fre_mod._listing(max_row, pred_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (2**14, 14) and minimal_rows.tolist() == [[0] * 14]
+        assert peak < 1.25 * rows.nbytes
+
 
 class TestOracleEquivalence:
     """Lattice-based enumeration vs exhaustive search on random instances."""

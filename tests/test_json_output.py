@@ -18,7 +18,6 @@ from mafre.errors import UnsolvableError
 from mafre.fre import FreInstance, associated_context, enumerate_solutions, solvability_gap
 from mafre.io import (
     _dumps,
-    _records,
     _Records,
     load_problem,
     parse_problem,
@@ -102,14 +101,15 @@ FIXED = [
     [[-(10**30), 0], [7, 10**30]],
     [{"a": 1}, [1]],
 ]
-# lists of records that ``_records`` writes as one %-format
+# lists of records, with % signs, non-ASCII text and rows among their keys
+# and values, written value by value
 RECORDS = [
     [{"row": "u1", "column": "w", "stated": 4, "closed": 2}] * 3,
     [{"extent": [1, 2], "intent": (3,)}, {"extent": (4, 5), "intent": [6]}],
     [{"%": 1, "a%d": "%d", "%s%%": [2]}, {"%": 3, "a%d": "%s", "%s%%": [4]}],
     [{"s": "éé☃\"\\\x00\x1f\n 😀", "n": 1}, {"s": "%s %d %%", "n": 2}],
 ]
-# and near misses, which it leaves to the key-by-key path
+# and lists of dicts that differ in their keys, key order or value types
 NEAR_MISSES = [
     [{}, {}],
     [{1: 2}, {True: 3}],
@@ -182,22 +182,6 @@ def test_shared_list_written_once_per_indentation(monkeypatch):
     # each row template is opened one step past its matrix: m once inside
     # the records and once at the top, each of the three distinct p once
     assert sorted(templates) == [(2, "\n" + " " * 4)] + [(2, "\n" + " " * 8)] * 4
-
-
-def test_records_template_taken_when_the_columns_fit():
-    for value in RECORDS:
-        assert _records(value, "\n") == json.dumps(value, indent=2)
-    for value in NEAR_MISSES:
-        assert _records(value, "\n") is None
-
-
-def test_records_rejected_at_the_first_record():
-    class Unread(dict):
-        def __iter__(self):
-            raise AssertionError("a later record was walked")
-
-    value = [{"column": "w", "rows": [[1, 2]]}, Unread(column="x", rows=[[3, 4]])]
-    assert _records(value, "\n") is None
 
 
 def test_dumps_rejects_what_json_rejects():
@@ -443,11 +427,10 @@ def test_lattice_json_equals_the_dict_payload(gap_files):
 
 
 def test_json_record_lists_build_no_dicts(gap_files, monkeypatch):
-    import mafre.io
-
-    walked, read = [], []
+    written, read = [], []
+    text = _Records._text
     monkeypatch.setattr(
-        mafre.io, "_records", lambda *a, _records=_records: walked.append(a) or _records(*a)
+        _Records, "_text", lambda self, nl: written.append(self.keys) or text(self, nl)
     )
     gap_rows = UnsolvableError.gap_rows
     spy = property(lambda exc: read.append(exc) or gap_rows.func(exc))
@@ -455,7 +438,9 @@ def test_json_record_lists_build_no_dicts(gap_files, monkeypatch):
     for key in ("primal", "dual"):
         assert run(["solve", str(gap_files[key]), "--json"])[0] == 1
     assert run(["lattice", str(gap_files["lattice"]), "--json"])[0] == 0
-    assert walked == [] and read == []
+    # the two gaps and the concept list reach the columnar writer
+    gap = ("row", "column", "stated", "closed")
+    assert written == [gap, gap, ("extent", "intent")] and read == []
     # the text output reads the entries
     assert run(["solve", str(gap_files["primal"])])[0] == 1
     assert len(read) == 1
