@@ -46,7 +46,6 @@ from .dual import (
     DualFreInstance,
     dual_approximate,
     dual_brute_force,
-    dual_find_feasible_reducts,
     dual_is_solvable,
     dual_max_solution,
     dual_reduce,

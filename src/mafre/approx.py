@@ -81,11 +81,6 @@ class ApproximationResult:
     _instance: FreInstance  # the repaired primal instance
     _materialize: bool
 
-    @property
-    def preserved_rows(self) -> tuple:
-        """The rows kept as stated: those of the reduct."""
-        return self.reduct
-
     @cached_property
     def t_star(self) -> tuple:  # matrix over U x W
         return _values(self.t_star_rows, self._instance.frame.granularity)
@@ -162,7 +157,7 @@ class DiagnosisReport:
                 severity = "notable" if steps > self.notable_threshold else "slight"
                 modified.append((row, col, old, new, steps, severity))
             entries.append(
-                {"reduct": r.reduct, "preserved_rows": r.preserved_rows, "modified": modified}
+                {"reduct": r.reduct, "preserved_rows": r.reduct, "modified": modified}
             )
         return tuple(entries)
 
@@ -201,8 +196,6 @@ class DiagnosisReport:
             kept = ", ".join(entry["preserved_rows"])
             kept = f"equations {kept} kept as stated" if kept else "no equations kept"
             lines.append("feasible reduct {%s}: %s" % (", ".join(entry["reduct"]), kept))
-            if not entry["modified"]:
-                lines.append("  no right-hand side changes needed")
             for row, col, old, new, steps, severity in entry["modified"]:
                 lines.append(
                     f"  {row}[{col}]: {old} -> {new} ({steps} granular step"

@@ -2,16 +2,17 @@
 
 The possibility/necessity operators and the lattice construction work in
 numerator space: every adjoint triple is compiled to integer lookup tables, so
-batched numpy evaluation stays exact.  The lattice engine sorts, deduplicates
-and looks up extent rows through one sortable key per row, ``_row_keys``: an
+batched numpy evaluation stays exact.  The lattice engine sorts and
+deduplicates extent rows through one sortable key per row, ``_row_keys``: an
 int64 in base n + 1 where it fits, else the row's bytes.  The meet closure
 is an attribute-by-attribute product of the generator chains, and the cover
-relation numbers each cover by binary search among the extent keys.  Every
-lower cover, of the Hasse diagram, of ``predecessors`` and of the solver,
-comes from one rule, ``_lower_covers``: |A| candidate meets per extent, the
-maximal ones kept.  A lattice build stops with BudgetExceededError once its
-extents hold more than ``algebra.MAX_ENTRIES`` entries, and so does the
-cover relation when its candidate arrays would.
+relation numbers each cover by binary search among the extent keys;
+``index_of`` looks an extent up in a dict of row tuples.  Every lower cover,
+of the Hasse diagram, of ``predecessors`` and of the solver, comes from one
+rule, ``_lower_covers``: |A| candidate meets per extent, the maximal ones
+kept.  A lattice build stops with BudgetExceededError once its extents hold
+more than ``algebra.MAX_ENTRIES`` entries, and so does the cover relation
+when its candidate arrays would.
 """
 
 from __future__ import annotations
@@ -206,19 +207,26 @@ class Context:
         return FuzzySet.from_numerators(self.attributes, nums, self.frame.granularity)
 
 
+def _row(s: FuzzySet, ctx: Context, what: str) -> np.ndarray:
+    """The fuzzy set ``s`` over the context's ``what`` ("objects" or
+    "attributes") as a (1, |what|) numerator array: a set over other names
+    raises IndexMismatchError, and a value on another chain
+    GranularityMismatchError (``_matrix``)."""
+    names = getattr(ctx, what)
+    if s.index_set != names:
+        raise IndexMismatchError(f"argument must be indexed by the context {what}")
+    return _matrix([s.values], 1, len(names), what, ctx.frame.granularity)
+
+
 def possibility(g: FuzzySet, ctx: Context) -> FuzzySet:
     """g^up: the componentwise sup of conjunctions R(a, b) & g(b)."""
-    if g.index_set != ctx.objects:
-        raise IndexMismatchError("argument must be indexed by the context objects")
-    row = np.array([g.numerators], dtype=np.int64)
+    row = _row(g, ctx, "objects")
     return ctx._attribute_set(ctx.possibility_batch(row)[0])
 
 
 def necessity(f: FuzzySet, ctx: Context) -> FuzzySet:
     """f^down: the componentwise inf of residuations f(a) <- R(a, b)."""
-    if f.index_set != ctx.attributes:
-        raise IndexMismatchError("argument must be indexed by the context attributes")
-    row = np.array([f.numerators], dtype=np.int64)
+    row = _row(f, ctx, "attributes")
     return ctx._object_set(ctx.necessity_batch(row)[0])
 
 
@@ -501,7 +509,7 @@ class ConceptLattice:
         return [self._extent(i) for i in range(len(self))]
 
     def index_of(self, extent: FuzzySet) -> int:
-        key = tuple(extent.numerators)
+        key = tuple(_row(extent, self.context, "objects")[0].tolist())
         if key not in self._index:
             raise NotAnExtentError(f"{extent} is not an extent of this lattice")
         return self._index[key]

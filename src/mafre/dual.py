@@ -37,7 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import Frame
-from .approx import ApproximationResult, approximate_by_reduct, find_feasible_reducts
+from .approx import ApproximationResult, approximate_by_reduct
 from .context import (
     Context,
     FuzzySet,
@@ -72,8 +72,8 @@ class DualContext(Context):
     """The context (V, W, S, sigma) of a dual equation, sigma per variable.
 
     It is the primal context with attributes W, objects V and relation S^T
-    over the opposite triples (``frame`` is the opposite frame); ``variables``
-    and ``columns`` name its objects and attributes.  The primal context
+    over the opposite triples (``frame`` is the opposite frame): its objects
+    are the variables and its attributes the columns.  The primal context
     functions take it: ``possibility`` and ``necessity`` are the dual
     connection, the lattice extents are the variable-side fixpoints, and
     ``restrict``, ``is_consistent`` and ``enumerate_reducts`` work on columns.
@@ -88,18 +88,10 @@ class DualContext(Context):
         # S is checked: its transpose is the relation, with no second check
         self._build(frame.opposite(), columns, variables, S.T, sigma)
 
-    @property
-    def variables(self) -> tuple:
-        return self.objects
-
-    @property
-    def columns(self) -> tuple:
-        return self.attributes
-
 
 def _known_columns(ctx: DualContext, Y: Iterable) -> tuple:
     Y = tuple(Y)
-    unknown = set(Y) - set(ctx.columns)
+    unknown = set(Y) - set(ctx.attributes)
     if unknown:
         raise DimensionError(f"unknown columns: {sorted(unknown)}")
     return Y
@@ -120,7 +112,7 @@ class DualFreInstance:
             raise DimensionError("row and variable sets must be non-empty")
         sigma = tuple(sigma)
         ctx = DualContext(frame, var_names, col_names, coeff, sigma)
-        rhs = _matrix(rhs, len(row_names), len(ctx.columns), "rhs", frame.granularity)
+        rhs = _matrix(rhs, len(row_names), len(ctx.attributes), "rhs", frame.granularity)
         self.frame = frame
         self._primal = FreInstance._on(ctx, sigma, row_names, rhs.T)
 
@@ -130,10 +122,6 @@ class DualFreInstance:
         dfre = cls.__new__(cls)
         dfre.frame, dfre._primal = frame, primal
         return dfre
-
-    @classmethod
-    def from_numerators(cls, frame, row_names, var_names, col_names, coeff, sigma, rhs):
-        return cls(frame, row_names, var_names, col_names, coeff, sigma, rhs)
 
     def _with_rhs(self, rhs: np.ndarray) -> "DualFreInstance":
         """This instance with the checked rhs array ``rhs`` (U x W)."""
@@ -161,10 +149,6 @@ class DualFreInstance:
         """The primal system S^T (.)op X^T = T^T: its rows are the columns W
         and its rhs columns are the rows U, and its context is the dual one."""
         return self._primal
-
-
-def dual_associated_context(dfre: DualFreInstance) -> DualContext:
-    return associated_context(dfre.transposed())
 
 
 def dual_compose(frame: Frame, X, S, sigma):
@@ -265,7 +249,7 @@ def dual_reduce(
     Y may be empty only when the empty set is consistent (the lattice is
     {top}); the result then has no columns.
     """
-    ctx = dual_associated_context(dfre)
+    ctx = associated_context(dfre.transposed())
     Y = set(_known_columns(ctx, Y))
     if not Y and not is_consistent(ctx, ()):
         raise DimensionError("cannot reduce to an empty column set")
@@ -280,10 +264,6 @@ def dual_reduce(
         _restrict(ctx, keep), primal.sigma, primal.col_names, primal._rhs_array[keep]
     )
     return DualFreInstance._on(dfre.frame, reduced)
-
-
-def dual_find_feasible_reducts(dfre: DualFreInstance):
-    return find_feasible_reducts(dfre.transposed())
 
 
 def _dual_result(result: ApproximationResult) -> ApproximationResult:

@@ -96,10 +96,6 @@ class FreInstance:
         )
         return fre
 
-    @classmethod
-    def from_numerators(cls, frame, row_names, var_names, col_names, coeff, sigma, rhs):
-        return cls(frame, row_names, var_names, col_names, coeff, sigma, rhs)
-
     def _with_rhs(self, rhs: np.ndarray) -> "FreInstance":
         """This instance with the checked rhs array ``rhs``, on the same context."""
         return FreInstance._on(self._context, self.sigma, self.col_names, rhs)

@@ -223,7 +223,7 @@ class ProblemFile:
         frame = self.frame()
         sigma0 = [i - 1 for i in self.sigma]
         cls = FreInstance if self.orientation == "primal" else DualFreInstance
-        return cls.from_numerators(
+        return cls(
             frame,
             self.rows,
             self.variables,

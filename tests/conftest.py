@@ -36,7 +36,7 @@ def squares_context(squares_frame):
 
 @pytest.fixture(scope="session")
 def squares_solvable(squares_frame):
-    return FreInstance.from_numerators(
+    return FreInstance(
         squares_frame,
         SQUARES_ROWS,
         SQUARES_VARS,
@@ -49,7 +49,7 @@ def squares_solvable(squares_frame):
 
 @pytest.fixture(scope="session")
 def squares_unsolvable(squares_frame):
-    return FreInstance.from_numerators(
+    return FreInstance(
         squares_frame,
         SQUARES_ROWS,
         SQUARES_VARS,
@@ -76,7 +76,7 @@ def maxmin_frame():
 
 @pytest.fixture(scope="session")
 def maxmin_solvable(maxmin_frame):
-    return FreInstance.from_numerators(
+    return FreInstance(
         maxmin_frame,
         SQUARES_ROWS,
         SQUARES_VARS,

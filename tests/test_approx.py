@@ -54,7 +54,7 @@ class TestFeasibility:
         coeff = [[2 * (i % 4 == v) for v in range(4)] for i in range(24)]
         rhs = [[2]] * 24
         rhs[4] = [1]
-        fre = FreInstance.from_numerators(
+        fre = FreInstance(
             builtin_frame(["godel"], 2), rows, ["v0", "v1", "v2", "v3"], ["w"],
             coeff, [0] * 4, rhs,
         )
@@ -92,7 +92,7 @@ class TestRepair:
     def test_repaired_rhs(self, squares_unsolvable):
         result = approximate_by_reduct(squares_unsolvable, ("u1", "u2", "u3"))
         assert nums(result.t_star) == [[4], [7], [3], [4], [4]]
-        assert result.preserved_rows == ("u1", "u2", "u3")
+        assert result.reduct == ("u1", "u2", "u3")
 
     def test_reduct_rows_untouched(self, squares_unsolvable):
         result = approximate_by_reduct(squares_unsolvable, ("u1", "u2", "u3"))
@@ -151,7 +151,7 @@ class TestPessimistic:
         frame = builtin_frame(["sq-left", "godel"], 6)
         n = frame.granularity
         for _ in range(25):
-            fre = FreInstance.from_numerators(
+            fre = FreInstance(
                 frame,
                 [f"u{i}" for i in range(3)],
                 [f"v{i}" for i in range(3)],
@@ -302,7 +302,7 @@ class TestEmptyReduct:
 
     def instance(self, rhs):
         frame = builtin_frame(["godel", "sq-left"], 4)
-        return FreInstance.from_numerators(
+        return FreInstance(
             frame, ("u1", "u2"), ("v1", "v2", "v3"), ("w1", "w2"),
             [[0, 0, 0], [0, 0, 0]], (0, 1, 0), rhs,
         )
@@ -327,7 +327,7 @@ class TestEmptyReduct:
         result = approximate_by_reduct(fre, ())
         # every column is top^up, which is 0 when every coefficient is 0
         assert nums(result.t_star) == [[0, 0], [0, 0]]
-        assert result.preserved_rows == ()
+        assert result.reduct == ()
         assert sorted(result.modified_rows) == [("u1", "w2"), ("u2", "w1")]
         assert [c.count for c in result.solution_summary.columns] == [125, 125]
         report = diagnose(fre)
@@ -382,6 +382,8 @@ class TestRandomRepairs:
             report = diagnose(fre)
             feasible = {tuple(e["reduct"]) for e in report.feasible}
             assert feasible == set(find_feasible_reducts(fre))
+            # a repair is an interior fixpoint, so it changes T somewhere
+            assert all(e["modified"] for e in report.feasible)
             for Y in report.infeasible_reducts:
                 assert not is_solvable(reduce_fre(fre, Y, enforce_consistency=False))
 

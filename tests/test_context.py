@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from mafre import (
     FuzzySet,
     GranularValue,
+    associated_context,
     attribute_interior,
     build_concept_lattice,
     builtin_frame,
@@ -112,6 +113,17 @@ class TestOperators:
             possibility(fs(("x", "y"), (0, 0)), squares_context)
         with pytest.raises(IndexMismatchError):
             necessity(fs(SQUARES_VARS, (0,) * 5), squares_context)
+
+    def test_values_on_another_chain_rejected(self, squares_solvable):
+        # on [0,1]_8, 4/16 is not read as 4/8, and 16/16 is no table index
+        ctx = associated_context(squares_solvable)
+        for k in (4, 16):
+            g, f = fs(SQUARES_VARS, (k,) * 5, 16), fs(SQUARES_ROWS, (k,) * 5, 16)
+            for op, arg in (
+                (possibility, g), (object_closure, g), (necessity, f), (attribute_interior, f)
+            ):
+                with pytest.raises(GranularityMismatchError):
+                    op(arg, ctx)
 
     def test_interior_of_infeasible_rhs(self, squares_context):
         f = fs(SQUARES_ROWS, (4, 7, 3, 5, 1))
@@ -249,6 +261,21 @@ class TestLattice:
                     for p in predecessors(lat, fs(ctx.objects, e, 4))
                 }
                 assert got == expected
+
+    def test_lookup_reads_the_set_on_the_lattice(self, squares_solvable):
+        # top is concept 39, with 2 lower covers; 8/16 everywhere and a set
+        # over other names have top's numerators but are not that extent
+        lat = build_concept_lattice(associated_context(squares_solvable))
+        top = fs(SQUARES_VARS, (8,) * 5)
+        assert lat.index_of(top) == 39 and len(predecessors(lat, top)) == 2
+        for probe, error in (
+            (fs(SQUARES_VARS, (8,) * 5, 16), GranularityMismatchError),
+            (fs(tuple("abcde"), (8,) * 5), IndexMismatchError),
+        ):
+            with pytest.raises(error):
+                lat.index_of(probe)
+            with pytest.raises(error):
+                predecessors(lat, probe)
 
     def test_not_an_extent_raises(self, squares_context):
         lat = build_concept_lattice(squares_context)

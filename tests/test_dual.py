@@ -9,16 +9,17 @@ import pytest
 from mafre import (
     DualContext,
     DualFreInstance,
+    associated_context,
     build_concept_lattice,
     builtin_frame,
     dual_approximate,
     dual_brute_force,
-    dual_find_feasible_reducts,
     dual_is_solvable,
     dual_max_solution,
     dual_reduce,
     dual_solutions,
     enumerate_reducts,
+    find_feasible_reducts,
     is_consistent,
     necessity,
     possibility,
@@ -26,7 +27,6 @@ from mafre import (
 )
 from mafre.context import FuzzySet
 from mafre.dual import (
-    dual_associated_context,
     dual_compose,
     dual_is_solution,
     dual_solvability_gap,
@@ -69,7 +69,7 @@ def random_dual_solvable(rng, frame, n_rows, n_vars, n_cols):
 
 def random_dual_instance(rng, frame, n_rows, n_vars, n_cols):
     n = frame.granularity
-    return DualFreInstance.from_numerators(
+    return DualFreInstance(
         frame,
         [f"u{i}" for i in range(n_rows)],
         [f"v{i}" for i in range(n_vars)],
@@ -93,10 +93,10 @@ class TestDualOperators:
                 [rng.randrange(2) for _ in range(3)],
             )
             h = FuzzySet.from_numerators(
-                ctx.variables, [rng.randint(0, 5) for _ in range(3)], 5
+                ctx.objects, [rng.randint(0, 5) for _ in range(3)], 5
             )
             t = FuzzySet.from_numerators(
-                ctx.columns, [rng.randint(0, 5) for _ in range(2)], 5
+                ctx.attributes, [rng.randint(0, 5) for _ in range(2)], 5
             )
             # h <= t^nec  iff  h^pos <= t
             assert h.leq(necessity(t, ctx)) == possibility(h, ctx).leq(t)
@@ -106,7 +106,7 @@ class TestDualOperators:
         frame = builtin_frame(["godel", "sq-left"], 4)
         for _ in range(20):
             dfre = random_dual_solvable(rng, frame, 1, 3, 2)
-            ctx = dual_associated_context(dfre)
+            ctx = associated_context(dfre.transposed())
             h = FuzzySet.from_numerators(
                 dfre.var_names, [rng.randint(0, 4) for _ in range(3)], 4
             )
@@ -128,7 +128,7 @@ class TestDualOperators:
                 ctx = DualContext(
                     frame, [f"v{i}" for i in range(nv)], [f"w{j}" for j in range(nw)], S, sigma
                 )
-                t = FuzzySet.from_numerators(ctx.columns, [rng.randint(0, n) for _ in range(nw)], n)
+                t = FuzzySet.from_numerators(ctx.attributes, [rng.randint(0, n) for _ in range(nw)], n)
                 expected = [
                     min(
                         frame.triples[sigma[v]].left_residuum_table[t.numerators[w]][S[v][w]]
@@ -315,13 +315,13 @@ class TestDualLattice:
     def test_members_built_on_first_use(self):
         rng = random.Random(60)
         frame = builtin_frame(["sq-left", "godel"], 4)
-        ctx = dual_associated_context(random_dual_solvable(rng, frame, 2, 3, 2))
+        ctx = associated_context(random_dual_solvable(rng, frame, 2, 3, 2).transposed())
         lat = build_concept_lattice(ctx)
         assert len(lat) > 1
         # the extents are the variable-side sets, built without the concepts
         extents = lat.extents()
         assert "concepts" not in vars(lat)
-        assert all(h.index_set == ctx.variables for h in extents)
+        assert all(h.index_set == ctx.objects for h in extents)
         assert [h.numerators for h in extents] == [
             tuple(r) for r in lat.extent_rows.tolist()
         ]
@@ -330,7 +330,7 @@ class TestDualLattice:
         rng = random.Random(61)
         frame = builtin_frame(["sq-left", "godel"], 4)
         dfre = random_dual_solvable(rng, frame, 2, 3, 2)
-        ctx = dual_associated_context(dfre)
+        ctx = associated_context(dfre.transposed())
         lat = build_concept_lattice(ctx)
         for h in lat.extents():
             again = necessity(possibility(h, ctx), ctx)
@@ -340,7 +340,7 @@ class TestDualLattice:
         rng = random.Random(62)
         frame = builtin_frame(["sq-right"], 4)
         dfre = random_dual_solvable(rng, frame, 2, 2, 2)
-        ctx = dual_associated_context(dfre)
+        ctx = associated_context(dfre.transposed())
         lat = build_concept_lattice(ctx)
         for row in dual_max_solution(dfre):
             assert tuple(v.numerator for v in row) in lat.extent_set()
@@ -349,7 +349,7 @@ class TestDualLattice:
         rng = random.Random(63)
         frame = builtin_frame(["godel", "sq-left"], 4)
         dfre = random_dual_solvable(rng, frame, 2, 2, 2)
-        lat = build_concept_lattice(dual_associated_context(dfre))
+        lat = build_concept_lattice(associated_context(dfre.transposed()))
         members = [m.numerators for m in lat.extents()]
         for i, j in lat.covers():
             low, high = members[i], members[j]
@@ -387,8 +387,8 @@ class TestDualReduction:
         rng = random.Random(72)
         frame = builtin_frame(["sq-right"], 4)
         dfre = random_dual_solvable(rng, frame, 2, 2, 3)
-        ctx = dual_associated_context(dfre)
-        assert is_consistent(ctx, ctx.columns)
+        ctx = associated_context(dfre.transposed())
+        assert is_consistent(ctx, ctx.attributes)
 
     def test_reduce_consistent_preserves_solutions(self):
         rng = random.Random(73)
@@ -396,9 +396,9 @@ class TestDualReduction:
         checked = 0
         while checked < 15:
             dfre = random_dual_solvable(rng, frame, 2, 2, 3)
-            ctx = dual_associated_context(dfre)
+            ctx = associated_context(dfre.transposed())
             proper = [
-                Y for Y in enumerate_reducts(ctx) if len(Y) < len(ctx.columns)
+                Y for Y in enumerate_reducts(ctx) if len(Y) < len(ctx.attributes)
             ]
             if not proper or not dual_is_solvable(dfre):
                 continue
@@ -416,11 +416,11 @@ class TestDualReduction:
         frame = builtin_frame(["sq-left"], 4)
         while True:
             dfre = random_dual_solvable(rng, frame, 2, 2, 3)
-            ctx = dual_associated_context(dfre)
+            ctx = associated_context(dfre.transposed())
             bad = next(
                 (
                     (w,)
-                    for w in ctx.columns
+                    for w in ctx.attributes
                     if not is_consistent(ctx, (w,))
                 ),
                 None,
@@ -440,7 +440,7 @@ class TestDualReduction:
     def test_restrict_errors(self):
         frame = builtin_frame(["godel"], 4)
         ctx = DualContext(frame, ("v0",), ("w0",), [[frame.value(1)]], [0])
-        assert restrict(ctx, ("w0",)).columns == ("w0",)
+        assert restrict(ctx, ("w0",)).attributes == ("w0",)
         with pytest.raises(DimensionError):
             restrict(ctx, ())
         with pytest.raises(IndexMismatchError):
@@ -452,15 +452,15 @@ class TestDualEmptyReduct:
         # the lattice is {top}: the empty column set is the only reduct
         frame = builtin_frame(["godel", "sq-left"], 4)
         for rhs, solvable in (([[0, 0], [0, 0]], True), ([[0, 3], [2, 0]], False)):
-            dfre = DualFreInstance.from_numerators(
+            dfre = DualFreInstance(
                 frame, ("u1", "u2"), ("v1", "v2", "v3"), ("w1", "w2"),
                 [[0, 0]] * 3, (0, 1, 0), rhs,
             )
-            ctx = dual_associated_context(dfre)
+            ctx = associated_context(dfre.transposed())
             assert enumerate_reducts(ctx) == [()]
             assert is_consistent(ctx, ()) and is_consistent(ctx, ("w2",))
             assert dual_is_solvable(dfre) == solvable
-            assert dual_find_feasible_reducts(dfre) == [()]
+            assert find_feasible_reducts(dfre.transposed()) == [()]
             result = dual_approximate(dfre, ())
             assert [[v.numerator for v in r] for r in result.t_star] == [[0, 0]] * 2
             assert len(result.modified_rows) == (0 if solvable else 2)
@@ -470,7 +470,7 @@ class TestDualEmptyReduct:
 
     def test_empty_reduction_refused_on_a_proper_lattice(self):
         dfre = random_dual_solvable(random.Random(83), builtin_frame(["godel"], 4), 1, 2, 2)
-        assert enumerate_reducts(dual_associated_context(dfre)) != [()]
+        assert enumerate_reducts(associated_context(dfre.transposed())) != [()]
         with pytest.raises(DimensionError):
             dual_reduce(dfre, (), enforce_consistency=False)
 
@@ -503,7 +503,7 @@ class TestDualRepair:
             dfre = self._unsolvable_with_duplicate(rng, frame)
             if dual_is_solvable(dfre):
                 continue
-            for Y in dual_find_feasible_reducts(dfre):
+            for Y in find_feasible_reducts(dfre.transposed()):
                 result = dual_approximate(dfre, Y)
                 kept = set(Y)
                 for j, w in enumerate(dfre.col_names):
@@ -527,7 +527,7 @@ class TestDualRepair:
         data = json.loads((EXAMPLES / "squares_unsolvable.json").read_text())
         dfre = parse_problem(transpose(data)).to_instance()
         assert not dual_is_solvable(dfre)
-        feasible = dual_find_feasible_reducts(dfre)
+        feasible = find_feasible_reducts(dfre.transposed())
         assert feasible
         for Y in feasible:
             result = dual_approximate(dfre, Y)
@@ -555,7 +555,7 @@ class TestDualRepair:
         # craft an infeasible reduct: make the instance unsolvable everywhere
         while True:
             cand = random_dual_instance(rng, frame, 1, 2, 2)
-            ctx = dual_associated_context(cand)
+            ctx = associated_context(cand.transposed())
             if dual_is_solvable(cand):
                 continue
             reducts = enumerate_reducts(ctx)

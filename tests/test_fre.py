@@ -105,7 +105,7 @@ class TestGap:
         frame = builtin_frame(["sq-left", "godel"], 4)
         seen = 0
         for _ in range(30):
-            fre = FreInstance.from_numerators(
+            fre = FreInstance(
                 frame,
                 [f"u{i}" for i in range(4)],
                 ["v0", "v1"],
@@ -133,7 +133,7 @@ class TestGap:
         frame = builtin_frame(["sq-right", "godel"], 4)
         unsolvable = 0
         for _ in range(30):
-            fre = FreInstance.from_numerators(
+            fre = FreInstance(
                 frame,
                 [f"u{i}" for i in range(4)],
                 ["v0", "v1"],
@@ -172,7 +172,7 @@ class TestGap:
         names = rng.sample(["sq-left", "sq-right", "godel"], rng.randint(1, 3))
         frame = builtin_frame(names, n)
         nu, nv, nw = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 5)
-        fre = FreInstance.from_numerators(
+        fre = FreInstance(
             frame,
             [f"u{i}" for i in range(nu)],
             [f"v{k}" for k in range(nv)],
@@ -288,7 +288,7 @@ class TestEnumeration:
         frame = builtin_frame(["sq-left", "sq-right"], 8)
         for materialize in (True, False):
             # a fresh instance each time: a cached lattice would hide a build
-            fre = FreInstance.from_numerators(
+            fre = FreInstance(
                 frame, SQUARES_ROWS, SQUARES_VARS, ("w",), SQUARES_COEFF,
                 SQUARES_SIGMA, [[2], [4], [0], [2], [0]],
             )
@@ -308,7 +308,7 @@ class TestEnumeration:
             fre_mod, "_listing", lambda *a: listings.append(a) or listing(*a)
         )
         rhs = [[2, 0, 2], [4, 0, 4], [0, 0, 0], [2, 0, 2], [0, 0, 0]]
-        fre = FreInstance.from_numerators(
+        fre = FreInstance(
             squares_frame, SQUARES_ROWS, SQUARES_VARS, ("w1", "w2", "w3"),
             SQUARES_COEFF, SQUARES_SIGMA, rhs,
         )
@@ -327,7 +327,7 @@ class TestEnumeration:
         from conftest import SQUARES_COEFF, SQUARES_ROWS, SQUARES_SIGMA
 
         rhs = [[2, 0, 2], [4, 0, 4], [0, 0, 0], [2, 0, 2], [0, 0, 0]]
-        fre = FreInstance.from_numerators(
+        fre = FreInstance(
             squares_frame, SQUARES_ROWS, SQUARES_VARS, ("w1", "w2", "w3"),
             SQUARES_COEFF, SQUARES_SIGMA, rhs,
         )
@@ -554,7 +554,7 @@ class TestCount:
         sweeps, sweep = self._sweeps(monkeypatch)
         names = [f"v{i}" for i in range(nv)]
         identity = [[n * (u == v) for v in range(nv)] for u in range(nv)]
-        fre = FreInstance.from_numerators(
+        fre = FreInstance(
             builtin_frame(["godel"], n), names, names, ["w"], identity,
             [0] * nv, [[n]] * nv,
         )
@@ -576,7 +576,7 @@ class TestCount:
         sweeps, _ = self._sweeps(monkeypatch)
         frame = builtin_frame(["sq-left", "sq-right"], 8)
         rhs = [[2, 0, 2], [4, 0, 4], [0, 0, 0], [2, 0, 2], [0, 0, 0]]
-        fre = FreInstance.from_numerators(
+        fre = FreInstance(
             frame, SQUARES_ROWS, SQUARES_VARS, ("w1", "w2", "w3"),
             SQUARES_COEFF, SQUARES_SIGMA, rhs,
         )
@@ -593,7 +593,7 @@ class TestCount:
         # predecessor (all 14) and a box of 16^16 = 2^64 rows
         sweeps, _ = self._sweeps(monkeypatch)
         nv = 16
-        fre = FreInstance.from_numerators(
+        fre = FreInstance(
             builtin_frame(["godel"], 15), ["u"], [f"v{i}" for i in range(nv)],
             ["w"], [[15] * nv], [0] * nv, [[15]],
         )
@@ -784,7 +784,7 @@ class TestOracleEquivalence:
             fre = random_solvable_instance(rng, frame, rng.randint(1, 3), rng.randint(1, 3), 2)
             if i % 3 == 0:  # an arbitrary rhs, usually unsolvable
                 n = frame.granularity
-                fre = FreInstance.from_numerators(
+                fre = FreInstance(
                     frame, fre.row_names, fre.var_names, fre.col_names,
                     [[v.numerator for v in row] for row in fre.coeff], fre.sigma,
                     [[rng.randint(0, n) for _ in fre.col_names] for _ in fre.row_names],
@@ -869,15 +869,15 @@ class TestReduction:
 
 
 class TestConstruction:
-    def test_from_numerators_shape_checks(self, squares_frame):
+    def test_constructor_shape_checks(self, squares_frame):
         with pytest.raises(DimensionError):
-            FreInstance.from_numerators(
+            FreInstance(
                 squares_frame, ("u1",), ("v1", "v2"), ("w",), [[1]], (0, 0), [[1]]
             )
 
     def test_sigma_rows_are_refused(self, squares_frame):
         # any entry numpy reads as an array is a row, not a triple index
-        make = lambda sigma: FreInstance.from_numerators(
+        make = lambda sigma: FreInstance(
             squares_frame, ("u1",), ("v1", "v2"), ("w",), [[1, 2]], sigma, [[1]]
         )
         for row in ((0, 1), [0, 1], np.array([0, 1]), range(2), deque([0, 1])):

@@ -13,6 +13,7 @@ from mafre import (
     GranularLattice,
     builtin_frame,
     builtin_triple,
+    diagnose,
 )
 from mafre.cli import main
 from mafre.dual import DualFreInstance, dual_compose
@@ -180,7 +181,7 @@ class TestProblemFiles:
             sq_left.right_residuum_table,
         )
         frame = Frame(GranularLattice(n), [renamed, builtin_triple("godel", n)])
-        fre = FreInstance.from_numerators(
+        fre = FreInstance(
             frame, ["u1", "u2"], ["v1", "v2"], ["w"], [[3, 1], [2, 4]], [0, 1], [[2], [1]]
         )
         problem = problem_from_instance(fre)
@@ -539,6 +540,28 @@ class TestCliApproximate:
     def test_approximate_solvable(self, capsys):
         assert main(["approximate", SOLVABLE]) == 0
         assert "solvable as stated" in capsys.readouterr().out
+
+    def test_no_feasible_reduct(self, tmp_path, capsys):
+        # Godel n = 1: the only reduct, {u1, u2}, is infeasible
+        fre = FreInstance(
+            builtin_frame(["godel"], 1), ["u1", "u2"], ["v1", "v2"], ["w"],
+            [[0, 1], [1, 1]], [0, 0], [[1], [0]],
+        )
+        path = tmp_path / "none.json"
+        path.write_text(problem_from_instance(fre).dumps())
+        text = (
+            "no reduct-based repair exists for this instance\n"
+            "reduct {u1, u2} is infeasible: the instance stays unsolvable no "
+            "matter how the right-hand sides outside it are changed"
+        )
+        assert diagnose(fre).render_text() == text
+        assert main(["approximate", str(path)]) == 0
+        assert capsys.readouterr().out == text + "\n"
+        assert main(["approximate", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["diagnosis"]["feasible_reducts"] == []
+        assert payload["diagnosis"]["infeasible_reducts"] == [["u1", "u2"]]
+        assert payload["approximations"] == []
 
     def test_pessimistic(self, capsys):
         assert main(["approximate", UNSOLVABLE, "--pessimistic", "--json"]) == 0

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_solvable_instance
 from mafre import builtin_frame
 from mafre.context import build_concept_lattice
-from mafre.dual import dual_associated_context, dual_solutions, dual_solvability_gap
+from mafre.dual import dual_solutions, dual_solvability_gap
 from mafre.errors import UnsolvableError
 from mafre.fre import FreInstance, associated_context, enumerate_solutions, solvability_gap
 from mafre.io import (
@@ -246,7 +246,7 @@ def test_large_lattice_json(large_files):
         0, json.dumps(payload, indent=2) + "\n", ""
     )
     dfre = load_problem(large_files["dual"]).to_instance()
-    dual = build_concept_lattice(dual_associated_context(dfre))
+    dual = build_concept_lattice(associated_context(dfre.transposed()))
     payload = {"members": dual.extent_rows.tolist()}
     assert run(["lattice", str(large_files["dual"]), "--json"]) == (
         0, json.dumps(payload, indent=2) + "\n", ""
@@ -368,11 +368,11 @@ def gap_files(tmp_path_factory):
     rng = random.Random(23)
     frame = builtin_frame(["godel", "sq-left", "sq-right"], 9)
     draw = lambda rows, cols: [[rng.randint(0, 9) for _ in range(cols)] for _ in range(rows)]
-    unsolvable = FreInstance.from_numerators(
+    unsolvable = FreInstance(
         frame, [f"u{i}%" for i in range(6)], ["v0", "v1", "v2"],
         [f"w{j}" for j in range(40)], draw(6, 3), [0, 1, 2], draw(6, 40),
     )
-    lattice = FreInstance.from_numerators(
+    lattice = FreInstance(
         frame, [f"u{i}" for i in range(6)], [f"v{k}" for k in range(4)], ["w"],
         draw(6, 4), [0, 1, 2, 0], draw(6, 1),
     )

@@ -39,7 +39,6 @@ from mafre import (
     solvability_gap,
 )
 from mafre.context import _generators
-from mafre.dual import dual_associated_context
 from mafre.io import ProblemFileError, _int_matrix, parse_problem
 from mafre.errors import (
     DimensionError,
@@ -75,7 +74,7 @@ def _random_pairs(seed):
                 coeff = [[rng.randint(0, n) for _ in range(shape[1])] for _ in range(shape[0])]
                 yield (
                     cls(frame, *names, _gv(frame, coeff), sigma, _gv(frame, rhs)),
-                    cls.from_numerators(frame, *names, coeff, sigma, rhs),
+                    cls(frame, *names, coeff, sigma, rhs),
                     coeff,
                     sigma,
                     rhs,
@@ -85,7 +84,7 @@ def _random_pairs(seed):
 def _context(instance):
     if isinstance(instance, FreInstance):
         return associated_context(instance)
-    return dual_associated_context(instance)
+    return associated_context(instance.transposed())
 
 
 class TestRoundTrip:
@@ -165,7 +164,7 @@ class TestValidation:
                 "rhs": [[0, 1], [2, 3]],
             }
             args.update(changes)
-            return cls.from_numerators(**args)
+            return cls(**args)
 
         return build
 
@@ -225,9 +224,9 @@ class TestValidation:
     def test_fractional_numerators_are_rejected(self):
         frame = builtin_frame(["sq-left"], 4)
         with pytest.raises(RangeError):
-            FreInstance.from_numerators(frame, ["u1"], ["v1"], ["w1"], [[1.7]], [0], [[1]])
+            FreInstance(frame, ["u1"], ["v1"], ["w1"], [[1.7]], [0], [[1]])
         with pytest.raises(RangeError):
-            DualFreInstance.from_numerators(frame, ["u1"], ["v1"], ["w1"], [[2.9]], [0], [[1]])
+            DualFreInstance(frame, ["u1"], ["v1"], ["w1"], [[2.9]], [0], [[1]])
 
     def test_unknown_rhs_names(self, build):
         x = build()
@@ -381,7 +380,7 @@ class TestVectorisedChecks:
         what = "relation" if key == "coeff" else "rhs"
 
         def build():
-            return cls.from_numerators(
+            return cls(
                 frame, ("u1", "u2"), ("v1", "v2"), ("w1", "w2"), args["coeff"], [0, 1],
                 args["rhs"],
             )
@@ -399,7 +398,7 @@ class TestVectorisedChecks:
             _int_matrix([["a", 9]], 1, 2, 4, "rhs")
         frame = builtin_frame(["godel"], 4)
         with pytest.raises(GranularityMismatchError):
-            FreInstance.from_numerators(
+            FreInstance(
                 frame, ["u"], ["v"], ["w"], [[GranularValue(1, 5)]], [0], [[0]]
             )
 
@@ -413,7 +412,7 @@ class TestVectorisedChecks:
             tuple(map(tuple, expected)),
         ):
             for cls in (FreInstance, DualFreInstance):
-                fre = cls.from_numerators(
+                fre = cls(
                     frame, ("u1", "u2"), ("v1", "v2"), ("w1", "w2"), coeff, [0, 1], coeff
                 )
                 assert fre._coeff_array.tolist() == expected
@@ -422,7 +421,7 @@ class TestVectorisedChecks:
     def test_a_checked_array_is_a_copy(self):
         frame = builtin_frame(["godel"], 4)
         coeff = np.array([[1, 2], [3, 4]], dtype=np.int64)
-        fre = FreInstance.from_numerators(
+        fre = FreInstance(
             frame, ["u1", "u2"], ["v1", "v2"], ["w"], coeff, [0, 0], [[1], [2]]
         )
         coeff[0, 0] = 4
@@ -464,7 +463,7 @@ class TestNoValuesOnLoad:
             )
         )
         dfre = load_problem(path).to_instance()
-        dual_associated_context(dfre)._R
+        associated_context(dfre.transposed())._R
         dfre.transposed()
         assert built == []
         rhs = dfre.rhs  # the view is built on first read, once
@@ -557,7 +556,7 @@ class TestDerivedInstances:
             reduced_primal = reduced.transposed()
             assert len(context_inits) == before
             assert primal is x.transposed()
-            assert associated_context(primal) is dual_associated_context(x)
+            assert associated_context(primal) is associated_context(x.transposed())
             public = FreInstance(
                 ctx.frame, x.col_names, x.var_names, x.row_names,
                 x._coeff_array.T.tolist(), x.sigma, x._rhs_array.T.tolist(),

@@ -1,9 +1,11 @@
 """Source hygiene of the package, read with ``ast`` (no third-party linter).
 
-Two rules keep dead code from piling up: a module (other than the package
+Three rules keep dead code from piling up: a module (other than the package
 ``__init__``, whose imports are the public API) uses every name it imports,
-and every module-level private function, class or constant is referenced
-somewhere in the package outside its own definition.
+every module-level private function, class or constant is referenced
+somewhere in the package outside its own definition, and no public function
+or method is a second name for a call: its whole body, docstring aside, is
+``return f(<its own parameters, unchanged, in order>)``.
 """
 
 import ast
@@ -73,6 +75,63 @@ def unreferenced_privates(modules) -> list:
     )
 
 
+def _passed(call) -> list:
+    """The names a call passes when every argument is a bare name passed as
+    itself (``x`` or ``x=x``), in order; else None."""
+    names = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+    names += [
+        k.arg if isinstance(k.value, ast.Name) and k.value.id == k.arg else None
+        for k in call.keywords
+    ]
+    return None if None in names else names
+
+
+def _forwards(fn, method: bool) -> bool:
+    """Whether ``fn``'s body, docstring aside, returns a call that passes its
+    parameters unchanged, in order; a method's ``self`` or ``cls`` aside."""
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    if not isinstance(call, ast.Call):
+        return False
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    return _passed(call) == (params[1:] if method else params)
+
+
+def forwarding_definitions(modules) -> list:
+    """Each public module-level function and public method whose body only
+    forwards its parameters to another call."""
+    found = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            members = [(node.name, node, False)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                members = [
+                    (f"{node.name}.{fn.name}", fn, True)
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)
+                ]
+            found += [
+                f"{module}.{name}"
+                for name, fn, method in members
+                if not fn.name.startswith("_") and _forwards(fn, method)
+            ]
+    return sorted(found)
+
+
+# forwarding definitions that stay, each for its reason
+FORWARDS_KEPT = {
+    "algebra.Frame.value": "the acceptance gate calls it",
+    "dual.DualFreInstance.rhs_row": (
+        "row u of a dual system is column u of its transposed primal"
+    ),
+}
+
+
 def test_package_is_parsed():
     assert {"__init__", "algebra", "context", "dual", "fre", "io"} <= set(MODULES)
 
@@ -83,6 +142,29 @@ def test_every_import_is_used():
 
 def test_every_private_definition_is_referenced():
     assert unreferenced_privates(MODULES) == []
+
+
+def test_no_public_name_only_forwards():
+    assert forwarding_definitions(MODULES) == sorted(FORWARDS_KEPT)
+
+
+@pytest.mark.parametrize(
+    "source, forwards",
+    [
+        ("def f(a, b):\n    'doc'\n    return g(a, b)\n", ["m.f"]),
+        ("def f(a, *, b):\n    return g(a, b=b)\n", ["m.f"]),
+        ("class C:\n    @classmethod\n    def f(cls, a):\n        return cls(a)\n", ["m.C.f"]),
+        ("class C:\n    def f(self, u):\n        return self.x.g(u)\n", ["m.C.f"]),
+        ("def f(a, b):\n    return g(b, a)\n", []),
+        ("def f(a):\n    return g(a.t())\n", []),
+        ("def f(a, b=1):\n    return g(a)\n", []),
+        ("def _f(a):\n    return g(a)\n", []),
+        ("def f(a):\n    x = 1\n    return g(a)\n", []),
+        ("class C:\n    def f(self):\n        return self.x\n", []),
+    ],
+)
+def test_forwarding_rule_on_small_sources(source, forwards):
+    assert forwarding_definitions({"m": ast.parse(source)}) == forwards
 
 
 @pytest.mark.parametrize(
