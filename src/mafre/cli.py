@@ -141,7 +141,29 @@ def _solve(args, instance, solutions_of, closure, part, counted) -> int:
                     lines.append(f"  ... ({col.count - len(listed)} more)")
         return "\n".join(lines)
 
-    _emit(args, lambda: {"solvable": True, "solutions": solutions.to_json()}, text)
+    def payload():
+        # what SolutionSet.to_json() holds, written from the arrays: one
+        # column of values per record field, under its JSON key
+        fields = {
+            "column": "column",
+            "max_solution": "max_row",
+            "excluded_predecessors": "predecessor_rows",
+            "count": "count",
+        }
+        if args.enumerate:
+            fields.update(solutions="solution_rows", minimal="minimal_rows")
+        cols = solutions.columns
+        records = _Records(fields, [[getattr(c, f) for c in cols] for f in fields.values()])
+        return {
+            "solvable": True,
+            "solutions": {
+                "granularity": solutions.granularity,
+                "variables": list(solutions.var_names),
+                "columns": records,
+            },
+        }
+
+    _emit(args, payload, text)
     return ExitStatus.OK
 
 

@@ -13,8 +13,9 @@ kept alongside as an independent oracle.
 
 Each solver call makes one closure pass over all rhs columns; an unsolvable
 instance raises UnsolvableError carrying the gap as numerators.  Columns with
-the same maximum share its predecessors, one JSON body and, when listed, its
-solutions and minimal ones, read off one boolean grid over the box.  A count
+the same maximum share its array, its predecessors and, when listed, its
+solutions and minimal ones, read off one boolean grid over the box; the JSON
+output writes each of those arrays once.  A count
 alone sweeps no box when there are no predecessors or twice as many box rows
 as predecessor subsets: it is then an inclusion-exclusion sum of box sizes
 over those subsets, which holds fewer rows than the box.  The listing and the
@@ -286,9 +287,10 @@ class ColumnSolutions:
     def minimal(self) -> Optional[tuple]:
         return None if self.solution_rows is None else self._sets(self.minimal_rows)
 
-    def _body(self) -> dict:
-        """The JSON fields after ``column``."""
+    def to_json(self) -> dict:
+        """The column's record, with lists of its own."""
         data = {
+            "column": self.column,
             "max_solution": self.max_row.tolist(),
             "excluded_predecessors": self.predecessor_rows.tolist(),
             "count": self.count,
@@ -297,9 +299,6 @@ class ColumnSolutions:
             data["solutions"] = self.solution_rows.tolist()
             data["minimal"] = self.minimal_rows.tolist()
         return data
-
-    def to_json(self):
-        return {"column": self.column, **self._body()}
 
 
 @dataclass(frozen=True)
@@ -316,25 +315,15 @@ class SolutionSet:
                 return c
         raise KeyError(w)
 
-    def to_json(self):
-        """The columns' JSON records; columns whose fields come from the same
-        arrays (as ``enumerate_solutions`` shares them per distinct maximum)
-        share one body, so its lists are built once and ``io._dumps`` writes
-        them once.  Those records hold the same list objects: treat the
-        result as read-only, or copy a record's lists before editing them."""
-        bodies, columns = {}, []
-        for c in self.columns:
-            key = (
-                c.max_row.tobytes(), c.count,
-                id(c.predecessor_rows), id(c.solution_rows), id(c.minimal_rows),
-            )
-            if key not in bodies:
-                bodies[key] = c._body()
-            columns.append({"column": c.column, **bodies[key]})
+    def to_json(self) -> dict:
+        """The solution set as JSON values; every record holds lists of its
+        own, also where columns share their arrays (as ``enumerate_solutions``
+        shares them per distinct maximum).  ``solve --json`` prints this,
+        written from the arrays by ``io._Records``."""
         return {
             "granularity": self.granularity,
             "variables": list(self.var_names),
-            "columns": columns,
+            "columns": [c.to_json() for c in self.columns],
         }
 
 
@@ -448,7 +437,7 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
     _unsolvable(fre, interiors, "cannot enumerate an unsolvable instance")
     candidates, covers = _lower_covers(associated_context(fre), maxima, interiors)
     n = fre.frame.granularity
-    solved = {}  # maximum -> (predecessors, count, solutions, minimal)
+    solved = {}  # maximum -> (maximum, predecessors, count, solutions, minimal)
     cols = []
     for j, (w, m) in enumerate(zip(fre.col_names, maxima)):
         key = m.tobytes()
@@ -456,10 +445,10 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
             preds = _unique_rows(candidates[j][covers[j]])
             if materialize:
                 rows, minimal = _listing(m, preds)
-                solved[key] = preds, len(rows), rows, minimal
+                solved[key] = m, preds, len(rows), rows, minimal
             else:
-                solved[key] = preds, _count(m, preds), None, None
-        cols.append(ColumnSolutions(w, fre.var_names, n, m, *solved[key]))
+                solved[key] = m, preds, _count(m, preds), None, None
+        cols.append(ColumnSolutions(w, fre.var_names, n, *solved[key]))
     return SolutionSet(n, fre.var_names, tuple(cols))
 
 

@@ -5,12 +5,13 @@ exact by construction; decimal rendering happens only in human-facing output.
 Triples are given by built-in name or as explicit operator tables, and sigma
 uses 1-based indices into the triple list.  ``_dumps`` prints what
 ``json.dumps(obj, indent=2)`` prints, writing rows and matrices of integers
-with one format operation each, and a list that the output holds at several
-places at one indentation once per call (a memo keyed by object id).  The
-large record lists (the concepts of a lattice, the gap of an unsolvable
-system) reach it as ``_Records``, numerator arrays and str lists held column
-by column, and are written as one format operation with no dict built and
-no entry walked; any other list of dicts is written value by value.
+with one format operation each.  The large record lists (the concepts of a
+lattice, the gap of an unsolvable system, the columns of a solution set)
+reach it as ``_Records``, numerator arrays, int lists and str lists held
+column by column, and are written as one format operation with no dict
+built and no entry walked; a column of per-record arrays (the solution
+arrays that columns share per distinct maximum) writes each distinct array
+once.  Any other list of dicts is written value by value.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _block(parts, nl: str, brackets: str = "[]") -> str:
 @functools.lru_cache(maxsize=256)
 def _row_template(length: int, nl: str) -> str:
     """The %-template of a row of ``length`` integers opened after ``nl``."""
-    return _block(["%d"] * length, nl)
+    return _block(["%d"] * length, nl) if length else "[]"
 
 
 def _key(k) -> str:
@@ -68,14 +69,29 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
+def _rows_text(a, nl: str) -> str:
+    """The text of the integer array ``a`` opened after ``nl``: a 1-D array
+    is one row, a 2-D array a list of rows."""
+    if not isinstance(a, np.ndarray) or a.dtype.kind not in "iu" or a.ndim not in (1, 2):
+        raise TypeError(f"a record's array must be a 1-D or 2-D integer array, not {a!r:.60}")
+    if a.ndim == 1:
+        return _row_template(len(a), nl) % tuple(a.tolist())
+    if not len(a):
+        return "[]"
+    row = _row_template(a.shape[1], nl + "  ")
+    return _block([row] * len(a), nl) % tuple(a.ravel().tolist())
+
+
 class _Records:
     """A list of records held column by column, for ``_dumps``: record i
     holds, under each str key of ``keys``, entry i of that key's column.
 
     A column is a 1-D integer array (one int per record), a 2-D integer
-    array (one row of ints per record) or a list of exact strs.  ``_dumps``
-    prints what ``json.dumps`` prints for the list of dicts, with no walk
-    over the entries: the dtype proves they are ints.
+    array (one row of ints per record), a list of exact strs, a list of
+    exact ints (bool is refused) or a list of integer arrays, one per record,
+    each written as ``_rows_text`` writes it.  ``_dumps`` prints what
+    ``json.dumps`` prints for the list of dicts, with no walk over the
+    entries of an array: its dtype proves they are ints.
     """
 
     __slots__ = ("keys", "columns")
@@ -92,82 +108,105 @@ class _Records:
     def _text(self, nl: str) -> str:
         """The text of the records for ``_dumps``, opened after ``nl``.
 
-        Each key's value is written into its %-slot of one record template,
-        repeated once per record.  Each column becomes a block of one row per
-        record, and the blocks side by side one object array (integers become
-        Python ints), which read row by row gives the values of the slots in
-        order.  A ``%`` in a key is doubled in the template.
+        A list column becomes the JSON text of each of its values; a
+        per-record array's text is made once per distinct array object,
+        keyed by ``id`` (the columns hold every array for the whole call, so
+        no id is reused).  When every column is a list, as those of a
+        solution set are, the texts are joined between the literal pieces of
+        the records, which sizes the output once: a %-format of long texts
+        regrows it as it goes.  Otherwise each key's value is written into
+        its %-slot of one record template, repeated once per record.  Each
+        column becomes a block of one row per record, and the blocks side by
+        side one object array (integers become Python ints), which read row
+        by row gives the values of the slots in order.  A ``%`` in a key is
+        doubled in the template.
         """
-        field = nl + "    "
-        slots, blocks = [], []
+        inner, field = nl + "  ", nl + "    "
+        slots, blocks, texts = [], [], {}
         for col in self.columns:
-            if type(col) is list and {*map(type, col)} <= {str}:
-                slots.append("%s")
-                blocks.append(np.array([*map(_str, col)], dtype=object)[:, None])
-            elif isinstance(col, np.ndarray) and col.dtype.kind in "iu" and col.ndim == 1:
-                slots.append("%d")
-                blocks.append(col[:, None])
-            elif isinstance(col, np.ndarray) and col.dtype.kind in "iu" and col.ndim == 2:
-                width = col.shape[1]
-                slots.append(_row_template(width, field) if width else "[]")
-                blocks.append(col)
-            else:
+            if isinstance(col, np.ndarray) and col.dtype.kind in "iu" and col.ndim in (1, 2):
+                if col.ndim == 1:
+                    slots.append("%d")
+                    blocks.append(col[:, None])
+                else:
+                    slots.append(_row_template(col.shape[1], field))
+                    blocks.append(col)
+                continue
+            if type(col) is not list:
                 raise TypeError(
                     "a record column must be a 1-D or 2-D integer array or a list "
-                    f"of str, not {col!r:.60}"
+                    f"of str, int or integer arrays, not {col!r:.60}"
                 )
+            kinds = {*map(type, col)}
+            if kinds <= {str}:
+                blocks.append([*map(_str, col)])
+            elif kinds <= {int}:
+                blocks.append([*map(_intstr, col)])
+            else:
+                for a in col:
+                    if id(a) not in texts:
+                        texts[id(a)] = _rows_text(a, field)
+                blocks.append([texts[id(a)] for a in col])
+            slots.append("%s")
         count = len(self.columns[0]) if self.columns else 0
         if not count:
             return "[]"
+        if all(type(b) is list for b in blocks):
+            width = 2 * len(blocks)
+            parts = [None] * (width * count)
+            for i, (k, b) in enumerate(zip(self.keys, blocks)):
+                head = ("," if i else inner + "}," + inner + "{") + field + _str(k) + ": "
+                parts[2 * i :: width] = [head] * count
+                parts[2 * i + 1 :: width] = b
+            parts[0] = "[" + inner + "{" + field + _str(self.keys[0]) + ": "
+            parts += inner, "}", nl, "]"
+            return "".join(parts)
         record = _block(
             [_str(k).replace("%", "%%") + ": " + slot for k, slot in zip(self.keys, slots)],
-            nl + "  ",
+            inner,
             "{}",
         )
-        cells = np.concatenate([b.astype(object) for b in blocks], axis=1)
+        cells = np.concatenate(
+            [
+                np.array(b, dtype=object)[:, None] if type(b) is list else b.astype(object)
+                for b in blocks
+            ],
+            axis=1,
+        )
         return _block([record] * count, nl) % tuple(cells.ravel().tolist())
 
 
-def _dumps(obj, nl: str = "\n", seen: dict = None) -> str:
+def _dumps(obj, nl: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte; ``nl`` is a newline plus
     the indentation of the line ``obj`` starts on.
 
     A list of exact ints is one %-format of a cached row template, a list of
     equal-length such rows one %-format over the flattened matrix, and a
-    ``_Records`` one %-format over its columns' values.
-    ``seen`` memoizes, for one call, the text of every list and tuple by
-    ``(id, nl)``: an object that the payload holds at several places at one
-    indentation (the bodies that solution columns share per maximum) is
-    written once.  An id cannot be reused within the call, because every
-    keyed object is part of ``obj`` and nothing is encoded from a temporary.
+    ``_Records`` is written by its ``_text``.  A dict is one join of its
+    keys' and values' texts, so a long value is copied once.
     """
     t = type(obj)
     if t is int:
         return _intstr(obj)
     if t is str:
         return _str(obj)
-    if seen is None:
-        seen = {}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        key = id(obj), nl
-        if key not in seen:
-            seen[key] = _list(obj, nl, seen)
-        return seen[key]
+        return _list(obj, nl) if obj else "[]"
     if t is _Records:
         return obj._text(nl)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        inner = nl + "  "
-        return _block(
-            [_key(k) + ": " + _dumps(v, inner, seen) for k, v in obj.items()], nl, "{}"
-        )
+        inner, parts = nl + "  ", []
+        for k, v in obj.items():
+            parts += ",", inner, _key(k), ": ", _dumps(v, inner)
+        parts[0] = "{"
+        parts += nl, "}"
+        return "".join(parts)
     return _scalar(obj)
 
 
-def _list(obj, nl: str, seen: dict) -> str:
+def _list(obj, nl: str) -> str:
     """The text of the non-empty list or tuple ``obj`` for ``_dumps``."""
     inner = nl + "  "
     kinds = {*map(type, obj)}
@@ -180,7 +219,7 @@ def _list(obj, nl: str, seen: dict) -> str:
             if {*map(type, flat)} == {int}:
                 row = _row_template(len(obj[0]), inner)
                 return _block([row] * len(obj), nl) % tuple(flat)
-    return _block([_dumps(v, inner, seen) for v in obj], nl)
+    return _block([_dumps(v, inner) for v in obj], nl)
 
 
 class ProblemFileError(MafreError):

@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import random
+import tempfile
 from collections import deque
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -358,10 +361,14 @@ class TestEnumeration:
 
 
 class _CountedRows(np.ndarray):
-    """A view of a rows array that counts its ``tolist`` calls."""
+    """A view of an array that counts, in ``calls[0]``, the ``tolist`` calls
+    on it and on the views taken of it (a ``ravel``, say)."""
+
+    def __array_finalize__(self, obj):
+        self.calls = getattr(obj, "calls", None)
 
     def tolist(self):
-        self.calls += 1
+        self.calls[0] += 1
         return super().tolist()
 
 
@@ -392,39 +399,55 @@ def _repeated_parts(seed: int, dual: bool):
 
 
 class TestSharedJson:
-    """``SolutionSet.to_json`` renders one body per distinct maximum."""
+    """``solve --json`` writes the arrays that columns share per distinct
+    maximum once each; ``SolutionSet.to_json`` gives every record its own
+    lists."""
 
     @settings(max_examples=max(100, settings().max_examples), deadline=None)
     @given(st.integers(0, 2**32), st.booleans(), st.booleans())
     def test_one_body_per_maximum(self, seed, dual, materialize):
-        from mafre.dual import dual_solutions
-        from mafre.io import _dumps
+        import mafre.dual
+        import mafre.fre
+        from mafre.io import problem_from_instance
+        from test_cli_golden import run
 
         instance = _repeated_parts(seed, dual)
-        solve = dual_solutions if dual else enumerate_solutions
-        solutions = solve(instance, materialize=materialize)
-        cols = solutions.columns
-        # every array shared per maximum counts the tolist calls on it
-        views = {}
-        for c in cols:
-            for name in ("predecessor_rows", "solution_rows", "minimal_rows"):
-                rows = getattr(c, name)
-                if rows is not None:
-                    if id(rows) not in views:
-                        views[id(rows)] = rows.view(_CountedRows)
-                        views[id(rows)].calls = 0
-                    object.__setattr__(c, name, views[id(rows)])
+        module = mafre.dual if dual else mafre.fre
+        name = "dual_solutions" if dual else "enumerate_solutions"
+        solve, solved, views = getattr(module, name), [], {}
+
+        def counted(instance, materialize):
+            # every array of the solution set counts the tolist calls on it
+            solutions = solve(instance, materialize=materialize)
+            for c in solutions.columns:
+                for field in ("max_row", "predecessor_rows", "solution_rows", "minimal_rows"):
+                    rows = getattr(c, field)
+                    if rows is not None:
+                        if id(rows) not in views:
+                            views[id(rows)] = rows.view(_CountedRows)
+                            views[id(rows)].calls = [0]
+                        object.__setattr__(c, field, views[id(rows)])
+            solved.append(solutions)
+            return solutions
+
+        argv = ["--json", *(["--enumerate"] if materialize else [])]
+        with tempfile.TemporaryDirectory() as directory, mock.patch.object(module, name, counted):
+            path = os.path.join(directory, "problem.json")
+            with open(path, "w") as fh:
+                fh.write(problem_from_instance(instance).dumps())
+            printed = run(["solve", path, *argv])
+        (solutions,) = solved
+        maxima = [c.max_row.tobytes() for c in solutions.columns]
+        assert len(set(maxima)) < len(solutions.columns)  # some parts share their maximum
+        assert len(views) == len(set(maxima)) * (4 if materialize else 2)
+        # an array without rows is written as [] and read not at all
+        assert all(view.calls == [int(len(view) > 0)] for view in views.values())
         data = solutions.to_json()
-        maxima = [c.max_row.tobytes() for c in cols]
-        assert len(set(maxima)) < len(cols)  # some parts share their maximum
-        assert len(views) == len(set(maxima)) * (3 if materialize else 1)
-        assert all(view.calls == 1 for view in views.values())
-        assert data["columns"] == [c.to_json() for c in cols]
-        for a, m in zip(data["columns"], maxima):
-            for b, k in zip(data["columns"], maxima):
-                if m == k:
-                    assert all(a[f] is b[f] for f in a if isinstance(a[f], list))
-        assert _dumps(data) == json.dumps(data, indent=2)
+        expected = json.dumps({"solvable": True, "solutions": data}, indent=2)
+        assert printed == (0, expected + "\n", "")
+        # no two records hold one list object
+        lists = [id(v) for rec in data["columns"] for v in rec.values() if isinstance(v, list)]
+        assert len(set(lists)) == len(lists)
 
     def test_unshared_columns_render_their_own_arrays(self):
         # two hand-built columns with one maximum but arrays of their own

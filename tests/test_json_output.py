@@ -4,6 +4,7 @@ on problem files and on CLI output larger than the golden file reaches."""
 
 import copy
 import json
+import math
 import random
 
 import numpy as np
@@ -168,22 +169,6 @@ def test_dumps_of_shared_lists_equals_json_dumps(value):
     assert _dumps(value) == json.dumps(value, indent=2)
 
 
-def test_shared_list_written_once_per_indentation(monkeypatch):
-    import mafre.io
-
-    templates, template = [], mafre.io._row_template
-    monkeypatch.setattr(
-        mafre.io, "_row_template", lambda *a: templates.append(a) or template(*a)
-    )
-    m = [[1, 2], [3, 4]]
-    columns = [{"column": w, "m": m, "p": [[5, 6]]} for w in "abc"]
-    value = {"columns": columns, "again": m}
-    assert _dumps(value) == json.dumps(value, indent=2)
-    # each row template is opened one step past its matrix: m once inside
-    # the records and once at the top, each of the three distinct p once
-    assert sorted(templates) == [(2, "\n" + " " * 4)] + [(2, "\n" + " " * 8)] * 4
-
-
 def test_dumps_rejects_what_json_rejects():
     for value in ({(1,): 2}, [object()], {"a": {1, 2}}):
         with pytest.raises(TypeError):
@@ -255,37 +240,70 @@ def test_large_lattice_json(large_files):
 
 # -- columnar records -------------------------------------------------------
 
-INT_DTYPES = (np.int64, np.int32, np.int8, np.uint8, np.uint64)
+INT_DTYPES = (
+    np.int64, np.int32, np.int16, np.int8, np.uint64, np.uint32, np.uint16, np.uint8,
+)
 # keys and values with format characters, quotes and non-ASCII characters
 record_texts = st.one_of(texts, st.text("%ds\"\\é☃😀", max_size=5))
 
 
 @st.composite
+def int_arrays(draw, shape):
+    """An integer array of ``shape`` over the whole range of its dtype."""
+    dtype = draw(st.sampled_from(INT_DTYPES))
+    info = np.iinfo(dtype)
+    entries = st.integers(int(info.min), int(info.max))
+    values = draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+@st.composite
+def record_arrays(draw):
+    """One record's array: 1-D, or 2-D with 0..4 rows of width 0..4, at
+    times a non-contiguous view (every other entry of each row, or the
+    transpose)."""
+    sides = st.integers(0, 4)
+    shape = draw(st.one_of(st.tuples(sides), st.tuples(sides, sides)))
+    view = draw(st.sampled_from(["whole", "strided", "transposed"]))
+    if view == "strided":
+        a = draw(int_arrays(shape[:-1] + (2 * shape[-1],)))
+        return a[..., ::2]
+    a = draw(int_arrays(shape[::-1]))
+    return a.T if view == "transposed" else a
+
+
+@st.composite
 def record_lists(draw):
     """A ``_Records`` of 0..5 records: distinct str keys, each with a 1-D
-    integer array, a 2-D integer array of width 0..4 or a list of str."""
+    integer array, a 2-D integer array of width 0..4, a list of str, a list
+    of ints or a list of arrays, one per record, drawn from a pool of up to
+    three, so that records share them."""
     keys = draw(st.lists(record_texts, min_size=1, max_size=4, unique=True))
     count = draw(st.integers(0, 5))
     columns = []
     for _ in keys:
-        kind = draw(st.sampled_from(["1-D", "2-D", "str"]))
+        kind = draw(st.sampled_from(["1-D", "2-D", "str", "int", "arrays"]))
         if kind == "str":
             columns.append(draw(st.lists(record_texts, min_size=count, max_size=count)))
-            continue
-        dtype = draw(st.sampled_from(INT_DTYPES))
-        shape = (count,) if kind == "1-D" else (count, draw(st.integers(0, 4)))
-        info = np.iinfo(dtype)
-        size = int(np.prod(shape))
-        entries = st.integers(int(info.min), int(info.max))
-        values = draw(st.lists(entries, min_size=size, max_size=size))
-        columns.append(np.array(values, dtype=dtype).reshape(shape))
+        elif kind == "int":
+            columns.append(draw(st.lists(ints, min_size=count, max_size=count)))
+        elif kind == "arrays":
+            pool = draw(st.lists(record_arrays(), min_size=1, max_size=3))
+            columns.append(draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count)))
+        else:
+            shape = (count,) if kind == "1-D" else (count, draw(st.integers(0, 4)))
+            columns.append(draw(int_arrays(shape)))
     return _Records(keys, columns)
 
 
 def plain(value):
     """``value`` with every ``_Records`` replaced by its list of dicts."""
     if isinstance(value, _Records):
-        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in value.columns]
+        columns = [
+            c.tolist() if isinstance(c, np.ndarray)
+            else [x.tolist() if isinstance(x, np.ndarray) else x for x in c]
+            for c in value.columns
+        ]
         return [dict(zip(value.keys, entry)) for entry in zip(*columns)]
     if isinstance(value, dict):
         return {k: plain(v) for k, v in value.items()}
@@ -337,7 +355,7 @@ def test_records_edge_cases():
         np.zeros((2, 1, 1), dtype=np.int64),
         np.array(["a", "b"]),
         np.int64(3),
-        [1, 2],
+        [1, True],
         ("a", "b"),
         ["a", None],
         [np.str_("a"), "b"],
@@ -347,6 +365,41 @@ def test_records_edge_cases():
 def test_records_refuse_other_columns(column):
     with pytest.raises(TypeError):
         _dumps(_Records(("a",), (column,)))
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([True, False]),
+        np.array([[1.0, 2.0]]),
+        np.int64(3),
+        np.array(3),
+        np.zeros((1, 1, 1), dtype=np.int64),
+        [1, 2],
+    ],
+    ids=repr,
+)
+def test_records_refuse_other_arrays(array):
+    # a column of per-record arrays holding one that is not a 1-D or 2-D
+    # integer array, beside good ones
+    good = np.arange(2)
+    with pytest.raises(TypeError):
+        _dumps(_Records(("a",), ([good, array, good],)))
+
+
+def test_records_write_each_array_once(monkeypatch):
+    import mafre.io
+
+    written, rows_text = [], mafre.io._rows_text
+    monkeypatch.setattr(
+        mafre.io, "_rows_text", lambda a, nl: written.append(a) or rows_text(a, nl)
+    )
+    a, b = np.arange(6).reshape(3, 2), np.arange(3)
+    records = _Records(("x", "y", "n"), ([a, a, b], [b, a.copy(), a], [1, 2, 2**64]))
+    assert _dumps(records) == json.dumps(plain(records), indent=2)
+    # a and b, held by several records and both array columns, are written
+    # once each; the copy of a is an array of its own
+    assert [id(x) for x in written] == [id(a), id(b), id(records.columns[1][1])]
 
 
 def test_records_refuse_other_keys():
@@ -424,6 +477,24 @@ def test_lattice_json_equals_the_dict_payload(gap_files):
     assert run(["lattice", str(gap_files["lattice"]), "--json"]) == (
         0, json.dumps(payload, indent=2) + "\n", ""
     )
+
+
+@pytest.mark.parametrize("orientation", ["primal", "dual"])
+def test_counts_beyond_int64(tmp_path, orientation):
+    # 0 = sup of 0 & x_v over 64 unknowns: every x of the 2^64 in [0,1]_1^64
+    # solves each of the two columns
+    primal = {
+        "granularity": 1, "triples": ["godel"], "rows": ["u"],
+        "variables": [f"v{i}" for i in range(64)], "columns": ["w1", "w2"],
+        "coefficients": [[0] * 64], "sigma": [1] * 64, "rhs": [[0, 0]],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(primal if orientation == "primal" else transpose(primal)))
+    rc, text, _ = run(["solve", str(path)])
+    assert rc == 0 and text.count("\n  18446744073709551616 solution") == 2
+    rc, out, _ = run(["solve", str(path), "--json"])
+    assert rc == 0 and out.count('"count": 18446744073709551616\n') == 2
+    assert [c["count"] for c in json.loads(out)["solutions"]["columns"]] == [2**64] * 2
 
 
 def test_json_record_lists_build_no_dicts(gap_files, monkeypatch):

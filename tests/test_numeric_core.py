@@ -556,7 +556,10 @@ class TestDerivedInstances:
             reduced_primal = reduced.transposed()
             assert len(context_inits) == before
             assert primal is x.transposed()
-            assert associated_context(primal) is associated_context(x.transposed())
+            primal_ctx = associated_context(primal)
+            assert np.array_equal(primal_ctx._R, x._coeff_array.T)
+            assert primal_ctx.attributes == x.col_names
+            assert primal_ctx.frame.triples == tuple(t.opposite() for t in x.frame.triples)
             public = FreInstance(
                 ctx.frame, x.col_names, x.var_names, x.row_names,
                 x._coeff_array.T.tolist(), x.sigma, x._rhs_array.T.tolist(),
