@@ -30,7 +30,7 @@ BUILTIN_TRIPLE_NAMES = ("sq-left", "sq-right", "godel")
 # cube), so that memory stays bounded however large the sweep is
 _CHUNK = 200_000
 # the most entries one array of a search that can grow exponentially may
-# hold (a solution box, its minimal rows, inclusion-exclusion meets, lattice
+# hold (a solution box, its minimal rows, the memo of a count, lattice
 # extents and covers); 2^25 int64 entries are 256 MB
 MAX_ENTRIES = 2**25
 # built-in triples kept per process, as (name, n) keys: one triple at n = 512

@@ -16,11 +16,11 @@ instance raises UnsolvableError carrying the gap as numerators.  Columns with
 the same maximum share its array, its predecessors and, when listed, its
 solutions and minimal ones, read off one boolean grid over the box; the JSON
 output writes each of those arrays once.  A count
-alone sweeps no box when there are no predecessors or twice as many box rows
-as predecessor subsets: it is then an inclusion-exclusion sum of box sizes
-over those subsets, which holds fewer rows than the box.  The listing and the
-inclusion-exclusion raise BudgetExceededError before allocating an array
-above ``algebra.MAX_ENTRIES`` entries.
+alone sweeps no box: it splits the box on one unknown at a time, keeping the
+maximal predecessors still active on the unknowns left (``_count``).  The
+listing raises BudgetExceededError before allocating an array above
+``algebra.MAX_ENTRIES`` entries, and the count before its memo holds that
+many, at |V| entries per state.
 
 An instance is its checked associated context plus one rhs numerator array.
 Derived instances (reduced, repaired, the transposed primal of a dual one)
@@ -33,8 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from operator import attrgetter
+from itertools import accumulate, product
+from operator import attrgetter, ge, mul
 from typing import Iterable, Optional
 
 import numpy as np
@@ -372,48 +372,49 @@ def _listing(max_row: np.ndarray, pred_rows: np.ndarray) -> tuple:
     return rows(grid), rows(grid & ~lower)
 
 
-def _inclusion_exclusion(max_row: np.ndarray, pred_rows: np.ndarray) -> int:
-    """The number of vectors below ``max_row`` and below no predecessor, by
-    inclusion-exclusion over the predecessor subsets S: the sum of (-1)^|S|
-    times the size of the box below the meet of ``max_row`` and S.
-
-    The meets are built by doubling, one predecessor at a time, and kept
-    apart by the sign of their term: 2^|P| rows of |V| entries in all, under
-    2^(|P|+1) while one doubling step builds the next.  The box sizes are
-    int64 products up to 2^63 and Python ints beyond.
-    """
-    nv, k = len(max_row), len(pred_rows)
-    _check_entries(
-        2 ** (k + 1) * nv,
-        f"counting by inclusion-exclusion over {k} predecessors of {nv} unknowns",
-    )
-    even, odd = max_row[None, :], np.zeros((0, nv), dtype=np.int64)
-    for p in pred_rows:
-        even, odd = (
-            np.concatenate([even, np.minimum(odd, p)]),
-            np.concatenate([odd, np.minimum(even, p)]),
-        )
-    dtype = np.int64 if math.prod((max_row + 1).tolist()) < 2**63 else object
-
-    def sizes(meets):
-        return (meets + 1).astype(dtype, copy=False).prod(axis=1).sum(dtype=object)
-
-    return int(sizes(even) - sizes(odd))
+def _maximal(rows) -> tuple:
+    """The distinct maximal tuples of ``rows``, in descending lexicographic
+    order; a row can lie only below rows that sort after it, kept before it."""
+    kept = []
+    for r in sorted(set(rows), reverse=True):
+        for k in kept:
+            if all(map(ge, k, r)):
+                break
+        else:
+            kept.append(r)
+    return tuple(kept)
 
 
 def _count(max_row: np.ndarray, pred_rows: np.ndarray) -> int:
-    """The number of vectors below ``max_row`` and below no predecessor.
-
-    Inclusion-exclusion peaks at under 2^(|P|+1) rows of |V| entries (the
-    meets of one doubling step and of the next), or one row when there are
-    no predecessors; the sweep holds one boolean per box row, prod(m + 1).
-    The former is taken when that peak is at most the box, so it never holds
-    more than the sweep would.
-    """
-    k, size = len(pred_rows), math.prod((max_row + 1).tolist())
-    if k == 0 or 2 ** (k + 1) <= size:
-        return _inclusion_exclusion(max_row, pred_rows)
-    return int(np.count_nonzero(_box(max_row, pred_rows)[1]))
+    """The number of vectors below ``max_row`` and below no predecessor, split
+    on one unknown at a time, last first.  A state at level L is the set of
+    maximal predecessors (clipped to the maximum) still active once x(L), ...
+    are fixed, restricted to the first L unknowns: between consecutive distinct
+    p(L - 1), x(L - 1) keeps active the rows whose p(L - 1) is at or above the
+    interval's top.  A branch left with at most one row p counts its box less
+    the box below p; equal states of a level are merged (the memo on (level,
+    rows)).  Budget: memo states x |V| entries."""
+    top = max_row.tolist()
+    what = f"counting the solutions over {len(top)} unknowns and {len(pred_rows)} predecessors"
+    sizes = [1, *accumulate((m + 1 for m in top), mul)]  # boxes of the first L unknowns
+    level = {_maximal(tuple(map(min, p, top)) for p in pred_rows.tolist()): 1}
+    count, held, v = 0, 0, len(top)
+    while level:
+        below = {}
+        for rows, suffixes in level.items():
+            cuts = sorted({r[-1] for r in rows} | {top[v - 1]})
+            for low, c in zip([-1, *cuts], cuts):
+                key = _maximal(r[:-1] for r in rows if r[-1] >= c)
+                if len(key) < 2:
+                    under = sum(math.prod(p + 1 for p in r) for r in key)
+                    count += suffixes * (c - low) * (sizes[v - 1] - under)
+                    continue
+                if key not in below:
+                    held += 1
+                    _check_entries(held * len(top), what)
+                below[key] = below.get(key, 0) + suffixes * (c - low)
+        level, v = below, v - 1
+    return count
 
 
 def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionSet:
@@ -426,11 +427,10 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
     covers, found for every column by one ``_lower_covers`` call; no concept
     lattice is built.  With ``materialize`` the box below the maximum is
     swept as one boolean grid, listing the solutions and their minimal
-    elements; otherwise only the count is produced, by inclusion-exclusion
-    over the predecessors when that holds fewer rows than the box, else by
-    the sweep (``_count``).  Columns with equal maxima share all of this: it
-    is computed once per distinct maximum.  An array above
-    ``algebra.MAX_ENTRIES`` entries is not built: it raises
+    elements; otherwise only the count is produced, by splitting the box on
+    one unknown at a time (``_count``).  Columns with equal maxima share all
+    of this: it is computed once per distinct maximum.  A grid or count memo
+    above ``algebra.MAX_ENTRIES`` entries is not built: it raises
     BudgetExceededError.
     """
     maxima, interiors = _closures(fre)

@@ -187,3 +187,17 @@ def random_solvable_instance(rng: random.Random, frame, n_rows, n_vars, n_cols=1
         sigma,
         rhs,
     )
+
+
+def identity_problem(n: int, nv: int) -> dict:
+    """x_v = n for every v over godel with identity coefficients, as a
+    problem file's JSON: every vector is an extent, so the maximum (all n)
+    has nv lower covers and a box of (n + 1)^nv rows, and is the only
+    solution."""
+    return {
+        "granularity": n, "triples": ["godel"],
+        "rows": [f"u{i}" for i in range(nv)],
+        "variables": [f"v{i}" for i in range(nv)], "columns": ["w"],
+        "coefficients": [[n * (u == v) for v in range(nv)] for u in range(nv)],
+        "sigma": [1] * nv, "rhs": [[n]] * nv,
+    }

@@ -35,7 +35,7 @@ from mafre.errors import (
     InconsistentSetError,
     UnsolvableError,
 )
-from conftest import SQUARES_VARS, random_solvable_instance
+from conftest import SQUARES_VARS, identity_problem, random_solvable_instance
 
 
 class TestComposition:
@@ -490,9 +490,8 @@ _BOX_CASES = st.integers(1, 4).flatmap(
 
 
 class TestCount:
-    """Count-only mode: inclusion-exclusion over the predecessors, the box
-    swept only when there are predecessors and twice as many subsets of them
-    exceed its rows."""
+    """Count-only mode: the box is split on one unknown at a time, keeping
+    the maximal predecessors still active, and never swept."""
 
     @staticmethod
     def _sweeps(monkeypatch):
@@ -504,15 +503,7 @@ class TestCount:
         monkeypatch.setattr(fre_mod, "_box", lambda *a: sweeps.append(a) or box(*a))
         return sweeps, lambda *a: np.count_nonzero(box(*a)[1])
 
-    @staticmethod
-    def _wide(col) -> bool:
-        """True when the count of ``col`` sweeps its box."""
-        k = len(col.predecessor_rows)
-        return k > 0 and 2 ** (k + 1) > math.prod((col.max_row + 1).tolist())
-
     def test_count_equals_the_sweep_and_brute_force(self, monkeypatch):
-        from mafre import fre as fre_mod
-
         sweeps, sweep = self._sweeps(monkeypatch)
         rng = random.Random(31)
         frames = [
@@ -526,61 +517,43 @@ class TestCount:
                 rng, frames[i % 3], rng.randint(1, 4), rng.randint(1, 3)
             )
             col = enumerate_solutions(fre, materialize=False).columns[0]
-            assert len(sweeps) == self._wide(col)
+            assert sweeps == []
             listed = enumerate_solutions(fre).columns[0]
             assert col.count == sweep(col.max_row, col.predecessor_rows)
-            assert col.count == fre_mod._inclusion_exclusion(
-                col.max_row, col.predecessor_rows
-            )
             assert col.count == listed.count == len(brute_force_solutions(fre))
-            if not self._wide(col):
-                predecessors.add(min(len(col.predecessor_rows), 2))
+            predecessors.add(min(len(col.predecessor_rows), 2))
             sweeps.clear()
         assert predecessors == {0, 1, 2}
 
-    def test_a_box_smaller_than_the_subsets_is_swept(self, monkeypatch):
-        sweeps, sweep = self._sweeps(monkeypatch)
-        rng = random.Random(5)
-        frames = [
-            builtin_frame(["godel"], 1),
-            builtin_frame(["sq-left", "sq-right"], 1),
-            builtin_frame(["sq-right", "godel"], 1),
-        ]
-        swept = 0
-        for i in range(300):
-            fre = random_solvable_instance(
-                rng, frames[i % 3], rng.randint(10, 16), rng.randint(4, 5), 2
-            )
-            cols = enumerate_solutions(fre, materialize=False).columns
-            wide = {c.max_row.tobytes() for c in cols if self._wide(c)}
-            # one sweep per distinct maximum with too many subsets for its box
-            assert sorted(a[0].tobytes() for a in sweeps) == sorted(wide)
-            swept += len(wide)
-            sweeps.clear()
-            listed = enumerate_solutions(fre).columns
-            for c, full in zip(cols, listed):
-                assert c.count == sweep(c.max_row, c.predecessor_rows)
-                assert c.count == full.count
-            sweeps.clear()
-        assert swept >= 1
+    @settings(max_examples=max(200, settings().max_examples), deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_count_matches_brute_force_property(self, seed):
+        # seeded systems over all three triples with mixed sigma, up to 6
+        # equations: the count of every column equals the listing's length,
+        # and their product the number of solutions found exhaustively
+        from mafre.fre import _count
+
+        rng = random.Random(seed)
+        frame = builtin_frame(["godel", "sq-left", "sq-right"], rng.randint(1, 4))
+        fre = random_solvable_instance(
+            rng, frame, rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 2)
+        )
+        listed = enumerate_solutions(fre).columns
+        counts = [_count(c.max_row, c.predecessor_rows) for c in listed]
+        assert counts == [len(c.solution_rows) for c in listed]
+        assert counts == [c.count for c in enumerate_solutions(fre, materialize=False).columns]
+        assert math.prod(counts) == len(brute_force_solutions(fre))
 
     @pytest.mark.parametrize("n, nv", [(1, 12), (3, 8)])
     def test_many_predecessors_hold_no_more_than_the_box(self, monkeypatch, n, nv):
-        # x_v = 1 for every v over godel with identity coefficients: every
-        # vector is an extent, so the top has nv lower covers and a box of
-        # (n + 1)^nv rows.  At n = 1 there are as many predecessor subsets
-        # as box rows and the box is swept; at n = 3 inclusion-exclusion
-        # counts it with 2^nv meet rows.  Neither may hold arrays much larger
-        # than the box itself.
+        # every vector is an extent, so the top has nv lower covers; the
+        # count holds a small fraction of the box and sweeps none
         import tracemalloc
 
+        from mafre.io import parse_problem
+
         sweeps, sweep = self._sweeps(monkeypatch)
-        names = [f"v{i}" for i in range(nv)]
-        identity = [[n * (u == v) for v in range(nv)] for u in range(nv)]
-        fre = FreInstance(
-            builtin_frame(["godel"], n), names, names, ["w"], identity,
-            [0] * nv, [[n]] * nv,
-        )
+        fre = parse_problem(identity_problem(n, nv)).to_instance()
         box_bytes = (n + 1) ** nv * nv * 8
         tracemalloc.start()
         try:
@@ -589,9 +562,30 @@ class TestCount:
         finally:
             tracemalloc.stop()
         assert len(col.predecessor_rows) == nv
+        assert sweeps == []
         assert col.count == 1 == sweep(col.max_row, col.predecessor_rows)
-        assert len(sweeps) == (n == 1)
-        assert peak < (2 * box_bytes if n == 1 else box_bytes // 8)
+        assert peak < box_bytes // 8
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_count_budget(self, n, monkeypatch):
+        # the identity system over 40 unknowns keeps one memo state of L - 1
+        # rows per level L = 40, ..., 3 (a branch of one row is counted at
+        # once): 38 states of 40 entries; one entry less of budget and the
+        # count raises before it finishes
+        from mafre import algebra
+        from mafre.io import parse_problem
+
+        fre = parse_problem(identity_problem(n, 40)).to_instance()
+        entries = 38 * 40
+        monkeypatch.setattr(algebra, "MAX_ENTRIES", entries)
+        assert enumerate_solutions(fre, materialize=False).columns[0].count == 1
+        monkeypatch.setattr(algebra, "MAX_ENTRIES", entries - 1)
+        with pytest.raises(
+            BudgetExceededError,
+            match=f"^counting the solutions over 40 unknowns and 40 predecessors needs"
+            f" {entries} entries, exceeds budget {entries - 1}$",
+        ):
+            enumerate_solutions(fre, materialize=False)
 
     def test_count_only_sweeps_no_box(self, monkeypatch):
         from conftest import SQUARES_COEFF, SQUARES_ROWS, SQUARES_SIGMA
@@ -646,7 +640,6 @@ class TestCount:
         ]
         expected = len(solutions)
         assert fre_mod._count(max_row, pred_rows) == expected
-        assert fre_mod._inclusion_exclusion(max_row, pred_rows) == expected
         assert np.count_nonzero(fre_mod._box(max_row, pred_rows)[1]) == expected
         rows, minimal_rows = fre_mod._listing(max_row, pred_rows)
         assert rows.shape == (expected, len(top))
@@ -666,7 +659,6 @@ class TestCount:
         checks = [
             (fre_mod._box, max_row, math.prod(m + 1 for m in top) * nv),
             (fre_mod._listing, max_row, math.prod(m + 1 for m in top) * nv),
-            (fre_mod._inclusion_exclusion, max_row, 2 ** (k + 1) * nv),
         ]
         with pytest.MonkeyPatch.context() as patch:
             for function, rows, entries in checks:

@@ -737,37 +737,37 @@ class TestCliLatticeAndOracle:
 
     @staticmethod
     def _identity(path, n, nv, orientation):
-        """x_v = n for every v over godel with identity coefficients, as a
-        file at ``path``: every vector is an extent, so the maximum (all n)
-        has nv lower covers and a box of (n + 1)^nv rows, and is the only
-        solution."""
+        """``conftest.identity_problem`` as a file at ``path``."""
+        from conftest import identity_problem
         from test_cli_golden import transpose
 
-        problem = {
-            "granularity": n, "triples": ["godel"],
-            "rows": [f"u{i}" for i in range(nv)],
-            "variables": [f"v{i}" for i in range(nv)], "columns": ["w"],
-            "coefficients": [[n * (u == v) for v in range(nv)] for u in range(nv)],
-            "sigma": [1] * nv, "rhs": [[n]] * nv,
-        }
+        problem = identity_problem(n, nv)
         path.write_text(json.dumps(transpose(problem) if orientation == "dual" else problem))
         return str(path)
 
     @pytest.mark.parametrize("orientation", ["primal", "dual"])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_count_budget_exit_3(self, n, orientation, tmp_path, capsys):
+    def test_count_budget_exit_3(self, n, orientation, tmp_path, capsys, monkeypatch):
+        # a box of (n + 1)^40 rows below 40 predecessors: the count splits it
+        # into 38 memo states of 40 entries and finds the one solution; one
+        # entry less of budget and it exits 3
+        import mafre.algebra
+
         path = self._identity(tmp_path / "identity.json", n, 40, orientation)
-        error = {
-            # 2^41 predecessor subsets exceed the 2^40 box rows: the sweep
-            1: "sweeping a solution box of 1099511627776 rows over 40 unknowns"
-            " and 40 predecessors needs 43980465111040 entries",
-            # 3^40 box rows: inclusion-exclusion over the 2^40 subsets
-            2: "counting by inclusion-exclusion over 40 predecessors of 40"
-            " unknowns needs 87960930222080 entries",
-        }[n]
+        one = "  1 solution row(s)\n" if orientation == "dual" else "  1 solution(s)\n"
+        assert main(["solve", path]) == 0
+        assert capsys.readouterr().out.endswith(one)
+        assert main(["solve", path, "--json"]) == 0
+        counts = json.loads(capsys.readouterr().out)["solutions"]["columns"]
+        assert [c["count"] for c in counts] == [1]
+        monkeypatch.setattr(mafre.algebra, "MAX_ENTRIES", 38 * 40 - 1)
+        error = (
+            "counting the solutions over 40 unknowns and 40 predecessors needs 1520"
+            " entries, exceeds budget 1519"
+        )
         for form in ([], ["--json"]):
             assert main(["solve", path, *form]) == 3
-            assert capsys.readouterr() == ("", f"error: {error}, exceeds budget 33554432\n")
+            assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_list_under_budget(self, tmp_path, capsys):
         # 2^20 box rows over 20 unknowns and 20 predecessors: the box is within
