@@ -190,12 +190,13 @@ def cmd_reducts(args) -> int:
     problem = load_problem(args.file)
     ctx = _context(problem.to_instance())
     reducts = [list(Y) for Y in enumerate_reducts(ctx)]
-    checked = is_consistent(ctx, _split_set(args.set)) if args.set else None
+    Y = _split_set(args.set) if args.set else None
+    checked = is_consistent(ctx, Y) if Y else None
 
     def payload():
         data = {"reducts": reducts}
         if args.set:
-            data["set"] = _split_set(args.set)
+            data["set"] = Y
             data["consistent"] = checked
         return data
 
@@ -245,7 +246,7 @@ def cmd_approximate(args) -> int:
             "approximations": [
                 {
                     "reduct": list(r.reduct),
-                    "t_star": r.t_star_rows.tolist(),
+                    "t_star": r.t_star_rows,
                     "modified": {
                         f"{u}[{w}]": [old.numerator, new.numerator]
                         for (u, w), (old, new) in sorted(r.modified_rows.items())
@@ -266,10 +267,10 @@ def cmd_approximate(args) -> int:
         return ExitStatus.OK
     if args.pessimistic:
         # the pessimistic rhs replaces every column by its interior
-        t_star = fre_mod._closures(instance)[1].T.tolist()
+        t_star = fre_mod._closures(instance)[1].T
         payload = lambda: {"pessimistic_rhs": t_star}
         text = lambda: "pessimistic rhs:\n" + "\n".join(
-            "  " + _vec(row, n) for row in t_star
+            "  " + _vec(row, n) for row in t_star.tolist()
         )
         _emit(args, payload, text)
         return ExitStatus.OK
@@ -281,7 +282,7 @@ def cmd_approximate(args) -> int:
             data["approximations"] = [
                 {
                     "reduct": list(r.reduct),
-                    "t_star": r.t_star_rows.tolist(),
+                    "t_star": r.t_star_rows,
                     "solution_counts": {
                         c.column: c.count for c in r.solution_summary.columns
                     },
@@ -305,7 +306,7 @@ def cmd_lattice(args) -> int:
         }
         _emit(args, payload, lambda: f"{len(lat)} concepts")
     else:
-        payload = lambda: {"members": lat.extent_rows.tolist()}
+        payload = lambda: {"members": lat.extent_rows}
         _emit(args, payload, lambda: f"{len(lat)} variable-side fixpoints")
     return ExitStatus.OK
 

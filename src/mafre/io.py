@@ -4,14 +4,15 @@ All values are integer numerators over a single granularity, so files are
 exact by construction; decimal rendering happens only in human-facing output.
 Triples are given by built-in name or as explicit operator tables, and sigma
 uses 1-based indices into the triple list.  ``_dumps`` prints what
-``json.dumps(obj, indent=2)`` prints, writing rows and matrices of integers
-with one format operation each.  The large record lists (the concepts of a
+``json.dumps(obj, indent=2)`` prints, with a 1-D or 2-D integer array
+written as the nested lists it holds: a list of ints and an integer array
+are one format operation each.  The large record lists (the concepts of a
 lattice, the gap of an unsolvable system, the columns of a solution set)
 reach it as ``_Records``, numerator arrays, int lists and str lists held
-column by column, and are written as one format operation with no dict
-built and no entry walked; a column of per-record arrays (the solution
-arrays that columns share per distinct maximum) writes each distinct array
-once.  Any other list of dicts is written value by value.
+column by column, and are written as one join of their values' texts with
+no dict built; a column of per-record arrays (the solution arrays that
+columns share per distinct maximum) writes each distinct array once.  Any
+other list of dicts is written value by value.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 from typing import List, Union
 
@@ -73,7 +73,7 @@ def _rows_text(a, nl: str) -> str:
     """The text of the integer array ``a`` opened after ``nl``: a 1-D array
     is one row, a 2-D array a list of rows."""
     if not isinstance(a, np.ndarray) or a.dtype.kind not in "iu" or a.ndim not in (1, 2):
-        raise TypeError(f"a record's array must be a 1-D or 2-D integer array, not {a!r:.60}")
+        raise TypeError(f"an array must be a 1-D or 2-D integer array, not {a!r:.60}")
     if a.ndim == 1:
         return _row_template(len(a), nl) % tuple(a.tolist())
     if not len(a):
@@ -108,29 +108,25 @@ class _Records:
     def _text(self, nl: str) -> str:
         """The text of the records for ``_dumps``, opened after ``nl``.
 
-        A list column becomes the JSON text of each of its values; a
-        per-record array's text is made once per distinct array object,
-        keyed by ``id`` (the columns hold every array for the whole call, so
-        no id is reused).  When every column is a list, as those of a
-        solution set are, the texts are joined between the literal pieces of
-        the records, which sizes the output once: a %-format of long texts
-        regrows it as it goes.  Otherwise each key's value is written into
-        its %-slot of one record template, repeated once per record.  Each
-        column becomes a block of one row per record, and the blocks side by
-        side one object array (integers become Python ints), which read row
-        by row gives the values of the slots in order.  A ``%`` in a key is
-        doubled in the template.
+        Each column becomes the list of its values' texts: a 1-D array's
+        ints one by one, a 2-D array's rows from one %-format of its row
+        template repeated with a NUL between rows (no row text holds one)
+        and split at the NULs, and a per-record array's text once per
+        distinct array object, keyed by ``id`` (the columns hold every array
+        for the whole call, so no id is reused).  The texts are joined
+        between the literal pieces of the records, which sizes the output
+        once.
         """
         inner, field = nl + "  ", nl + "    "
-        slots, blocks, texts = [], [], {}
+        blocks, texts = [], {}
         for col in self.columns:
             if isinstance(col, np.ndarray) and col.dtype.kind in "iu" and col.ndim in (1, 2):
                 if col.ndim == 1:
-                    slots.append("%d")
-                    blocks.append(col[:, None])
+                    blocks.append(map(_intstr, col.tolist()))
                 else:
-                    slots.append(_row_template(col.shape[1], field))
-                    blocks.append(col)
+                    row = _row_template(col.shape[1], field)
+                    rows = "\0".join([row] * len(col)) % tuple(col.ravel().tolist())
+                    blocks.append(rows.split("\0"))
                 continue
             if type(col) is not list:
                 raise TypeError(
@@ -139,51 +135,37 @@ class _Records:
                 )
             kinds = {*map(type, col)}
             if kinds <= {str}:
-                blocks.append([*map(_str, col)])
+                blocks.append(map(_str, col))
             elif kinds <= {int}:
-                blocks.append([*map(_intstr, col)])
+                blocks.append(map(_intstr, col))
             else:
                 for a in col:
                     if id(a) not in texts:
                         texts[id(a)] = _rows_text(a, field)
                 blocks.append([texts[id(a)] for a in col])
-            slots.append("%s")
         count = len(self.columns[0]) if self.columns else 0
         if not count:
             return "[]"
-        if all(type(b) is list for b in blocks):
-            width = 2 * len(blocks)
-            parts = [None] * (width * count)
-            for i, (k, b) in enumerate(zip(self.keys, blocks)):
-                head = ("," if i else inner + "}," + inner + "{") + field + _str(k) + ": "
-                parts[2 * i :: width] = [head] * count
-                parts[2 * i + 1 :: width] = b
-            parts[0] = "[" + inner + "{" + field + _str(self.keys[0]) + ": "
-            parts += inner, "}", nl, "]"
-            return "".join(parts)
-        record = _block(
-            [_str(k).replace("%", "%%") + ": " + slot for k, slot in zip(self.keys, slots)],
-            inner,
-            "{}",
-        )
-        cells = np.concatenate(
-            [
-                np.array(b, dtype=object)[:, None] if type(b) is list else b.astype(object)
-                for b in blocks
-            ],
-            axis=1,
-        )
-        return _block([record] * count, nl) % tuple(cells.ravel().tolist())
+        width = 2 * len(blocks)
+        parts = [None] * (width * count)
+        for i, (k, b) in enumerate(zip(self.keys, blocks)):
+            head = ("," if i else inner + "}," + inner + "{") + field + _str(k) + ": "
+            parts[2 * i :: width] = [head] * count
+            parts[2 * i + 1 :: width] = b
+        parts[0] = "[" + inner + "{" + field + _str(self.keys[0]) + ": "
+        parts += inner, "}", nl, "]"
+        return "".join(parts)
 
 
 def _dumps(obj, nl: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte; ``nl`` is a newline plus
-    the indentation of the line ``obj`` starts on.
+    """``json.dumps(obj, indent=2)``, byte for byte, of ``obj`` with its
+    integer arrays as nested lists; ``nl`` is a newline plus the indentation
+    of the line ``obj`` starts on.
 
-    A list of exact ints is one %-format of a cached row template, a list of
-    equal-length such rows one %-format over the flattened matrix, and a
-    ``_Records`` is written by its ``_text``.  A dict is one join of its
-    keys' and values' texts, so a long value is copied once.
+    A list of exact ints is one %-format of a cached row template, a 1-D or
+    2-D integer array is written by ``_rows_text`` and a ``_Records`` by its
+    ``_text``.  A dict is one join of its keys' and values' texts, so a long
+    value is copied once.
     """
     t = type(obj)
     if t is int:
@@ -191,7 +173,13 @@ def _dumps(obj, nl: str = "\n") -> str:
     if t is str:
         return _str(obj)
     if isinstance(obj, (list, tuple)):
-        return _list(obj, nl) if obj else "[]"
+        if not obj:
+            return "[]"
+        if {*map(type, obj)} == {int}:
+            return _row_template(len(obj), nl) % tuple(obj)
+        return _block([_dumps(v, nl + "  ") for v in obj], nl)
+    if t is np.ndarray:
+        return _rows_text(obj, nl)
     if t is _Records:
         return obj._text(nl)
     if isinstance(obj, dict):
@@ -204,22 +192,6 @@ def _dumps(obj, nl: str = "\n") -> str:
         parts += nl, "}"
         return "".join(parts)
     return _scalar(obj)
-
-
-def _list(obj, nl: str) -> str:
-    """The text of the non-empty list or tuple ``obj`` for ``_dumps``."""
-    inner = nl + "  "
-    kinds = {*map(type, obj)}
-    if kinds == {int}:
-        return _row_template(len(obj), nl) % tuple(obj)
-    if kinds <= {list, tuple}:
-        widths = {*map(len, obj)}
-        if len(widths) == 1 and 0 not in widths:
-            flat = list(chain.from_iterable(obj))
-            if {*map(type, flat)} == {int}:
-                row = _row_template(len(obj[0]), inner)
-                return _block([row] * len(obj), nl) % tuple(flat)
-    return _block([_dumps(v, inner) for v in obj], nl)
 
 
 class ProblemFileError(MafreError):

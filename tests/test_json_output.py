@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_solvable_instance
 from mafre import builtin_frame
 from mafre.context import build_concept_lattice
-from mafre.dual import dual_solutions, dual_solvability_gap
+from mafre.approx import diagnose, find_feasible_reducts, pessimistic_approximation
+from mafre.dual import dual_approximate, dual_solutions, dual_solvability_gap
 from mafre.errors import UnsolvableError
 from mafre.fre import FreInstance, associated_context, enumerate_solutions, solvability_gap
 from mafre.io import (
@@ -31,7 +32,7 @@ ints = st.integers(min_value=-(10**20), max_value=10**20)
 texts = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF), max_size=6)
 scalars = st.one_of(st.none(), st.booleans(), ints, st.floats(), texts)
 int_rows = st.lists(ints, min_size=1, max_size=5)
-# equal-length rows go through the matrix template, ragged ones row by row
+# matrices of one width, and ragged ones: each row is written on its own
 matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda width: st.lists(st.lists(ints, min_size=width, max_size=width), max_size=6)
 )
@@ -297,7 +298,10 @@ def record_lists(draw):
 
 
 def plain(value):
-    """``value`` with every ``_Records`` replaced by its list of dicts."""
+    """``value`` with every ``_Records`` replaced by its list of dicts and
+    every array by its nested lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, _Records):
         columns = [
             c.tolist() if isinstance(c, np.ndarray)
@@ -318,9 +322,9 @@ def test_records_dump_as_their_dicts(records):
     assert _dumps(records) == json.dumps(plain(records), indent=2)
 
 
-# _Records among plain values, at any depth
+# _Records and integer arrays among plain values, at any depth
 nested_records = st.recursive(
-    st.one_of(scalars, int_rows, records(), record_lists()),
+    st.one_of(scalars, int_rows, records(), record_lists(), record_arrays()),
     lambda inner: st.one_of(
         st.lists(inner, max_size=3),
         st.lists(inner, max_size=3).map(tuple),
@@ -402,6 +406,41 @@ def test_records_write_each_array_once(monkeypatch):
     assert [id(x) for x in written] == [id(a), id(b), id(records.columns[1][1])]
 
 
+ARRAYS = [
+    np.zeros((0, 3), dtype=np.int64),
+    np.zeros((2, 0), dtype=np.uint8),
+    np.zeros(0, dtype=np.int32),
+    np.arange(12, dtype=np.int16).reshape(3, 4)[:, ::2],
+    np.arange(12, dtype=np.int64).reshape(3, 4).T,
+    np.arange(10, dtype=np.uint16)[::3],
+    np.array([[np.iinfo(np.uint64).max, 0]], dtype=np.uint64),
+    np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max]),
+]
+
+
+@pytest.mark.parametrize("array", ARRAYS, ids=lambda a: f"{a.dtype}{a.shape}")
+def test_dumps_writes_arrays_as_their_lists(array):
+    for value in (array, {"a": [array, 1]}, [{"a": array}]):
+        assert _dumps(value) == json.dumps(plain(value), indent=2)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([True, False]),
+        np.array([[1.0, 2.0]]),
+        np.zeros((1, 1, 1), dtype=np.int64),
+        np.array(3),
+    ],
+    ids=repr,
+)
+def test_dumps_refuses_other_arrays(array):
+    with pytest.raises(TypeError):
+        _dumps(array)
+    with pytest.raises(TypeError):
+        _dumps({"a": [array]})
+
+
 def test_records_refuse_other_keys():
     with pytest.raises(TypeError):
         _Records((1,), (np.arange(2),))
@@ -417,7 +456,10 @@ def test_records_refuse_other_keys():
 @pytest.fixture(scope="module")
 def gap_files(tmp_path_factory):
     """A seeded unsolvable primal system whose gap holds at least 150
-    entries, its dual transpose, and a seeded 6 x 4 system at n = 9."""
+    entries, its dual transpose, a seeded 6 x 4 system at n = 9, and a
+    seeded unsolvable 6 x 3 system over 40 columns with feasible reducts
+    (its first two equations share their coefficients but not their rhs)
+    and its dual transpose."""
     rng = random.Random(23)
     frame = builtin_frame(["godel", "sq-left", "sq-right"], 9)
     draw = lambda rows, cols: [[rng.randint(0, 9) for _ in range(cols)] for _ in range(rows)]
@@ -429,13 +471,27 @@ def gap_files(tmp_path_factory):
         frame, [f"u{i}" for i in range(6)], [f"v{k}" for k in range(4)], ["w"],
         draw(6, 4), [0, 1, 2, 0], draw(6, 1),
     )
+    coeff = draw(6, 3)
+    coeff[1] = coeff[0]
+    repairable = FreInstance(
+        frame, [f"u{i}" for i in range(6)], ["v0", "v1", "v2"],
+        [f"w{j}" for j in range(40)], coeff, [0, 1, 2], draw(6, 40),
+    )
+    # the interior of every column is solvable; moving the first equation
+    # off it makes the system unsolvable, and every reduct without it feasible
+    rhs = _numerators(pessimistic_approximation(repairable))
+    rhs[0] = [k + 1 if k < 9 else k - 1 for k in rhs[0]]
+    repairable = repairable._with_rhs(np.array(rhs))
     directory = tmp_path_factory.mktemp("gap")
     primal = problem_from_instance(unsolvable).to_json()
+    repair = problem_from_instance(repairable).to_json()
     paths = {}
     for key, problem in (
         ("primal", primal),
         ("dual", transpose(primal)),
         ("lattice", problem_from_instance(lattice).to_json()),
+        ("repair", repair),
+        ("repair_dual", transpose(repair)),
     ):
         paths[key] = directory / f"{key}.json"
         paths[key].write_text(json.dumps(problem))
@@ -477,6 +533,63 @@ def test_lattice_json_equals_the_dict_payload(gap_files):
     assert run(["lattice", str(gap_files["lattice"]), "--json"]) == (
         0, json.dumps(payload, indent=2) + "\n", ""
     )
+
+
+def _numerators(matrix) -> list:
+    return [[v.numerator for v in row] for row in matrix]
+
+
+def test_approximate_json_equals_the_list_payload(gap_files, monkeypatch):
+    import mafre.io
+
+    shapes, rows_text = [], mafre.io._rows_text
+    monkeypatch.setattr(
+        mafre.io, "_rows_text", lambda a, nl: shapes.append(a.shape) or rows_text(a, nl)
+    )
+    repaired = 0
+    for key in ("primal", "repair"):
+        path, fre = str(gap_files[key]), load_problem(gap_files[key]).to_instance()
+        payload = {"pessimistic_rhs": _numerators(pessimistic_approximation(fre))}
+        assert run(["approximate", path, "--pessimistic", "--json"]) == (
+            0, json.dumps(payload, indent=2) + "\n", ""
+        )
+        report = diagnose(fre)
+        payload = {
+            "diagnosis": report.to_json(),
+            "approximations": [
+                {
+                    "reduct": list(r.reduct),
+                    "t_star": _numerators(r.t_star),
+                    "solution_counts": {c.column: c.count for c in r.solution_summary.columns},
+                }
+                for r in report.results
+            ],
+        }
+        assert run(["approximate", path, "--json"]) == (0, json.dumps(payload, indent=2) + "\n", "")
+        repaired += len(report.results)
+    dfre = load_problem(gap_files["repair_dual"]).to_instance()
+    results = [dual_approximate(dfre, Y) for Y in find_feasible_reducts(dfre.transposed())]
+    payload = {
+        "solvable": False,
+        "feasible_reducts": [list(r.reduct) for r in results],
+        "approximations": [
+            {
+                "reduct": list(r.reduct),
+                "t_star": _numerators(r.t_star),
+                "modified": {
+                    f"{u}[{w}]": [old.numerator, new.numerator]
+                    for (u, w), (old, new) in sorted(r.modified_rows.items())
+                },
+            }
+            for r in results
+        ],
+    }
+    assert run(["approximate", str(gap_files["repair_dual"]), "--json"]) == (
+        0, json.dumps(payload, indent=2) + "\n", ""
+    )
+    # the pessimistic rhs and every repaired rhs reach the writer as arrays
+    assert repaired > 0 and results
+    assert shapes == [(6, 40)] * (2 + repaired) + [(40, 6)] * len(results)
 
 
 @pytest.mark.parametrize("orientation", ["primal", "dual"])

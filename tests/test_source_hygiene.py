@@ -1,11 +1,13 @@
 """Source hygiene of the package, read with ``ast`` (no third-party linter).
 
-Three rules keep dead code from piling up: a module (other than the package
+Four rules keep dead code from piling up: a module (other than the package
 ``__init__``, whose imports are the public API) uses every name it imports,
 every module-level private function, class or constant is referenced
-somewhere in the package outside its own definition, and no public function
-or method is a second name for a call: its whole body, docstring aside, is
-``return f(<its own parameters, unchanged, in order>)``.
+somewhere in the package outside its own definition, no public function or
+method is a second name for a call: its whole body, docstring aside, is
+``return f(<its own parameters, unchanged, in order>)``, and every defaulted
+parameter of a public module-level function is passed by keyword in some
+call of that function inside the package, so no option is set only by tests.
 """
 
 import ast
@@ -132,6 +134,49 @@ FORWARDS_KEPT = {
 }
 
 
+def _called_name(call) -> str:
+    """The name a call calls: ``f`` in ``f(...)`` and ``m.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def unpassed_defaults(modules) -> list:
+    """``module.function(parameter)`` for each defaulted parameter of a
+    public module-level function that no call of that function's name in
+    ``modules`` passes by keyword."""
+    passed = {
+        (_called_name(node), k.arg)
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for k in node.keywords
+    }
+    found = []
+    for module, tree in modules.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [
+                f"{module}.{fn.name}({a.arg})"
+                for a in defaulted
+                if (fn.name, a.arg) not in passed
+            ]
+    return sorted(found)
+
+
+# defaulted parameters that no call in the package sets, each for its reason
+DEFAULTS_KEPT = {
+    "cli.main(argv)": "the console script calls main() and reads sys.argv",
+    "approx.approximate_by_reduct(materialize_solutions)": (
+        "the acceptance gate lists a repair's minimal solutions through it"
+    ),
+}
+
+
 def test_package_is_parsed():
     assert {"__init__", "algebra", "context", "dual", "fre", "io"} <= set(MODULES)
 
@@ -146,6 +191,26 @@ def test_every_private_definition_is_referenced():
 
 def test_no_public_name_only_forwards():
     assert forwarding_definitions(MODULES) == sorted(FORWARDS_KEPT)
+
+
+def test_every_default_is_passed_in_the_package():
+    assert unpassed_defaults(MODULES) == sorted(DEFAULTS_KEPT)
+
+
+@pytest.mark.parametrize(
+    "source, unpassed",
+    [
+        ("def f(a, b=1):\n    return a\n", ["m.f(b)"]),
+        ("def f(a, *, b=1, c):\n    return a\n", ["m.f(b)"]),
+        ("def f(a=1, b=2):\n    return a\ndef g():\n    return f(b=3)\n", ["m.f(a)"]),
+        ("def f(a=1):\n    return a\ndef g(m):\n    return m.f(a=2)\n", []),
+        ("def f(a=1):\n    return a\ndef g(h):\n    return h(a=2)\n", ["m.f(a)"]),
+        ("def _f(a=1):\n    return a\n", []),
+        ("class C:\n    def f(self, a=1):\n        return a\n", []),
+    ],
+)
+def test_default_rule_on_small_sources(source, unpassed):
+    assert unpassed_defaults({"m": ast.parse(source)}) == unpassed
 
 
 @pytest.mark.parametrize(
