@@ -2,7 +2,10 @@
 
 The possibility/necessity operators and the lattice construction work in
 numerator space: every adjoint triple is compiled to integer lookup tables, so
-batched numpy evaluation stays exact.  The lattice engine sorts and
+batched numpy evaluation stays exact.  Each closure batch is one gather from
+the stacked tables at per-cell offsets built with the context, reduced over
+its leading axis (``_gather_reduce``), and the generators are read off the
+residuum table with no batch.  The lattice engine sorts and
 deduplicates extent rows through one sortable key per row, ``_row_keys``: an
 int64 in base n + 1 where it fits, else the row's bytes.  The meet closure
 is an attribute-by-attribute product of the generator chains, and the cover
@@ -146,6 +149,41 @@ def _conj_tables(frame: Frame) -> np.ndarray:
     return np.stack([t._tables[0] for t in frame.triples])
 
 
+def _batch(X, width: int, n: int) -> np.ndarray:
+    """``X``, a (k, ``width``) array of numerators, as int64: an array of
+    another shape raises DimensionError, and one that is not of integers or
+    holds an entry outside 0..n RangeError (a negative one is a large
+    unsigned, so one ``max`` tests both ends)."""
+    if not isinstance(X, np.ndarray) or X.dtype.kind not in "iu":
+        raise RangeError(f"closure input {X!r:.60} is not an integer array")
+    if X.ndim != 2 or X.shape[1] != width:
+        raise DimensionError(f"closure input of shape {X.shape}, not (k, {width})")
+    X = X.astype(np.int64, copy=False)
+    if X.view(np.uint64).max(initial=0) > n:
+        raise RangeError(f"closure input entries outside [0, {n}]")
+    return X
+
+
+def _gather_reduce(table, base, X, ufunc, empty) -> np.ndarray:
+    """``out[k, j]``, the ``ufunc`` over i of ``table[base[i, j] + X[k, i]]``,
+    a (len(X), base.shape[1]) int64 array: ``empty`` where ``base`` has no
+    rows.
+
+    The entries are gathered as an [i, j, k] array and reduced over its
+    leading axis, so both the sums and the reduction run along whole rows of
+    k (a short trailing axis made each take twice as long), in chunks of
+    at most ``_CHUNK`` entries, or one k's base.size where that is more: the
+    context holds arrays of that size itself.
+    """
+    out = np.empty((len(X), base.shape[1]), dtype=np.int64)
+    step = max(1, _CHUNK // max(base.size, 1))
+    base, XT = base[:, :, None], X.T[:, None, :]
+    for k in range(0, len(X), step):
+        gathered = table.take(base + XT[:, :, k : k + step])
+        ufunc.reduce(gathered, axis=0, out=out[k : k + step].T, initial=empty)
+    return out
+
+
 class Context:
     """A multi-adjoint context (A, B, R, sigma).
 
@@ -167,8 +205,13 @@ class Context:
         array ``R``; ``sigma`` is checked here."""
         self.frame, self.attributes, self.objects, self._R = frame, attributes, objects, R
         self._SIG = _sigma(sigma, len(attributes), len(objects), frame)
-        self._CT = _conj_tables(frame)
-        self._RT = np.stack([t._tables[2] for t in frame.triples])
+        n1 = frame.granularity + 1
+        self._CT = _conj_tables(frame).ravel()
+        self._RT = np.stack([t._tables[2] for t in frame.triples]).ravel()
+        # per cell, the flat offset of CT[sigma, R, 0] ([object, attribute],
+        # for possibility) and of RT[sigma, 0, R] (for necessity)
+        self._POS = ((self._SIG * n1 + R) * n1).T.copy()
+        self._NEC = self._SIG * n1 * n1 + R
         self._gens = self._lattice = self._families = self._reducts = None
 
     @property
@@ -180,23 +223,20 @@ class Context:
         return tuple(map(tuple, self._SIG.tolist()))
 
     def possibility_batch(self, G: np.ndarray) -> np.ndarray:
-        """Map a (k, |B|) array of object-set numerators to (k, |A|) intents."""
-        R, SIG, CT = self._R, self._SIG, self._CT
-        out = np.empty((G.shape[0], len(self.attributes)), dtype=np.int64)
-        for a in range(len(self.attributes)):
-            vals = CT[SIG[a][None, :], R[a][None, :], G]
-            out[:, a] = vals.max(axis=1)
-        return out
+        """Map a (k, |B|) array of object-set numerators to (k, |A|) intents:
+        ``out[k, a] = max_b CT[sigma(a, b), R(a, b), G[k, b]]``, one gather at
+        the flat offsets ``_POS[b, a] + G[k, b]``."""
+        G = _batch(G, len(self.objects), self.frame.granularity)
+        return _gather_reduce(self._CT, self._POS, G, np.maximum, 0)
 
     def necessity_batch(self, F: np.ndarray) -> np.ndarray:
-        """Map a (k, |A|) array of attribute-set numerators to (k, |B|) extents."""
-        R, SIG, RT = self._R, self._SIG, self._RT
+        """Map a (k, |A|) array of attribute-set numerators to (k, |B|) extents:
+        ``out[k, b] = min_a RT[sigma(a, b), F[k, a], R(a, b)]``, one gather at
+        the flat offsets ``_NEC[a, b] + F[k, a] (n + 1)``; top with no
+        attributes."""
         n = self.frame.granularity
-        out = np.empty((F.shape[0], len(self.objects)), dtype=np.int64)
-        for b in range(len(self.objects)):
-            vals = RT[SIG[:, b][None, :], F, R[:, b][None, :]]
-            out[:, b] = vals.min(axis=1, initial=n)  # top with no attributes
-        return out
+        F = _batch(F, len(self.attributes), n)
+        return _gather_reduce(self._RT, self._NEC, F * (n + 1), np.minimum, n)
 
     # -- fuzzy-set level wrappers ------------------------------------------
 
@@ -304,17 +344,19 @@ def _grid(n: int, k: int):
 def _generators(ctx: Context) -> tuple:
     """``(rows, gens)``: ``rows[a, k]`` is the extent (top except a:k)^down
     for attribute a and k in 0..n, an (|A|, n+1, |B|) array (k = n gives
-    top, since top <- x = top); ``gens`` holds the distinct extents among
-    them and top (the empty meet, also with no attributes), sorted.  Cached
-    on the context."""
+    top); ``gens`` holds the distinct extents among them and top (the empty
+    meet, also with no attributes), sorted.  Cached on the context.
+
+    Every other attribute a' gives top <- R(a', b) = top, so ``rows[a, k, b]``
+    is RT[sigma(a, b), k, R(a, b)]: one gather at ``_NEC[a, b] + k (n + 1)``,
+    with no closure batch.
+    """
     if ctx._gens is None:
-        n, na, nb = ctx.frame.granularity, len(ctx.attributes), len(ctx.objects)
-        F = np.full((na, n + 1, na), n, dtype=np.int64)
-        F[np.arange(na), :, np.arange(na)] = np.arange(n + 1)
-        rows = ctx.necessity_batch(F.reshape(na * (n + 1), na))
-        top = np.full((1, nb), n, dtype=np.int64)
-        gens = _unique_rows(np.concatenate([rows, top]))
-        ctx._gens = rows.reshape(na, n + 1, nb), gens
+        n1, nb = ctx.frame.granularity + 1, len(ctx.objects)
+        rows = ctx._RT.take(ctx._NEC[:, None, :] + n1 * np.arange(n1)[:, None])
+        top = np.full((1, nb), n1 - 1, dtype=np.int64)
+        gens = _unique_rows(np.concatenate([rows.reshape(-1, nb), top]))
+        ctx._gens = rows, gens
     return ctx._gens
 
 
@@ -568,7 +610,8 @@ def _restrict(ctx: Context, keep: list) -> Context:
     slices the checked arrays and drops every cache."""
     sub = copy.copy(ctx)
     sub.attributes = tuple(ctx.attributes[i] for i in keep)
-    sub._R, sub._SIG = ctx._R[keep], ctx._SIG[keep]
+    sub._R, sub._SIG, sub._NEC = ctx._R[keep], ctx._SIG[keep], ctx._NEC[keep]
+    sub._POS = ctx._POS[:, keep]
     sub._gens = sub._lattice = sub._families = sub._reducts = None
     return sub
 

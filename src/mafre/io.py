@@ -10,8 +10,10 @@ are one format operation each.  The large record lists (the concepts of a
 lattice, the gap of an unsolvable system, the columns of a solution set)
 reach it as ``_Records``, numerator arrays, int lists and str lists held
 column by column, and are written as one join of their values' texts with
-no dict built; a column of per-record arrays (the solution arrays that
-columns share per distinct maximum) writes each distinct array once.  Any
+no dict built: a 2-D column (the extents and intents of a lattice) through
+a numeral table, the cached texts of 0..MAX_GRANULARITY with their
+separators, and a column of per-record arrays (the solution arrays that
+columns share per distinct maximum) with each distinct array once.  Any
 other list of dicts is written value by value.
 """
 
@@ -59,6 +61,42 @@ def _block(parts, nl: str, brackets: str = "[]") -> str:
 def _row_template(length: int, nl: str) -> str:
     """The %-template of a row of ``length`` integers opened after ``nl``."""
     return _block(["%d"] * length, nl) if length else "[]"
+
+
+@functools.lru_cache(maxsize=64)
+def _numerals(field: str) -> np.ndarray:
+    """The numeral table of rows opened after ``field``, an object array
+    built on first use: entry k is the text of k (0..MAX_GRANULARITY)
+    followed by the separator to the next entry of its row, and entry
+    MAX_GRANULARITY + 1 + k the text of k closing its row, a NUL and the
+    opening of the next row."""
+    inner = field + "  "
+    texts = np.array([_intstr(k) for k in range(MAX_GRANULARITY + 1)], dtype=object)
+    return np.concatenate([texts + ("," + inner), texts + (field + "]\0[" + inner)])
+
+
+def _table_rows(a: np.ndarray, field: str) -> list:
+    """The texts of the rows of the 2-D integer array ``a``, each opened
+    after ``field``, from one gather of ``_numerals`` joined and split at the
+    NULs.  An entry that the table does not hold (only a caller's array has
+    one) is written in place by ``int.__repr__``."""
+    if not a.shape[1]:
+        return ["[]"] * len(a)
+    top, table = MAX_GRANULARITY, _numerals(field)
+    idx = a.astype(np.int64)  # a uint64 past int64 wraps below 0
+    outside = idx.view(np.uint64).max(initial=0) > top
+    idx[:, -1] += top + 1
+    cells = table.take(idx, mode="clip")
+    del idx  # a large lattice's rows are held as texts next
+    if outside:
+        inside, last = table[0][1:], table[top + 1][1:]  # what follows "0"
+        for i, j in zip(*np.nonzero(a.astype(np.int64).view(np.uint64) > top)):
+            cells[i, j] = _intstr(int(a[i, j])) + (last if j == a.shape[1] - 1 else inside)
+    if len(a):
+        cells[0, 0] = "[" + field + "  " + cells[0, 0]
+    rows = "".join(cells.ravel().tolist()).split("\0")
+    rows.pop()  # the opening of a row after the last
+    return rows
 
 
 def _key(k) -> str:
@@ -109,11 +147,10 @@ class _Records:
         """The text of the records for ``_dumps``, opened after ``nl``.
 
         Each column becomes the list of its values' texts: a 1-D array's
-        ints one by one, a 2-D array's rows from one %-format of its row
-        template repeated with a NUL between rows (no row text holds one)
-        and split at the NULs, and a per-record array's text once per
-        distinct array object, keyed by ``id`` (the columns hold every array
-        for the whole call, so no id is reused).  The texts are joined
+        ints one by one, a 2-D array's rows from ``_table_rows``, and a
+        per-record array's text once per distinct array object, keyed by
+        ``id`` (the columns hold every array for the whole call, so no id
+        is reused).  The texts are joined
         between the literal pieces of the records, which sizes the output
         once.
         """
@@ -124,9 +161,7 @@ class _Records:
                 if col.ndim == 1:
                     blocks.append(map(_intstr, col.tolist()))
                 else:
-                    row = _row_template(col.shape[1], field)
-                    rows = "\0".join([row] * len(col)) % tuple(col.ravel().tolist())
-                    blocks.append(rows.split("\0"))
+                    blocks.append(_table_rows(col, field))
                 continue
             if type(col) is not list:
                 raise TypeError(

@@ -22,6 +22,13 @@ from mafre import (
     predecessors,
     restrict,
 )
+from mafre.algebra import (
+    BUILTIN_TRIPLE_NAMES,
+    AdjointTriple,
+    Frame,
+    GranularLattice,
+    builtin_triple,
+)
 from mafre.context import (
     ConceptLattice,
     Context,
@@ -667,6 +674,142 @@ def _some_context(rng, frame, kind, na, nb):
     if kind == "none":
         return _restrict(ctx, [])
     return ctx
+
+
+def _lukasiewicz(n):
+    """The Lukasiewicz triple, given by its tables: no built-in name covers
+    it.  It is commutative, so both residua are min(n, n - y + z)."""
+    z, y = np.ogrid[: n + 1, : n + 1]
+    residuum = np.minimum(n - y + z, n)
+    return AdjointTriple("lukasiewicz", n, np.maximum(z + y - n, 0), residuum, residuum)
+
+
+def _closure_oracle(ctx, rows, kind):
+    """``possibility`` or ``necessity`` of each row of ``rows`` (lists), entry
+    by entry from the definitions: the sup of conjunctor lookups
+    R(a, b) & g(b), or the inf of residuum lookups f(a) <- R(a, b), top over
+    no attributes."""
+    n, triples = ctx.frame.granularity, ctx.frame.triples
+    R, S = ctx._R.tolist(), ctx.sigma
+    A, B = range(len(ctx.attributes)), range(len(ctx.objects))
+    if kind == "possibility":
+        return [
+            [max(triples[S[a][b]].conj_table[R[a][b]][g[b]] for b in B) for a in A]
+            for g in rows
+        ]
+    return [
+        [
+            min((triples[S[a][b]].right_residuum_table[f[a]][R[a][b]] for a in A), default=n)
+            for b in B
+        ]
+        for f in rows
+    ]
+
+
+class _Gathers(np.ndarray):
+    """A triple table that records the size of every gather from it."""
+
+    sizes = []
+
+    def take(self, indices, *args, **kwargs):
+        _Gathers.sizes.append(np.size(indices))
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+class TestClosureKernels:
+    """``possibility_batch``, ``necessity_batch`` and ``_generators``, each
+    one gather from the stacked triple tables, against the operators'
+    definitions."""
+
+    @staticmethod
+    def _context(seed, kind):
+        """A seeded random context over the built-in triples and the
+        Lukasiewicz table triple, of one of ``_some_context``'s kinds; a
+        primal one has a sigma per cell."""
+        rng = random.Random(seed)
+        n = rng.choice([1, 2, 3, 4, 9])
+        triples = [builtin_triple(t, n) for t in BUILTIN_TRIPLE_NAMES] + [_lukasiewicz(n)]
+        frame = Frame(GranularLattice(n), triples)
+        na, nb = rng.randint(1, 4), rng.randint(1, 4)
+        if kind == "dual":
+            return _some_context(rng, frame, kind, na, nb)
+        relation = [[rng.randint(0, n) for _ in range(nb)] for _ in range(na)]
+        sigma = [[rng.randrange(len(triples)) for _ in range(nb)] for _ in range(na)]
+        names = [f"a{i}" for i in range(na)], [f"b{i}" for i in range(nb)]
+        ctx = Context(frame, *names, relation, sigma)
+        if kind == "restricted":
+            return restrict(ctx, rng.sample(ctx.attributes, rng.randint(1, na)))
+        return _restrict(ctx, []) if kind == "none" else ctx
+
+    def test_lukasiewicz_is_an_adjoint_triple(self):
+        from mafre.algebra import verify_adjoint_triple
+
+        for n in (1, 2, 3, 4, 9):
+            assert verify_adjoint_triple(_lukasiewicz(n), GranularLattice(n))
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    @pytest.mark.parametrize("kind", ["primal", "restricted", "none", "dual"])
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 6))
+    def test_kernels_match_their_definitions(self, chunk, kind, seed, k):
+        from mafre import context as context_mod
+
+        ctx = self._context(seed, kind)
+        n, na, nb = ctx.frame.granularity, len(ctx.attributes), len(ctx.objects)
+        rng = random.Random(~seed)
+        G = np.array([[rng.randint(0, n) for _ in range(nb)] for _ in range(k)], dtype=np.int64)
+        F = np.array([[rng.randint(0, n) for _ in range(na)] for _ in range(k)], dtype=np.int64)
+        G, F = G.reshape(k, nb), F.reshape(k, na)
+        ctx._CT, ctx._RT = ctx._CT.view(_Gathers), ctx._RT.view(_Gathers)
+        _Gathers.sizes.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(context_mod, "_CHUNK", chunk)
+            intents, extents = ctx.possibility_batch(G), ctx.necessity_batch(F)
+            # a gather holds at most _CHUNK entries, or one row's |A| x |B|
+            assert max(_Gathers.sizes, default=0) <= max(context_mod._CHUNK, na * nb)
+            rows, gens = _generators(ctx)
+        assert intents.tolist() == _closure_oracle(ctx, G.tolist(), "possibility")
+        assert extents.tolist() == _closure_oracle(ctx, F.tolist(), "necessity")
+        # the generator rows are the extents (top except a:k)^down
+        tops = np.full((na, n + 1, na), n, dtype=np.int64)
+        tops[np.arange(na), :, np.arange(na)] = np.arange(n + 1)
+        expected = ctx.necessity_batch(tops.reshape(na * (n + 1), na))
+        assert np.array_equal(rows, expected.reshape(na, n + 1, nb))
+        top = np.full((1, nb), n, dtype=np.int64)
+        assert np.array_equal(gens, np.unique(np.concatenate([expected, top]), axis=0))
+
+    @pytest.mark.parametrize("kind", ["primal", "dual"])
+    @pytest.mark.parametrize("batch", ["possibility_batch", "necessity_batch"])
+    @pytest.mark.parametrize("entry", [-1, "n + 1", 0.5])
+    def test_batches_refuse_entries_outside_the_chain(self, squares_solvable, kind, batch, entry):
+        # -1 would wrap to top, n + 1 read a neighbouring table row
+        ctx = associated_context(squares_solvable)
+        if kind == "dual":
+            ctx = _some_context(random.Random(1), squares_solvable.frame, kind, 3, 4)
+        n = ctx.frame.granularity
+        width = len(ctx.objects if batch == "possibility_batch" else ctx.attributes)
+        row = np.zeros((2, width), dtype=np.float64 if entry == 0.5 else np.int64)
+        row[1, 0] = n + 1 if entry == "n + 1" else entry
+        with pytest.raises(RangeError):
+            getattr(ctx, batch)(row)
+
+    @pytest.mark.parametrize("batch", ["possibility_batch", "necessity_batch"])
+    def test_batches_read_every_integer_dtype(self, squares_solvable, batch):
+        ctx = associated_context(squares_solvable)
+        rows = np.array([[0, 8, 3, 1, 5], [8, 8, 8, 8, 8]])
+        expected = getattr(ctx, batch)(rows)
+        for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.uint64):
+            assert np.array_equal(getattr(ctx, batch)(rows.astype(dtype)), expected)
+            assert getattr(ctx, batch)(rows.astype(dtype)).dtype == np.int64
+        for bad in (np.array([[2**64 - 1] + [0] * 4], dtype=np.uint64), -rows.astype(np.int8)):
+            with pytest.raises(RangeError):
+                getattr(ctx, batch)(bad)
+        for bad in (rows[:, :4], rows[0], rows[None]):
+            with pytest.raises(DimensionError):
+                getattr(ctx, batch)(bad)
+        with pytest.raises(RangeError):
+            getattr(ctx, batch)(rows.tolist())
 
 
 class TestLowerCovers:

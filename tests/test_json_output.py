@@ -19,6 +19,7 @@ from mafre.dual import dual_approximate, dual_solutions, dual_solvability_gap
 from mafre.errors import UnsolvableError
 from mafre.fre import FreInstance, associated_context, enumerate_solutions, solvability_gap
 from mafre.io import (
+    MAX_GRANULARITY,
     _dumps,
     _Records,
     load_problem,
@@ -349,6 +350,66 @@ def test_records_edge_cases():
     rows = _Records(("a%", "m"), (np.zeros((2, 0), dtype=np.int64), ["%s", "é"]))
     assert _dumps(rows) == json.dumps(plain(rows), indent=2)
     assert '"a%": []' in _dumps(rows)
+
+
+@st.composite
+def table_columns(draw, count):
+    """A 2-D record column of ``count`` rows as the numeral table writes it:
+    entries mostly in 0..MAX_GRANULARITY, with the values at and past both
+    ends of the table and of the dtype, in any integer dtype, of width 0..4
+    (0 and 1 included)."""
+    dtype = draw(st.sampled_from(INT_DTYPES))
+    info = np.iinfo(dtype)
+    top = MAX_GRANULARITY
+    edges = [v for v in (0, -1, top, top + 1, info.min, info.max) if info.min <= v <= info.max]
+    inside = st.integers(0, min(top, int(info.max)))
+    entries = st.one_of(inside, inside, inside, st.sampled_from(edges))
+    width = draw(st.integers(0, 4))
+    values = draw(st.lists(entries, min_size=count * width, max_size=count * width))
+    return np.array(values, dtype=dtype).reshape(count, width)
+
+
+@st.composite
+def table_records(draw):
+    """One to three table columns of 0..5 records (mostly some), under str
+    keys, at a nesting depth of 0..2."""
+    count = draw(st.sampled_from([0, 1, 2, 3, 5]))
+    keys = draw(st.lists(record_texts, min_size=1, max_size=3, unique=True))
+    value = _Records(keys, [draw(table_columns(count)) for _ in keys])
+    for _ in range(draw(st.integers(0, 2))):
+        value = {"a": value}
+    return value
+
+
+@settings(max_examples=max(300, settings().max_examples), deadline=None)
+@given(table_records())
+def test_table_columns_dump_as_their_dicts(value):
+    assert _dumps(value) == json.dumps(plain(value), indent=2)
+
+
+UINT64_MAX = np.iinfo(np.uint64).max
+TABLE_COLUMNS = [
+    np.array([[0, MAX_GRANULARITY], [MAX_GRANULARITY + 1, 7]]),
+    np.array([[MAX_GRANULARITY + 1, -1, 2**40]]),
+    np.array([[-1], [5]], dtype=np.int8),
+    np.array([[127, -128, 0]], dtype=np.int8),
+    np.array([[UINT64_MAX, 0, UINT64_MAX], [3, UINT64_MAX, 9]], dtype=np.uint64),
+    np.array([[np.iinfo(np.int64).min, MAX_GRANULARITY]]),
+    np.array([[600, 1], [2, 65535]], dtype=np.uint16),
+    np.zeros((0, 3), dtype=np.int64),
+    np.zeros((3, 0), dtype=np.int64),
+    np.arange(5).reshape(5, 1),
+    np.arange(12, dtype=np.int32).reshape(3, 4).T,
+]
+
+
+@pytest.mark.parametrize("column", TABLE_COLUMNS, ids=lambda a: f"{a.dtype}{a.tolist()}")
+def test_table_column_edge_cases(column):
+    # entries the table holds, entries past it written in place, widths 0
+    # and 1, zero rows and a transposed view, beside a second table column
+    records = _Records(("e", "i"), (column, column[::-1]))
+    for value in (records, {"x": [records]}):
+        assert _dumps(value) == json.dumps(plain(value), indent=2)
 
 
 @pytest.mark.parametrize(

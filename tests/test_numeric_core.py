@@ -472,20 +472,20 @@ class TestNoValuesOnLoad:
 
 
 class TestGeneratorsOnce:
-    def test_generators_are_cached_on_the_context(self, monkeypatch):
+    def test_generators_are_cached_on_the_context(self):
+        # the generators are gathered once per context: every later use,
+        # by the solver, the lattice build and predecessors, gets the same
+        # arrays back
         fre = load_problem(EXAMPLES / "squares_solvable.json").to_instance()
         ctx = associated_context(fre)
-        n, na = fre.frame.granularity, len(ctx.attributes)
-        batches = []
-        necessity = Context.necessity_batch
-        monkeypatch.setattr(
-            Context, "necessity_batch", lambda c, F: batches.append(len(F)) or necessity(c, F)
-        )
+        assert ctx._gens is None
         first = enumerate_solutions(fre).columns[0]
+        gens = ctx._gens
+        assert gens is not None
         enumerate_solutions(fre)
         lattice = build_concept_lattice(ctx)
         predecessors(lattice, first.max_solution)
-        assert batches.count(na * (n + 1)) == 1
+        assert _generators(ctx) is gens
         # restrict drops every cache: its generators are its own
         sub = restrict(ctx, ctx.attributes[:2])
         assert sub._gens is None
