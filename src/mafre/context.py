@@ -13,14 +13,16 @@ relation numbers each cover by binary search among the extent keys;
 ``index_of`` looks an extent up in a dict of row tuples.  Every lower cover,
 of the Hasse diagram, of ``predecessors`` and of the solver, comes from one
 rule, ``_lower_covers``: |A| candidate meets per extent, the maximal ones
-kept.  A lattice build stops with BudgetExceededError once its extents hold
-more than ``algebra.MAX_ENTRIES`` entries, and so does the cover relation
-when its candidate arrays would.
+kept, computed extent-major.  A lattice build stops with
+BudgetExceededError once its extents hold more than ``algebra.MAX_ENTRIES``
+entries, and so does the cover relation when its candidate arrays would.
+Lattice rows are written through one numeral table builder, ``_numerals``.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -387,14 +389,26 @@ def _lower_covers(ctx: Context, extents: np.ndarray, intents: np.ndarray) -> tup
     so x^up(a) <= f(a) - 1 for some a, and by the Galois connection x lies
     below that candidate.  So the lower covers of e are the maximal
     candidates, |A| rows per extent, and no lattice is needed.
+
+    The candidates are one gather into an [a, b, extent] array, and
+    ``below[a, a', i]`` is and-ed one object at a time, so every operation
+    runs along whole rows of extents; the results are views of them.
     """
     rows = _generators(ctx)[0]
+    na, n1, nb = rows.shape
+    intents = np.ascontiguousarray(intents.T)  # [a, extent]
     marked = intents > 0
-    steps = rows[np.arange(intents.shape[1]), np.maximum(intents - 1, 0)]
-    candidates = np.minimum(extents[:, None, :], steps)  # [extent, a]
-    below = _leq(candidates, candidates)  # [extent, a, a']
-    above = below & ~below.transpose(0, 2, 1) & marked[:, None, :]
-    return candidates, marked & ~above.any(axis=2)
+    offsets = np.maximum(intents - 1, 0) * nb
+    offsets += np.arange(0, na * n1 * nb, n1 * nb)[:, None]
+    candidates = rows.take(offsets[:, None, :] + np.arange(nb)[:, None])
+    np.minimum(candidates, extents.T, out=candidates)  # [a, b, extent]
+    column = candidates[:, 0]
+    below = column[:, None] <= column  # [a, a', extent]
+    for column in candidates.transpose(1, 0, 2)[1:]:
+        below &= column[:, None] <= column
+    above = below & ~below.transpose(1, 0, 2) & marked
+    covers = marked & ~above.any(axis=1)
+    return candidates.transpose(2, 0, 1), covers.T
 
 
 def _meet_closure(chains: np.ndarray) -> np.ndarray:
@@ -501,9 +515,9 @@ class ConceptLattice:
         and those rows are keyed by ``_row_keys`` with the same radix, n + 1,
         so both get the same encoding, and each row's concept index is found
         by ``np.searchsorted`` among the sorted extent keys (a row not found
-        there raises NotAnExtentError); the pairs are deduplicated as rows.
-        The candidates and their comparisons hold
-        N x |A| x max(|A|, |B|) entries.
+        there raises NotAnExtentError); the pairs are sorted once as
+        lower * N + upper, repeats dropped.  The candidates and their
+        comparisons hold N x |A| x max(|A|, |B|) entries.
         """
         rows = self.extent_rows
         na, nb = len(self.context.attributes), len(self.context.objects)
@@ -512,16 +526,19 @@ class ConceptLattice:
             f"the covers of {len(rows)} concepts over {na} attributes and {nb} objects",
         )
         candidates, covers = _lower_covers(self.context, rows, self.intent_rows)
-        upper = np.nonzero(covers)[0]
+        upper, at = np.nonzero(covers)
+        lows = candidates[upper, at]
         radix = self.context.frame.granularity + 1
-        lows = candidates[covers]
         keys, found = _row_keys(rows, radix), _row_keys(lows, radix)
         lower = np.searchsorted(keys, found)
         missing = np.flatnonzero(keys.take(lower, mode="clip") != found)
         if len(missing):
             row = lows[missing[0]].tolist()
             raise NotAnExtentError(f"the lower cover {row} of an extent is not in the lattice")
-        return _unique_rows(np.stack([lower, upper], axis=1), len(rows))
+        pairs = np.sort(lower * len(rows) + upper)
+        fresh = np.ones(len(pairs), dtype=bool)
+        np.not_equal(pairs[1:], pairs[:-1], out=fresh[1:])
+        return np.stack(np.divmod(pairs[fresh], len(rows)), axis=1)
 
     def __len__(self):
         return len(self.extent_rows)
@@ -708,31 +725,50 @@ def enumerate_reducts(ctx: Context):
     return list(ctx._reducts)
 
 
-def _tuple_template(width: int) -> str:
-    """The %-template of ``str(tuple(row))`` for a row of ``width`` ints."""
-    if width == 1:
-        return "(%d,)"
-    return "(" + ", ".join(["%d"] * width) + ")"
+@functools.lru_cache(maxsize=64)
+def _numerals(top: int, sep: str, close: str) -> np.ndarray:
+    """A numeral table: entry k is the text of k (0..``top``) followed by
+    ``sep``, and entry top + 1 + k that text followed by ``close``, the end
+    of a row."""
+    texts = np.array([int.__repr__(k) for k in range(top + 1)], dtype=object)
+    return np.concatenate([texts + sep, texts + close])
+
+
+def _table_cells(rows: np.ndarray, top: int, sep: str, close: str) -> np.ndarray:
+    """The texts of the entries of ``rows`` (2-D, at least one column), one
+    gather from ``_numerals``; an entry outside 0..top gets some other
+    entry's text, for the caller to overwrite."""
+    idx = rows.astype(np.int64)
+    idx[:, -1] += top + 1
+    return _numerals(top, sep, close).take(idx, mode="clip")
 
 
 def lattice_to_dot(lat: ConceptLattice, *, include_intents: bool = False) -> str:
     """Render the Hasse diagram as DOT, drawn bottom-up.
 
     Nodes are labeled with extent numerator tuples (plus intents on request).
-    All node lines are one %-format over the concept numbers and rows, and
-    all edge lines one over the cover pairs.
+    The text is one join of the constant pieces, the concept numbers
+    (written once, also for the edges) and the label entries from numeral
+    tables.
     """
-    label = _tuple_template(lat.extent_rows.shape[1])
-    columns = [np.arange(len(lat))[:, None], lat.extent_rows]
+    n, count, pairs = lat.context.frame.granularity, len(lat), lat._cover_pairs
+    blocks = [lat.extent_rows]
+    if include_intents and lat.intent_rows.shape[1]:
+        blocks.append(lat.intent_rows)
+    ends = [",)" if rows.shape[1] == 1 else ")" for rows in blocks]
     if include_intents:
-        label += "\\n" + _tuple_template(lat.intent_rows.shape[1])
-        columns.append(lat.intent_rows)
-    nodes = ('\n  c%d [label="' + label + '"];') * len(lat)
-    pairs = lat._cover_pairs
-    edges = "\n  c%d -> c%d;" * len(pairs)
-    return (
-        "digraph concept_lattice {\n  rankdir=BT;\n  node [shape=box];"
-        + nodes % tuple(np.hstack(columns).ravel().tolist())
-        + edges % tuple(pairs.ravel().tolist())
-        + "\n}"
-    )
+        ends[0] += "\\n(" if len(blocks) == 2 else "\\n()"
+    ends[-1] += '"];'
+    # the header, then ``width`` parts per node and 5 per edge, then the end
+    width = 3 + sum(rows.shape[1] for rows in blocks)
+    parts = np.empty(2 + count * width + 5 * len(pairs), dtype=object)
+    nodes = parts[1 : 1 + count * width].reshape(count, width)
+    edges = parts[1 + count * width : -1].reshape(len(pairs), 5)
+    numbers = np.array(("%d\0" * count % tuple(range(count))).split("\0")[:-1], dtype=object)
+    parts[0] = "digraph concept_lattice {\n  rankdir=BT;\n  node [shape=box];"
+    nodes[:, 0], nodes[:, 1], nodes[:, 2] = "\n  c", numbers, ' [label="('
+    nodes[:, 3:] = np.hstack([_table_cells(r, n, ", ", e) for r, e in zip(blocks, ends)])
+    edges[:, 0], edges[:, 2], edges[:, 4] = "\n  c", " -> c", ";"
+    edges[:, 1::2] = numbers.take(pairs)
+    parts[-1] = "\n}"
+    return "".join(parts.tolist())

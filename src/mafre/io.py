@@ -35,6 +35,7 @@ from .algebra import (
     _int64,
     builtin_triple,
 )
+from .context import _table_cells
 from .dual import DualFreInstance
 from .errors import MafreError
 from .fre import FreInstance
@@ -63,37 +64,25 @@ def _row_template(length: int, nl: str) -> str:
     return _block(["%d"] * length, nl) if length else "[]"
 
 
-@functools.lru_cache(maxsize=64)
-def _numerals(field: str) -> np.ndarray:
-    """The numeral table of rows opened after ``field``, an object array
-    built on first use: entry k is the text of k (0..MAX_GRANULARITY)
-    followed by the separator to the next entry of its row, and entry
-    MAX_GRANULARITY + 1 + k the text of k closing its row, a NUL and the
-    opening of the next row."""
-    inner = field + "  "
-    texts = np.array([_intstr(k) for k in range(MAX_GRANULARITY + 1)], dtype=object)
-    return np.concatenate([texts + ("," + inner), texts + (field + "]\0[" + inner)])
-
-
 def _table_rows(a: np.ndarray, field: str) -> list:
     """The texts of the rows of the 2-D integer array ``a``, each opened
-    after ``field``, from one gather of ``_numerals`` joined and split at the
-    NULs.  An entry that the table does not hold (only a caller's array has
-    one) is written in place by ``int.__repr__``."""
+    after ``field``, from one gather of a numeral table
+    (``context._table_cells``) joined and split at the NULs: an entry is
+    followed by the separator to the next one, and a row's last entry by the
+    row's closing, a NUL and the opening of the next row.  An entry that the
+    table does not hold (only a caller's array has one) is written in place
+    by ``int.__repr__``."""
     if not a.shape[1]:
         return ["[]"] * len(a)
-    top, table = MAX_GRANULARITY, _numerals(field)
-    idx = a.astype(np.int64)  # a uint64 past int64 wraps below 0
-    outside = idx.view(np.uint64).max(initial=0) > top
-    idx[:, -1] += top + 1
-    cells = table.take(idx, mode="clip")
-    del idx  # a large lattice's rows are held as texts next
-    if outside:
-        inside, last = table[0][1:], table[top + 1][1:]  # what follows "0"
-        for i, j in zip(*np.nonzero(a.astype(np.int64).view(np.uint64) > top)):
-            cells[i, j] = _intstr(int(a[i, j])) + (last if j == a.shape[1] - 1 else inside)
+    inner = field + "  "
+    top, sep, close = MAX_GRANULARITY, "," + inner, field + "]\0[" + inner
+    cells = _table_cells(a, top, sep, close)
+    entries = a.astype(np.int64, copy=False).view(np.uint64)  # a negative is past top
+    if entries.max(initial=0) > top:
+        for i, j in zip(*np.nonzero(entries > top)):
+            cells[i, j] = _intstr(int(a[i, j])) + (close if j == a.shape[1] - 1 else sep)
     if len(a):
-        cells[0, 0] = "[" + field + "  " + cells[0, 0]
+        cells[0, 0] = "[" + inner + cells[0, 0]
     rows = "".join(cells.ravel().tolist()).split("\0")
     rows.pop()  # the opening of a row after the last
     return rows

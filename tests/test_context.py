@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 
@@ -482,6 +483,52 @@ class TestLatticeEngine:
         assert top_only.count("[label=") == 1 and "->" not in top_only
         assert len(lat) > 250
 
+    @settings(deadline=None)
+    @given(data=st.data(), include_intents=st.booleans())
+    def test_dot_property(self, data, include_intents):
+        # every built-in triple and a table triple, n up to 512 (the lattice
+        # is kept small by fewer attributes at large n), labels (k,) at
+        # |B| = 1 and intents of width 1 and 0, primal and dual
+        n = data.draw(st.sampled_from([1, 2, 3, 4, 9, 64, 512]), label="n")
+        kind = data.draw(st.sampled_from(["primal", "restricted", "none", "dual"]), label="kind")
+        na = data.draw(st.integers(1, 4 if n < 64 else 2 if n == 64 else 1), label="na")
+        nb = data.draw(st.integers(1, 4), label="nb")
+        frame = _table_frame(n)
+        triple = st.integers(0, len(frame.triples) - 1)
+
+        def matrix(cell):
+            row = st.lists(cell, min_size=nb, max_size=nb)
+            return data.draw(st.lists(row, min_size=na, max_size=na))
+
+        relation = matrix(st.one_of(st.sampled_from([0, n]), st.integers(0, n)))
+        names = [f"a{i}" for i in range(na)], [f"b{i}" for i in range(nb)]
+        if kind == "dual":
+            sigma = data.draw(st.lists(triple, min_size=na, max_size=na))
+            ctx = DualContext(frame, *names, relation, sigma)
+        else:
+            ctx = Context(frame, *names, relation, matrix(triple))
+            if kind == "restricted":
+                ctx = restrict(ctx, data.draw(st.sets(st.sampled_from(ctx.attributes), min_size=1)))
+            elif kind == "none":
+                ctx = _restrict(ctx, [])
+        lat = build_concept_lattice(ctx)
+        dot = lattice_to_dot(lat, include_intents=include_intents)
+        assert dot == reference_dot(lat, include_intents)
+
+    @pytest.mark.parametrize("include_intents", [False, True])
+    def test_large_lattice_dot_peak(self, large_lattice, include_intents):
+        """The DOT text of 7,035 concepts peaks below 8 times its length
+        under tracemalloc (the cover pairs are computed before)."""
+        large_lattice.covers()
+        tracemalloc.start()
+        try:
+            dot = lattice_to_dot(large_lattice, include_intents=include_intents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dot == reference_dot(large_lattice, include_intents)
+        assert peak < 8 * len(dot)
+
     def test_covers_computed_on_first_request(self):
         rng = random.Random(9)
         frame = builtin_frame(["sq-left", "godel"], 4)
@@ -684,6 +731,14 @@ def _lukasiewicz(n):
     return AdjointTriple("lukasiewicz", n, np.maximum(z + y - n, 0), residuum, residuum)
 
 
+@functools.lru_cache(maxsize=None)
+def _table_frame(n):
+    """The built-in triples and the Lukasiewicz table triple on [0,1]_n, one
+    frame per n, so each triple's adjunction is checked once."""
+    triples = [builtin_triple(t, n) for t in BUILTIN_TRIPLE_NAMES] + [_lukasiewicz(n)]
+    return Frame(GranularLattice(n), triples)
+
+
 def _closure_oracle(ctx, rows, kind):
     """``possibility`` or ``necessity`` of each row of ``rows`` (lists), entry
     by entry from the definitions: the sup of conjunctor lookups
@@ -728,13 +783,12 @@ class TestClosureKernels:
         primal one has a sigma per cell."""
         rng = random.Random(seed)
         n = rng.choice([1, 2, 3, 4, 9])
-        triples = [builtin_triple(t, n) for t in BUILTIN_TRIPLE_NAMES] + [_lukasiewicz(n)]
-        frame = Frame(GranularLattice(n), triples)
+        frame = _table_frame(n)
         na, nb = rng.randint(1, 4), rng.randint(1, 4)
         if kind == "dual":
             return _some_context(rng, frame, kind, na, nb)
         relation = [[rng.randint(0, n) for _ in range(nb)] for _ in range(na)]
-        sigma = [[rng.randrange(len(triples)) for _ in range(nb)] for _ in range(na)]
+        sigma = [[rng.randrange(len(frame.triples)) for _ in range(nb)] for _ in range(na)]
         names = [f"a{i}" for i in range(na)], [f"b{i}" for i in range(nb)]
         ctx = Context(frame, *names, relation, sigma)
         if kind == "restricted":
