@@ -14,13 +14,17 @@ kept alongside as an independent oracle.
 Each solver call makes one closure pass over all rhs columns; an unsolvable
 instance raises UnsolvableError carrying the gap as numerators.  Columns with
 the same maximum share its array, its predecessors and, when listed, its
-solutions and minimal ones, read off one boolean grid over the box; the JSON
-output writes each of those arrays once.  A count
-alone sweeps no box: it splits the box on one unknown at a time, keeping the
+solutions and minimal ones; the JSON output writes each of those arrays
+once.  The work is done once per call over the distinct maxima: one cover
+search, one deduplication of all their predecessors, and one listing of all
+their boxes, held back to back in one boolean buffer, so that each
+maximum's rows are a slice of one array (``_listing``).  A count alone
+sweeps no box: it splits each box on one unknown at a time, keeping the
 maximal predecessors still active on the unknowns left (``_count``).  The
-listing raises BudgetExceededError before allocating an array above
-``algebra.MAX_ENTRIES`` entries, and the count before its memo holds that
-many, at |V| entries per state.
+listing raises BudgetExceededError before allocating a box above
+``algebra.MAX_ENTRIES`` entries, and lists boxes together only as far as
+they fit that budget together; the count raises before its memo holds that
+many entries, at |V| entries per state.
 
 An instance is its checked associated context plus one rhs numerator array.
 Derived instances (reduced, repaired, the transposed primal of a dual one)
@@ -31,6 +35,7 @@ not checked again.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
@@ -39,6 +44,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from . import algebra
 from .algebra import _CHUNK, Frame, _check_entries
 from .context import (
     Context,
@@ -212,11 +218,11 @@ def _gap_columns(fre: FreInstance, interiors: np.ndarray) -> tuple:
 
 
 def _unsolvable(fre: FreInstance, interiors: np.ndarray, message: str) -> None:
-    """Raise UnsolvableError with the gap when T is not its interior."""
-    gap_columns = _gap_columns(fre, interiors)
-    if gap_columns[0]:
+    """Raise UnsolvableError with the gap when T is not its interior; the
+    gap is gathered only then."""
+    if (interiors != fre._rhs_array.T).any():
         raise UnsolvableError(
-            message, gap_columns=gap_columns, granularity=fre.frame.granularity
+            message, gap_columns=_gap_columns(fre, interiors), granularity=fre.frame.granularity
         )
 
 
@@ -264,6 +270,15 @@ class ColumnSolutions:
     count: int
     solution_rows: Optional[np.ndarray] = None  # (count, |V|), lexicographic
     minimal_rows: Optional[np.ndarray] = None  # (minimal, |V|), lexicographic
+
+    @classmethod
+    def _of(cls, column, fields: dict) -> "ColumnSolutions":
+        """The solutions of ``column`` with every other field from ``fields``,
+        which columns with one maximum share; set in the instance's
+        ``__dict__``, as the frozen ``__init__`` would set them one by one."""
+        col = object.__new__(cls)
+        col.__dict__.update(fields, column=column)
+        return col
 
     def _sets(self, rows) -> tuple:
         return tuple(
@@ -327,49 +342,98 @@ class SolutionSet:
         }
 
 
-def _box(max_row: np.ndarray, pred_rows: np.ndarray) -> tuple:
-    """(free, grid): the coordinates where ``max_row`` is positive (the
-    others are 0 below it) and a boolean grid, one axis per free coordinate,
-    with each predecessor's down-set, a corner, cleared by one slice (slices
-    clip: it need not lie below the maximum).  Budget: rows x |V| entries."""
-    free = np.flatnonzero(max_row)
-    sides = (max_row[free] + 1).tolist()
-    rows, nv, k = math.prod(sides), len(max_row), len(pred_rows)
-    _check_entries(
-        rows * nv,
-        f"sweeping a solution box of {rows} rows over {nv} unknowns and {k} predecessors",
-    )
-    grid = np.ones(sides, dtype=bool)
-    for p in pred_rows[:, free].tolist():
-        grid[tuple(slice(0, c + 1) for c in p)] = False
-    return free, grid
+def _box(tops: list, preds: list) -> tuple:
+    """(grids, cells, starts, columns) for the leading boxes of ``tops`` whose
+    listing fits the budget together, at least the first.  ``tops`` holds
+    maxima as lists of ints and ``preds`` one (k, |V|) predecessor array per
+    maximum.  ``cells`` is one flat boolean buffer holding these boxes back
+    to back from the offsets ``starts`` on (the last is its length);
+    ``grids[i]`` is box i as a C-order view of it, one axis per unknown that
+    the maximum frees (is positive on: the others are 0 below it), with each
+    predecessor's down-set, a corner, cleared by one slice (slices clip: it
+    need not lie below the maximum).  ``columns`` lists, last unknown first,
+    each unknown that some box frees with its side in every box (1 where a
+    box does not free it), or one int when every box has that side.
+    Budget: each box alone holds rows x |V| entries, checked in order before
+    anything is allocated, and the boxes taken hold at most
+    ``algebra.MAX_ENTRIES`` together."""
+    nv, starts, boxes = len(tops[0]), [0], []
+    for top, p in zip(tops, preds):
+        free = [v for v, m in enumerate(top) if m]
+        rows = math.prod(top[v] + 1 for v in free)
+        _check_entries(
+            rows * nv,
+            f"sweeping a solution box of {rows} rows over {nv} unknowns and {len(p)} predecessors",
+        )
+        if boxes and (starts[-1] + rows) * nv > algebra.MAX_ENTRIES:
+            break
+        boxes.append((free, [top[v] + 1 for v in free], p))
+        starts.append(starts[-1] + rows)
+    cells = np.ones(starts[-1], dtype=bool)
+    grids, columns = [], {}
+    for k, (free, sides, p) in enumerate(boxes):
+        grid = cells[starts[k] : starts[k + 1]].reshape(sides)
+        for row in p.tolist():
+            grid[tuple(slice(0, row[v] + 1) for v in free)] = False
+        grids.append(grid)
+        for v, side in zip(free, sides):
+            columns.setdefault(v, [1] * len(boxes))[k] = side
+    columns = [
+        (v, side if len(set(side)) > 1 else side[0])
+        for v, side in sorted(columns.items(), reverse=True)
+    ]
+    return grids, cells, starts, columns
 
 
-def _listing(max_row: np.ndarray, pred_rows: np.ndarray) -> tuple:
-    """(rows, minimal) below ``max_row`` and no predecessor, lexicographic
-    (``np.flatnonzero`` walks the grid in C order).  The solutions are an
-    up-set of the box: one is minimal iff no cell one step below it is one.
-    Each free column is filled from the flat cell indices by division and
-    modulo, last axis first, so nothing beside the listing holds more than
-    one index per row; slabs of at most ``_CHUNK`` entries keep the strided
-    column writes in cache."""
-    free, grid = _box(max_row, pred_rows)
-    lower = np.zeros_like(grid)
-    for axis in range(grid.ndim):
-        head = (slice(None),) * axis
-        lower[head + (slice(1, None),)] |= grid[head + (slice(None, -1),)]
+def _cell_rows(cells, starts: list, columns: list, nv: int) -> list:
+    """The vectors over |V| unknowns of the true entries of the flat buffer
+    ``cells``, laid out as ``_box`` lays out its boxes (``starts``,
+    ``columns``): one (rows, |V|) array per box, each a contiguous slice of
+    one array.  The columns are filled from the flat index, local to its box,
+    by division and modulo, last unknown first, in slabs of at most
+    ``_CHUNK`` entries: one division per unknown serves every box of a slab,
+    and beside the listing only the flat index and one slab of divisors are
+    held."""
+    flat = cells.nonzero()[0]
+    out = np.zeros((len(flat), nv), dtype=np.int64)
+    many = len(starts) > 2
+    bounds = np.searchsorted(flat, starts) if many else [0, len(flat)]
+    step = max(1, _CHUNK // nv)
+    for at in range(0, len(flat), step):
+        index, slab = flat[at : at + step], out[at : at + step]
+        if many:
+            counts = np.diff(bounds.clip(at, at + len(index)))  # each box's rows in the slab
+            index -= np.repeat(starts[:-1], counts)
+        for v, side in columns:
+            divisor = np.repeat(side, counts) if type(side) is list else side
+            np.divmod(index, divisor, out=(index, slab[:, v]))
+    bounds = bounds.tolist() if many else bounds
+    return [out[low:high] for low, high in zip(bounds, bounds[1:])]
 
-    def rows(cells):
-        flat = np.flatnonzero(cells)
-        out = np.zeros((len(flat), len(max_row)), dtype=np.int64)
-        step = max(1, _CHUNK // len(max_row))
-        for start in range(0, len(flat), step):
-            index, slab = flat[start : start + step], out[start : start + step]
-            for v, side in zip(free[::-1].tolist(), cells.shape[::-1]):
-                np.divmod(index, side, out=(index, slab[:, v]))
-        return out
 
-    return rows(grid), rows(grid & ~lower)
+def _listing(tops: list, preds: list) -> list:
+    """(rows, minimal) for each maximum of ``tops`` with its predecessors in
+    ``preds`` (as ``_box`` takes them): the vectors below the maximum and no
+    predecessor, and the minimal ones among them, lexicographic (the buffer
+    holds each grid in C order).  The solutions are an up-set of the box: one
+    is minimal iff no cell one step below it is one.  The boxes are listed in
+    groups that fit the budget together (``_box``), one buffer each, so one
+    ``nonzero`` gives a group's solutions and one its minimal cells
+    (``_cell_rows``)."""
+    listed, nv = [], len(tops[0])
+    while len(listed) < len(tops):
+        grids, cells, starts, columns = _box(tops[len(listed) :], preds[len(listed) :])
+        lower = np.zeros(len(cells), dtype=bool)
+        for grid, start in zip(grids, starts):
+            below = lower[start : start + grid.size].reshape(grid.shape)
+            for axis in range(grid.ndim):
+                head = (slice(None),) * axis
+                below[head + (slice(1, None),)] |= grid[head + (slice(None, -1),)]
+        np.greater(cells, lower, out=lower)  # the minimal cells
+        listed += zip(
+            _cell_rows(cells, starts, columns, nv), _cell_rows(lower, starts, columns, nv)
+        )
+    return listed
 
 
 def _maximal(rows) -> tuple:
@@ -424,32 +488,56 @@ def enumerate_solutions(fre: FreInstance, materialize: bool = True) -> SolutionS
     instance raises UnsolvableError with the gap.  Each column's maximum
     solution is an extent of the associated context, its interior is that
     extent's intent, and its excluded predecessors are that extent's lower
-    covers, found for every column by one ``_lower_covers`` call; no concept
-    lattice is built.  With ``materialize`` the box below the maximum is
-    swept as one boolean grid, listing the solutions and their minimal
-    elements; otherwise only the count is produced, by splitting the box on
-    one unknown at a time (``_count``).  Columns with equal maxima share all
-    of this: it is computed once per distinct maximum.  A grid or count memo
-    above ``algebra.MAX_ENTRIES`` entries is not built: it raises
-    BudgetExceededError.
+    covers; no concept lattice is built.  Columns with equal maxima share all
+    of this, and the work is done once per request over the distinct maxima,
+    in the order of their first columns: one ``_lower_covers`` call, and one
+    ``_unique_rows`` call over every covered candidate keyed by its maximum,
+    so that each maximum's predecessors are one run of the result.  With
+    ``materialize`` the boxes below the maxima are swept back to back in one
+    boolean buffer (``_listing``), listing the solutions and their minimal
+    elements; otherwise only the counts are produced, one maximum at a time,
+    by splitting its box on one unknown at a time (``_count``).  A box or
+    count memo above ``algebra.MAX_ENTRIES`` entries is not built: it raises
+    BudgetExceededError, and boxes are swept together only as far as they fit
+    that budget together.
     """
     maxima, interiors = _closures(fre)
     _unsolvable(fre, interiors, "cannot enumerate an unsolvable instance")
+    # the distinct maxima in the order of their first columns
+    raw, slots = maxima.tobytes(), {}
+    width = len(raw) // len(maxima)
+    slot = [slots.setdefault(raw[at : at + width], len(slots)) for at in range(0, len(raw), width)]
+    if len(slots) < len(slot):
+        first = [slot.index(k) for k in range(len(slots))]
+        maxima, interiors = maxima[first], interiors[first]
     candidates, covers = _lower_covers(associated_context(fre), maxima, interiors)
-    n = fre.frame.granularity
-    solved = {}  # maximum -> (maximum, predecessors, count, solutions, minimal)
-    cols = []
-    for j, (w, m) in enumerate(zip(fre.col_names, maxima)):
-        key = m.tobytes()
-        if key not in solved:
-            preds = _unique_rows(candidates[j][covers[j]])
-            if materialize:
-                rows, minimal = _listing(m, preds)
-                solved[key] = m, preds, len(rows), rows, minimal
-            else:
-                solved[key] = m, preds, _count(m, preds), None, None
-        cols.append(ColumnSolutions(w, fre.var_names, n, *solved[key]))
-    return SolutionSet(n, fre.var_names, tuple(cols))
+    # every maximum's covered candidates deduplicated at once, keyed by the
+    # maximum's slot first, so each maximum's predecessors are one run; one
+    # maximum needs no key
+    covered, radix = candidates[covers], max(len(maxima), fre.frame.granularity + 1)
+    if len(maxima) == 1:
+        preds = [_unique_rows(covered, radix)]
+    else:
+        keyed = np.concatenate((covers.nonzero()[0][:, None], covered), axis=1)
+        keyed = _unique_rows(keyed, radix)
+        lead = [row[0] for row in keyed.tolist()]
+        bounds = [bisect_left(lead, k) for k in range(len(maxima) + 1)]
+        preds = [keyed[low:high, 1:] for low, high in zip(bounds, bounds[1:])]
+    if materialize:
+        listed = _listing(maxima.tolist(), preds)
+        solved = [(len(r), r, low) for r, low in listed]
+    else:
+        solved = [(_count(m, p), None, None) for m, p in zip(maxima, preds)]
+    n, names = fre.frame.granularity, fre.var_names
+    shared = [
+        dict(
+            var_names=names, granularity=n, max_row=m, predecessor_rows=p, count=count,
+            solution_rows=rows, minimal_rows=minimal,
+        )
+        for m, p, (count, rows, minimal) in zip(maxima, preds, solved)
+    ]
+    cols = [ColumnSolutions._of(w, shared[k]) for w, k in zip(fre.col_names, slot)]
+    return SolutionSet(n, names, tuple(cols))
 
 
 def brute_force_solutions(fre: FreInstance, budget: int = 10_000_000):

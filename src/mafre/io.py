@@ -13,8 +13,9 @@ column by column, and are written as one join of their values' texts with
 no dict built: a 2-D column (the extents and intents of a lattice) through
 a numeral table, the cached texts of 0..MAX_GRANULARITY with their
 separators, and a column of per-record arrays (the solution arrays that
-columns share per distinct maximum) with each distinct array once.  Any
-other list of dicts is written value by value.
+columns share per distinct maximum) with each distinct array once, the
+distinct arrays of one dtype and shape from one gather of that table when
+there are several.  Any other list of dicts is written value by value.
 """
 
 from __future__ import annotations
@@ -83,9 +84,30 @@ def _table_rows(a: np.ndarray, field: str) -> list:
             cells[i, j] = _intstr(int(a[i, j])) + (close if j == a.shape[1] - 1 else sep)
     if len(a):
         cells[0, 0] = "[" + inner + cells[0, 0]
-    rows = "".join(cells.ravel().tolist()).split("\0")
+    text = "".join(cells.ravel().tolist())
+    del cells  # before the rows are split off the text
+    rows = text.split("\0")
     rows.pop()  # the opening of a row after the last
     return rows
+
+
+def _arrays_text(arrays: list, nl: str) -> list:
+    """The texts of integer arrays of one dtype, number of dimensions and
+    row length, each as ``_rows_text`` writes it opened after ``nl``.  A
+    lone array is written by ``_rows_text`` (one %-format costs less than a
+    gather for one array); several come from one ``_table_rows`` gather:
+    1-D arrays are its rows, and 2-D arrays give theirs, each array's rows
+    written as one block."""
+    if len(arrays) == 1:
+        return [_rows_text(arrays[0], nl)]
+    table = np.concatenate(arrays)
+    if arrays[0].ndim == 1:
+        return _table_rows(table.reshape(len(arrays), len(arrays[0])), nl)
+    rows, texts, at = _table_rows(table, nl + "  "), [], 0
+    for a in arrays:
+        texts.append(_block(rows[at : at + len(a)], nl) if len(a) else "[]")
+        at += len(a)
+    return texts
 
 
 def _key(k) -> str:
@@ -96,11 +118,15 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
+def _check_array(a) -> None:
+    if not isinstance(a, np.ndarray) or a.dtype.kind not in "iu" or a.ndim not in (1, 2):
+        raise TypeError(f"an array must be a 1-D or 2-D integer array, not {a!r:.60}")
+
+
 def _rows_text(a, nl: str) -> str:
     """The text of the integer array ``a`` opened after ``nl``: a 1-D array
     is one row, a 2-D array a list of rows."""
-    if not isinstance(a, np.ndarray) or a.dtype.kind not in "iu" or a.ndim not in (1, 2):
-        raise TypeError(f"an array must be a 1-D or 2-D integer array, not {a!r:.60}")
+    _check_array(a)
     if a.ndim == 1:
         return _row_template(len(a), nl) % tuple(a.tolist())
     if not len(a):
@@ -139,7 +165,9 @@ class _Records:
         ints one by one, a 2-D array's rows from ``_table_rows``, and a
         per-record array's text once per distinct array object, keyed by
         ``id`` (the columns hold every array for the whole call, so no id
-        is reused).  The texts are joined
+        is reused), the new arrays of a column that share dtype, number of
+        dimensions and row length written together by ``_arrays_text``.
+        The texts are joined
         between the literal pieces of the records, which sizes the output
         once.
         """
@@ -163,10 +191,14 @@ class _Records:
             elif kinds <= {int}:
                 blocks.append(map(_intstr, col))
             else:
-                for a in col:
+                ids, batches = list(map(id, col)), {}
+                for a in dict(zip(ids, col)).values():
                     if id(a) not in texts:
-                        texts[id(a)] = _rows_text(a, field)
-                blocks.append([texts[id(a)] for a in col])
+                        _check_array(a)
+                        batches.setdefault((a.ndim, a.shape[-1], a.dtype), []).append(a)
+                for arrays in batches.values():
+                    texts.update(zip(map(id, arrays), _arrays_text(arrays, field)))
+                blocks.append(list(map(texts.__getitem__, ids)))
         count = len(self.columns[0]) if self.columns else 0
         if not count:
             return "[]"

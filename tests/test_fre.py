@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mafre import (
     FreInstance,
@@ -316,14 +316,16 @@ class TestEnumeration:
             SQUARES_COEFF, SQUARES_SIGMA, rhs,
         )
         cols = enumerate_solutions(fre).columns
-        # the minimal rows come with the listing, once per distinct maximum
-        assert len(sweeps) == len(listings) == 2
+        # the minimal rows come with the listing: one listing of the distinct
+        # maxima, swept once each in one buffer
+        assert len(sweeps) == len(listings) == 1
+        assert len(sweeps[0][0]) == len(listings[0][0]) == 2
         assert cols[0].to_json() | {"column": "w3"} == cols[2].to_json()
-        assert len(listings) == 2  # rendering computes nothing more
+        assert len(listings) == 1  # rendering computes nothing more
         assert cols[0].count == 2 and cols[1].count == 1
         assert cols[1].solution_rows.tolist() == [[0, 0, 0, 0, 0]]
         for col in cols:
-            fresh = listing(col.max_row, col.predecessor_rows)[1]
+            [(_, fresh)] = listing([col.max_row.tolist()], [col.predecessor_rows])
             assert col.minimal_rows.tolist() == fresh.tolist()
 
     def test_equal_maxima_share_minimal_rows(self, squares_frame):
@@ -400,14 +402,15 @@ def _repeated_parts(seed: int, dual: bool):
 
 class TestSharedJson:
     """``solve --json`` writes the arrays that columns share per distinct
-    maximum once each; ``SolutionSet.to_json`` gives every record its own
-    lists."""
+    maximum once each, the arrays of one record field through one gather;
+    ``SolutionSet.to_json`` gives every record its own lists."""
 
     @settings(max_examples=max(100, settings().max_examples), deadline=None)
     @given(st.integers(0, 2**32), st.booleans(), st.booleans())
     def test_one_body_per_maximum(self, seed, dual, materialize):
         import mafre.dual
         import mafre.fre
+        import mafre.io
         from mafre.io import problem_from_instance
         from test_cli_golden import run
 
@@ -415,6 +418,9 @@ class TestSharedJson:
         module = mafre.dual if dual else mafre.fre
         name = "dual_solutions" if dual else "enumerate_solutions"
         solve, solved, views = getattr(module, name), [], {}
+        # the arrays that the writer writes together, and the rows of each gather
+        written, gathered = [], []
+        arrays_text, table_rows = mafre.io._arrays_text, mafre.io._table_rows
 
         def counted(instance, materialize):
             # every array of the solution set counts the tolist calls on it
@@ -431,7 +437,14 @@ class TestSharedJson:
             return solutions
 
         argv = ["--json", *(["--enumerate"] if materialize else [])]
-        with tempfile.TemporaryDirectory() as directory, mock.patch.object(module, name, counted):
+        with tempfile.TemporaryDirectory() as directory, mock.patch.object(
+            module, name, counted
+        ), mock.patch.object(
+            mafre.io, "_arrays_text",
+            lambda arrays, nl: written.append(list(map(id, arrays))) or arrays_text(arrays, nl),
+        ), mock.patch.object(
+            mafre.io, "_table_rows", lambda a, nl: gathered.append(len(a)) or table_rows(a, nl)
+        ):
             path = os.path.join(directory, "problem.json")
             with open(path, "w") as fh:
                 fh.write(problem_from_instance(instance).dumps())
@@ -440,8 +453,16 @@ class TestSharedJson:
         maxima = [c.max_row.tobytes() for c in solutions.columns]
         assert len(set(maxima)) < len(solutions.columns)  # some parts share their maximum
         assert len(views) == len(set(maxima)) * (4 if materialize else 2)
-        # an array without rows is written as [] and read not at all
-        assert all(view.calls == [int(len(view) > 0)] for view in views.values())
+        # every array is written once: alone, by one read of its own unless
+        # it has no rows (it is written as []), or with the others of its
+        # shape in its column by one gather of their rows, which an array
+        # without rows adds none to
+        assert sorted(sum(written, [])) == sorted(map(id, views.values()))
+        alone = {ids[0] for ids in written if len(ids) == 1}
+        together = [v for v in views.values() if id(v) not in alone]
+        assert all(view.calls == [int(len(view) > 0)] for view in views.values() if id(view) in alone)
+        assert all(view.calls == [0] for view in together)
+        assert sum(gathered) == sum(len(v) if v.ndim == 2 else 1 for v in together)
         data = solutions.to_json()
         expected = json.dumps({"solvable": True, "solutions": data}, indent=2)
         assert printed == (0, expected + "\n", "")
@@ -496,12 +517,12 @@ class TestCount:
     @staticmethod
     def _sweeps(monkeypatch):
         """The arguments of every ``_box`` call, and a count of the cells
-        that a sweep of the box keeps, which records no call."""
+        that a sweep of the box below a maximum keeps, which records no call."""
         from mafre import fre as fre_mod
 
         sweeps, box = [], fre_mod._box
         monkeypatch.setattr(fre_mod, "_box", lambda *a: sweeps.append(a) or box(*a))
-        return sweeps, lambda *a: np.count_nonzero(box(*a)[1])
+        return sweeps, lambda top, preds: np.count_nonzero(box([top.tolist()], [preds])[1])
 
     def test_count_equals_the_sweep_and_brute_force(self, monkeypatch):
         sweeps, sweep = self._sweeps(monkeypatch)
@@ -602,7 +623,8 @@ class TestCount:
         assert [c.count for c in counted] == [2, 1, 2]
         assert all(c.solution_rows is None and c.minimal_rows is None for c in counted)
         enumerate_solutions(fre)
-        assert len(sweeps) == 2  # materialized: one sweep per distinct maximum
+        # materialized: one sweep of the two distinct maxima
+        assert len(sweeps) == 1 and len(sweeps[0][0]) == 2
 
     def test_count_beyond_int64(self, monkeypatch):
         # one equation max_v min(1, x_v) = 1 over 16 unknowns at n = 15: the
@@ -640,8 +662,8 @@ class TestCount:
         ]
         expected = len(solutions)
         assert fre_mod._count(max_row, pred_rows) == expected
-        assert np.count_nonzero(fre_mod._box(max_row, pred_rows)[1]) == expected
-        rows, minimal_rows = fre_mod._listing(max_row, pred_rows)
+        assert np.count_nonzero(fre_mod._box([top], [pred_rows])[1]) == expected
+        [(rows, minimal_rows)] = fre_mod._listing([top], [pred_rows])
         assert rows.shape == (expected, len(top))
         assert rows.tolist() == [list(x) for x in solutions]
         assert minimal_rows.tolist() == [list(x) for x in minimal]
@@ -654,11 +676,10 @@ class TestCount:
 
         top, preds = case
         nv, k = len(top), len(preds)
-        max_row = np.array(top, dtype=np.int64)
         pred_rows = np.array(preds, dtype=np.int64).reshape(k, nv)
         checks = [
-            (fre_mod._box, max_row, math.prod(m + 1 for m in top) * nv),
-            (fre_mod._listing, max_row, math.prod(m + 1 for m in top) * nv),
+            (fre_mod._box, [top], math.prod(m + 1 for m in top) * nv),
+            (fre_mod._listing, [top], math.prod(m + 1 for m in top) * nv),
         ]
         with pytest.MonkeyPatch.context() as patch:
             for function, rows, entries in checks:
@@ -667,9 +688,9 @@ class TestCount:
                     if entries > limit:
                         message = f" needs {entries} entries, exceeds budget {limit}$"
                         with pytest.raises(BudgetExceededError, match=message):
-                            function(rows, pred_rows)
+                            function(rows, [pred_rows])
                     else:
-                        function(rows, pred_rows)
+                        function(rows, [pred_rows])
 
     @pytest.mark.parametrize("chunk", [1, 7, 50])
     def test_listing_in_slabs_changes_nothing(self, chunk, monkeypatch):
@@ -682,8 +703,8 @@ class TestCount:
         for nv in (1, 2, 3, 5):
             top = [rng.randint(0, 3) for _ in range(nv)]
             preds = [[rng.randint(0, m) for m in top] for _ in range(rng.randint(0, 3))]
-            rows, _ = fre_mod._listing(
-                np.array(top, dtype=np.int64), np.array(preds, dtype=np.int64).reshape(-1, nv)
+            [(rows, _)] = fre_mod._listing(
+                [top], [np.array(preds, dtype=np.int64).reshape(-1, nv)]
             )
             assert rows.tolist() == [
                 list(x)
@@ -698,15 +719,228 @@ class TestCount:
 
         from mafre import fre as fre_mod
 
-        max_row, pred_rows = np.ones(14, dtype=np.int64), np.zeros((0, 14), dtype=np.int64)
+        top, pred_rows = [1] * 14, np.zeros((0, 14), dtype=np.int64)
         tracemalloc.start()
         try:
-            rows, minimal_rows = fre_mod._listing(max_row, pred_rows)
+            [(rows, minimal_rows)] = fre_mod._listing([top], [pred_rows])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rows.shape == (2**14, 14) and minimal_rows.tolist() == [[0] * 14]
         assert peak < 1.25 * rows.nbytes
+
+
+def _box_solutions(top, preds) -> tuple:
+    """(solutions, minimal) below ``top`` and below no row of ``preds``, by
+    definition, as lexicographic lists of lists."""
+    solutions = [
+        list(x)
+        for x in product(*(range(m + 1) for m in top))
+        if not any(all(a <= b for a, b in zip(x, p)) for p in preds)
+    ]
+    minimal = [
+        x
+        for x in solutions
+        if not any(y != x and all(b <= a for a, b in zip(x, y)) for y in solutions)
+    ]
+    return solutions, minimal
+
+
+def _two_boxes(a: int, b: int, c: int) -> FreInstance:
+    """A Godel system at n = 1 over a + b + c unknowns whose two columns have
+    boxes of 2^a and 2^b rows, one predecessor (all 0) each: u1 has 0 on the
+    first a unknowns and 1 elsewhere, u2 has 1 on the first a, 0 on the next
+    b and 1 on the last c; the rhs is [[0, 1], [1, 0]]."""
+    nv = a + b + c
+    coeff = [[0] * a + [1] * (b + c), [1] * a + [0] * b + [1] * c]
+    return FreInstance(
+        builtin_frame(["godel"], 1), ["u1", "u2"], [f"v{i}" for i in range(nv)],
+        ["w0", "w1"], coeff, [0] * nv, [[0, 1], [1, 0]],
+    )
+
+
+# 1 to 6 maxima over one set of 1 to 4 unknowns, each with up to 4 rows to
+# exclude, which may lie anywhere, also not below the maximum
+_BATCH_CASES = st.integers(1, 4).flatmap(
+    lambda nv: st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 3), min_size=nv, max_size=nv),
+            st.lists(st.lists(st.integers(0, 5), min_size=nv, max_size=nv), max_size=4),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+class TestBatch:
+    """Every distinct maximum of a request is listed in one batch: its boxes
+    back to back in one buffer, each box listed as on its own."""
+
+    @settings(max_examples=max(300, settings().max_examples), deadline=None)
+    @given(_BATCH_CASES, st.sampled_from([1, 5, 200_000]))
+    @example([([0, 0], []), ([0, 0], [[0, 0]]), ([1, 0], [[0, 0]])], 1)  # all-zero maxima
+    @example([([2, 1], []), ([0, 3], [])], 200_000)  # no predecessors
+    @example([([1, 2], [[3, 0], [5, 5]]), ([1, 1], [[0, 4]])], 5)  # predecessors above
+    @example([([2, 1], [[1, 0]]), ([2, 1], [[0, 1]]), ([2, 1], [])], 1)  # equal shapes
+    def test_batch_property(self, boxes, chunk):
+        from mafre import fre as fre_mod
+
+        tops = [top for top, _ in boxes]
+        preds = [np.array(p, dtype=np.int64).reshape(len(p), len(top)) for top, p in boxes]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fre_mod, "_CHUNK", chunk)
+            listed = fre_mod._listing(tops, preds)
+        assert len(listed) == len(boxes)
+        for (top, p), (rows, minimal_rows) in zip(boxes, listed):
+            solutions, minimal = _box_solutions(top, p)
+            assert rows.tolist() == solutions
+            assert minimal_rows.tolist() == minimal
+        # within the budget, every box's rows are a contiguous slice of one
+        # array, in order, and so are its minimal rows
+        for field in (0, 1):
+            arrays = [pair[field] for pair in listed]
+            whole = arrays[0].base
+            assert len(whole) == sum(map(len, arrays))
+            at = whole.__array_interface__["data"][0]
+            for a in arrays:
+                assert a.base is whole
+                assert not len(a) or a.__array_interface__["data"][0] == at
+                at += a.nbytes
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_many_columns_match_brute_force(self, seed):
+        # seeded systems whose columns repeat one or two vectors, primal and
+        # dual: every column (a dual row) lists what exhaustive search finds
+        # for it alone, with its count and minimal solutions
+        from mafre import DualFreInstance
+        from mafre.dual import dual_brute_force, dual_compose, dual_solutions
+
+        rng = random.Random(seed)
+        frame = builtin_frame(rng.sample(["godel", "sq-left", "sq-right"], rng.randint(1, 3)), rng.randint(1, 3))
+        n, nv, ne, parts = frame.granularity, rng.randint(1, 3), rng.randint(1, 4), rng.randint(2, 5)
+        sigma = [rng.randrange(len(frame.triples)) for _ in range(nv)]
+        coeff = [[frame.value(rng.randint(0, n)) for _ in range(nv)] for _ in range(ne)]
+        vectors = [[frame.value(rng.randint(0, n)) for _ in range(nv)] for _ in range(2)]
+        X = [rng.choice(vectors) for _ in range(parts)]
+        rows, names = [f"e{i}" for i in range(ne)], [f"v{i}" for i in range(nv)]
+        if seed % 2:
+            S = [list(r) for r in zip(*coeff)]
+            rhs = dual_compose(frame, X, S, sigma)
+            make = lambda k, t: DualFreInstance(frame, [f"p{i}" for i in k], names, rows, S, sigma, t)
+            solved = dual_solutions(make(range(parts), rhs))
+            alone = [dual_brute_force(make([i], [rhs[i]])) for i in range(parts)]
+            found = [{tuple(v.numerator for v in m[0]) for m in sols} for sols in alone]
+        else:
+            rhs = sup_compose(frame, coeff, [list(c) for c in zip(*X)], sigma)
+            make = lambda k, t: FreInstance(frame, rows, names, [f"p{i}" for i in k], coeff, sigma, t)
+            solved = enumerate_solutions(make(range(parts), rhs))
+            alone = [brute_force_solutions(make([i], [[r[i]] for r in rhs])) for i in range(parts)]
+            found = [{tuple(v[0].numerator for v in m) for m in sols} for sols in alone]
+        assert len({c.max_row.tobytes() for c in solved.columns}) <= 2
+        for col, expected in zip(solved.columns, found):
+            listed = col.solution_rows.tolist()
+            assert listed == sorted(map(list, expected)) and col.count == len(expected)
+            assert col.minimal_rows.tolist() == _box_solutions(
+                col.max_row.tolist(), col.predecessor_rows.tolist()
+            )[1]
+
+    def test_empty_reduct_instance(self):
+        # no equations: every vector solves every column, the maximum is top
+        # and nothing is excluded
+        frame = builtin_frame(["godel", "sq-left"], 2)
+        fre = FreInstance(frame, [], ["v0", "v1"], ["w0", "w1"], [], [0, 1], [])
+        assert len(brute_force_solutions(fre)) == 9 * 9
+        for materialize in (True, False):
+            first, second = enumerate_solutions(fre, materialize).columns
+            assert first.max_row is second.max_row
+            assert first.max_row.tolist() == [2, 2] and first.predecessor_rows.shape == (0, 2)
+            assert first.count == second.count == 9
+            if materialize:
+                assert first.solution_rows.tolist() == [[i, j] for i in range(3) for j in range(3)]
+                assert first.minimal_rows.tolist() == [[0, 0]]
+
+    def test_budget_at_the_second_maximum(self, monkeypatch):
+        # boxes of 4 and 32 rows over 10 unknowns: the second raises the
+        # message of its own box, and the first column alone is listed
+        from mafre import algebra
+
+        fre = _two_boxes(2, 5, 3)
+        monkeypatch.setattr(algebra, "MAX_ENTRIES", 319)
+        with pytest.raises(
+            BudgetExceededError,
+            match="^sweeping a solution box of 32 rows over 10 unknowns and 1 predecessors"
+            " needs 320 entries, exceeds budget 319$",
+        ):
+            enumerate_solutions(fre)
+        first = fre._with_rhs(fre._rhs_array[:, :1])
+        assert enumerate_solutions(first).columns[0].count == 3
+
+    def test_boxes_that_fit_alone_are_listed_apart(self, monkeypatch):
+        # boxes of 16 and 32 rows over 12 unknowns fit a budget of 32 x 12
+        # entries alone but not together: two sweeps, the same solution set
+        from mafre import algebra, fre as fre_mod
+
+        fre = _two_boxes(4, 5, 3)
+        whole = enumerate_solutions(fre).to_json()
+        sweeps, box = [], fre_mod._box
+        monkeypatch.setattr(fre_mod, "_box", lambda *a: sweeps.append(a) or box(*a))
+        monkeypatch.setattr(algebra, "MAX_ENTRIES", 32 * 12)
+        assert enumerate_solutions(fre).to_json() == whole
+        assert [len(tops) for tops, _ in sweeps] == [2, 1]
+        assert [c["count"] for c in whole["columns"]] == [15, 31]
+
+    def test_batch_holds_no_index_array_beside_the_rows(self):
+        # three boxes of 2^12 rows over 14 unknowns, freeing different
+        # unknowns: the listing holds little beside its rows
+        import tracemalloc
+
+        from mafre import fre as fre_mod
+
+        tops = [[1] * 12 + [0, 0], [0] + [1] * 12 + [0], [0, 0] + [1] * 12]
+        preds = [np.zeros((0, 14), dtype=np.int64)] * 3
+        tracemalloc.start()
+        try:
+            listed = fre_mod._listing(tops, preds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = [r for r, _ in listed]
+        assert [r.shape for r in rows] == [(2**12, 14)] * 3
+        assert [m.tolist() for _, m in listed] == [[[0] * 14]] * 3
+        assert peak < 1.25 * sum(r.nbytes for r in rows)
+
+    def test_json_of_a_large_listing_holds_about_twice_its_text(self):
+        # solve --enumerate --json over a box of 2^14 rows of 14 unknowns,
+        # shared by two columns: the writer's peak stays near the text
+        # and the copy that joins it
+        import tracemalloc
+
+        from mafre.io import _dumps, _Records
+
+        nv = 14
+        fre = FreInstance(
+            builtin_frame(["godel"], 1), ["u"], [f"v{i}" for i in range(nv)], ["w1", "w2"],
+            [[0] * nv], [0] * nv, [[0, 0]],
+        )
+        cols = enumerate_solutions(fre).columns
+        fields = ("column", "max_row", "predecessor_rows", "count", "solution_rows", "minimal_rows")
+        payload = {
+            "solvable": True,
+            "solutions": {
+                "granularity": 1,
+                "variables": list(fre.var_names),
+                "columns": _Records(fields, [[getattr(c, f) for c in cols] for f in fields]),
+            },
+        }
+        tracemalloc.start()
+        try:
+            text = _dumps(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(text)["solutions"]["columns"][1]["count"] == 2**nv
+        assert peak < 2.25 * len(text)
 
 
 class TestOracleEquivalence:

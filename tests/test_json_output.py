@@ -455,9 +455,9 @@ def test_records_refuse_other_arrays(array):
 def test_records_write_each_array_once(monkeypatch):
     import mafre.io
 
-    written, rows_text = [], mafre.io._rows_text
+    written, arrays_text = [], mafre.io._arrays_text
     monkeypatch.setattr(
-        mafre.io, "_rows_text", lambda a, nl: written.append(a) or rows_text(a, nl)
+        mafre.io, "_arrays_text", lambda arrays, nl: written.extend(arrays) or arrays_text(arrays, nl)
     )
     a, b = np.arange(6).reshape(3, 2), np.arange(3)
     records = _Records(("x", "y", "n"), ([a, a, b], [b, a.copy(), a], [1, 2, 2**64]))
@@ -466,6 +466,30 @@ def test_records_write_each_array_once(monkeypatch):
     # once each; the copy of a is an array of its own
     assert [id(x) for x in written] == [id(a), id(b), id(records.columns[1][1])]
 
+
+
+def test_records_gather_arrays_of_one_shape(monkeypatch):
+    # the distinct arrays of a column with one dtype, number of dimensions
+    # and row length are written from one gather, arrays without rows and
+    # entries past the numeral table among them; a lone array of its shape
+    # is written by its own template
+    import mafre.io
+
+    gathered, alone = [], []
+    table_rows, rows_text = mafre.io._table_rows, mafre.io._rows_text
+    monkeypatch.setattr(
+        mafre.io, "_table_rows", lambda a, nl: gathered.append(a.shape) or table_rows(a, nl)
+    )
+    monkeypatch.setattr(
+        mafre.io, "_rows_text", lambda a, nl: alone.append(a) or rows_text(a, nl)
+    )
+    a, past = np.arange(6).reshape(3, 2), np.array([[1, 10**6], [-3, 4]])
+    empty, pair, small = np.zeros((0, 2), dtype=np.int64), np.arange(2), np.array([7, 600])
+    narrow = np.arange(4, dtype=np.uint8).reshape(2, 2)
+    records = _Records(("x",), ([a, empty, past, a, pair, small, narrow, past],))
+    assert _dumps(records) == json.dumps(plain(records), indent=2)
+    assert gathered == [(5, 2), (2, 2)]
+    assert len(alone) == 1 and alone[0] is narrow
 
 ARRAYS = [
     np.zeros((0, 3), dtype=np.int64),
