@@ -136,12 +136,21 @@ class AdjointTriple:
                 ("right_residuum", rres_table),
             )
         ]
-        self.name = name
-        self.granularity = n
-        self._tables = np.stack(arrays)
-        self._tables.flags.writeable = False
-        self._verified = False
-        self._opposite = None
+        self._hold(name, n, np.stack(arrays))
+
+    @classmethod
+    def _of(cls, name, granularity, tables: np.ndarray) -> "AdjointTriple":
+        """The triple of ``tables``, a new (3, n+1, n+1) int64 array of the
+        conj, left and right residuum tables whose entries are known to lie
+        in 0..n, held as it is with no second check."""
+        t = cls.__new__(cls)
+        t._hold(name, granularity, tables)
+        return t
+
+    def _hold(self, name, granularity, tables: np.ndarray) -> None:
+        self.name, self.granularity, self._tables = name, granularity, tables
+        tables.flags.writeable = False
+        self._verified, self._opposite = False, None
 
     @cached_property
     def _tuples(self) -> tuple:
@@ -179,12 +188,10 @@ class AdjointTriple:
         """
         if self._opposite is None:
             conj, lres, rres = self._tables
-            opposite = AdjointTriple(
+            opposite = AdjointTriple._of(
                 self.name[:-3] if self.name.endswith("^op") else self.name + "^op",
                 self.granularity,
-                conj.T,
-                rres,
-                lres,
+                np.stack([conj.T, rres, lres]),
             )
             opposite._opposite, self._opposite = self, opposite
         return self._opposite
@@ -219,7 +226,8 @@ def _int64(rows, n_rows: int, n_cols: int, n: int):
             return None
     else:
         return None
-    if arr.shape != (n_rows, n_cols) or ((arr < 0) | (arr > n)).any():
+    # a negative entry is a large unsigned one, so one max tests both ends
+    if arr.shape != (n_rows, n_cols) or arr.view(np.uint64).max(initial=0) > n:
         return None
     return arr
 

@@ -22,7 +22,7 @@ from .context import (
     lattice_to_dot,
 )
 from .errors import BudgetExceededError, MafreError, UnsolvableError
-from .io import ProblemFileError, _dumps, _Records, load_problem, problem_from_instance
+from .io import ProblemFileError, _dumps, _load, _Records, problem_from_instance
 
 
 class ExitStatus(enum.IntEnum):
@@ -75,10 +75,9 @@ def _split_set(raw: str):
 
 
 def cmd_check(args) -> int:
-    problem = load_problem(args.file)
-    # building the instance builds the frame, which verifies every triple,
-    # and checks dimensions and sigma
-    triples = problem.to_instance().frame.triples
+    # loading checks the file and builds its frame, which verifies every triple
+    problem, instance = _load(args.file)
+    triples = instance.frame.triples
     payload = lambda: {
         "valid": True,
         "granularity": problem.granularity,
@@ -112,11 +111,11 @@ def _solve(args, instance, solutions_of, closure, part, counted) -> int:
     try:
         solutions = solutions_of(instance, materialize=args.enumerate)
     except UnsolvableError as exc:
-        # the JSON gap is written from the error's columns; only the text
-        # reads them as entries
+        # the JSON gap is written from the error's columns, the names from
+        # their positions; only the text reads them as entries
         payload = lambda: {
             "solvable": False,
-            "gap": _Records(("row", "column", "stated", "closed"), exc.gap_columns),
+            "gap": _Records(("row", "column", "stated", "closed"), exc._gap),
         }
 
         def text():
@@ -168,8 +167,7 @@ def _solve(args, instance, solutions_of, closure, part, counted) -> int:
 
 
 def cmd_solve(args) -> int:
-    problem = load_problem(args.file)
-    instance = problem.to_instance()
+    problem, instance = _load(args.file)
     if problem.orientation == "primal":
         solutions_of = fre_mod.enumerate_solutions
         words = ("interior", "column", "solution(s)")
@@ -187,8 +185,7 @@ def _context(instance):
 
 
 def cmd_reducts(args) -> int:
-    problem = load_problem(args.file)
-    ctx = _context(problem.to_instance())
+    ctx = _context(_load(args.file)[1])
     reducts = [list(Y) for Y in enumerate_reducts(ctx)]
     Y = _split_set(args.set) if args.set else None
     checked = is_consistent(ctx, Y) if Y else None
@@ -213,8 +210,7 @@ def cmd_reducts(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    problem = load_problem(args.file)
-    instance = problem.to_instance()
+    problem, instance = _load(args.file)
     Y = _split_set(args.set)
     if problem.orientation == "primal":
         reduced = fre_mod.reduce_fre(instance, Y, enforce_consistency=not args.force)
@@ -234,8 +230,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_approximate(args) -> int:
     _non_negative(args.notable_threshold, "--notable-threshold")
-    problem = load_problem(args.file)
-    instance = problem.to_instance()
+    problem, instance = _load(args.file)
     n = instance.frame.granularity
     if problem.orientation == "dual":
         repairs = approx._repairs(instance.transposed())
@@ -296,8 +291,8 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    problem = load_problem(args.file)
-    lat = build_concept_lattice(_context(problem.to_instance()))
+    problem, instance = _load(args.file)
+    lat = build_concept_lattice(_context(instance))
     if args.dot:
         _print(lattice_to_dot(lat, include_intents=args.intents))
     elif problem.orientation == "primal":
@@ -313,8 +308,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_oracle(args) -> int:
     _non_negative(args.budget, "--budget")
-    problem = load_problem(args.file)
-    instance = problem.to_instance()
+    problem, instance = _load(args.file)
     # both orientations compare per-part solution rows over V: those of a
     # dual X (U x V) are its rows, those of a primal X (V x W) its columns
     if problem.orientation == "primal":

@@ -146,9 +146,22 @@ def _context_names(attributes, objects) -> tuple:
     return attributes, objects
 
 
+@functools.lru_cache(maxsize=8)
+def _stacked(triples: tuple) -> tuple:
+    """The conjunctor and the right residuum tables of ``triples``, each
+    stacked as one read-only [triple, x, y] array.  Cached on the triple
+    objects themselves (a triple hashes and compares by identity), so the
+    contexts of one frame share them, and a triple built anew, as on every
+    load of a file that gives it by its tables, gets stacks of its own."""
+    stacks = tuple(np.stack([t._tables[i] for t in triples]) for i in (0, 2))
+    for stack in stacks:
+        stack.flags.writeable = False
+    return stacks
+
+
 def _conj_tables(frame: Frame) -> np.ndarray:
     """The conjunctor tables of the frame's triples, stacked: [triple, x, y]."""
-    return np.stack([t._tables[0] for t in frame.triples])
+    return _stacked(frame.triples)[0]
 
 
 def _batch(X, width: int, n: int) -> np.ndarray:
@@ -200,20 +213,29 @@ class Context:
     def __init__(self, frame: Frame, attributes, objects, relation, sigma):
         attributes, objects = _context_names(attributes, objects)
         R = _matrix(relation, len(attributes), len(objects), "relation", frame.granularity)
-        self._build(frame, attributes, objects, R, sigma)
+        SIG = _sigma(sigma, len(attributes), len(objects), frame)
+        self._build(frame, attributes, objects, R, SIG)
 
-    def _build(self, frame: Frame, attributes: tuple, objects: tuple, R: np.ndarray, sigma):
-        """Set the context up from checked names and the checked relation
-        array ``R``; ``sigma`` is checked here."""
+    @classmethod
+    def _of(cls, frame: Frame, attributes: tuple, objects: tuple, R: np.ndarray, sigma: tuple):
+        """The context of checked names, the checked relation array ``R`` and
+        the checked per-object triple indices ``sigma``, with no check."""
+        ctx = cls.__new__(cls)
+        SIG = np.repeat(np.array([sigma], dtype=np.int64), len(attributes), axis=0)
+        ctx._build(frame, attributes, objects, R, SIG)
+        return ctx
+
+    def _build(self, frame: Frame, attributes: tuple, objects: tuple, R: np.ndarray, SIG):
+        """Set the context up from checked names, the checked relation array
+        ``R`` and the checked per-cell triple index array ``SIG``."""
         self.frame, self.attributes, self.objects, self._R = frame, attributes, objects, R
-        self._SIG = _sigma(sigma, len(attributes), len(objects), frame)
-        n1 = frame.granularity + 1
-        self._CT = _conj_tables(frame).ravel()
-        self._RT = np.stack([t._tables[2] for t in frame.triples]).ravel()
+        self._SIG, n1 = SIG, frame.granularity + 1
+        CT, RT = _stacked(frame.triples)
+        self._CT, self._RT = CT.ravel(), RT.ravel()
         # per cell, the flat offset of CT[sigma, R, 0] ([object, attribute],
         # for possibility) and of RT[sigma, 0, R] (for necessity)
-        self._POS = ((self._SIG * n1 + R) * n1).T.copy()
-        self._NEC = self._SIG * n1 * n1 + R
+        self._POS = ((SIG * n1 + R) * n1).T.copy()
+        self._NEC = SIG * n1 * n1 + R
         self._gens = self._lattice = self._families = self._reducts = None
 
     @property
@@ -343,22 +365,31 @@ def _grid(n: int, k: int):
         yield idx[:, None] // place % (n + 1)
 
 
-def _generators(ctx: Context) -> tuple:
-    """``(rows, gens)``: ``rows[a, k]`` is the extent (top except a:k)^down
+def _chains(ctx: Context) -> np.ndarray:
+    """The generator chains: ``rows[a, k]`` is the extent (top except a:k)^down
     for attribute a and k in 0..n, an (|A|, n+1, |B|) array (k = n gives
-    top); ``gens`` holds the distinct extents among them and top (the empty
-    meet, also with no attributes), sorted.  Cached on the context.
+    top).  Cached on the context, as the first entry of ``ctx._gens``.
 
     Every other attribute a' gives top <- R(a', b) = top, so ``rows[a, k, b]``
     is RT[sigma(a, b), k, R(a, b)]: one gather at ``_NEC[a, b] + k (n + 1)``,
     with no closure batch.
     """
     if ctx._gens is None:
-        n1, nb = ctx.frame.granularity + 1, len(ctx.objects)
-        rows = ctx._RT.take(ctx._NEC[:, None, :] + n1 * np.arange(n1)[:, None])
-        top = np.full((1, nb), n1 - 1, dtype=np.int64)
-        gens = _unique_rows(np.concatenate([rows.reshape(-1, nb), top]))
-        ctx._gens = rows, gens
+        n1 = ctx.frame.granularity + 1
+        ctx._gens = [ctx._RT.take(ctx._NEC[:, None, :] + n1 * np.arange(n1)[:, None]), None]
+    return ctx._gens[0]
+
+
+def _generators(ctx: Context) -> list:
+    """``[rows, gens]``: ``rows`` are the chains of ``_chains`` and ``gens``
+    the distinct extents among them and top (the empty meet, also with no
+    attributes), sorted.  Only ``_families`` reads ``gens``, so they are
+    sorted on the first call, into the list that caches the chains."""
+    rows = _chains(ctx)
+    if ctx._gens[1] is None:
+        nb = rows.shape[2]
+        top = np.full((1, nb), rows.shape[1] - 1, dtype=np.int64)
+        ctx._gens[1] = _unique_rows(np.concatenate([rows.reshape(-1, nb), top]))
     return ctx._gens
 
 
@@ -394,7 +425,7 @@ def _lower_covers(ctx: Context, extents: np.ndarray, intents: np.ndarray) -> tup
     ``below[a, a', i]`` is and-ed one object at a time, so every operation
     runs along whole rows of extents; the results are views of them.
     """
-    rows = _generators(ctx)[0]
+    rows = _chains(ctx)
     na, n1, nb = rows.shape
     intents = np.ascontiguousarray(intents.T)  # [a, extent]
     marked = intents > 0
@@ -413,7 +444,7 @@ def _lower_covers(ctx: Context, extents: np.ndarray, intents: np.ndarray) -> tup
 
 def _meet_closure(chains: np.ndarray) -> np.ndarray:
     """The extents, sorted, from the (|A|, n+1, |B|) generator rows of
-    ``_generators``.
+    ``_chains``.
 
     Each attribute's rows (top except a:k)^down, k = 0..n, form a chain: they
     increase with k up to top, so equal rows adjoin and the distinct ones are
@@ -590,7 +621,7 @@ def build_concept_lattice(ctx: Context) -> ConceptLattice:
     cached on the context.
     """
     if ctx._lattice is None:
-        ctx._lattice = ConceptLattice._of_closure(ctx, _meet_closure(_generators(ctx)[0]))
+        ctx._lattice = ConceptLattice._of_closure(ctx, _meet_closure(_chains(ctx)))
     return ctx._lattice
 
 

@@ -48,6 +48,7 @@ from .context import (
     _names,
     _nested,
     _restrict,
+    _sigma,
     _values,
     is_consistent,
 )
@@ -86,7 +87,8 @@ class DualContext(Context):
             raise DimensionError("sigma must assign one triple per variable")
         columns, variables = _context_names(columns, variables)
         # S is checked: its transpose is the relation, with no second check
-        self._build(frame.opposite(), columns, variables, S.T, sigma)
+        SIG = _sigma(sigma, len(columns), len(variables), frame)
+        self._build(frame.opposite(), columns, variables, S.T, SIG)
 
 
 def _known_columns(ctx: DualContext, Y: Iterable) -> tuple:
@@ -182,10 +184,8 @@ def dual_is_solution(dfre: DualFreInstance, X) -> bool:
 def _dual_unsolvable(exc: UnsolvableError, message: str) -> UnsolvableError:
     """``exc`` of the transposed primal, read as one of the dual instance:
     the primal's rows are the dual columns and its columns the dual rows."""
-    cols, rows, stated, closed = exc.gap_columns
-    return UnsolvableError(
-        message, gap_columns=(rows, cols, stated, closed), granularity=exc.granularity
-    )
+    cols, rows, stated, closed = exc._gap
+    return UnsolvableError._of(message, (rows, cols, stated, closed), exc.granularity)
 
 
 def dual_solvability_gap(dfre: DualFreInstance):

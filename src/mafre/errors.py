@@ -57,6 +57,12 @@ class UnsolvableError(MafreError):
     numerators over ``granularity``.  ``gap_rows`` lists the same entries as
     (row, column, stated, closed) tuples and ``gap`` with GranularValues;
     both are built on first read.
+
+    ``_gap`` holds the same columns for the JSON writer (``io._Records``).
+    The solver raises the error through ``_of``, with each name column held
+    as a pair (names, positions): a tuple of names and an int array of
+    positions into it, from which ``gap_columns`` reads the names on first
+    use.
     """
 
     def __init__(self, message, *, gap_columns=None, granularity=None):
@@ -70,7 +76,22 @@ class UnsolvableError(MafreError):
             raise TypeError(
                 "gap_columns must be two name lists and two numerator arrays of one length"
             )
-        self.gap_columns, self.granularity = gap_columns, granularity
+        self.gap_columns = self._gap = gap_columns
+        self.granularity = granularity
+
+    @classmethod
+    def _of(cls, message, gap: tuple, granularity: int) -> "UnsolvableError":
+        """The error of ``gap``: the (names, positions) pairs of the row and
+        the column names and the stated and closed numerator arrays, all of
+        one length, as the solver gathers them."""
+        exc = cls.__new__(cls)
+        MafreError.__init__(exc, message)
+        exc._gap, exc.granularity = gap, granularity
+        return exc
+
+    @cached_property
+    def gap_columns(self) -> tuple:
+        return _named(self._gap)
 
     @cached_property
     def gap_rows(self) -> tuple:
@@ -82,6 +103,17 @@ class UnsolvableError(MafreError):
         from .fre import _gap_values  # fre imports this module
 
         return tuple(_gap_values(self.gap_columns, self.granularity))
+
+
+def _named(gap: tuple) -> tuple:
+    """The gap columns of ``gap``, as ``UnsolvableError._of`` takes it, with
+    the names of each (names, positions) pair as a list, read off by one
+    gather from an object array."""
+    (row_names, rows), (col_names, cols), stated, closed = gap
+    return tuple(
+        np.fromiter(names, dtype=object, count=len(names)).take(at).tolist()
+        for names, at in ((row_names, rows), (col_names, cols))
+    ) + (stated, closed)
 
 
 class InfeasibleReductError(MafreError):

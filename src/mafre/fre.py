@@ -65,6 +65,7 @@ from .errors import (
     DimensionError,
     InconsistentSetError,
     UnsolvableError,
+    _named,
 )
 
 
@@ -203,15 +204,15 @@ def _closures(fre: FreInstance):
     return maxima, ctx.possibility_batch(maxima)
 
 
-def _gap_columns(fre: FreInstance, interiors: np.ndarray) -> tuple:
+def _gap(fre: FreInstance, interiors: np.ndarray) -> tuple:
     """The entries where T differs from its interior, column by column as
-    ``UnsolvableError.gap_columns`` holds them: row names, column names,
-    stated and closed numerators; the entries are taken column-major, rows
-    in order within a column."""
+    ``UnsolvableError._gap`` holds them: (row names, positions), (column
+    names, positions), stated and closed numerators; the entries are taken
+    column-major, rows in order within a column."""
     cols, rows = np.nonzero(interiors != fre._rhs_array.T)
     return (
-        list(map(fre.row_names.__getitem__, rows.tolist())),
-        list(map(fre.col_names.__getitem__, cols.tolist())),
+        (fre.row_names, rows),
+        (fre.col_names, cols),
         fre._rhs_array[rows, cols],
         interiors[cols, rows],
     )
@@ -221,9 +222,7 @@ def _unsolvable(fre: FreInstance, interiors: np.ndarray, message: str) -> None:
     """Raise UnsolvableError with the gap when T is not its interior; the
     gap is gathered only then."""
     if (interiors != fre._rhs_array.T).any():
-        raise UnsolvableError(
-            message, gap_columns=_gap_columns(fre, interiors), granularity=fre.frame.granularity
-        )
+        raise UnsolvableError._of(message, _gap(fre, interiors), fre.frame.granularity)
 
 
 def _gap_values(gap_columns: tuple, n: int) -> list:
@@ -235,7 +234,7 @@ def _gap_values(gap_columns: tuple, n: int) -> list:
 
 def solvability_gap(fre: FreInstance):
     """Entries (u, w, stated, closed) where T differs from its interior."""
-    return _gap_values(_gap_columns(fre, _closures(fre)[1]), fre.frame.granularity)
+    return _gap_values(_named(_gap(fre, _closures(fre)[1])), fre.frame.granularity)
 
 
 def is_solvable(fre: FreInstance) -> bool:

@@ -3,16 +3,25 @@
 All values are integer numerators over a single granularity, so files are
 exact by construction; decimal rendering happens only in human-facing output.
 Triples are given by built-in name or as explicit operator tables, and sigma
-uses 1-based indices into the triple list.  ``_dumps`` prints what
-``json.dumps(obj, indent=2)`` prints, with a 1-D or 2-D integer array
-written as the nested lists it holds: a list of ints and an integer array
-are one format operation each.  The large record lists (the concepts of a
-lattice, the gap of an unsolvable system, the columns of a solution set)
-reach it as ``_Records``, numerator arrays, int lists and str lists held
-column by column, and are written as one join of their values' texts with
-no dict built: a 2-D column (the extents and intents of a lattice) through
-a numeral table, the cached texts of 0..MAX_GRANULARITY with their
-separators, and a column of per-record arrays (the solution arrays that
+uses 1-based indices into the triple list.  Every command reads its file
+through ``_load``: the file is checked once, by ``_parse``, which turns
+each matrix into an int64 array with one ``algebra._int64`` test, and the
+instance is built from those arrays by ``_instance`` with no second check.
+``load_problem`` and ``parse_problem`` give the ``ProblemFile`` of lists,
+and its ``to_instance`` checks the lists again, as they may have been
+edited, before building through ``_instance`` too.
+
+``_dumps`` prints what ``json.dumps(obj, indent=2)`` prints, with a 1-D or
+2-D integer array written as the nested lists it holds: a list of ints and
+an integer array are one format operation each.  The large record lists
+(the concepts of a lattice, the gap of an unsolvable system, the columns of
+a solution set) reach it as ``_Records``, numerator arrays, int lists, str
+lists and (names, positions) pairs held column by column, and are written
+as one join of their values' texts with no dict built.  1-D and 2-D
+columns (the gap's numerators, the extents and intents of a lattice) go
+through a numeral table, the cached texts of 0..MAX_GRANULARITY with their
+separators, a pair (the gap's row and column names) through the texts of
+its names, and a column of per-record arrays (the solution arrays that
 columns share per distinct maximum) with each distinct array once, the
 distinct arrays of one dtype and shape from one gather of that table when
 there are several.  Any other list of dicts is written value by value.
@@ -23,6 +32,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _str
 from typing import List, Union
 
@@ -36,9 +46,9 @@ from .algebra import (
     _int64,
     builtin_triple,
 )
-from .context import _table_cells
-from .dual import DualFreInstance
-from .errors import MafreError
+from .context import Context, _matrix, _names, _sigma, _table_cells
+from .dual import DualContext, DualFreInstance
+from .errors import DimensionError, MafreError
 from .fre import FreInstance
 
 
@@ -65,49 +75,71 @@ def _row_template(length: int, nl: str) -> str:
     return _block(["%d"] * length, nl) if length else "[]"
 
 
-def _table_rows(a: np.ndarray, field: str) -> list:
-    """The texts of the rows of the 2-D integer array ``a``, each opened
-    after ``field``, from one gather of a numeral table
-    (``context._table_cells``) joined and split at the NULs: an entry is
-    followed by the separator to the next one, and a row's last entry by the
-    row's closing, a NUL and the opening of the next row.  An entry that the
-    table does not hold (only a caller's array has one) is written in place
-    by ``int.__repr__``."""
-    if not a.shape[1]:
-        return ["[]"] * len(a)
-    inner = field + "  "
-    top, sep, close = MAX_GRANULARITY, "," + inner, field + "]\0[" + inner
+def _cells(a: np.ndarray, sep: str, close: str) -> np.ndarray:
+    """The texts of the entries of the 2-D integer array ``a`` (at least one
+    column), as an object array of its shape, from one gather of a numeral
+    table (``context._table_cells``): an entry is followed by ``sep``, and a
+    row's last entry by ``close``.  An entry that the table does not hold
+    (only a caller's array has one) is written in place by ``int.__repr__``."""
+    top = MAX_GRANULARITY
     cells = _table_cells(a, top, sep, close)
     entries = a.astype(np.int64, copy=False).view(np.uint64)  # a negative is past top
     if entries.max(initial=0) > top:
         for i, j in zip(*np.nonzero(entries > top)):
             cells[i, j] = _intstr(int(a[i, j])) + (close if j == a.shape[1] - 1 else sep)
-    if len(a):
-        cells[0, 0] = "[" + inner + cells[0, 0]
+    return cells
+
+
+def _split(cells: np.ndarray, opening: str) -> list:
+    """The texts that the NULs in the join of ``cells`` (at least one)
+    delimit, with ``opening`` before the first; the piece after the last NUL
+    (the opening of a text after the last) is dropped."""
+    cells[0, 0] = opening + cells[0, 0]
     text = "".join(cells.ravel().tolist())
-    del cells  # before the rows are split off the text
-    rows = text.split("\0")
-    rows.pop()  # the opening of a row after the last
-    return rows
+    del cells  # before the texts are split off the joined one
+    texts = text.split("\0")
+    texts.pop()
+    return texts
+
+
+def _table_rows(a: np.ndarray, field: str) -> list:
+    """The texts of the rows of the 2-D integer array ``a``, each opened
+    after ``field``, from the cells of ``_cells`` split at the NULs: a row's
+    last entry is followed by the row's closing, a NUL and the opening of
+    the next row."""
+    if not a.shape[1]:
+        return ["[]"] * len(a)
+    if not len(a):
+        return []
+    inner = field + "  "
+    return _split(_cells(a, "," + inner, field + "]\0[" + inner), "[" + inner)
 
 
 def _arrays_text(arrays: list, nl: str) -> list:
     """The texts of integer arrays of one dtype, number of dimensions and
     row length, each as ``_rows_text`` writes it opened after ``nl``.  A
     lone array is written by ``_rows_text`` (one %-format costs less than a
-    gather for one array); several come from one ``_table_rows`` gather:
-    1-D arrays are its rows, and 2-D arrays give theirs, each array's rows
-    written as one block."""
+    gather for one array); several come from one gather of ``_cells``: 1-D
+    arrays are the rows of ``_table_rows``, and the rows of 2-D arrays are
+    written back to back, the last row of each array closed by the array's
+    own closing, a NUL and the opening of the next array (one slice of that
+    entry's text per array), and split only there.  Arrays that hold no
+    entry at all are each written by ``_rows_text``."""
     if len(arrays) == 1:
         return [_rows_text(arrays[0], nl)]
     table = np.concatenate(arrays)
     if arrays[0].ndim == 1:
         return _table_rows(table.reshape(len(arrays), len(arrays[0])), nl)
-    rows, texts, at = _table_rows(table, nl + "  "), [], 0
-    for a in arrays:
-        texts.append(_block(rows[at : at + len(a)], nl) if len(a) else "[]")
-        at += len(a)
-    return texts
+    if not table.size:
+        return [_rows_text(a, nl) for a in arrays]
+    field, inner = nl + "  ", nl + "    "
+    opening, close = "[" + field + "[" + inner, field + "]," + field + "[" + inner
+    cells, end = _cells(table, "," + inner, close), field + "]" + nl + "]\0" + opening
+    last = cells[:, -1]
+    for i in accumulate(len(a) for a in arrays if len(a)):
+        last[i - 1] = last[i - 1][: -len(close)] + end
+    texts = iter(_split(cells, opening))
+    return [next(texts) if len(a) else "[]" for a in arrays]
 
 
 def _key(k) -> str:
@@ -141,10 +173,12 @@ class _Records:
 
     A column is a 1-D integer array (one int per record), a 2-D integer
     array (one row of ints per record), a list of exact strs, a list of
-    exact ints (bool is refused) or a list of integer arrays, one per record,
-    each written as ``_rows_text`` writes it.  ``_dumps`` prints what
-    ``json.dumps`` prints for the list of dicts, with no walk over the
-    entries of an array: its dtype proves they are ints.
+    exact ints (bool is refused), a list of integer arrays, one per record,
+    each written as ``_rows_text`` writes it, or a pair (names, positions)
+    of a tuple of strs and a 1-D integer array, record i holding
+    ``names[positions[i]]``.  ``_dumps`` prints what ``json.dumps`` prints
+    for the list of dicts, with no walk over the entries of an array: its
+    dtype proves they are ints.
     """
 
     __slots__ = ("keys", "columns")
@@ -155,30 +189,41 @@ class _Records:
             raise TypeError("record keys must be str")
         if len(self.keys) != len(self.columns) or len(set(self.keys)) != len(self.keys):
             raise ValueError("records need one column per key and distinct keys")
-        if len({len(c) for c in self.columns}) > 1:
+        if len({*map(_count, self.columns)}) > 1:
             raise ValueError("record columns must have one length")
 
     def _text(self, nl: str) -> str:
         """The text of the records for ``_dumps``, opened after ``nl``.
 
-        Each column becomes the list of its values' texts: a 1-D array's
-        ints one by one, a 2-D array's rows from ``_table_rows``, and a
-        per-record array's text once per distinct array object, keyed by
-        ``id`` (the columns hold every array for the whole call, so no id
-        is reused), the new arrays of a column that share dtype, number of
-        dimensions and row length written together by ``_arrays_text``.
-        The texts are joined
-        between the literal pieces of the records, which sizes the output
-        once.
+        Each column becomes the texts of its values: a 1-D array's entries
+        from one gather of the numeral table (``_cells``), a 2-D array's rows
+        from ``_table_rows``, a pair's entries from one gather of its names'
+        texts, and a per-record array's text once per distinct array object,
+        keyed by ``id`` (the columns hold every array for the whole call, so
+        no id is reused), the new arrays of a column that share dtype,
+        number of dimensions and row length written together by
+        ``_arrays_text``.  The texts and the literal pieces between them
+        fill one object array, joined once, which sizes the output once.
         """
+        count = _count(self.columns[0]) if self.columns else 0
         inner, field = nl + "  ", nl + "    "
-        blocks, texts = [], {}
-        for col in self.columns:
+        width, texts = 2 * len(self.columns), {}
+        # ``width`` parts per record, then the closing of the list
+        parts = np.empty(width * count + 1, dtype=object)
+        records = parts[:-1].reshape(count, width)
+        for i, (key, col) in enumerate(zip(self.keys, self.columns)):
+            head = "," if i else inner + "}," + inner + "{"
+            records[:, 2 * i] = head + field + _str(key) + ": "
             if isinstance(col, np.ndarray) and col.dtype.kind in "iu" and col.ndim in (1, 2):
                 if col.ndim == 1:
-                    blocks.append(map(_intstr, col.tolist()))
+                    records[:, 2 * i + 1] = _cells(col[:, None], "", "")[:, 0]
                 else:
-                    blocks.append(_table_rows(col, field))
+                    records[:, 2 * i + 1] = _table_rows(col, field)
+                continue
+            if _is_pair(col):
+                names, positions = col
+                texts_of = np.fromiter(map(_str, names), dtype=object, count=len(names))
+                records[:, 2 * i + 1] = texts_of.take(positions)
                 continue
             if type(col) is not list:
                 raise TypeError(
@@ -187,9 +232,9 @@ class _Records:
                 )
             kinds = {*map(type, col)}
             if kinds <= {str}:
-                blocks.append(map(_str, col))
+                records[:, 2 * i + 1] = list(map(_str, col))
             elif kinds <= {int}:
-                blocks.append(map(_intstr, col))
+                records[:, 2 * i + 1] = list(map(_intstr, col))
             else:
                 ids, batches = list(map(id, col)), {}
                 for a in dict(zip(ids, col)).values():
@@ -198,19 +243,29 @@ class _Records:
                         batches.setdefault((a.ndim, a.shape[-1], a.dtype), []).append(a)
                 for arrays in batches.values():
                     texts.update(zip(map(id, arrays), _arrays_text(arrays, field)))
-                blocks.append(list(map(texts.__getitem__, ids)))
-        count = len(self.columns[0]) if self.columns else 0
+                records[:, 2 * i + 1] = list(map(texts.__getitem__, ids))
         if not count:
             return "[]"
-        width = 2 * len(blocks)
-        parts = [None] * (width * count)
-        for i, (k, b) in enumerate(zip(self.keys, blocks)):
-            head = ("," if i else inner + "}," + inner + "{") + field + _str(k) + ": "
-            parts[2 * i :: width] = [head] * count
-            parts[2 * i + 1 :: width] = b
-        parts[0] = "[" + inner + "{" + field + _str(self.keys[0]) + ": "
-        parts += inner, "}", nl, "]"
-        return "".join(parts)
+        records[0, 0] = "[" + inner + "{" + field + _str(self.keys[0]) + ": "
+        parts[-1] = inner + "}" + nl + "]"
+        return "".join(parts.tolist())
+
+
+def _is_pair(col) -> bool:
+    """Whether the record column ``col`` is a (names, positions) pair."""
+    return (
+        type(col) is tuple
+        and len(col) == 2
+        and type(col[0]) is tuple
+        and isinstance(col[1], np.ndarray)
+        and col[1].dtype.kind in "iu"
+        and col[1].ndim == 1
+    )
+
+
+def _count(col) -> int:
+    """The number of records of the record column ``col``."""
+    return len(col[1]) if _is_pair(col) else len(col)
 
 
 def _dumps(obj, nl: str = "\n") -> str:
@@ -269,36 +324,34 @@ class ProblemFile:
     rhs: List[List[int]]
 
     def frame(self) -> Frame:
-        lattice = GranularLattice(self.granularity)
-        built = []
-        for spec in self.triples:
-            if isinstance(spec, str):
-                built.append(builtin_triple(spec, self.granularity))
-            else:
-                built.append(
-                    AdjointTriple(
-                        spec.get("name", "custom"),
-                        self.granularity,
-                        spec["conj"],
-                        spec["left_residuum"],
-                        spec["right_residuum"],
-                    )
-                )
-        return Frame(lattice, built)
+        n = self.granularity
+        return _frame(
+            n,
+            [
+                spec if isinstance(spec, str)
+                else AdjointTriple(spec.get("name", "custom"), n, *(spec[key] for key in _TABLES))
+                for spec in self.triples
+            ],
+        )
 
     def to_instance(self) -> Union[FreInstance, DualFreInstance]:
-        frame = self.frame()
-        sigma0 = [i - 1 for i in self.sigma]
-        cls = FreInstance if self.orientation == "primal" else DualFreInstance
-        return cls(
-            frame,
-            self.rows,
-            self.variables,
-            self.columns,
-            self.coefficients,
-            sigma0,
-            self.rhs,
+        """The solver instance of the lists as they hold now.  They are
+        checked again, as the instance constructors check theirs (a repeated
+        name or a wrong shape raises DimensionError, an entry outside 0..n
+        RangeError), and the instance is built by ``_instance``."""
+        n, primal, frame = self.granularity, self.orientation == "primal", self.frame()
+        rows, variables, columns = (
+            _names(getattr(self, key), key) for key in ("rows", "variables", "columns")
         )
+        if not variables or not (columns if primal else rows):
+            raise DimensionError(
+                f"{'variable and column' if primal else 'row and variable'} sets must be non-empty"
+            )
+        sigma = tuple(_sigma([i - 1 for i in self.sigma], 1, len(variables), frame)[0].tolist())
+        shape = (len(rows), len(variables)) if primal else (len(variables), len(columns))
+        coeff = _matrix(self.coefficients, *shape, "coefficients", n)
+        rhs = _matrix(self.rhs, len(rows), len(columns), "rhs", n)
+        return _instance(frame, self.orientation, rows, variables, columns, coeff, sigma, rhs)
 
     def to_json(self) -> dict:
         return {
@@ -317,6 +370,30 @@ class ProblemFile:
         return _dumps(self.to_json())
 
 
+_TABLES = ("conj", "left_residuum", "right_residuum")
+
+
+def _frame(n: int, triples: list) -> Frame:
+    """The frame on [0,1]_n of ``triples``, built-in names and
+    ``AdjointTriple``s; it verifies every triple not verified yet."""
+    return Frame(
+        GranularLattice(n), [builtin_triple(t, n) if isinstance(t, str) else t for t in triples]
+    )
+
+
+def _instance(frame, orientation, rows, variables, columns, coeff, sigma, rhs):
+    """The instance over ``frame`` of checked name tuples, the checked
+    0-based per-unknown ``sigma`` tuple and the checked int64 coefficient
+    and rhs arrays of a file of ``orientation``, built from them with no
+    check: the context is set up from the arrays (a dual one is that of the
+    transposed primal, over the opposite frame), then the instance on it."""
+    if orientation == "primal":
+        ctx = Context._of(frame, rows, variables, coeff, sigma)
+        return FreInstance._on(ctx, sigma, columns, rhs)
+    ctx = DualContext._of(frame.opposite(), columns, variables, coeff.T, sigma)
+    return DualFreInstance._on(frame, FreInstance._on(ctx, sigma, rows, rhs.T))
+
+
 def _expect(cond, message):
     if not cond:
         raise ProblemFileError(message)
@@ -327,44 +404,55 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _int_matrix(data, n_rows, n_cols, n, what):
-    """``data`` as a list of ``n_rows`` lists of ``n_cols`` integers in [0, n].
+def _int_matrix(data, n_rows, n_cols, n, what) -> np.ndarray:
+    """``data``, a list of ``n_rows`` lists of ``n_cols`` integers in [0, n],
+    as an int64 array.
 
     A list of lists is checked whole by ``algebra._int64`` (one set of entry
     types, one numpy range test); only a matrix it rejects is walked row by
     row to its first bad row or entry, which names the error.
     """
     _expect(isinstance(data, list) and len(data) == n_rows, f"{what} must have {n_rows} rows")
-    if {*map(type, data)} <= {list} and _int64(data, n_rows, n_cols, n) is not None:
-        return [list(row) for row in data]
+    if {*map(type, data)} <= {list}:
+        arr = _int64(data, n_rows, n_cols, n)
+        if arr is not None:
+            return arr
     for row in data:
         _expect(isinstance(row, list) and len(row) == n_cols, f"{what} rows must have {n_cols} entries")
         for v in row:
             _expect(_is_int(v), f"{what} entries must be integers")
             _expect(0 <= v <= n, f"{what} entry {v} outside [0, {n}]")
-    return [list(row) for row in data]
+    return np.array(data, dtype=np.int64).reshape(n_rows, n_cols)
 
 
-def parse_problem(data: dict) -> ProblemFile:
-    """Validate a decoded JSON object and build a ProblemFile."""
+def _parse(data) -> tuple:
+    """``(problem, triples, coefficients, rhs)`` of the decoded problem file
+    ``data``, checked once, with every ProblemFileError of a malformed file:
+    the ProblemFile holding the lists of ``data`` themselves, its triples as
+    built-in names and ``AdjointTriple``s of their checked tables, and its
+    matrices as checked int64 arrays."""
     _expect(isinstance(data, dict), "problem file must be a JSON object")
     n = data.get("granularity")
     _expect(_is_int(n) and n >= 1, "granularity must be an integer >= 1")
     _expect(n <= MAX_GRANULARITY, f"granularity {n} exceeds {MAX_GRANULARITY}")
     triples = data.get("triples")
     _expect(isinstance(triples, list) and triples, "triples must be a non-empty list")
+    built = []
     for spec in triples:
         if isinstance(spec, str):
             _expect(
                 spec in BUILTIN_TRIPLE_NAMES,
                 f"unknown built-in triple {spec!r}; choose from {BUILTIN_TRIPLE_NAMES}",
             )
-        else:
-            _expect(isinstance(spec, dict), "each triple must be a name or a table object")
-            _expect(isinstance(spec.get("name", ""), str), "custom triple name must be a string")
-            for key in ("conj", "left_residuum", "right_residuum"):
-                _expect(key in spec, f"custom triple missing {key!r} table")
-                _int_matrix(spec[key], n + 1, n + 1, n, key)
+            built.append(spec)
+            continue
+        _expect(isinstance(spec, dict), "each triple must be a name or a table object")
+        _expect(isinstance(spec.get("name", ""), str), "custom triple name must be a string")
+        tables = []
+        for key in _TABLES:
+            _expect(key in spec, f"custom triple missing {key!r} table")
+            tables.append(_int_matrix(spec[key], n + 1, n + 1, n, key))
+        built.append(AdjointTriple._of(spec.get("name", "custom"), n, np.stack(tables)))
     orientation = data.get("orientation", "primal")
     _expect(orientation in ("primal", "dual"), "orientation must be 'primal' or 'dual'")
     names = {}
@@ -384,34 +472,58 @@ def parse_problem(data: dict) -> ProblemFile:
     for i in sigma:
         _expect(_is_int(i) and 1 <= i <= len(triples), f"sigma index {i} outside 1..{len(triples)}")
     if orientation == "primal":
-        coeff = _int_matrix(
-            data.get("coefficients"), len(names["rows"]), len(names["variables"]), n, "coefficients"
-        )
+        shape = len(names["rows"]), len(names["variables"])
     else:
-        coeff = _int_matrix(
-            data.get("coefficients"), len(names["variables"]), len(names["columns"]), n, "coefficients"
-        )
+        shape = len(names["variables"]), len(names["columns"])
+    coeff = _int_matrix(data.get("coefficients"), *shape, n, "coefficients")
     rhs = _int_matrix(data.get("rhs"), len(names["rows"]), len(names["columns"]), n, "rhs")
-    return ProblemFile(
+    problem = ProblemFile(
         granularity=n,
         triples=triples,
         orientation=orientation,
         rows=names["rows"],
         variables=names["variables"],
         columns=names["columns"],
-        coefficients=coeff,
+        coefficients=data["coefficients"],
         sigma=sigma,
-        rhs=rhs,
+        rhs=data["rhs"],
     )
+    return problem, built, coeff, rhs
+
+
+def parse_problem(data: dict) -> ProblemFile:
+    """Validate a decoded JSON object and build a ProblemFile, whose
+    matrices are copies of the rows of ``data``."""
+    problem = _parse(data)[0]
+    problem.coefficients = [list(row) for row in problem.coefficients]
+    problem.rhs = [list(row) for row in problem.rhs]
+    return problem
+
+
+def _read(path):
+    """The JSON value in the file at ``path``; a file that cannot be read or
+    decoded raises ProblemFileError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ProblemFileError(f"cannot read {path}: {exc}") from exc
 
 
 def load_problem(path) -> ProblemFile:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ProblemFileError(f"cannot read {path}: {exc}") from exc
-    return parse_problem(data)
+    return parse_problem(_read(path))
+
+
+def _load(path) -> tuple:
+    """``(problem, instance)`` of the problem file at ``path``, as every
+    command reads it: the file is checked once, by ``_parse``, and the
+    instance built by ``_instance`` from the checked arrays; the
+    ProblemFile holds the decoded lists themselves."""
+    problem, triples, coeff, rhs = _parse(_read(path))
+    names = tuple(problem.rows), tuple(problem.variables), tuple(problem.columns)
+    sigma = tuple(i - 1 for i in problem.sigma)
+    frame = _frame(problem.granularity, triples)
+    return problem, _instance(frame, problem.orientation, *names, coeff, sigma, rhs)
 
 
 def problem_from_instance(instance, triples=None) -> ProblemFile:

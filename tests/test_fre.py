@@ -420,7 +420,7 @@ class TestSharedJson:
         solve, solved, views = getattr(module, name), [], {}
         # the arrays that the writer writes together, and the rows of each gather
         written, gathered = [], []
-        arrays_text, table_rows = mafre.io._arrays_text, mafre.io._table_rows
+        arrays_text, cells = mafre.io._arrays_text, mafre.io._cells
 
         def counted(instance, materialize):
             # every array of the solution set counts the tolist calls on it
@@ -443,7 +443,7 @@ class TestSharedJson:
             mafre.io, "_arrays_text",
             lambda arrays, nl: written.append(list(map(id, arrays))) or arrays_text(arrays, nl),
         ), mock.patch.object(
-            mafre.io, "_table_rows", lambda a, nl: gathered.append(len(a)) or table_rows(a, nl)
+            mafre.io, "_cells", lambda a, sep, close: gathered.append(len(a)) or cells(a, sep, close)
         ):
             path = os.path.join(directory, "problem.json")
             with open(path, "w") as fh:
@@ -1147,6 +1147,22 @@ class TestConstruction:
         exc = UnsolvableError("no solution", gap_columns=(["u"] * 2, ["w", "x"], stated, stated))
         assert exc.gap_rows == (("u", "w", 1, 1), ("u", "x", 2, 2))
         assert UnsolvableError("no solution").gap_rows == ()
+
+    def test_solver_error_reads_its_names_off_their_positions(self, squares_unsolvable):
+        # the solver's error holds each name column as the instance's names
+        # and int positions into them; gap_columns reads the names once
+        fre = squares_unsolvable
+        with pytest.raises(UnsolvableError) as info:
+            enumerate_solutions(fre)
+        exc = info.value
+        (row_names, rows), (col_names, cols), stated, closed = exc._gap
+        assert row_names is fre.row_names and col_names is fre.col_names
+        names = exc.gap_columns
+        assert exc.gap_columns is names
+        assert names[0] == [fre.row_names[i] for i in rows.tolist()]
+        assert names[1] == [fre.col_names[j] for j in cols.tolist()]
+        assert names[2] is stated and names[3] is closed
+        assert exc.gap == tuple(solvability_gap(fre))
 
     def test_rhs_column_accessor(self, squares_solvable):
         col = squares_solvable.rhs_column("w")

@@ -4,7 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from mafre import (
     AdjointTriple,
@@ -15,12 +17,14 @@ from mafre import (
     builtin_triple,
     diagnose,
 )
+from mafre.algebra import BUILTIN_TRIPLE_NAMES
 from mafre.cli import main
 from mafre.dual import DualFreInstance, dual_compose
 from mafre.io import (
     MAX_GRANULARITY,
     ProblemFile,
     ProblemFileError,
+    _load,
     load_problem,
     parse_problem,
     problem_from_instance,
@@ -888,3 +892,152 @@ class TestCliEmptyReduct:
         for raw in ("", ","):
             assert main(["reduce", path, "--set", raw]) == 2
             assert "--set must name at least one element" in capsys.readouterr().err
+
+
+# the mutations of TestProblemFiles.test_rejects_malformed, each with the
+# stderr that every command prints for it
+MALFORMED = [
+    (lambda d: d.update(granularity=0), "granularity must be an integer >= 1"),
+    (lambda d: d.update(granularity="8"), "granularity must be an integer >= 1"),
+    (lambda d: d.update(triples=[]), "triples must be a non-empty list"),
+    (
+        lambda d: d.update(triples=["lukasiewicz"]),
+        "unknown built-in triple 'lukasiewicz'; choose from ('sq-left', 'sq-right', 'godel')",
+    ),
+    (lambda d: d.update(orientation="sideways"), "orientation must be 'primal' or 'dual'"),
+    (lambda d: d.update(rows=[]), "rows must be a non-empty list of names"),
+    (lambda d: d.update(rows=["u1", "u1", "u3", "u4", "u5"]), "rows contains duplicates"),
+    (lambda d: d.update(sigma=[1, 1, 2, 1]), "sigma must list one triple index per variable"),
+    (lambda d: d.update(sigma=[1, 1, 3, 1, 2]), "sigma index 3 outside 1..2"),
+    (lambda d: d.update(sigma=[0, 1, 2, 1, 2]), "sigma index 0 outside 1..2"),
+    (lambda d: d.update(rhs=[[9], [4], [0], [2], [0]]), "rhs entry 9 outside [0, 8]"),
+    (lambda d: d.update(rhs=[[2.5], [4], [0], [2], [0]]), "rhs entries must be integers"),
+    (lambda d: d.update(coefficients=[[6, 4, 0, 4]] * 5), "coefficients rows must have 5 entries"),
+]
+COMMANDS = [
+    ["check"],
+    ["solve"],
+    ["solve", "--enumerate"],
+    ["reducts"],
+    ["reduce", "--set", "u1"],
+    ["approximate"],
+    ["approximate", "--pessimistic"],
+    ["lattice"],
+    ["lattice", "--dot"],
+    ["oracle"],
+]
+
+
+@st.composite
+def problem_files(draw):
+    """A decoded problem file of either orientation over n = 1..5, with
+    built-in triples and triples given by the tables of a built-in one
+    (named, or unnamed: "custom"), and a sigma that mixes them."""
+    n = draw(st.integers(1, 5))
+    triples = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(BUILTIN_TRIPLE_NAMES))
+        if draw(st.booleans()):
+            triples.append(name)
+            continue
+        t = builtin_triple(name, n)
+        spec = {
+            "conj": [list(r) for r in t.conj_table],
+            "left_residuum": [list(r) for r in t.left_residuum_table],
+            "right_residuum": [list(r) for r in t.right_residuum_table],
+        }
+        if draw(st.booleans()):
+            spec["name"] = f"table-{name}"
+        triples.append(spec)
+    nu, nv, nw = (draw(st.integers(1, 4)) for _ in range(3))
+    orientation = draw(st.sampled_from(["primal", "dual"]))
+    entries = st.integers(0, n)
+
+    def matrix(n_rows, n_cols):
+        return draw(st.lists(st.lists(entries, min_size=n_cols, max_size=n_cols),
+                             min_size=n_rows, max_size=n_rows))
+
+    return {
+        "granularity": n,
+        "triples": triples,
+        "orientation": orientation,
+        "rows": [f"u{i}" for i in range(nu)],
+        "variables": [f"v{i}" for i in range(nv)],
+        "columns": [f"w{i}" for i in range(nw)],
+        "coefficients": matrix(nu, nv) if orientation == "primal" else matrix(nv, nw),
+        "sigma": draw(st.lists(st.integers(1, len(triples)), min_size=nv, max_size=nv)),
+        "rhs": matrix(nu, nw),
+    }
+
+
+def _primal_context(instance):
+    return (instance.transposed() if isinstance(instance, DualFreInstance) else instance)._context
+
+
+class TestOneCheckedLoad:
+    """Every command reads its file through ``io._load``: checked once, the
+    instance built from the checked arrays."""
+
+    @seed(20261020)
+    @settings(max_examples=max(100, settings().max_examples), deadline=None)
+    @given(problem_files())
+    def test_load_builds_the_instance_of_to_instance(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("load") / "problem.json"
+        path.write_text(json.dumps(data))
+        problem, instance = _load(path)
+        expected_problem = load_problem(path)
+        expected = expected_problem.to_instance()
+        assert problem == expected_problem and type(instance) is type(expected)
+        for name in ("row_names", "var_names", "col_names", "sigma"):
+            assert getattr(instance, name) == getattr(expected, name)
+        for name in ("_coeff_array", "_rhs_array"):
+            got, want = getattr(instance, name), getattr(expected, name)
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+        got, want = _primal_context(instance), _primal_context(expected)
+        for name in ("attributes", "objects"):
+            assert getattr(got, name) == getattr(want, name)
+        for name in ("_R", "_SIG", "_POS", "_NEC", "_CT", "_RT"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        # a built-in triple (and its opposite) is the shared one, and a
+        # triple given by its tables a new one on every load
+        shared = [isinstance(spec, str) for spec in data["triples"]]
+        for frames in ((instance.frame, expected.frame), (got.frame, want.frame)):
+            pairs = list(zip(*(f.triples for f in frames), strict=True))
+            assert [a is b for a, b in pairs] == shared
+            for a, b in pairs:
+                assert a.name == b.name and np.array_equal(a._tables, b._tables)
+
+    @pytest.mark.parametrize("mutate, message", MALFORMED, ids=[m for _, m in MALFORMED])
+    def test_malformed_files_exit_2_on_every_command(self, mutate, message, tmp_path, capsys):
+        with open(SOLVABLE) as fh:
+            data = json.load(fh)
+        mutate(data)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        for command in COMMANDS:
+            for flags in ([], ["--json"]):
+                assert main([command[0], str(path), *command[1:], *flags]) == 2
+                assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_one_request_checks_each_matrix_once(self, monkeypatch, capsys):
+        import mafre.algebra
+        import mafre.context
+        import mafre.fre
+        import mafre.io
+
+        assert main(["solve", SOLVABLE]) == 0  # the built-in triples exist
+        checked, int64 = [], mafre.algebra._int64
+        spy = lambda rows, *shape: checked.append(shape) or int64(rows, *shape)
+        for module in (mafre.algebra, mafre.context, mafre.io):
+            monkeypatch.setattr(module, "_int64", spy)
+        assert main(["solve", SOLVABLE]) == 0
+        # the coefficients and the rhs (n = 8), and nothing else
+        assert checked == [(5, 5, 8), (5, 1, 8)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check sorted rows")
+
+        for module in (mafre.context, mafre.fre):
+            monkeypatch.setattr(module, "_unique_rows", refuse)
+        assert main(["check", SOLVABLE]) == 0
+        assert "valid" in capsys.readouterr().out

@@ -278,14 +278,20 @@ def record_arrays(draw):
 def record_lists(draw):
     """A ``_Records`` of 0..5 records: distinct str keys, each with a 1-D
     integer array, a 2-D integer array of width 0..4, a list of str, a list
-    of ints or a list of arrays, one per record, drawn from a pool of up to
-    three, so that records share them."""
+    of ints, a list of arrays, one per record, drawn from a pool of up to
+    three, so that records share them, or a (names, positions) pair."""
     keys = draw(st.lists(record_texts, min_size=1, max_size=4, unique=True))
     count = draw(st.integers(0, 5))
     columns = []
     for _ in keys:
-        kind = draw(st.sampled_from(["1-D", "2-D", "str", "int", "arrays"]))
-        if kind == "str":
+        kind = draw(st.sampled_from(["1-D", "2-D", "str", "int", "arrays", "pair"]))
+        if kind == "pair":
+            names = tuple(draw(st.lists(record_texts, min_size=1, max_size=4)))
+            at = st.integers(0, len(names) - 1)
+            positions = draw(st.lists(at, min_size=count, max_size=count))
+            dtype = draw(st.sampled_from([np.intp, np.int8, np.uint16]))
+            columns.append((names, np.array(positions, dtype=dtype)))
+        elif kind == "str":
             columns.append(draw(st.lists(record_texts, min_size=count, max_size=count)))
         elif kind == "int":
             columns.append(draw(st.lists(ints, min_size=count, max_size=count)))
@@ -306,6 +312,7 @@ def plain(value):
     if isinstance(value, _Records):
         columns = [
             c.tolist() if isinstance(c, np.ndarray)
+            else [c[0][i] for i in c[1].tolist()] if type(c) is tuple
             else [x.tolist() if isinstance(x, np.ndarray) else x for x in c]
             for c in value.columns
         ]
@@ -354,25 +361,26 @@ def test_records_edge_cases():
 
 @st.composite
 def table_columns(draw, count):
-    """A 2-D record column of ``count`` rows as the numeral table writes it:
-    entries mostly in 0..MAX_GRANULARITY, with the values at and past both
-    ends of the table and of the dtype, in any integer dtype, of width 0..4
-    (0 and 1 included)."""
+    """A 1-D or 2-D record column of ``count`` records as the numeral table
+    writes it: entries mostly in 0..MAX_GRANULARITY, with the values at and
+    past both ends of the table and of the dtype (negative ones, ones above
+    MAX_GRANULARITY), in any integer dtype, signed or unsigned, 2-D ones of
+    width 0..4 (0 and 1 included)."""
     dtype = draw(st.sampled_from(INT_DTYPES))
     info = np.iinfo(dtype)
     top = MAX_GRANULARITY
     edges = [v for v in (0, -1, top, top + 1, info.min, info.max) if info.min <= v <= info.max]
     inside = st.integers(0, min(top, int(info.max)))
     entries = st.one_of(inside, inside, inside, st.sampled_from(edges))
-    width = draw(st.integers(0, 4))
-    values = draw(st.lists(entries, min_size=count * width, max_size=count * width))
-    return np.array(values, dtype=dtype).reshape(count, width)
+    shape = draw(st.sampled_from([(count,), (count, draw(st.integers(0, 4)))]))
+    values = draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=dtype).reshape(shape)
 
 
 @st.composite
 def table_records(draw):
-    """One to three table columns of 0..5 records (mostly some), under str
-    keys, at a nesting depth of 0..2."""
+    """One to three table columns of 0..5 records (mostly some; with none,
+    every column is empty), under str keys, at a nesting depth of 0..2."""
     count = draw(st.sampled_from([0, 1, 2, 3, 5]))
     keys = draw(st.lists(record_texts, min_size=1, max_size=3, unique=True))
     value = _Records(keys, [draw(table_columns(count)) for _ in keys])
@@ -389,6 +397,11 @@ def test_table_columns_dump_as_their_dicts(value):
 
 UINT64_MAX = np.iinfo(np.uint64).max
 TABLE_COLUMNS = [
+    np.array([0, -1, MAX_GRANULARITY, MAX_GRANULARITY + 1, 2**40]),
+    np.array([UINT64_MAX, 3, 600], dtype=np.uint64),
+    np.array([255, 0, 7], dtype=np.uint8),
+    np.array([-128, 127], dtype=np.int8),
+    np.zeros(0, dtype=np.uint16),
     np.array([[0, MAX_GRANULARITY], [MAX_GRANULARITY + 1, 7]]),
     np.array([[MAX_GRANULARITY + 1, -1, 2**40]]),
     np.array([[-1], [5]], dtype=np.int8),
@@ -422,6 +435,9 @@ def test_table_column_edge_cases(column):
         np.int64(3),
         [1, True],
         ("a", "b"),
+        (("a", "b"), np.array([[0, 1]])),
+        (["a", "b"], np.array([0, 1])),
+        (("a", "b"), np.array([0.0, 1.0])),
         ["a", None],
         [np.str_("a"), "b"],
     ],
@@ -476,9 +492,9 @@ def test_records_gather_arrays_of_one_shape(monkeypatch):
     import mafre.io
 
     gathered, alone = [], []
-    table_rows, rows_text = mafre.io._table_rows, mafre.io._rows_text
+    cells, rows_text = mafre.io._cells, mafre.io._rows_text
     monkeypatch.setattr(
-        mafre.io, "_table_rows", lambda a, nl: gathered.append(a.shape) or table_rows(a, nl)
+        mafre.io, "_cells", lambda a, sep, close: gathered.append(a.shape) or cells(a, sep, close)
     )
     monkeypatch.setattr(
         mafre.io, "_rows_text", lambda a, nl: alone.append(a) or rows_text(a, nl)

@@ -493,6 +493,40 @@ class TestGeneratorsOnce:
         for got, expected in zip(_generators(sub), _generators(rebuilt)):
             assert np.array_equal(got, expected)
 
+    def test_distinct_generators_are_sorted_for_the_families_alone(self):
+        # the solver, the lattice build and predecessors read the chains;
+        # only a consistency test or a reduct search sorts the distinct rows
+        fre = load_problem(EXAMPLES / "squares_solvable.json").to_instance()
+        ctx = associated_context(fre)
+        enumerate_solutions(fre, materialize=True)
+        lattice = build_concept_lattice(ctx)
+        predecessors(lattice, lattice.extents()[-1])
+        chains = ctx._gens[0]
+        assert ctx._gens[1] is None
+        assert is_consistent(ctx, ctx.attributes)
+        assert _generators(ctx) is ctx._gens and ctx._gens[0] is chains
+        nb, n = len(ctx.objects), fre.frame.granularity
+        top = np.full((1, nb), n, dtype=np.int64)
+        expected = np.unique(np.concatenate([chains.reshape(-1, nb), top]), axis=0)
+        assert np.array_equal(ctx._gens[1], expected)
+
+    def test_contexts_of_one_frame_share_its_stacked_tables(self):
+        import mafre.algebra as algebra
+
+        # the stacks are keyed on the triple objects: two loads of a file of
+        # built-in triples share them, a new triple gets its own
+        first, second = (
+            associated_context(load_problem(EXAMPLES / "squares_solvable.json").to_instance())
+            for _ in range(2)
+        )
+        for name in ("_CT", "_RT"):
+            assert np.shares_memory(getattr(first, name), getattr(second, name))
+            assert not getattr(first, name).flags.writeable
+        algebra.builtin_triple.cache_clear()
+        third = associated_context(load_problem(EXAMPLES / "squares_solvable.json").to_instance())
+        assert not np.shares_memory(first._CT, third._CT)
+        assert np.array_equal(first._CT, third._CT) and np.array_equal(first._RT, third._RT)
+
 
 def _solved(fre):
     """The gap of a primal instance and, when it is solvable, every column's
