@@ -22,7 +22,7 @@ from .context import (
     lattice_to_dot,
 )
 from .errors import BudgetExceededError, MafreError, UnsolvableError
-from .io import ProblemFileError, _dumps, _load, _Records, problem_from_instance
+from .io import ProblemFileError, _dumps, _Records, load_instance, problem_from_instance
 
 
 class ExitStatus(enum.IntEnum):
@@ -76,7 +76,7 @@ def _split_set(raw: str):
 
 def cmd_check(args) -> int:
     # loading checks the file and builds its frame, which verifies every triple
-    problem, instance = _load(args.file)
+    problem, instance = load_instance(args.file)
     triples = instance.frame.triples
     payload = lambda: {
         "valid": True,
@@ -167,7 +167,7 @@ def _solve(args, instance, solutions_of, closure, part, counted) -> int:
 
 
 def cmd_solve(args) -> int:
-    problem, instance = _load(args.file)
+    problem, instance = load_instance(args.file)
     if problem.orientation == "primal":
         solutions_of = fre_mod.enumerate_solutions
         words = ("interior", "column", "solution(s)")
@@ -185,7 +185,7 @@ def _context(instance):
 
 
 def cmd_reducts(args) -> int:
-    ctx = _context(_load(args.file)[1])
+    ctx = _context(load_instance(args.file)[1])
     reducts = [list(Y) for Y in enumerate_reducts(ctx)]
     Y = _split_set(args.set) if args.set else None
     checked = is_consistent(ctx, Y) if Y else None
@@ -210,7 +210,7 @@ def cmd_reducts(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    problem, instance = _load(args.file)
+    problem, instance = load_instance(args.file)
     Y = _split_set(args.set)
     if problem.orientation == "primal":
         reduced = fre_mod.reduce_fre(instance, Y, enforce_consistency=not args.force)
@@ -230,7 +230,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_approximate(args) -> int:
     _non_negative(args.notable_threshold, "--notable-threshold")
-    problem, instance = _load(args.file)
+    problem, instance = load_instance(args.file)
     n = instance.frame.granularity
     if problem.orientation == "dual":
         repairs = approx._repairs(instance.transposed())
@@ -291,7 +291,7 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    problem, instance = _load(args.file)
+    problem, instance = load_instance(args.file)
     lat = build_concept_lattice(_context(instance))
     if args.dot:
         _print(lattice_to_dot(lat, include_intents=args.intents))
@@ -308,7 +308,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_oracle(args) -> int:
     _non_negative(args.budget, "--budget")
-    problem, instance = _load(args.file)
+    problem, instance = load_instance(args.file)
     # both orientations compare per-part solution rows over V: those of a
     # dual X (U x V) are its rows, those of a primal X (V x W) its columns
     if problem.orientation == "primal":

@@ -58,11 +58,12 @@ class UnsolvableError(MafreError):
     (row, column, stated, closed) tuples and ``gap`` with GranularValues;
     both are built on first read.
 
-    ``_gap`` holds the same columns for the JSON writer (``io._Records``).
-    The solver raises the error through ``_of``, with each name column held
-    as a pair (names, positions): a tuple of names and an int array of
-    positions into it, from which ``gap_columns`` reads the names on first
-    use.
+    The error stores only ``_gap``, which the JSON writer (``io._Records``)
+    reads: the same columns with each name column held as a pair (names,
+    positions), a tuple of names and an int array of positions into it.
+    The constructor builds the pairs from its name lists, and the solver
+    passes them to ``_of`` as it gathers them; ``gap_columns`` reads the
+    name lists off the pairs on first use.
     """
 
     def __init__(self, message, *, gap_columns=None, granularity=None):
@@ -76,7 +77,8 @@ class UnsolvableError(MafreError):
             raise TypeError(
                 "gap_columns must be two name lists and two numerator arrays of one length"
             )
-        self.gap_columns = self._gap = gap_columns
+        rows, cols, stated, closed = gap_columns
+        self._gap = _positions(rows), _positions(cols), stated, closed
         self.granularity = granularity
 
     @classmethod
@@ -103,6 +105,14 @@ class UnsolvableError(MafreError):
         from .fre import _gap_values  # fre imports this module
 
         return tuple(_gap_values(self.gap_columns, self.granularity))
+
+
+def _positions(names: list) -> tuple:
+    """The name list ``names`` as a pair (names, positions): its distinct
+    names in order of first entry, and the position of each entry's name."""
+    index = {}
+    at = [index.setdefault(name, len(index)) for name in names]
+    return tuple(index), np.array(at, dtype=np.intp)
 
 
 def _named(gap: tuple) -> tuple:

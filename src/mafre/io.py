@@ -4,12 +4,12 @@ All values are integer numerators over a single granularity, so files are
 exact by construction; decimal rendering happens only in human-facing output.
 Triples are given by built-in name or as explicit operator tables, and sigma
 uses 1-based indices into the triple list.  Every command reads its file
-through ``_load``: the file is checked once, by ``_parse``, which turns
-each matrix into an int64 array with one ``algebra._int64`` test, and the
-instance is built from those arrays by ``_instance`` with no second check.
-``load_problem`` and ``parse_problem`` give the ``ProblemFile`` of lists,
-and its ``to_instance`` checks the lists again, as they may have been
-edited, before building through ``_instance`` too.
+through ``load_instance``: the file is checked once, by ``_parse``, which
+turns each matrix into an int64 array with one ``algebra._int64`` test, and
+the instance is built from those arrays with no second check.
+``load_problem`` and ``parse_problem`` give the ``ProblemFile`` of lists;
+its ``to_instance`` hands the lists, which may have been edited, to the
+instance constructors, which check them again.
 
 ``_dumps`` prints what ``json.dumps(obj, indent=2)`` prints, with a 1-D or
 2-D integer array written as the nested lists it holds: a list of ints and
@@ -46,9 +46,9 @@ from .algebra import (
     _int64,
     builtin_triple,
 )
-from .context import Context, _matrix, _names, _sigma, _table_cells
+from .context import Context, _table_cells
 from .dual import DualContext, DualFreInstance
-from .errors import DimensionError, MafreError
+from .errors import MafreError
 from .fre import FreInstance
 
 
@@ -335,23 +335,18 @@ class ProblemFile:
         )
 
     def to_instance(self) -> Union[FreInstance, DualFreInstance]:
-        """The solver instance of the lists as they hold now.  They are
-        checked again, as the instance constructors check theirs (a repeated
-        name or a wrong shape raises DimensionError, an entry outside 0..n
-        RangeError), and the instance is built by ``_instance``."""
-        n, primal, frame = self.granularity, self.orientation == "primal", self.frame()
-        rows, variables, columns = (
-            _names(getattr(self, key), key) for key in ("rows", "variables", "columns")
+        frame = self.frame()
+        sigma0 = [i - 1 for i in self.sigma]
+        cls = FreInstance if self.orientation == "primal" else DualFreInstance
+        return cls(
+            frame,
+            self.rows,
+            self.variables,
+            self.columns,
+            self.coefficients,
+            sigma0,
+            self.rhs,
         )
-        if not variables or not (columns if primal else rows):
-            raise DimensionError(
-                f"{'variable and column' if primal else 'row and variable'} sets must be non-empty"
-            )
-        sigma = tuple(_sigma([i - 1 for i in self.sigma], 1, len(variables), frame)[0].tolist())
-        shape = (len(rows), len(variables)) if primal else (len(variables), len(columns))
-        coeff = _matrix(self.coefficients, *shape, "coefficients", n)
-        rhs = _matrix(self.rhs, len(rows), len(columns), "rhs", n)
-        return _instance(frame, self.orientation, rows, variables, columns, coeff, sigma, rhs)
 
     def to_json(self) -> dict:
         return {
@@ -379,19 +374,6 @@ def _frame(n: int, triples: list) -> Frame:
     return Frame(
         GranularLattice(n), [builtin_triple(t, n) if isinstance(t, str) else t for t in triples]
     )
-
-
-def _instance(frame, orientation, rows, variables, columns, coeff, sigma, rhs):
-    """The instance over ``frame`` of checked name tuples, the checked
-    0-based per-unknown ``sigma`` tuple and the checked int64 coefficient
-    and rhs arrays of a file of ``orientation``, built from them with no
-    check: the context is set up from the arrays (a dual one is that of the
-    transposed primal, over the opposite frame), then the instance on it."""
-    if orientation == "primal":
-        ctx = Context._of(frame, rows, variables, coeff, sigma)
-        return FreInstance._on(ctx, sigma, columns, rhs)
-    ctx = DualContext._of(frame.opposite(), columns, variables, coeff.T, sigma)
-    return DualFreInstance._on(frame, FreInstance._on(ctx, sigma, rows, rhs.T))
 
 
 def _expect(cond, message):
@@ -514,16 +496,22 @@ def load_problem(path) -> ProblemFile:
     return parse_problem(_read(path))
 
 
-def _load(path) -> tuple:
+def load_instance(path) -> tuple:
     """``(problem, instance)`` of the problem file at ``path``, as every
     command reads it: the file is checked once, by ``_parse``, and the
-    instance built by ``_instance`` from the checked arrays; the
-    ProblemFile holds the decoded lists themselves."""
+    instance is built from the checked arrays with no second check, its
+    context set up by ``Context._of`` (a dual one is that of the transposed
+    primal, over the opposite frame).  The ProblemFile holds the decoded
+    lists themselves."""
     problem, triples, coeff, rhs = _parse(_read(path))
-    names = tuple(problem.rows), tuple(problem.variables), tuple(problem.columns)
+    rows, variables, columns = map(tuple, (problem.rows, problem.variables, problem.columns))
     sigma = tuple(i - 1 for i in problem.sigma)
     frame = _frame(problem.granularity, triples)
-    return problem, _instance(frame, problem.orientation, *names, coeff, sigma, rhs)
+    if problem.orientation == "primal":
+        ctx = Context._of(frame, rows, variables, coeff, sigma)
+        return problem, FreInstance._on(ctx, sigma, columns, rhs)
+    ctx = DualContext._of(frame.opposite(), columns, variables, coeff.T, sigma)
+    return problem, DualFreInstance._on(frame, FreInstance._on(ctx, sigma, rows, rhs.T))
 
 
 def problem_from_instance(instance, triples=None) -> ProblemFile:

@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import os
+import pickle
 import random
 import tempfile
 from collections import deque
@@ -1163,6 +1165,40 @@ class TestConstruction:
         assert names[1] == [fre.col_names[j] for j in cols.tolist()]
         assert names[2] is stated and names[3] is closed
         assert exc.gap == tuple(solvability_gap(fre))
+
+    def test_constructed_error_stores_its_names_as_positions(self):
+        # the constructor's name lists become the one stored form, the
+        # (names, positions) pairs that the solver's error holds
+        from mafre.io import _dumps, _Records
+
+        stated, closed = np.array([1, 2, 3]), np.array([0, 2, 1])
+        rows, cols = ["v", "u", "v"], ["w", "w", "x"]
+        exc = UnsolvableError("no solution", gap_columns=(rows, cols, stated, closed), granularity=4)
+        assert set(vars(exc)) == {"_gap", "granularity"}
+        (row_names, at_rows), (col_names, at_cols), _, _ = exc._gap
+        assert (row_names, at_rows.tolist()) == (("v", "u"), [0, 1, 0])
+        assert (col_names, at_cols.tolist()) == (("w", "x"), [0, 0, 1])
+        assert exc.gap_columns[:2] == (rows, cols)
+        keys = ("row", "column", "stated", "closed")
+        records = [dict(zip(keys, entry)) for entry in exc.gap_rows]
+        assert _dumps(_Records(keys, exc._gap)) == json.dumps(records, indent=2)
+        back = copy.copy(exc)
+        assert back.gap_rows == exc.gap_rows and back.granularity == 4
+
+    def test_solver_error_survives_copy_and_pickle(self, squares_unsolvable):
+        # copy and pickle rebuild the error from its message and restore its
+        # dict; the gap read before or after must be the solver's
+        fre = squares_unsolvable
+        for read_first in (False, True):
+            with pytest.raises(UnsolvableError) as info:
+                enumerate_solutions(fre)
+            exc = info.value
+            if read_first:
+                exc.gap_rows
+            for back in (copy.copy(exc), pickle.loads(pickle.dumps(exc))):
+                assert back.gap_rows == exc.gap_rows != ()
+                assert back.gap == tuple(solvability_gap(fre))
+                assert back.granularity == exc.granularity
 
     def test_rhs_column_accessor(self, squares_solvable):
         col = squares_solvable.rhs_column("w")

@@ -24,7 +24,7 @@ from mafre.io import (
     MAX_GRANULARITY,
     ProblemFile,
     ProblemFileError,
-    _load,
+    load_instance,
     load_problem,
     parse_problem,
     problem_from_instance,
@@ -975,7 +975,7 @@ def _primal_context(instance):
 
 
 class TestOneCheckedLoad:
-    """Every command reads its file through ``io._load``: checked once, the
+    """Every command reads its file through ``io.load_instance``: checked once, the
     instance built from the checked arrays."""
 
     @seed(20261020)
@@ -984,7 +984,7 @@ class TestOneCheckedLoad:
     def test_load_builds_the_instance_of_to_instance(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("load") / "problem.json"
         path.write_text(json.dumps(data))
-        problem, instance = _load(path)
+        problem, instance = load_instance(path)
         expected_problem = load_problem(path)
         expected = expected_problem.to_instance()
         assert problem == expected_problem and type(instance) is type(expected)
