@@ -8,8 +8,11 @@ its leading axis (``_gather_reduce``), and the generators are read off the
 residuum table with no batch.  The lattice engine sorts and
 deduplicates extent rows through one sortable key per row, ``_row_keys``: an
 int64 in base n + 1 where it fits, else the row's bytes.  The meet closure
-is an attribute-by-attribute product of the generator chains, and the cover
-relation numbers each cover by binary search among the extent keys;
+is an attribute-by-attribute product of the generator chains, taken on the
+rows' int64 keys in a power-of-two radix with a guard bit per digit, so a
+meet is a few word operations (``_key_meet``) and a deduplication one sort;
+rows too wide for such keys meet entry by entry.  The cover relation
+numbers each cover by binary search among the extent keys;
 ``index_of`` looks an extent up in a dict of row tuples.  Every lower cover,
 of the Hasse diagram, of ``predecessors`` and of the solver, comes from one
 rule, ``_lower_covers``: |A| candidate meets per extent, the maximal ones
@@ -442,6 +445,36 @@ def _lower_covers(ctx: Context, extents: np.ndarray, intents: np.ndarray) -> tup
     return candidates.transpose(2, 0, 1), covers.T
 
 
+def _key_meet(a, b, guards, w: int) -> np.ndarray:
+    """The keys of the entrywise minima of the rows keyed ``a`` and ``b``
+    (broadcast), for int64 keys of ``_row_keys`` in radix 2^w whose entries
+    lie below 2^(w-1): the top bit of every w-bit digit, its guard, is 0,
+    and ``guards`` holds the guard bits of all digits.
+
+    In d = (a | guards) - b a digit keeps its guard exactly where a's entry
+    is at least b's, and the guard absorbs the digit's borrow, so no digit
+    reaches the next (Lamport's guard bits).  Less those guards shifted
+    down to their digits' lowest bits, the kept guards become the masks of
+    the digits where b's entry is the smaller; there d holds a's entry less
+    b's, and a less the masked d is the meet.
+    """
+    d = (a | guards) - b
+    t = d & guards
+    t -= t >> (w - 1)
+    d &= t
+    return np.subtract(a, d, out=d)
+
+
+def _unique_keys(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of the non-empty 1-D int64 array ``keys``,
+    sorted; ``keys`` is sorted in place."""
+    keys.sort()
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    return keys[fresh]
+
+
 def _meet_closure(chains: np.ndarray) -> np.ndarray:
     """The extents, sorted, from the (|A|, n+1, |B|) generator rows of
     ``_chains``.
@@ -458,30 +491,51 @@ def _meet_closure(chains: np.ndarray) -> np.ndarray:
     and at its end.  L_a is the extent set of the context restricted to its
     first a attributes, never larger than the lattice, so once a
     deduplication leaves more than ``MAX_ENTRIES`` entries the lattice has
-    as many: BudgetExceededError.  The keys have radix n + 1, one more than
-    the largest entry (top's).
+    as many: BudgetExceededError.
+
+    The rows are keyed by ``_row_keys`` in radix 2^w, w one bit more than
+    the largest entry (top's) needs, so every digit has a guard bit.  Where
+    those keys are int64 (|B| w <= 63) every round runs on them: a meet is
+    ``_key_meet`` of two keys, a chunk holds at most ``_CHUNK`` of them, a
+    deduplication is one ``np.sort``, and the keys, which order as the rows
+    do, are decoded to rows once at the end.  Rows with byte keys meet by
+    ``np.minimum`` and are deduplicated by ``_unique_rows`` in radix n + 1.
     """
-    nb = chains.shape[2]
-    radix = int(chains.max(initial=chains.shape[1] - 1)) + 1
-    distinct = np.ones(chains.shape[:2], dtype=bool)
-    distinct[:, :-1] = (chains[:, 1:] != chains[:, :-1]).any(axis=2)
-    rounds = [chain[keep] for chain, keep in zip(chains, distinct)]
-    found = rounds[0] if rounds else np.full((1, nb), radix - 1, dtype=np.int64)
+    na, n1, nb = chains.shape
+    top = int(chains.max(initial=n1 - 1))
+    if not na:
+        return np.full((1, nb), top, dtype=np.int64)
+    radix = 1 << (top.bit_length() + 1)
+    keys = _row_keys(chains.reshape(-1, nb), radix).reshape(na, n1)
+    distinct = np.ones((na, n1), dtype=bool)
+    distinct[:, :-1] = keys[:, 1:] != keys[:, :-1]
+    words = keys.dtype.kind == "i"
+    if words:
+        w = radix.bit_length() - 1
+        guards = np.int64(sum(radix >> 1 << (w * j) for j in range(nb)))
+        meets = lambda found, chain: _key_meet(chain, found[:, None], guards, w).ravel()
+        unique, items = _unique_keys, keys
+    else:
+        meets = lambda found, chain: np.minimum(found[:, None, :], chain).reshape(-1, nb)
+        unique, items = functools.partial(_unique_rows, radix=top + 1), chains
+    rounds = [chain[keep] for chain, keep in zip(items, distinct)]
+    found = rounds[0]
     for chain in rounds[1:]:
         step = max(1, _CHUNK // chain.size)
         parts, pending, kept = [], 0, len(found)
         for start in range(0, len(found), step):
-            meets = np.minimum(found[start : start + step, None, :], chain)
-            parts.append(_unique_rows(meets.reshape(-1, nb), radix))
+            parts.append(unique(meets(found[start : start + step], chain)))
             pending += len(parts[-1])
             if pending >= 2 * kept or start + step >= len(found):
                 if len(parts) > 1:
                     parts = [np.concatenate(parts)]  # frees the chunks before the sort
-                    parts = [_unique_rows(parts[0], radix)]
+                    parts = [unique(parts[0])]
                 pending = kept = len(parts[0])
                 _check_extents(kept, nb)
         found = parts[0]
-    return found
+    if not words:
+        return found
+    return found[:, None] >> np.arange(w * (nb - 1), -1, -w, dtype=np.int64) & (radix - 1)
 
 
 def _check_extents(count: int, nb: int) -> None:

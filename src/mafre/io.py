@@ -20,11 +20,12 @@ lists and (names, positions) pairs held column by column, and are written
 as one join of their values' texts with no dict built.  1-D and 2-D
 columns (the gap's numerators, the extents and intents of a lattice) go
 through a numeral table, the cached texts of 0..MAX_GRANULARITY with their
-separators, a pair (the gap's row and column names) through the texts of
-its names, and a column of per-record arrays (the solution arrays that
-columns share per distinct maximum) with each distinct array once, the
-distinct arrays of one dtype and shape from one gather of that table when
-there are several.  Any other list of dicts is written value by value.
+separators; a 2-D column is written cell by cell, each entry's text one
+part of that join.  A pair (the gap's row and column names) goes through
+the texts of its names, and a column of per-record arrays (the solution
+arrays that columns share per distinct maximum) with each distinct array
+once, the distinct arrays of one dtype and shape from one gather of that
+table when there are several.  Any other list of dicts is written value by value.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ MAX_GRANULARITY = 512
 # bool, None, float, int and str subclasses (a float repr is exactly json's)
 _scalar = json.JSONEncoder().encode
 _intstr = int.__repr__
+# the texts of the constants, looked up only for a bool or None (1.0 == True)
+_CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
 def _block(parts, nl: str, brackets: str = "[]") -> str:
@@ -196,34 +199,42 @@ class _Records:
         """The text of the records for ``_dumps``, opened after ``nl``.
 
         Each column becomes the texts of its values: a 1-D array's entries
-        from one gather of the numeral table (``_cells``), a 2-D array's rows
-        from ``_table_rows``, a pair's entries from one gather of its names'
-        texts, and a per-record array's text once per distinct array object,
-        keyed by ``id`` (the columns hold every array for the whole call, so
-        no id is reused), the new arrays of a column that share dtype,
-        number of dimensions and row length written together by
-        ``_arrays_text``.  The texts and the literal pieces between them
-        fill one object array, joined once, which sizes the output once.
+        from one gather of the numeral table (``_cells``), a pair's entries
+        from one gather of its names' texts, and a per-record array's text
+        once per distinct array object, keyed by ``id`` (the columns hold
+        every array for the whole call, so no id is reused), the new arrays
+        of a column that share dtype, number of dimensions and row length
+        written together by ``_arrays_text``.  A 2-D array with at least one
+        column is written cell by cell: its row's opening ends the key's
+        piece, and the texts of its entries from ``_cells``, the last one
+        with the row's closing, fill one part each.  The texts and the
+        literal pieces between them fill one object array, joined once,
+        which sizes the output once.
         """
         count = _count(self.columns[0]) if self.columns else 0
-        inner, field = nl + "  ", nl + "    "
-        width, texts = 2 * len(self.columns), {}
+        inner, field, entry = nl + "  ", nl + "    ", nl + "      "
+        # the entries each record holds of a 2-D integer column, else 0
+        cells = [col.shape[1] if _is_table(col) and col.ndim == 2 else 0 for col in self.columns]
+        width, texts, at = sum(1 + max(cell, 1) for cell in cells), {}, 0
         # ``width`` parts per record, then the closing of the list
         parts = np.empty(width * count + 1, dtype=object)
         records = parts[:-1].reshape(count, width)
-        for i, (key, col) in enumerate(zip(self.keys, self.columns)):
-            head = "," if i else inner + "}," + inner + "{"
-            records[:, 2 * i] = head + field + _str(key) + ": "
-            if isinstance(col, np.ndarray) and col.dtype.kind in "iu" and col.ndim in (1, 2):
-                if col.ndim == 1:
-                    records[:, 2 * i + 1] = _cells(col[:, None], "", "")[:, 0]
+        for i, (key, col, cell) in enumerate(zip(self.keys, self.columns, cells)):
+            head = ("," if i else inner + "}," + inner + "{") + field + _str(key) + ": "
+            head_at, at = at, at + 1 + max(cell, 1)
+            records[:, head_at] = head + "[" + entry if cell else head
+            if _is_table(col):
+                if cell:
+                    records[:, head_at + 1 : at] = _cells(col, "," + entry, field + "]")
+                elif col.ndim == 2:  # rows of width 0
+                    records[:, head_at + 1] = "[]"
                 else:
-                    records[:, 2 * i + 1] = _table_rows(col, field)
+                    records[:, head_at + 1] = _cells(col[:, None], "", "")[:, 0]
                 continue
             if _is_pair(col):
                 names, positions = col
                 texts_of = np.fromiter(map(_str, names), dtype=object, count=len(names))
-                records[:, 2 * i + 1] = texts_of.take(positions)
+                records[:, head_at + 1] = texts_of.take(positions)
                 continue
             if type(col) is not list:
                 raise TypeError(
@@ -232,9 +243,9 @@ class _Records:
                 )
             kinds = {*map(type, col)}
             if kinds <= {str}:
-                records[:, 2 * i + 1] = list(map(_str, col))
+                records[:, head_at + 1] = list(map(_str, col))
             elif kinds <= {int}:
-                records[:, 2 * i + 1] = list(map(_intstr, col))
+                records[:, head_at + 1] = list(map(_intstr, col))
             else:
                 ids, batches = list(map(id, col)), {}
                 for a in dict(zip(ids, col)).values():
@@ -243,12 +254,17 @@ class _Records:
                         batches.setdefault((a.ndim, a.shape[-1], a.dtype), []).append(a)
                 for arrays in batches.values():
                     texts.update(zip(map(id, arrays), _arrays_text(arrays, field)))
-                records[:, 2 * i + 1] = list(map(texts.__getitem__, ids))
+                records[:, head_at + 1] = list(map(texts.__getitem__, ids))
         if not count:
             return "[]"
-        records[0, 0] = "[" + inner + "{" + field + _str(self.keys[0]) + ": "
+        records[0, 0] = "[" + records[0, 0][len(inner) + 2 :]  # no "}," before the first
         parts[-1] = inner + "}" + nl + "]"
         return "".join(parts.tolist())
+
+
+def _is_table(col) -> bool:
+    """Whether the record column ``col`` is a 1-D or 2-D integer array."""
+    return isinstance(col, np.ndarray) and col.dtype.kind in "iu" and col.ndim in (1, 2)
 
 
 def _is_pair(col) -> bool:
@@ -275,7 +291,7 @@ def _dumps(obj, nl: str = "\n") -> str:
 
     A list of exact ints is one %-format of a cached row template, a 1-D or
     2-D integer array is written by ``_rows_text`` and a ``_Records`` by its
-    ``_text``.  A dict is one join of its keys' and values' texts, so a long
+    ``_text``; true, false and null come from a table of their texts.  A dict is one join of its keys' and values' texts, so a long
     value is copied once.
     """
     t = type(obj)
@@ -283,6 +299,8 @@ def _dumps(obj, nl: str = "\n") -> str:
         return _intstr(obj)
     if t is str:
         return _str(obj)
+    if t is bool or obj is None:
+        return _CONSTANTS[obj]
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

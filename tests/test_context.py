@@ -35,6 +35,7 @@ from mafre.context import (
     Context,
     _families,
     _generators,
+    _key_meet,
     _leq,
     _lower_covers,
     _meet_closure,
@@ -335,6 +336,20 @@ class TestLattice:
         assert "rankdir=BT" in dot
 
 
+@st.composite
+def key_rows(draw):
+    """(w, a, b): two row arrays of one shape whose entries fit w - 1
+    bits, mostly at 0 or at the top, 2^(w-1) - 1, with |B| w <= 63 (often
+    exactly 63)."""
+    w = draw(st.integers(2, 63))
+    nb = draw(st.one_of(st.just(63 // w), st.integers(1, 63 // w)))
+    top = (1 << (w - 1)) - 1
+    entries = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    shape = (draw(st.integers(1, 6)), nb)
+    rows = hnp.arrays(np.int64, shape, elements=entries)
+    return w, draw(rows), draw(rows)
+
+
 class TestLatticeEngine:
     """The default engine closes the generator extents under meets; the
     object-side sweep ``exhaustive_lattice`` is its oracle."""
@@ -596,7 +611,7 @@ class TestLatticeEngine:
 
     @settings(deadline=None)
     @given(
-        st.integers(1, 9).flatmap(
+        st.one_of(st.integers(1, 9), st.integers(10, 300)).flatmap(
             lambda n: hnp.arrays(
                 np.int64,
                 st.tuples(st.integers(1, 8), st.integers(1, 70)),
@@ -605,8 +620,10 @@ class TestLatticeEngine:
         )
     )
     def test_meet_closure_property(self, gens):
-        # widths up to 70 cross the int64 key boundary at every n <= 9; the
-        # chains [g, colmax] meet to the meets of gens and colmax
+        # widths up to 70 cross the int64 key boundary at every n <= 9, and
+        # the guard-bit key boundary |B| (bit_length(n) + 1) <= 63 at every
+        # digit width up to n = 300; the chains [g, colmax] meet to the meets
+        # of gens and colmax
         colmax = gens.max(axis=0)
         chains = np.stack([gens, np.broadcast_to(colmax, gens.shape)], axis=1)
         extents = _meet_closure(chains)
@@ -614,11 +631,26 @@ class TestLatticeEngine:
         assert len(extents) == len(expected)
         assert np.array_equal(extents, expected)
 
+    @settings(deadline=None)
+    @given(key_rows())
+    def test_key_meet_is_the_minimum_property(self, drawn):
+        # the meet of two guard-bit keys is the key of the entrywise minimum,
+        # for every pair of rows (broadcast) and at the widest keys
+        w, a, b = drawn
+        nb = a.shape[1]
+        guards = np.int64(sum(1 << (w * j + w - 1) for j in range(nb)))
+        ka, kb = _row_keys(a, 1 << w), _row_keys(b, 1 << w)
+        assert ka.dtype == np.int64
+        expected = _row_keys(np.minimum(a[:, None, :], b).reshape(-1, nb), 1 << w)
+        assert np.array_equal(_key_meet(kb, ka[:, None], guards, w).ravel(), expected)
+        assert np.array_equal(_key_meet(ka, kb, guards, w), _row_keys(np.minimum(a, b), 1 << w))
+
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_chunk_size_changes_nothing(self, chunk, monkeypatch):
         # one chunk of meets holds at most _CHUNK entries, or one row's meets
-        # with a chain, at most |gens| x |B|; the closure and the families do
-        # not depend on it
+        # with a chain, at most |gens| x |B|: entries of rows, or keys (one
+        # per row) where the rows meet as guard-bit keys; the closure and the
+        # families do not depend on it
         from mafre import context as context_mod
 
         rng = random.Random(17)
@@ -634,12 +666,17 @@ class TestLatticeEngine:
         ]
         expected = [(_meet_closure(_generators(c)[0]), _families(c)) for c in contexts]
         sizes = []
-        minimum = np.minimum
+        minimum, key_meet = np.minimum, context_mod._key_meet
         monkeypatch.setattr(context_mod, "_CHUNK", chunk)
         monkeypatch.setattr(
             context_mod.np,
             "minimum",
             lambda *args: sizes.append(np.broadcast(*args).size) or minimum(*args),
+        )
+        monkeypatch.setattr(
+            context_mod,
+            "_key_meet",
+            lambda a, b, *args: sizes.append(np.broadcast(a, b).size) or key_meet(a, b, *args),
         )
         for ctx, (extents, families) in zip(contexts, expected):
             chains, gens = _generators(ctx)

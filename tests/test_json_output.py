@@ -128,7 +128,9 @@ NEAR_MISSES = [
     [{"a": {"b": 1}}, {"a": {"b": 2}}],
     [{"m": [[1, 2]]}, {"m": [[1, 2], [3, 4]]}],
 ]
-FIXED += RECORDS + NEAR_MISSES
+# and the constants beside the numbers equal to them
+CONSTANTS = [[True, 1.0, 1, False, 0.0, 0, None, {"ok": True, "no": False, "none": None}]]
+FIXED += RECORDS + NEAR_MISSES + CONSTANTS
 
 
 @pytest.mark.parametrize("value", FIXED, ids=range(len(FIXED)))
@@ -421,6 +423,33 @@ def test_table_column_edge_cases(column):
     # entries the table holds, entries past it written in place, widths 0
     # and 1, zero rows and a transposed view, beside a second table column
     records = _Records(("e", "i"), (column, column[::-1]))
+    for value in (records, {"x": [records]}):
+        assert _dumps(value) == json.dumps(plain(value), indent=2)
+
+
+CELL_COLUMNS = [
+    np.zeros((3, 0), dtype=np.int64),
+    np.array([[-1], [MAX_GRANULARITY + 1], [7]]),
+    np.array([[0, -1, MAX_GRANULARITY], [MAX_GRANULARITY + 1, 2**40, 3], [5, 6, 7]]),
+    np.array([[255, 0], [1, 2], [3, 4]], dtype=np.uint8),
+]
+
+
+@pytest.mark.parametrize("column", CELL_COLUMNS, ids=lambda a: f"{a.dtype}{a.tolist()}")
+@pytest.mark.parametrize("at", [0, 2, 5])
+def test_cell_columns_among_other_columns(column, at):
+    # a 2-D column written cell by cell (none, one or several cells per
+    # record, entries inside and outside the numeral table), first, inside
+    # or last among a 1-D, a pair, a str, an int and an arrays column
+    others = [
+        np.array([-3, MAX_GRANULARITY + 1, 0]),
+        (("x", "y"), np.array([1, 0, 1])),
+        ["a", "é", "%s"],
+        [1, -2, 2**70],
+        [np.arange(2), np.arange(2), np.zeros((1, 2), dtype=np.int64)],
+    ]
+    columns = others[:at] + [column] + others[at:]
+    records = _Records([f"k{i}" for i in range(len(columns))], columns)
     for value in (records, {"x": [records]}):
         assert _dumps(value) == json.dumps(plain(value), indent=2)
 
