@@ -10,7 +10,6 @@ checkable exhaustively and keeps downstream evaluation to table lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache, total_ordering
 from itertools import chain
 from typing import Optional, Sequence
@@ -73,7 +72,11 @@ class GranularValue:
         return GranularValue(max(self.numerator, other.numerator), self.granularity)
 
     @property
-    def fraction(self) -> Fraction:
+    def fraction(self):
+        """The value as a ``fractions.Fraction``; imported here, its one
+        user, so that no command pays for the import."""
+        from fractions import Fraction
+
         return Fraction(self.numerator, self.granularity)
 
     def __float__(self) -> float:

@@ -4,15 +4,21 @@ Every command reads a JSON problem file and supports ``--json`` for
 machine-readable output.  All JSON output, that of ``--json`` and the problem
 file of ``reduce``, is printed by ``io._dumps``.  Exit codes: 0 success,
 1 unsolvable (solve), 2 malformed input, 3 budget exceeded.
+
+Every command and option is one entry of ``_COMMANDS``.  ``_read`` reads a
+well-formed line straight from that table; argparse, whose parser
+``build_parser`` builds from the same table, reads every other line: help,
+usage errors, abbreviations.
 """
 
 from __future__ import annotations
 
-import argparse
 import enum
 import functools
 import os
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import approx, dual as dual_mod, fre as fre_mod
 from .context import (
@@ -332,65 +338,129 @@ def cmd_oracle(args) -> int:
     return ExitStatus.OK if match else ExitStatus.INPUT_ERROR
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Option(NamedTuple):
+    """An option as argparse takes it; a ``bool`` one is a store_true flag."""
+
+    flags: tuple
+    dest: str
+    type: type
+    default: object
+    required: bool
+    help: str
+
+
+# every command: its handler, its help and its options after the file
+_JSON = _Option(("--json",), "json", bool, False, False, "machine-readable output")
+_COMMANDS = {
+    "check": (cmd_check, "validate the file and verify the adjoint triples", (_JSON,)),
+    "solve": (cmd_solve, "solvability, maximum solution, solution count", (
+        _JSON,
+        _Option(("--enumerate",), "enumerate", bool, False, False, "list every solution"),
+        _Option(("--max-count",), "max_count", int, None, False, "cap listed solutions"),
+    )),
+    "reducts": (cmd_reducts, "list reducts of the associated context", (
+        _JSON,
+        _Option(("--set",), "set", str, None, False,
+                "also check this comma-separated set for consistency"),
+    )),
+    "reduce": (cmd_reduce, "emit the Y-reduced problem file", (
+        _JSON,
+        _Option(("--set",), "set", str, None, True, "comma-separated names to keep"),
+        _Option(("--force",), "force", bool, False, False, "allow non-consistent sets"),
+        _Option(("-o", "--output"), "output", str, None, False, "write the reduced file here"),
+    )),
+    "approximate": (cmd_approximate, "feasible reducts, repaired rhs, diagnosis", (
+        _JSON,
+        _Option(("--pessimistic",), "pessimistic", bool, False, False,
+                "closure-based repair instead"),
+        _Option(("--notable-threshold",), "notable_threshold", int, 1, False,
+                "granular steps above which a deviation is notable"),
+    )),
+    "lattice": (cmd_lattice, "export the associated concept lattice", (
+        _JSON,
+        _Option(("--dot",), "dot", bool, False, False, "emit DOT instead of a summary"),
+        _Option(("--intents",), "intents", bool, False, False, "include intents in labels"),
+    )),
+    "oracle": (cmd_oracle, "brute-force solve and diff against the solver", (
+        _JSON,
+        _Option(("--budget",), "budget", int, 10_000_000, False, "candidate cap"),
+    )),
+}
+
+
+def build_parser():
+    """The argparse parser of every command, built from ``_COMMANDS``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mafre",
         description="Solve, reduce and repair fuzzy relation equations over "
         "granular truth-value chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
+    for name, (fn, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="JSON problem file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        for opt in options:
+            kind = {"action": "store_true"} if opt.type is bool else {"type": opt.type}
+            p.add_argument(
+                *opt.flags,
+                dest=opt.dest,
+                default=opt.default,
+                required=opt.required,
+                help=opt.help,
+                **kind,
+            )
         p.set_defaults(fn=fn)
-        return p
-
-    add("check", cmd_check, "validate the file and verify the adjoint triples")
-
-    p = add("solve", cmd_solve, "solvability, maximum solution, solution count")
-    p.add_argument("--enumerate", action="store_true", help="list every solution")
-    p.add_argument("--max-count", type=int, default=None, help="cap listed solutions")
-
-    p = add("reducts", cmd_reducts, "list reducts of the associated context")
-    p.add_argument("--set", help="also check this comma-separated set for consistency")
-
-    p = add("reduce", cmd_reduce, "emit the Y-reduced problem file")
-    p.add_argument("--set", required=True, help="comma-separated names to keep")
-    p.add_argument("--force", action="store_true", help="allow non-consistent sets")
-    p.add_argument("-o", "--output", help="write the reduced file here")
-
-    p = add("approximate", cmd_approximate, "feasible reducts, repaired rhs, diagnosis")
-    p.add_argument(
-        "--pessimistic", action="store_true", help="closure-based repair instead"
-    )
-    p.add_argument(
-        "--notable-threshold",
-        type=int,
-        default=1,
-        help="granular steps above which a deviation is notable",
-    )
-
-    p = add("lattice", cmd_lattice, "export the associated concept lattice")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of a summary")
-    p.add_argument("--intents", action="store_true", help="include intents in labels")
-
-    p = add("oracle", cmd_oracle, "brute-force solve and diff against the solver")
-    p.add_argument("--budget", type=int, default=10_000_000, help="candidate cap")
-
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parse_args leaves a parser as it was, so the calls of main in one
-    # process share it; building one costs more than a small request's work
+def _parser():
+    # only the lines _read refuses (help, usage errors, abbreviations) reach
+    # argparse; importing it and building the parser cost a fresh process
+    # 5-7 ms, so it is done once, on the first such line, and shared after
     return build_parser()
 
 
+def _read(argv):
+    """What ``build_parser().parse_args(argv)`` returns, read straight from a
+    line of a command, one file and that command's exact option strings, each
+    value option followed by a value its type takes; None for any other
+    line, which is left to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fn, _, options = _COMMANDS[argv[0]]
+    by_flag = {flag: opt for opt in options for flag in opt.flags}
+    values = {opt.dest: opt.default for opt in options}
+    seen, files = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            files.append(token)
+            continue
+        opt = by_flag.get(token)
+        if opt is None:
+            return None
+        seen.add(opt.dest)
+        if opt.type is bool:
+            values[opt.dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            values[opt.dest] = opt.type(value)
+        except ValueError:
+            return None
+    if len(files) != 1 or any(o.required and o.dest not in seen for o in options):
+        return None
+    return SimpleNamespace(command=argv[0], fn=fn, file=files[0], **values)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv) or _parser().parse_args(argv)
     try:
         return int(args.fn(args))
     except BudgetExceededError as exc:

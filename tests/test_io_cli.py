@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -286,14 +288,19 @@ class TestCliSolve:
         try:
             assert main(["solve", SOLVABLE, "--json"]) == 0
             first = capsys.readouterr().out
+            assert builds == []  # a valid line is read without argparse
             with pytest.raises(SystemExit) as exc:  # a rejected line leaves no state
                 main(["solve", SOLVABLE, "--max-count", "x"])
             assert exc.value.code == 2
             capsys.readouterr()
+            assert builds == [1]
             assert main(["check", MAXMIN]) == 0
             assert "valid" in capsys.readouterr().out
             assert main(["solve", SOLVABLE, "--json"]) == 0
             assert capsys.readouterr().out == first
+            # argparse reads an abbreviation and a value that starts with -
+            assert main(["solve", SOLVABLE, "--enum", "--max-count", "-1"]) == 2
+            assert "must be >= 0" in capsys.readouterr().err
             assert builds == [1]
         finally:
             mafre.cli._parser.cache_clear()
@@ -1041,3 +1048,175 @@ class TestOneCheckedLoad:
             monkeypatch.setattr(module, "_unique_rows", refuse)
         assert main(["check", SOLVABLE]) == 0
         assert "valid" in capsys.readouterr().out
+
+
+def _reference_parser():
+    """The parser written out by hand, one ``add_argument`` call per option:
+    the reference of ``build_parser``'s namespaces, help text and usage
+    errors."""
+    import argparse
+
+    import mafre.cli as cli
+
+    parser = argparse.ArgumentParser(
+        prog="mafre",
+        description="Solve, reduce and repair fuzzy relation equations over "
+        "granular truth-value chains.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, fn, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", help="JSON problem file")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(fn=fn)
+        return p
+
+    add("check", cli.cmd_check, "validate the file and verify the adjoint triples")
+    p = add("solve", cli.cmd_solve, "solvability, maximum solution, solution count")
+    p.add_argument("--enumerate", action="store_true", help="list every solution")
+    p.add_argument("--max-count", type=int, default=None, help="cap listed solutions")
+    p = add("reducts", cli.cmd_reducts, "list reducts of the associated context")
+    p.add_argument("--set", help="also check this comma-separated set for consistency")
+    p = add("reduce", cli.cmd_reduce, "emit the Y-reduced problem file")
+    p.add_argument("--set", required=True, help="comma-separated names to keep")
+    p.add_argument("--force", action="store_true", help="allow non-consistent sets")
+    p.add_argument("-o", "--output", help="write the reduced file here")
+    p = add("approximate", cli.cmd_approximate, "feasible reducts, repaired rhs, diagnosis")
+    p.add_argument("--pessimistic", action="store_true", help="closure-based repair instead")
+    p.add_argument(
+        "--notable-threshold",
+        type=int,
+        default=1,
+        help="granular steps above which a deviation is notable",
+    )
+    p = add("lattice", cli.cmd_lattice, "export the associated concept lattice")
+    p.add_argument("--dot", action="store_true", help="emit DOT instead of a summary")
+    p.add_argument("--intents", action="store_true", help="include intents in labels")
+    p = add("oracle", cli.cmd_oracle, "brute-force solve and diff against the solver")
+    p.add_argument("--budget", type=int, default=10_000_000, help="candidate cap")
+    return parser
+
+
+def _outcome(call, argv):
+    """(exit code, stdout, stderr) of ``call(argv)``, whose result is the exit
+    code or a namespace, as its vars."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return (result if isinstance(result, int) else vars(result)), out.getvalue(), err.getvalue()
+
+
+CLI_NAMES = ("check", "solve", "reducts", "reduce", "approximate", "lattice", "oracle")
+EXACT_OPTIONS = (
+    "--json", "--enumerate", "--max-count", "--set", "--force", "-o", "--output",
+    "--pessimistic", "--notable-threshold", "--dot", "--intents", "--budget",
+)
+# lines argparse reads in its own way: abbreviations, = forms, help, --, an
+# attached short value, an unknown option
+ODD_TOKENS = (
+    "--enum", "--max", "--se", "--out", "--pess", "--int", "--js", "--json=1",
+    "--max-count=3", "--set=u1", "--output=f", "-h", "--help", "--", "-ofile", "-x",
+)
+VALUE_TOKENS = ("f.json", "3", "-1", "+3", "3_0", " 4 ", "x", "", "-", "u1,u2", "solve")
+
+
+@st.composite
+def command_lines(draw):
+    """A command (or not), a file, and in any order some of the command's own
+    options, with and without a value, and a few odd or foreign tokens."""
+    from mafre.cli import _COMMANDS
+
+    head = draw(st.sampled_from(CLI_NAMES + ("-h", "--help", "--enum", "sol", "")))
+    own = [f for opt in _COMMANDS[head][2] for f in opt.flags] if head in _COMMANDS else []
+    option, value = st.sampled_from(own or ["--json"]), st.sampled_from(VALUE_TOKENS)
+    pieces = draw(st.lists(st.tuples(option, value) | st.tuples(option), max_size=4))
+    noise = st.sampled_from(EXACT_OPTIONS + ODD_TOKENS + VALUE_TOKENS)
+    pieces += draw(st.lists(st.tuples(noise), max_size=2)) + [("f.json",)]
+    return [head, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+class TestCommandLineReader:
+    """``main`` reads a well-formed line straight into its namespace and leaves
+    every other line to argparse, which prints what it printed before."""
+
+    @pytest.fixture(scope="class")
+    def parsers(self):
+        import mafre.cli
+
+        return mafre.cli.build_parser(), _reference_parser()
+
+    @seed(20261021)
+    @settings(max_examples=max(300, settings().max_examples), deadline=None)
+    @given(argv=command_lines())
+    def test_reader_matches_argparse_property(self, parsers, argv):
+        from mafre.cli import _read
+
+        built, reference = parsers
+        expected = _outcome(built.parse_args, argv)
+        # the table's parser reads every line as the add_argument parser does
+        assert expected == _outcome(reference.parse_args, argv)
+        read = _read(argv)
+        if isinstance(expected[0], dict):
+            assert read is None or vars(read) == expected[0]
+        else:  # argparse exits: help or a usage error
+            assert read is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            *([name, "--help"] for name in CLI_NAMES),
+            ["solve", SOLVABLE, "--enum"],
+            ["solve", SOLVABLE, "--max-count", "x"],
+        ],
+    )
+    def test_argparse_lines_print_as_before(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def reference_main(argv):
+            args = _reference_parser().parse_args(argv)
+            return int(args.fn(args))
+
+        outcome = _outcome(main, argv)
+        assert outcome == _outcome(reference_main, argv)
+        assert outcome[0] == (2 if "x" in argv else 0)
+
+    def test_documented_lines_take_the_direct_path(self, parsers):
+        """Every README line and every command line of the golden file."""
+        from mafre.cli import _read
+        from test_cli_golden import COMMANDS as GOLDEN_COMMANDS
+
+        lines = [
+            ["check", SOLVABLE],
+            ["solve", SOLVABLE, "--enumerate"],
+            ["reducts", MAXMIN],
+            ["reducts", SOLVABLE, "--set", "u3,u4"],
+            ["reduce", SOLVABLE, "--set", "u1,u2,u3", "-o", "reduced.json"],
+            ["approximate", UNSOLVABLE],
+            ["approximate", UNSOLVABLE, "--pessimistic"],
+            ["lattice", SOLVABLE, "--dot"],
+            ["oracle", MAXMIN],
+        ]
+        lines += [[c[0], MAXMIN, *c[1:], *flags] for c in GOLDEN_COMMANDS for flags in ([], ["--json"])]
+        for argv in lines:
+            read = _read(argv)
+            assert read is not None and vars(read) == vars(parsers[0].parse_args(argv))
+
+    def test_a_valid_line_imports_no_parser(self):
+        code = (
+            "import sys; from mafre.cli import main; rc = main(sys.argv[1:]); "
+            "print([m for m in ('argparse', 'fractions', 'decimal') if m in sys.modules]); "
+            "sys.exit(rc)"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for argv in (["check", SOLVABLE, "--json"], ["reducts", SOLVABLE, "--set", "u3,u4"]):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0 and proc.stderr == ""
+            assert proc.stdout.splitlines()[-1] == "[]"
