@@ -10,15 +10,19 @@ deduplicates extent rows through one sortable key per row, ``_row_keys``: an
 int64 in base n + 1 where it fits, else the row's bytes.  The meet closure
 is an attribute-by-attribute product of the generator chains, taken on the
 rows' int64 keys in a power-of-two radix with a guard bit per digit, so a
-meet is a few word operations (``_key_meet``) and a deduplication one sort;
-rows too wide for such keys meet entry by entry.  The cover relation
-numbers each cover by binary search among the extent keys;
-``index_of`` looks an extent up in a dict of row tuples.  Every lower cover,
-of the Hasse diagram, of ``predecessors`` and of the solver, comes from one
-rule, ``_lower_covers``: |A| candidate meets per extent, the maximal ones
-kept, computed extent-major.  A lattice build stops with
-BudgetExceededError once its extents hold more than ``algebra.MAX_ENTRIES``
-entries, and so does the cover relation when its candidate arrays would.
+meet is a few word operations (``_key_meet``) and a deduplication one sort.
+Every lower cover, of the Hasse diagram, of ``predecessors`` and of the
+solver, comes from one rule, ``_lower_covers``: |A| candidate meets per
+extent, the maximal ones kept, computed extent-major.  On the same words a
+candidate is one ``_key_meet``, the order test between two candidates one
+guard-bit test, and the cover relation numbers each cover by a binary
+search of its word among the extent words (``_word_covers``).
+``_guard_words`` chooses between words and rows for the closure and the
+covers alike: rows too wide for one word meet and compare entry by entry.
+``index_of`` looks an extent up in a dict of row tuples.  A lattice build
+stops with BudgetExceededError once its extents hold more than
+``algebra.MAX_ENTRIES`` entries, and so does the cover relation when its
+candidate arrays would.
 Lattice rows are written through one numeral table builder, ``_numerals``.
 """
 
@@ -332,12 +336,20 @@ def _row_keys(rows: np.ndarray, radix: int | None = None) -> np.ndarray:
     low, high = (int(rows.min()), int(rows.max())) if radix is None else (0, radix - 1)
     radix = high + 1
     if low >= 0 and radix**k <= 2**63:
-        return rows @ np.array([radix**e for e in range(k - 1, -1, -1)], dtype=np.int64)
+        return rows @ _places(radix, k)
     if low >= 0 and high <= 0xFFFF:
         raw = rows.astype(">u2", order="C")
     else:
         raw = (rows.view(np.uint64) ^ np.uint64(1 << 63)).astype(">u8", order="C")
     return raw.view(np.dtype((np.void, raw.itemsize * k))).ravel()
+
+
+@functools.lru_cache(maxsize=64)
+def _places(radix: int, k: int) -> np.ndarray:
+    """The place values of ``k`` digits in base ``radix``, read-only."""
+    places = np.array([radix**e for e in range(k - 1, -1, -1)], dtype=np.int64)
+    places.flags.writeable = False
+    return places
 
 
 def _unique_rows(rows: np.ndarray, radix: int | None = None) -> np.ndarray:
@@ -411,18 +423,87 @@ def _leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _guard_words(rows: np.ndarray, top: int) -> tuple:
+    """``(keys, w)``: the ``_row_keys`` of the 2-D ``rows``, entries in
+    0..``top``, in radix 2^w, w one bit more than ``top`` needs, so the top
+    bit of every w-bit digit, its guard, is 0.  The one choice between words
+    and rows: where the keys are int64 words (|B| w <= 63) the meet closure
+    and the cover relation run on them, else on rows, and w is 0."""
+    w = top.bit_length() + 1
+    keys = _row_keys(rows, 1 << w)
+    return keys, w if keys.dtype.kind == "i" else 0
+
+
+@functools.lru_cache(maxsize=64)
+def _digits(w: int, nb: int) -> tuple:
+    """``(guards, shifts)`` of ``nb`` digits of ``w`` bits, first digit
+    first: the guard bits of all digits, and each digit's lowest bit."""
+    shifts = np.arange(w * (nb - 1), -1, -w, dtype=np.int64)
+    shifts.flags.writeable = False
+    return np.int64(sum(1 << (w - 1) << int(s) for s in shifts)), shifts
+
+
+def _decode(words: np.ndarray, w: int, nb: int) -> np.ndarray:
+    """The rows of ``nb`` entries keyed by the guard-bit ``words``, on a new
+    last axis."""
+    return words[..., None] >> _digits(w, nb)[1] & ((1 << w) - 1)
+
+
+def _word_covers(ctx: Context, words: np.ndarray, intents: np.ndarray, w: int) -> tuple:
+    """``(candidates, covers)``, both [a, extent]: ``_lower_covers`` on the
+    guard-bit ``words`` (1-D) of the extents, with the candidates as words.
+
+    The chains of ``_chains`` are keyed once, as an (|A|, n + 2) array of
+    words whose column k + 1 is (top except a:k)^down and column 0 is 0,
+    the row of zeros.  ``candidates[a, i]`` is ``_key_meet`` of the
+    extent's word with the one in column f(a): the chain word at f(a) - 1,
+    or where f(a) = 0 the row of zeros, which lies strictly below no row.
+    x lies below y entrywise iff d = (y | guards) - x keeps every guard (no
+    digit borrows, see ``_key_meet``), and then x = y iff d = guards.  So
+    the order test between the |A| candidates of every extent is one
+    guard-bit test in an [a, a', extent] array, and a marked candidate
+    (f(a) > 0) is a cover iff none lies strictly above it.
+    """
+    chains = _chains(ctx)
+    na, n1, nb = chains.shape
+    chain_words = np.zeros((na, n1 + 1), dtype=np.int64)
+    chain_words[:, 1:] = _row_keys(chains.reshape(-1, nb), 1 << w).reshape(na, n1)
+    guards = _digits(w, nb)[0]
+    at = intents.T + np.arange(0, na * (n1 + 1), n1 + 1)[:, None]
+    candidates = _key_meet(chain_words.take(at), words, guards, w)
+    d = (candidates | guards) - candidates[:, None]  # y = candidates[a'], x = [a]
+    above = d != guards
+    d &= guards
+    above &= d == guards
+    return candidates, (intents.T > 0) > above.any(axis=1)  # marked, not above
+
+
 def _lower_covers(ctx: Context, extents: np.ndarray, intents: np.ndarray) -> tuple:
     """``(candidates, covers)`` for a (c, |B|) array of extents and their
     (c, |A|) intents: ``candidates[i, a]`` is ``extents[i]`` met with the
     generator (top except a:f(a) - 1)^down, f = ``intents[i]``, and the
     (c, |A|) mask ``covers`` marks the lower covers of ``extents[i]`` among
-    them (an extent may be marked more than once).
+    them (an extent may be marked more than once; an unmarked candidate,
+    f(a) = 0, means nothing).
 
     Each candidate with f(a) > 0 is an extent whose intent at a is at most
     f(a) - 1, so it lies strictly below e.  Every extent x < e has x^up < f,
     so x^up(a) <= f(a) - 1 for some a, and by the Galois connection x lies
     below that candidate.  So the lower covers of e are the maximal
     candidates, |A| rows per extent, and no lattice is needed.
+
+    Rows with guard-bit words (``_guard_words``) run ``_word_covers``, whose
+    candidates are decoded to rows; wider rows take ``_row_covers``.
+    """
+    words, w = _guard_words(extents, ctx.frame.granularity)
+    if not w:
+        return _row_covers(ctx, extents, intents)
+    candidates, covers = _word_covers(ctx, words, intents, w)
+    return _decode(candidates.T, w, extents.shape[1]), covers.T
+
+
+def _row_covers(ctx: Context, extents: np.ndarray, intents: np.ndarray) -> tuple:
+    """``_lower_covers`` on rows, for rows too wide for one word.
 
     The candidates are one gather into an [a, b, extent] array, and
     ``below[a, a', i]`` is and-ed one object at a time, so every operation
@@ -475,9 +556,10 @@ def _unique_keys(keys: np.ndarray) -> np.ndarray:
     return keys[fresh]
 
 
-def _meet_closure(chains: np.ndarray) -> np.ndarray:
-    """The extents, sorted, from the (|A|, n+1, |B|) generator rows of
-    ``_chains``.
+def _meet_closure(chains: np.ndarray) -> tuple:
+    """``(rows, words)``: the extents, sorted, from the (|A|, n+1, |B|)
+    generator rows of ``_chains``, and their guard-bit words, or None where
+    the rows have none.
 
     Each attribute's rows (top except a:k)^down, k = 0..n, form a chain: they
     increase with k up to top, so equal rows adjoin and the distinct ones are
@@ -493,26 +575,24 @@ def _meet_closure(chains: np.ndarray) -> np.ndarray:
     deduplication leaves more than ``MAX_ENTRIES`` entries the lattice has
     as many: BudgetExceededError.
 
-    The rows are keyed by ``_row_keys`` in radix 2^w, w one bit more than
-    the largest entry (top's) needs, so every digit has a guard bit.  Where
-    those keys are int64 (|B| w <= 63) every round runs on them: a meet is
-    ``_key_meet`` of two keys, a chunk holds at most ``_CHUNK`` of them, a
-    deduplication is one ``np.sort``, and the keys, which order as the rows
-    do, are decoded to rows once at the end.  Rows with byte keys meet by
-    ``np.minimum`` and are deduplicated by ``_unique_rows`` in radix n + 1.
+    The rows are keyed by ``_guard_words``.  Where those keys are int64
+    every round runs on them: a meet is ``_key_meet`` of two keys, a chunk
+    holds at most ``_CHUNK`` of them, a deduplication is one ``np.sort``,
+    and the keys, which order as the rows do, are decoded to rows once at
+    the end.  Rows with byte keys meet by ``np.minimum`` and are
+    deduplicated by ``_unique_rows`` in radix n + 1.
     """
     na, n1, nb = chains.shape
     top = int(chains.max(initial=n1 - 1))
     if not na:
-        return np.full((1, nb), top, dtype=np.int64)
-    radix = 1 << (top.bit_length() + 1)
-    keys = _row_keys(chains.reshape(-1, nb), radix).reshape(na, n1)
+        chains = np.full((1, 1, nb), top, dtype=np.int64)  # top alone
+        na = n1 = 1
+    keys, w = _guard_words(chains.reshape(-1, nb), top)
+    keys = keys.reshape(na, n1)
     distinct = np.ones((na, n1), dtype=bool)
     distinct[:, :-1] = keys[:, 1:] != keys[:, :-1]
-    words = keys.dtype.kind == "i"
-    if words:
-        w = radix.bit_length() - 1
-        guards = np.int64(sum(radix >> 1 << (w * j) for j in range(nb)))
+    if w:
+        guards = _digits(w, nb)[0]
         meets = lambda found, chain: _key_meet(chain, found[:, None], guards, w).ravel()
         unique, items = _unique_keys, keys
     else:
@@ -533,9 +613,7 @@ def _meet_closure(chains: np.ndarray) -> np.ndarray:
                 pending = kept = len(parts[0])
                 _check_extents(kept, nb)
         found = parts[0]
-    if not words:
-        return found
-    return found[:, None] >> np.arange(w * (nb - 1), -1, -w, dtype=np.int64) & (radix - 1)
+    return (_decode(found, w, nb), found) if w else (found, None)
 
 
 def _check_extents(count: int, nb: int) -> None:
@@ -553,7 +631,9 @@ class ConceptLattice:
     use: ``intent_rows``, the extent index behind ``index_of`` and
     ``extent_set``, the ``concepts`` (``Concept`` and ``FuzzySet`` objects;
     ``extents`` and ``predecessors`` build only the sets they return) and
-    the cover pairs, from ``_lower_covers``.
+    the cover pairs, from ``_word_covers`` on the extents' guard-bit words
+    (kept from the closure, or derived from the rows), else from
+    ``_row_covers``.
 
     The constructor takes the rows as ``_matrix`` does (RangeError,
     DimensionError) and raises NotAnExtentError for a row that is not a
@@ -577,16 +657,24 @@ class ConceptLattice:
         self.context, self.extent_rows = context, rows
 
     @classmethod
-    def _of_closure(cls, context: Context, extent_rows: np.ndarray) -> "ConceptLattice":
+    def _of_closure(cls, context: Context, extent_rows: np.ndarray, words) -> "ConceptLattice":
         """The lattice of the int64 rows ``extent_rows`` of ``_meet_closure``,
-        which are distinct and sorted already, held as they are."""
+        which are distinct and sorted already, held as they are with their
+        ``words``."""
         lat = cls.__new__(cls)
-        lat.context, lat.extent_rows = context, extent_rows
+        lat.context, lat.extent_rows, lat._words = context, extent_rows, words
         return lat
 
     @cached_property
     def intent_rows(self) -> np.ndarray:
         return self.context.possibility_batch(self.extent_rows)
+
+    @cached_property
+    def _words(self):
+        """The guard-bit words of ``extent_rows`` (``_guard_words``), sorted
+        as the rows are, or None where the rows have none."""
+        keys, w = _guard_words(self.extent_rows, self.context.frame.granularity)
+        return keys if w else None
 
     @cached_property
     def _index(self) -> dict:
@@ -596,34 +684,48 @@ class ConceptLattice:
     def _cover_pairs(self) -> np.ndarray:
         """The (lower, upper) concept indices of every cover pair, ascending.
 
-        ``_lower_covers`` gives each extent's covers as rows.  The extents
-        and those rows are keyed by ``_row_keys`` with the same radix, n + 1,
-        so both get the same encoding, and each row's concept index is found
-        by ``np.searchsorted`` among the sorted extent keys (a row not found
-        there raises NotAnExtentError); the pairs are sorted once as
-        lower * N + upper, repeats dropped.  The candidates and their
-        comparisons hold N x |A| x max(|A|, |B|) entries.
+        Where the extents have guard-bit words, ``_word_covers`` gives each
+        extent's covers as words, and each cover's concept index is one
+        ``np.searchsorted`` of its word among the sorted extent words; no
+        candidate row is built.  Wider rows take ``_row_covers``, and its
+        rows are looked up among the extents by their ``_row_keys``.  A cover
+        not found among the extents raises NotAnExtentError, which names the
+        first such row by extent, then attribute, on both paths.  The pairs
+        are sorted once as lower * N + upper, repeats dropped.  The
+        candidates and their comparisons hold N x |A| x max(|A|, |B|)
+        entries.
         """
-        rows = self.extent_rows
-        na, nb = len(self.context.attributes), len(self.context.objects)
+        ctx, rows, words = self.context, self.extent_rows, self._words
+        na, nb = len(ctx.attributes), len(ctx.objects)
         _check_entries(
             len(rows) * na * max(na, nb),
             f"the covers of {len(rows)} concepts over {na} attributes and {nb} objects",
         )
-        candidates, covers = _lower_covers(self.context, rows, self.intent_rows)
-        upper, at = np.nonzero(covers)
-        lows = candidates[upper, at]
-        radix = self.context.frame.granularity + 1
-        keys, found = _row_keys(rows, radix), _row_keys(lows, radix)
+        if words is None:
+            candidates, covers = _row_covers(ctx, rows, self.intent_rows)
+            (upper, at), lows = covers.nonzero(), candidates[covers]
+            radix = ctx.frame.granularity + 1
+            keys, found = _row_keys(rows, radix), _row_keys(lows, radix)
+        else:
+            w = ctx.frame.granularity.bit_length() + 1  # as in _guard_words
+            candidates, covers = _word_covers(ctx, words, self.intent_rows, w)
+            (at, upper), keys, found = covers.nonzero(), words, candidates[covers]
         lower = np.searchsorted(keys, found)
         missing = np.flatnonzero(keys.take(lower, mode="clip") != found)
         if len(missing):
-            row = lows[missing[0]].tolist()
-            raise NotAnExtentError(f"the lower cover {row} of an extent is not in the lattice")
+            # the first by extent, then by attribute, whichever the layout
+            first = missing[np.lexsort((at[missing], upper[missing]))[0]]
+            row = lows[first] if words is None else _decode(found[first], w, nb)
+            raise NotAnExtentError(
+                f"the lower cover {row.tolist()} of an extent is not in the lattice"
+            )
         pairs = np.sort(lower * len(rows) + upper)
         fresh = np.ones(len(pairs), dtype=bool)
         np.not_equal(pairs[1:], pairs[:-1], out=fresh[1:])
-        return np.stack(np.divmod(pairs[fresh], len(rows)), axis=1)
+        pairs = pairs[fresh]
+        out = np.empty((len(pairs), 2), dtype=np.int64)
+        np.divmod(pairs, len(rows), out=(out[:, 0], out[:, 1]))
+        return out
 
     def __len__(self):
         return len(self.extent_rows)
@@ -675,7 +777,7 @@ def build_concept_lattice(ctx: Context) -> ConceptLattice:
     cached on the context.
     """
     if ctx._lattice is None:
-        ctx._lattice = ConceptLattice._of_closure(ctx, _meet_closure(_chains(ctx)))
+        ctx._lattice = ConceptLattice._of_closure(ctx, *_meet_closure(_chains(ctx)))
     return ctx._lattice
 
 

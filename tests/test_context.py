@@ -40,6 +40,7 @@ from mafre.context import (
     _lower_covers,
     _meet_closure,
     _restrict,
+    _row_covers,
     _row_keys,
     _unique_rows,
 )
@@ -312,17 +313,25 @@ class TestLattice:
                 ConceptLattice(ctx, rows)
         assert ConceptLattice(ctx, lat.extent_rows[::-1].tolist()).covers() == lat.covers()
 
-    @pytest.mark.parametrize("n, nb", [(4, 2), (1, 64)])
+    @pytest.mark.parametrize("n, nb", [(4, 2), (1, 64), (2, 5)])
     def test_covers_refuse_rows_missing_a_lower_cover(self, n, nb):
         # extents holding top but not every lower cover of their members are
         # no lattice: the covers name the missing row instead of a self-loop
-        # (3 x 2 at n = 4 keys rows as int64, 3 x 64 at n = 1 as bytes)
+        # (3 x 2 at n = 4 and 3 x 5 at n = 2 take guard-bit words, 3 x 64 at
+        # n = 1 rows), the first by extent, then by attribute, of the row
+        # kernel's covers; at (2, 5) another row is first by attribute
         ctx = random_context(random.Random(nb), builtin_frame(["godel"], n), 3, nb)
         rows = build_concept_lattice(ctx).extent_rows
         assert len(rows) > 2
         part = ConceptLattice(ctx, rows[-2:])
-        with pytest.raises(NotAnExtentError, match="lower cover"):
+        assert (part._words is None) == (nb == 64)
+        candidates, covers = _row_covers(ctx, part.extent_rows, part.intent_rows)
+        kept = set(map(tuple, part.extent_rows.tolist()))
+        row = next(r for r in candidates[covers].tolist() if tuple(r) not in kept)
+        message = f"the lower cover {row} of an extent is not in the lattice"
+        with pytest.raises(NotAnExtentError) as raised:
             part.covers()
+        assert str(raised.value) == message
 
     def test_exhaustive_oracle_gives_the_same_extents(self, squares_context):
         default = build_concept_lattice(squares_context)
@@ -366,11 +375,33 @@ class TestLatticeEngine:
         for seed in range(5):
             ctx = random_context(random.Random(seed), frame, 3, 3)
             lat = build_concept_lattice(ctx)
-            assert lat.extent_rows is found[-1]
+            assert lat.extent_rows is found[-1][0]
             assert np.array_equal(lat.extent_rows, exhaustive_lattice(ctx).extent_rows)
             unsorted = np.concatenate([lat.extent_rows[::-1], lat.extent_rows[:2]])
             again = ConceptLattice(ctx, unsorted.tolist())
             assert np.array_equal(again.extent_rows, lat.extent_rows)
+
+    # (n, |B|): guard-bit words of 3 x 5 = 15 bits, of 64 x 2 bits (bytes)
+    @pytest.mark.parametrize("n, nb", [(4, 5), (1, 64)])
+    def test_build_hands_its_words_to_the_lattice(self, n, nb, monkeypatch):
+        # the lattice keeps the closure's words, and one built from its rows
+        # derives equal words (None where the rows take the row path)
+        from mafre import context as context_mod
+
+        found = []
+        spy = lambda *a: found.append(_meet_closure(*a)) or found[-1]
+        monkeypatch.setattr(context_mod, "_meet_closure", spy)
+        ctx = random_context(random.Random(nb), builtin_frame(["godel"], n), 3, nb)
+        lat = build_concept_lattice(ctx)
+        rows, words = found[-1]
+        assert lat._words is words
+        assert (words is None) == (nb * (n.bit_length() + 1) > 63)
+        again = ConceptLattice(ctx, rows[::-1])
+        if words is None:
+            assert again._words is None
+        else:
+            assert np.array_equal(again._words, words)
+            assert np.array_equal(again._words, _row_keys(rows, 1 << n.bit_length() + 1))
 
     @pytest.mark.parametrize(
         "n_attrs, n_objs", [(1, 1), (1, 3), (3, 1), (2, 4), (3, 3), (4, 2)]
@@ -601,7 +632,7 @@ class TestLatticeEngine:
             ctx = random_context(rng, frame, na, nb)
             chains, gens = _generators(ctx)
             assert _row_keys(gens).dtype.kind == ("i" if keyed else "V")
-            extents = _meet_closure(chains)
+            extents = _meet_closure(chains)[0]
             expected = _subset_meets(gens)
             assert len(extents) == len(expected)
             assert np.array_equal(extents, expected)
@@ -626,10 +657,15 @@ class TestLatticeEngine:
         # of gens and colmax
         colmax = gens.max(axis=0)
         chains = np.stack([gens, np.broadcast_to(colmax, gens.shape)], axis=1)
-        extents = _meet_closure(chains)
+        extents, words = _meet_closure(chains)
         expected = _subset_meets(np.concatenate([gens, colmax[None, :]]))
         assert len(extents) == len(expected)
         assert np.array_equal(extents, expected)
+        w = int(max(gens.max(), 1)).bit_length() + 1
+        if gens.shape[1] * w > 63:
+            assert words is None
+        else:
+            assert np.array_equal(words, _row_keys(expected, 1 << w))
 
     @settings(deadline=None)
     @given(key_rows())
@@ -664,7 +700,7 @@ class TestLatticeEngine:
                 (["godel"], 1, 3, 70),
             )
         ]
-        expected = [(_meet_closure(_generators(c)[0]), _families(c)) for c in contexts]
+        expected = [(_meet_closure(_generators(c)[0])[0], _families(c)) for c in contexts]
         sizes = []
         minimum, key_meet = np.minimum, context_mod._key_meet
         monkeypatch.setattr(context_mod, "_CHUNK", chunk)
@@ -681,7 +717,7 @@ class TestLatticeEngine:
         for ctx, (extents, families) in zip(contexts, expected):
             chains, gens = _generators(ctx)
             sizes.clear()
-            got = _meet_closure(chains)
+            got = _meet_closure(chains)[0]
             assert max(sizes) <= max(chunk, gens.size)
             assert len(got) == len(extents)
             assert np.array_equal(got, extents)
@@ -739,6 +775,29 @@ def _subset_meets(gens):
     subsets = range(1, 2 ** len(gens))
     meets = [gens[[i for i in range(len(gens)) if s >> i & 1]].min(axis=0) for s in subsets]
     return np.unique(np.array(meets), axis=0)
+
+
+def _unchecked_frame(n):
+    """The frame of the three built-in triples at ``n`` without the
+    adjunction check, which test_algebra makes and which at n = 300 takes
+    longer than a whole cover check."""
+    frame = Frame.__new__(Frame)
+    frame.lattice = GranularLattice(n)
+    frame.triples = tuple(builtin_triple(name, n) for name in BUILTIN_TRIPLE_NAMES)
+    return frame
+
+
+def _boundary_context(rng, frame, na, nb):
+    """A seeded context with relation entries in 0..r, r = n, 16 or 6 for
+    one, two or three attributes.  The residuum k <- R(a, b) is top from
+    k = R(a, b) on, so each generator chain has at most r + 1 distinct rows
+    and the lattice at most (r + 1)^|A| extents, at any n."""
+    n = frame.granularity
+    r = min(n, (n, 16, 6)[na - 1])
+    relation = [[rng.randint(0, r) for _ in range(nb)] for _ in range(na)]
+    sigma = [rng.randrange(len(frame.triples)) for _ in range(nb)]
+    names = [f"a{i}" for i in range(na)], [f"b{i}" for i in range(nb)]
+    return Context(frame, *names, relation, sigma)
 
 
 def _some_context(rng, frame, kind, na, nb):
@@ -948,6 +1007,47 @@ class TestLowerCovers:
     def test_covers_property(self, seed, n, kind, na, nb):
         frame = builtin_frame(["sq-left", "sq-right", "godel"], n)
         self._check(_some_context(random.Random(seed), frame, kind, na, nb))
+
+    @staticmethod
+    def _check_boundary(ctx):
+        """``covers()`` against ``_cover_oracle``, and ``_lower_covers``
+        against the row kernel for every extent; whether the rows took
+        guard-bit words."""
+        lat = build_concept_lattice(ctx)
+        rows, intents = lat.extent_rows, lat.intent_rows
+        assert lat.covers() == _cover_oracle(rows)
+        candidates, covers = _lower_covers(ctx, rows, intents)
+        row_candidates, row_covers = _row_covers(ctx, rows, intents)
+        assert np.array_equal(covers, row_covers)
+        assert np.array_equal(candidates[covers], row_candidates[row_covers])
+        return lat._words is not None
+
+    # (n, |B|): |B| (bit_length(n) + 1) is 62 / 64, 60 / 65 and 60 / 70 bits
+    GUARD_BOUNDARY = [(1, 31, True), (1, 32, False), (9, 12, True), (9, 13, False),
+                      (256, 6, True), (256, 7, False)]
+
+    @pytest.mark.parametrize("n, nb, words", GUARD_BOUNDARY)
+    def test_guard_bit_boundary(self, n, nb, words):
+        rng = random.Random(1000 * n + nb)
+        frame = builtin_frame(["sq-left", "sq-right", "godel"], n)
+        for na in (1, 2, 3):
+            ctx = _boundary_context(rng, frame, na, nb)
+            assert self._check_boundary(ctx) == words
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(st.integers(1, 9), st.integers(10, 300)),
+        wider=st.booleans(),
+        na=st.integers(1, 3),
+    )
+    def test_covers_across_the_guard_bit_boundary_property(self, seed, n, wider, na):
+        # |B| is the widest that fits one word at n, or one more, so the
+        # cover relation runs on guard-bit words or on rows, at every digit
+        # width up to n = 300
+        nb = 63 // (n.bit_length() + 1) + wider
+        ctx = _boundary_context(random.Random(seed), _unchecked_frame(n), na, nb)
+        assert self._check_boundary(ctx) != wider
 
     def test_trivial_lattices(self):
         frame = builtin_frame(["godel", "sq-right"], 5)
